@@ -46,7 +46,7 @@ print("== energy eigenvalues ==")
 for name, spec in (("example1", example1()), ("example2", example2())):
     pf = separate(spec, EnergyPartition(2.0, 0.5))
     wf = build_wavefunction(pf)
-    result = apply_hamiltonian(wf, spec, point, h)
+    result = apply_hamiltonian(wf, point, h)
     print(
         f"{name} H: estimate {result.eigenvalue_estimate.real:.9f}  "
         f"target {pf.energies.total}  residual {result.residual:.1e}"
@@ -58,7 +58,7 @@ pf = separate(example1(), EnergyPartition(2.0, 2.0))
 wf = build_wavefunction(pf)
 wide = TransformedPoint(0.4, 0.3, 0.1)
 for step in (2e-2, 1e-2, 5e-3):
-    r = apply_hamiltonian(wf, None, wide, step).residual
+    r = apply_hamiltonian(wf, wide, step).residual
     print(f"h = {step:6.0e}: energy residual = {r:.3e}")
 print()
 

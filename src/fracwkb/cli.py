@@ -24,15 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .fracops import (
-    FractionalOrder,
-    SampledFunction,
-    TimeGrid,
-    interior_mask,
-    left_rl_derivative,
-    right_rl_derivative,
-    rl_power_rule,
-)
+from .fracops import FractionalOrder, TimeGrid
 from .hamilton_jacobi import (
     EnergyPartition,
     TransformedPoint,
@@ -49,7 +41,7 @@ from .reporting import (
     format_json,
     format_table,
 )
-from .verification import run_checks
+from .verification import power_kernel_check, resolve_tolerances, run_checks
 from .wkb import apply_hamiltonian, apply_momentum, build_wavefunction, probability_density
 
 __all__ = ["RunConfig", "main"]
@@ -115,36 +107,6 @@ class RunConfig:
         return TimeGrid(*self.grid)
 
 
-def _resolve_tolerances(config: RunConfig, defaults: dict[str, float]) -> dict[str, float]:
-    table = dict(defaults)
-    for name, value in config.tolerances.items():
-        if name not in table:
-            raise ValueError(f"unknown tolerance {name!r}; known: {sorted(table)}")
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
-        table[name] = value
-    return table
-
-
-def _max_interior_error(grid: TimeGrid, exponent: int, order: FractionalOrder, side: str) -> float:
-    nodes = grid.nodes()
-    if side == "left":
-        offsets = nodes - grid.a
-        derivative = left_rl_derivative
-    else:
-        offsets = grid.b - nodes
-        derivative = right_rl_derivative
-    f = SampledFunction(grid, offsets**exponent)
-    numeric = derivative(f, order).values
-    mask = interior_mask(grid)
-    errors = [
-        abs(numeric[i] - rl_power_rule(exponent, order, offsets[i], side))
-        for i in range(len(nodes))
-        if mask[i]
-    ]
-    return max(errors)
-
-
 def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]:
     """Per-node derivative values plus oracle summary records.
 
@@ -153,39 +115,22 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]
     code.  The pass/fail content lives in the max_interior_error and
     observed_order records.
     """
-    tolerances = _resolve_tolerances(config, _DERIV_TOLERANCES)
+    tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
     exponent = _TEST_FUNCTIONS[function]
     order = FractionalOrder(config.alpha if side == "left" else config.beta)
     grid = config.time_grid()
-    nodes = grid.nodes()
-
-    if side == "left":
-        offsets = nodes - grid.a
-        numeric = left_rl_derivative(SampledFunction(grid, offsets**exponent), order).values
-    else:
-        offsets = grid.b - nodes
-        numeric = right_rl_derivative(SampledFunction(grid, offsets**exponent), order).values
+    numeric, oracle, error = power_kernel_check(grid, exponent, order, side)
+    fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
+    fine_error = power_kernel_check(fine_grid, exponent, order, side)[2]
 
     records = [
-        ReportRecord(
-            f"D[x={x:.17g}]",
-            rl_power_rule(exponent, order, offset, side),
-            value,
-            INFORMATIONAL,
-        )
-        for x, offset, value in zip(nodes, offsets, numeric)
+        ReportRecord(f"D[x={x:.17g}]", analytic, value, INFORMATIONAL)
+        for x, analytic, value in zip(grid.nodes(), oracle, numeric)
     ]
-
-    errors = {
-        count: _max_interior_error(TimeGrid(grid.a, grid.b, count), exponent, order, side)
-        for count in (grid.count, 2 * grid.count, 4 * grid.count)
-    }
     records.append(
-        ReportRecord(
-            "max_interior_error", 0.0, errors[grid.count], tolerances["kernel_max_error"]
-        )
+        ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"])
     )
-    observed = math.log(errors[grid.count] / errors[4 * grid.count]) / math.log(4.0)
+    observed = math.log(error / fine_error) / math.log(4.0)
     records.append(ReportRecord("observed_order", 1.0, observed, tolerances["kernel_order"]))
     return records
 
@@ -224,7 +169,7 @@ def cmd_example(config: RunConfig, model: str) -> list[ReportRecord]:
     positive; zero-energy runs still report slopes, S and the HJ
     residual.
     """
-    tolerances = _resolve_tolerances(config, _EXAMPLE_TOLERANCES)
+    tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
     if config.alpha < 1.0 or config.beta < 1.0:
         raise ValueError("model commands require alpha >= 1 and beta >= 1")
     spec = _model_spec(config, model)
@@ -254,7 +199,7 @@ def cmd_example(config: RunConfig, model: str) -> list[ReportRecord]:
             records.append(
                 ReportRecord(f"p_{which}_imag", 0.0, est.imag, tolerances["imag_part"])
             )
-        est = apply_hamiltonian(wf, spec, point, config.fd_step).eigenvalue_estimate
+        est = apply_hamiltonian(wf, point, config.fd_step).eigenvalue_estimate
         records.append(
             ReportRecord(
                 "energy", config.e1 + config.e2, est.real, tolerances["energy_eigenvalue"]

@@ -4,9 +4,9 @@ The discrete kernel is the Grunwald-Letnikov expansion: binomial weights
 with alternating sign, applied as a one-sided convolution and scaled by
 step**(-order).  For orders above one the stencil is shifted by one node
 toward the interior, which keeps the scheme first-order accurate up to
-the boundary instead of losing order there.  The closed-form power rule
-and a Lanczos gamma evaluator are included so every kernel result can be
-checked against an analytic value.
+the boundary instead of losing order there.  The closed-form power rule,
+on the standard library's gamma, is included so every kernel result can
+be checked against an analytic value.
 """
 
 from __future__ import annotations
@@ -117,23 +117,6 @@ class SampledFunction:
         return ~np.isfinite(self.values)
 
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error is a
-# few ulp for arguments in [0.5, 50]; arguments below 0.5 go through the
-# reflection formula.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
     """Gamma function for real arguments away from the poles.
 
@@ -144,15 +127,7 @@ def gamma(x: float) -> float:
         raise NonFiniteInputError(f"gamma argument must be finite, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise GammaPoleError(f"gamma has a pole at {x!r}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1 - x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    y = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def gl_weights(order: float, count: int) -> np.ndarray:
@@ -213,7 +188,9 @@ def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFu
     return SampledFunction(f.grid, out[::-1], allow_nonfinite=True)
 
 
-def rl_power_rule(exponent: float, order: FractionalOrder, offset: float, side: str = "left") -> float:
+def rl_power_rule(
+    exponent: float, order: FractionalOrder, offset: float | np.ndarray, side: str = "left"
+) -> float | np.ndarray:
     """Closed-form derivative of a power function, for kernel checks.
 
     For the left side this is the derivative of (x - a)**exponent at
@@ -224,20 +201,29 @@ def rl_power_rule(exponent: float, order: FractionalOrder, offset: float, side: 
 
     When exponent + 1 - order is zero or a negative integer the gamma
     pole annihilates the term and the derivative is identically zero.
+    Where offset is zero and the power is negative the value is +inf,
+    whatever the sign of the gamma ratio.  offset may be a float or an
+    array of offsets; the result is a float or an array of that shape.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not math.isfinite(exponent) or exponent < 0.0:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
-    if not math.isfinite(offset) or offset < 0.0:
-        raise ValueError(f"offset must be finite and >= 0, got {offset!r}")
+    offsets = np.asarray(offset, dtype=float)
+    valid = np.isfinite(offsets) & (offsets >= 0.0)
+    if not np.all(valid):
+        bad = float(offsets[~valid].flat[0])
+        raise ValueError(f"offset must be finite and >= 0, got {bad!r}")
     pole = exponent + 1.0 - order.value
     if pole <= 0.0 and pole == math.floor(pole):
-        return 0.0
-    power = exponent - order.value
-    if offset == 0.0 and power < 0.0:
-        return math.inf
-    return gamma(exponent + 1.0) / gamma(pole) * offset**power
+        values = np.zeros_like(offsets)
+    else:
+        power = exponent - order.value
+        with np.errstate(divide="ignore", over="ignore"):
+            values = gamma(exponent + 1.0) / gamma(pole) * offsets**power
+        if power < 0.0:
+            values = np.where(offsets == 0.0, math.inf, values)
+    return values if offsets.ndim else float(values)
 
 
 def interior_mask(grid: TimeGrid, margin: float = 0.1) -> np.ndarray:

@@ -28,6 +28,7 @@ from .fracops import (
     TimeGrid,
     interior_mask,
     left_rl_derivative,
+    right_rl_derivative,
     rl_power_rule,
 )
 from .hamilton_jacobi import (
@@ -50,6 +51,7 @@ from .wkb import (
 __all__ = [
     "DEFAULT_TOLERANCES",
     "resolve_tolerances",
+    "power_kernel_check",
     "run_checks",
     "check_kernel_oracle",
     "check_integer_reduction",
@@ -95,9 +97,12 @@ _HJ_DRAWS = 1000
 _PROB_DRAWS = 100
 
 
-def resolve_tolerances(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Default tolerance table with validated overrides applied."""
-    table = dict(DEFAULT_TOLERANCES)
+def resolve_tolerances(
+    overrides: Mapping[str, float] | None = None,
+    defaults: Mapping[str, float] = DEFAULT_TOLERANCES,
+) -> dict[str, float]:
+    """Tolerance table: defaults with validated overrides applied."""
+    table = dict(defaults)
     for name, value in (overrides or {}).items():
         if name not in table:
             raise ValueError(f"unknown tolerance {name!r}; known: {sorted(table)}")
@@ -107,27 +112,45 @@ def resolve_tolerances(overrides: Mapping[str, float] | None = None) -> dict[str
     return table
 
 
-def _max_interior_error(numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid) -> float:
+def _max_interior_error(numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid) -> np.float64:
+    # Kept a numpy float: the ratio of two exact (zero) errors is then
+    # nan rather than a ZeroDivisionError.
     mask = interior_mask(grid)
-    return float(np.max(np.abs(numeric[mask] - oracle[mask])))
+    return np.max(np.abs(numeric[mask] - oracle[mask]))
+
+
+def power_kernel_check(
+    grid: TimeGrid, exponent: int, order: FractionalOrder, side: str = "left"
+) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """Kernel derivative of a power function against the power rule.
+
+    Samples offset**exponent on the grid, the offset being measured from
+    the endpoint the chosen side's derivative starts at, and returns the
+    numeric derivative, the closed-form oracle at every node and the
+    max interior error between them.
+    """
+    nodes = grid.nodes()
+    if side == "left":
+        offsets = nodes - grid.a
+        derivative = left_rl_derivative
+    else:
+        offsets = grid.b - nodes
+        derivative = right_rl_derivative
+    numeric = derivative(SampledFunction(grid, offsets**exponent), order).values
+    oracle = rl_power_rule(exponent, order, offsets, side)
+    return numeric, oracle, _max_interior_error(numeric, oracle, grid)
 
 
 @functools.cache
-def _kernel_errors() -> dict[tuple[int, float], dict[int, float]]:
+def _kernel_errors() -> dict[tuple[int, float], dict[int, np.float64]]:
     a, b = _DOMAIN
-    errors: dict[tuple[int, float], dict[int, float]] = {}
-    for k, alpha in product(_EXPONENTS, _ORDERS):
-        order = FractionalOrder(alpha)
-        per_count: dict[int, float] = {}
-        for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS}):
-            grid = TimeGrid(a, b, count)
-            nodes = grid.nodes()
-            f = SampledFunction(grid, (nodes - a) ** k)
-            numeric = left_rl_derivative(f, order).values
-            oracle = np.array([rl_power_rule(k, order, x - a) for x in nodes])
-            per_count[count] = _max_interior_error(numeric, oracle, grid)
-        errors[(k, alpha)] = per_count
-    return errors
+    return {
+        (k, alpha): {
+            count: power_kernel_check(TimeGrid(a, b, count), k, FractionalOrder(alpha))[2]
+            for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS})
+        }
+        for k, alpha in product(_EXPONENTS, _ORDERS)
+    }
 
 
 def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -262,14 +285,14 @@ def _eigen_measurements(order_value: float) -> dict[str, list]:
         for e1, e2, q in product(_ENERGIES, _ENERGIES, qs):
             wf = build_wavefunction(separate(spec, EnergyPartition(e1, e2)), _HBAR)
             for i, point in enumerate(_points(q)):
-                est = apply_hamiltonian(wf, spec, point, _FD_STEP).eigenvalue_estimate
+                est = apply_hamiltonian(wf, point, _FD_STEP).eigenvalue_estimate
                 tag = f"[e1={e1:g} e2={e2:g} q={q:g} pt={i}]"
                 energy.append((f"{name}.energy{tag}", e1 + e2, est))
 
         wf = build_wavefunction(separate(spec, EnergyPartition(1.0, 1.0)), _HBAR)
         point = TransformedPoint(0.02, -0.015, 0.005, 1.0)
-        res_coarse = apply_hamiltonian(wf, spec, point, _RATIO_STEP).residual
-        res_fine = apply_hamiltonian(wf, spec, point, _RATIO_STEP / 2.0).residual
+        res_coarse = apply_hamiltonian(wf, point, _RATIO_STEP).residual
+        res_fine = apply_hamiltonian(wf, point, _RATIO_STEP / 2.0).residual
         ratios.append((f"{name}.energy_ratio", res_coarse / res_fine))
 
     return {"momentum": momentum, "energy": energy, "ratios": ratios}

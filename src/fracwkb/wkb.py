@@ -125,22 +125,18 @@ def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float)
     return OperatorResult(raw, estimate, abs(estimate - analytic))
 
 
-def apply_hamiltonian(
-    wf: WaveField,
-    spec: LagrangianSpec | None,
-    point: TransformedPoint,
-    h: float,
-) -> OperatorResult:
+def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> OperatorResult:
     """Hamiltonian assembled from difference operators, applied to psi.
 
     Each branch expands (P - l)**2 / (2c) termwise: the squared momentum
     is the 3-point second difference times -hbar**2, the linear momentum
     is the central first difference.  The potential term -v/2 q**2
     multiplies psi directly.  The residual compares against the total
-    energy of the partition and decays as O(h**2).
+    energy of the partition and decays as O(h**2).  The coefficients
+    come from the spec psi was built from, so operator and state always
+    describe the same system.
     """
-    if spec is None:
-        spec = wf.pf.spec
+    spec = wf.pf.spec
     momenta = momenta_from_S(wf.pf, point)
     _check_step(h, momenta.p_alpha, wf.hbar)
     _check_step(h, momenta.p_beta, wf.hbar)
@@ -226,6 +222,6 @@ def classical_limit_check(
         for which, analytic in (("alpha", p1), ("beta", p2_classical)):
             estimate = apply_momentum(wf, which, point, fd_step).eigenvalue_estimate
             records.append(ReportRecord(f"p_{which}", analytic, estimate.real, momentum_tol))
-        estimate = apply_hamiltonian(wf, spec, point, fd_step).eigenvalue_estimate
+        estimate = apply_hamiltonian(wf, point, fd_step).eigenvalue_estimate
         records.append(ReportRecord("energy", energies.total, estimate.real, energy_tol))
     return records

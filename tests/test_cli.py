@@ -63,6 +63,25 @@ def test_deriv_right_side(capsys):
     assert any(line.startswith("observed_order") and line.endswith("true") for line in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deriv", "--function", "x", "--alpha", "1"],
+        ["deriv", "--function", "x2", "--side", "right", "--beta", "2"],
+    ],
+)
+def test_deriv_exact_kernel_reports_summary(argv, capsys):
+    # the kernel is exact here, so both interior errors are 0 and the
+    # convergence ratio is 0/0; the run must still report, not raise
+    main(argv + ["--format", "csv"])
+    summary = {
+        row["quantity"]: row for row in _csv_rows(capsys.readouterr().out)
+        if not row["quantity"].startswith("D[x=")
+    }
+    assert set(summary) == {"max_interior_error", "observed_order"}
+    assert summary["max_interior_error"]["numeric"] == "0"
+
+
 def test_unknown_function_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["deriv", "--function", "x9"])
@@ -121,6 +140,13 @@ def test_tolerance_corruption_fails(capsys):
 
 def test_unknown_tolerance_name(capsys):
     ret = main(["example1", "--tol", "bogus=1"])
+    assert ret == 2
+    assert "unknown tolerance" in capsys.readouterr().err
+
+
+def test_deriv_unknown_tolerance_name(capsys):
+    # deriv resolves against its own table, which has no model tolerances
+    ret = main(["deriv", "--tol", "hj_residual=1"])
     assert ret == 2
     assert "unknown tolerance" in capsys.readouterr().err
 

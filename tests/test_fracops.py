@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracwkb.errors import GammaPoleError, NonFiniteInputError
 from fracwkb.fracops import (
@@ -29,7 +31,7 @@ def test_gamma_against_libm():
 
 def test_gamma_half_against_quadrature():
     # Gauss-Hermite weights integrate exp(-u**2) exactly, and the full
-    # integral equals gamma(1/2); an oracle independent of the Lanczos fit.
+    # integral equals gamma(1/2); an oracle independent of libm's gamma.
     _, weights = np.polynomial.hermite.hermgauss(64)
     assert abs(gamma(0.5) - weights.sum()) < 1e-13
 
@@ -208,6 +210,34 @@ def test_power_rule_validation():
         rl_power_rule(1, FractionalOrder(0.5), -0.1)
     with pytest.raises(ValueError):
         rl_power_rule(1, FractionalOrder(0.5), 1.0, "up")
+
+
+@given(
+    exponent=st.integers(0, 3) | st.floats(0.0, 4.0),
+    order=st.floats(0.05, 4.5) | st.integers(1, 4).map(float),
+    offsets=st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=1, max_size=16),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_power_rule_array_matches_scalar_calls(exponent, order, offsets, side):
+    order = FractionalOrder(order)
+    values = rl_power_rule(exponent, order, np.array(offsets), side)
+    assert values.shape == (len(offsets),)
+    npt.assert_array_equal(values, [rl_power_rule(exponent, order, x, side) for x in offsets])
+
+
+def test_power_rule_array_edge_cases():
+    offsets = np.array([0.0, 0.5, 2.0])
+    # gamma(-0.5) < 0 makes the ratio negative; the endpoint stays +inf
+    values = rl_power_rule(0, FractionalOrder(1.5), offsets)
+    assert values[0] == math.inf
+    assert np.all(values[1:] < 0.0)
+    # pole orders annihilate every node, the endpoint included
+    for exponent, order in ((0, 1.0), (1, 2.0), (1, 3.0), (2, 3.0)):
+        npt.assert_array_equal(rl_power_rule(exponent, FractionalOrder(order), offsets), 0.0)
+    assert isinstance(rl_power_rule(1, FractionalOrder(0.5), 0.25), float)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rl_power_rule(1, FractionalOrder(0.5), np.array([0.0, bad, 1.0]))
 
 
 # --------------------------------------------------- left_rl_derivative

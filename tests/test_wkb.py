@@ -72,13 +72,13 @@ def test_raw_consistent_with_estimate():
 
 
 def test_hamiltonian_eigenvalues():
-    result = apply_hamiltonian(_wave(example1(), 1.0, 1.0), None, _POINT, 1e-4)
+    result = apply_hamiltonian(_wave(example1(), 1.0, 1.0), _POINT, 1e-4)
     assert abs(result.eigenvalue_estimate.real - 2.0) <= 1e-6
-    result = apply_hamiltonian(_wave(example2(), 0.5, 0.5), None, _POINT, 1e-4)
+    result = apply_hamiltonian(_wave(example2(), 0.5, 0.5), _POINT, 1e-4)
     assert abs(result.eigenvalue_estimate.real - 1.0) <= 1e-6
     # zero e2 still works: p_beta = l_beta = 1 stays positive
     point = TransformedPoint(0.02, -0.015, 0.005, 2.0)
-    result = apply_hamiltonian(_wave(example2(), 1.0, 0.0), None, point, 1e-4)
+    result = apply_hamiltonian(_wave(example2(), 1.0, 0.0), point, 1e-4)
     assert abs(result.eigenvalue_estimate.real - 1.0) <= 1e-6
     assert result.residual <= 1e-6
 
@@ -90,8 +90,8 @@ def test_stencil_error_is_second_order():
     coarse = apply_momentum(wf, "alpha", point, 2e-2).residual
     fine = apply_momentum(wf, "alpha", point, 1e-2).residual
     assert 3.6 <= coarse / fine <= 4.4
-    coarse = apply_hamiltonian(wf, None, point, 2e-2).residual
-    fine = apply_hamiltonian(wf, None, point, 1e-2).residual
+    coarse = apply_hamiltonian(wf, point, 2e-2).residual
+    fine = apply_hamiltonian(wf, point, 1e-2).residual
     assert 3.6 <= coarse / fine <= 4.4
 
 
@@ -100,7 +100,7 @@ def test_step_guards():
     with pytest.raises(StepTooLargeError):
         apply_momentum(wf, "alpha", _POINT, 0.03)
     with pytest.raises(StepTooLargeError):
-        apply_hamiltonian(wf, None, _POINT, 0.03)
+        apply_hamiltonian(wf, _POINT, 0.03)
     with pytest.raises(ValueError):
         apply_momentum(wf, "alpha", _POINT, 0.0)
     with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ def test_eigenvalue_estimates_point_independent():
 
 def test_imaginary_part_small_at_small_phase():
     wf = _wave(example1(), 8.0, 8.0)
-    est = apply_hamiltonian(wf, None, _POINT, 1e-4).eigenvalue_estimate
+    est = apply_hamiltonian(wf, _POINT, 1e-4).eigenvalue_estimate
     assert abs(est.imag) < 1e-8
     est = apply_momentum(wf, "alpha", _POINT, 1e-4).eigenvalue_estimate
     assert abs(est.imag) < 1e-8
