@@ -9,6 +9,8 @@ Run:  python3 demos/05_reports_and_sweeps.py
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 from fracwkb import ReportRecord, format_csv, format_json, format_table
 from fracwkb.cli import main
@@ -40,11 +42,13 @@ ret = main(["sweep", "--param", "fd_step", "--values", "1e-2,1e-4"])
 print(f"(exit code {ret})")
 print()
 
-print("== full verification suite: fracwkb verify ==")
-ret = main(["verify", "--format", "csv", "--out", "/tmp/fracwkb_verify.csv"])
-with open("/tmp/fracwkb_verify.csv", encoding="utf-8") as fh:
-    lines = fh.read().splitlines()
-print(f"exit code {ret}; {len(lines) - 2} records written to /tmp/fracwkb_verify.csv")
+print("== full verification suite: fracwkb verify --out <dir>/verify.csv ==")
+# a private directory, so concurrent runs never share the report file
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "verify.csv"
+    ret = main(["verify", "--format", "csv", "--out", str(path)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+print(f"exit code {ret}; {len(lines) - 2} records written to the report file")
 print("first rows:")
 for line in lines[:5]:
     print(f"  {line}")

@@ -7,6 +7,16 @@ toward the interior, which keeps the scheme first-order accurate up to
 the boundary instead of losing order there.  The closed-form power rule,
 on the standard library's gamma, is included so every kernel result can
 be checked against an analytic value.
+
+The convolution is a direct O(N**2) sum (np.convolve) on small grids
+and, for a non-integer order on a grid of _FFT_MIN_COUNT (1024)
+intervals or more, a zero-padded real FFT product in O(N log N): the
+convolution quadrature of Lubich (SIAM J. Math. Anal. 1986).  Against a
+long-double sum the FFT result measured below roundoff_floor on power
+functions, np.convolve up to several times above it.  Integer orders
+always take the direct sum: their stencil is a short signed binomial
+row followed by exact zeros, so the direct sum is exact wherever an
+exact result exists, while an FFT would spread roundoff over every node.
 """
 
 from __future__ import annotations
@@ -28,8 +38,15 @@ __all__ = [
     "left_rl_derivative",
     "right_rl_derivative",
     "rl_power_rule",
+    "roundoff_floor",
     "interior_mask",
 ]
+
+# Grid counts at and above which a non-integer order's GL sum is an FFT
+# product.  Measured crossover, direct vs FFT, best of repeats on a
+# 2-core Xeon with numpy 2.4: 0.06 vs 0.06 ms at N=512, 0.18 vs 0.16 ms
+# at N=1024, 3.3 vs 0.7 ms at N=4096, 59 vs 4.8 ms at N=16384.
+_FFT_MIN_COUNT = 1024
 
 
 @dataclass(frozen=True)
@@ -156,7 +173,15 @@ def _gl_apply(values: np.ndarray, order: float, step: float) -> np.ndarray:
     top = len(values) - 1
     shift = 1 if order > 1.0 else 0
     weights = gl_weights(order, top + shift)
-    result = np.convolve(weights, values)[shift : top + 1 + shift].copy()
+    if not float(order).is_integer() and top >= _FFT_MIN_COUNT:
+        # power-of-two length at least len(weights) + len(values) - 1,
+        # so the circular product equals the linear convolution
+        size = 1 << (len(weights) + top - 1).bit_length()
+        spectrum = np.fft.rfft(weights, size)
+        spectrum *= np.fft.rfft(values, size)
+        result = np.fft.irfft(spectrum, size)[shift : top + 1 + shift]
+    else:
+        result = np.convolve(weights, values)[shift : top + 1 + shift].copy()
     for i in range(top - shift + 1, top + 1):
         result[i] = np.dot(weights[: i + 1], values[i::-1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,6 +249,19 @@ def rl_power_rule(
         if power < 0.0:
             values = np.where(offsets == 0.0, math.inf, values)
     return values if offsets.ndim else float(values)
+
+
+def roundoff_floor(order: FractionalOrder, grid: TimeGrid, magnitude: float) -> float:
+    """Interior error the kernel can pick up from rounding alone.
+
+    eps * magnitude * sum|weights| * step**(-order) for samples bounded
+    by magnitude in absolute value.  The weights sum runs over one more
+    weight than the unshifted stencil uses, so the floor covers both
+    stencils.  An error at or below it means the kernel is exact to
+    working precision.
+    """
+    weight_sum = np.abs(gl_weights(order.value, grid.count + 1)).sum()
+    return float(np.finfo(float).eps * magnitude * weight_sum * grid.step ** -order.value)
 
 
 def interior_mask(grid: TimeGrid, margin: float = 0.1) -> np.ndarray:

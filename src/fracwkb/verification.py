@@ -30,6 +30,7 @@ from .fracops import (
     left_rl_derivative,
     right_rl_derivative,
     rl_power_rule,
+    roundoff_floor,
 )
 from .hamilton_jacobi import (
     EnergyPartition,
@@ -39,7 +40,7 @@ from .hamilton_jacobi import (
     separate,
 )
 from .mechanics import LagrangianSpec, example1, example2
-from .reporting import ReportRecord
+from .reporting import INFORMATIONAL, ReportRecord
 from .wkb import (
     apply_hamiltonian,
     apply_momentum,
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "resolve_tolerances",
     "power_kernel_check",
+    "observed_order_record",
     "run_checks",
     "check_kernel_oracle",
     "check_integer_reduction",
@@ -113,8 +115,6 @@ def resolve_tolerances(
 
 
 def _max_interior_error(numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid) -> np.float64:
-    # Kept a numpy float: the ratio of two exact (zero) errors is then
-    # nan rather than a ZeroDivisionError.
     mask = interior_mask(grid)
     return np.max(np.abs(numeric[mask] - oracle[mask]))
 
@@ -141,6 +141,31 @@ def power_kernel_check(
     return numeric, oracle, _max_interior_error(numeric, oracle, grid)
 
 
+def observed_order_record(
+    quantity: str,
+    exponent: int,
+    order: FractionalOrder,
+    coarse: tuple[TimeGrid, float],
+    fine: tuple[TimeGrid, float],
+    tolerance: float,
+) -> ReportRecord:
+    """Observed convergence order of power_kernel_check errors.
+
+    coarse and fine are (grid, max interior error) pairs.  When both
+    errors are at or below the roundoff floor the kernel is exact to
+    working precision and their ratio carries no order, so the record is
+    informational with a nan value; the max-error records still gate.
+    """
+    if all(
+        error <= roundoff_floor(order, grid, (grid.b - grid.a) ** exponent)
+        for grid, error in (coarse, fine)
+    ):
+        return ReportRecord(quantity, 1.0, math.nan, INFORMATIONAL)
+    (coarse_grid, coarse_error), (fine_grid, fine_error) = coarse, fine
+    observed = math.log(coarse_error / fine_error) / math.log(fine_grid.count / coarse_grid.count)
+    return ReportRecord(quantity, 1.0, observed, tolerance)
+
+
 @functools.cache
 def _kernel_errors() -> dict[tuple[int, float], dict[int, np.float64]]:
     a, b = _DOMAIN
@@ -160,7 +185,8 @@ def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     grid, and observed convergence order across an 8x refinement.
     """
     records = []
-    coarse, fine = _ORDER_COUNTS
+    a, b = _DOMAIN
+    coarse, fine = (TimeGrid(a, b, count) for count in _ORDER_COUNTS)
     for (k, alpha), per_count in _kernel_errors().items():
         tag = f"[k={k} alpha={alpha:g}]"
         records.append(
@@ -169,9 +195,12 @@ def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
                 tolerances["kernel_max_error"],
             )
         )
-        order = math.log(per_count[coarse] / per_count[fine]) / math.log(fine / coarse)
         records.append(
-            ReportRecord(f"kernel_order{tag}", 1.0, order, tolerances["kernel_order"])
+            observed_order_record(
+                f"kernel_order{tag}", k, FractionalOrder(alpha),
+                (coarse, per_count[coarse.count]), (fine, per_count[fine.count]),
+                tolerances["kernel_order"],
+            )
         )
     return records
 

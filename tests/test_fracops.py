@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwkb import fracops
 from fracwkb.errors import GammaPoleError, NonFiniteInputError
 from fracwkb.fracops import (
+    _FFT_MIN_COUNT,
     FractionalOrder,
     SampledFunction,
     TimeGrid,
@@ -17,7 +20,9 @@ from fracwkb.fracops import (
     left_rl_derivative,
     right_rl_derivative,
     rl_power_rule,
+    roundoff_floor,
 )
+from fracwkb.verification import power_kernel_check
 
 
 # ---------------------------------------------------------------- gamma
@@ -301,12 +306,14 @@ def test_left_derivative_linearity():
 
 def test_right_is_mirror_of_left():
     rng = np.random.default_rng(7)
-    grid = TimeGrid(0.0, 1.0, 200)
-    values = rng.standard_normal(201)
     order = FractionalOrder(1.3)
-    mirrored = left_rl_derivative(SampledFunction(grid, values[::-1]), order).values[::-1]
-    direct = right_rl_derivative(SampledFunction(grid, values), order).values
-    npt.assert_array_equal(direct, mirrored)
+    # one grid on the direct sum, one on the FFT product
+    for count in (200, 2 * _FFT_MIN_COUNT):
+        grid = TimeGrid(0.0, 1.0, count)
+        values = rng.standard_normal(count + 1)
+        mirrored = left_rl_derivative(SampledFunction(grid, values[::-1]), order).values[::-1]
+        direct = right_rl_derivative(SampledFunction(grid, values), order).values
+        npt.assert_array_equal(direct, mirrored)
 
 
 def test_right_derivative_of_linear():
@@ -326,6 +333,56 @@ def test_right_derivative_of_constant_half_order():
     assert abs(numeric[0] - oracle) < 1e-3
     # at x = b the true derivative diverges; the sample stays finite but large
     assert numeric[-1] > 10.0
+
+
+# ------------------------------------------------- FFT against direct sum
+
+def _direct_sum(fn, *args):
+    # the np.convolve path at every grid size: the reference the FFT
+    # product is held to
+    with mock.patch.object(fracops, "_FFT_MIN_COUNT", math.inf):
+        return fn(*args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.floats(0.01, 1.99).filter(lambda a: not a.is_integer()),
+    side=st.sampled_from(["left", "right"]),
+    count=st.sampled_from([_FFT_MIN_COUNT, 4096, 8192]) | st.integers(_FFT_MIN_COUNT, 8192),
+    exponent=st.sampled_from([1, 2, 3]),
+)
+def test_fft_sum_matches_direct_sum(order, side, count, exponent):
+    # On FFT-sized grids, the verify grids among them, the FFT product
+    # must stay within 1e-2 of the kernel's discretization error, so no
+    # verify record moves by more.  Where the discretization error sinks
+    # to roundoff (orders near 1 for x, near 2 for every power) the
+    # direct sum's own rounding sets the difference, measured at up to
+    # 8.4x the floor over 7,600 draws; there the bound is 16x the floor.
+    grid = TimeGrid(0.0, 1.0, count)
+    order = FractionalOrder(order)
+    fast, oracle, _ = power_kernel_check(grid, exponent, order, side)
+    direct = _direct_sum(power_kernel_check, grid, exponent, order, side)[0]
+    # every node: a short FFT length would alias the endpoint region
+    difference = np.max(np.abs(fast - direct))
+    discretization = np.max(np.abs(direct - oracle)[interior_mask(grid)])
+    floor = roundoff_floor(order, grid, 1.0)
+    assert difference <= max(1e-2 * discretization, 16.0 * floor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.sampled_from([1.0, 2.0, 3.0]),
+    side=st.sampled_from([left_rl_derivative, right_rl_derivative]),
+    count=st.integers(_FFT_MIN_COUNT, 3 * _FFT_MIN_COUNT),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integer_orders_keep_direct_sum(order, side, count, seed):
+    # integer stencils are exact where an exact result exists; an FFT
+    # would spread roundoff over every node
+    grid = TimeGrid(0.0, 1.0, count)
+    f = SampledFunction(grid, np.random.default_rng(seed).standard_normal(count + 1))
+    order = FractionalOrder(order)
+    npt.assert_array_equal(side(f, order).values, _direct_sum(side, f, order).values)
 
 
 # -------------------------------------------------------- interior_mask
