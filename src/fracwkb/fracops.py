@@ -14,9 +14,10 @@ intervals or more, a zero-padded real FFT product in O(N log N): the
 convolution quadrature of Lubich (SIAM J. Math. Anal. 1986).  Against a
 long-double sum the FFT result measured below roundoff_floor on power
 functions, np.convolve up to several times above it.  Integer orders
-always take the direct sum: their stencil is a short signed binomial
-row followed by exact zeros, so the direct sum is exact wherever an
-exact result exists, while an FFT would spread roundoff over every node.
+always take the direct sum over their short signed binomial row alone,
+O(N) at any grid size: the weights past it are exact zeros, the sum is
+exact wherever an exact result exists, and an FFT would spread roundoff
+over every node.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def gl_weights(order: float, count: int) -> np.ndarray:
 
     w_0 = 1 and w_j = w_{j-1} * (1 - (order + 1) / j), which is the
     alternating binomial sequence (-1)^j C(order, j).  Order zero gives
-    the identity stencil.
+    the identity stencil.  An integer order n gets the exact binomial
+    row followed by zeros; the recurrence would round from n = 3 on.
     """
     if not math.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
@@ -161,7 +163,12 @@ def gl_weights(order: float, count: int) -> np.ndarray:
     count = int(count)
     weights = np.empty(count + 1)
     weights[0] = 1.0
-    if count:
+    if float(order).is_integer():
+        n = int(order)
+        weights[1:] = 0.0
+        for j in range(1, min(n, count) + 1):
+            weights[j] = (-1) ** j * math.comb(n, j)
+    elif count:
         j = np.arange(1.0, count + 1.0)
         weights[1:] = np.cumprod(1.0 - (order + 1.0) / j)
     return weights
@@ -173,7 +180,8 @@ def _gl_apply(values: np.ndarray, order: float, step: float) -> np.ndarray:
     top = len(values) - 1
     shift = 1 if order > 1.0 else 0
     weights = gl_weights(order, top + shift)
-    if not float(order).is_integer() and top >= _FFT_MIN_COUNT:
+    integer = float(order).is_integer()
+    if not integer and top >= _FFT_MIN_COUNT:
         # power-of-two length at least len(weights) + len(values) - 1,
         # so the circular product equals the linear convolution
         size = 1 << (len(weights) + top - 1).bit_length()
@@ -181,7 +189,10 @@ def _gl_apply(values: np.ndarray, order: float, step: float) -> np.ndarray:
         spectrum *= np.fft.rfft(values, size)
         result = np.fft.irfft(spectrum, size)[shift : top + 1 + shift]
     else:
-        result = np.convolve(weights, values)[shift : top + 1 + shift].copy()
+        # an integer order's weights past its binomial row are exact
+        # zeros: leave them out of the sum rather than add O(N**2) of them
+        row = weights[: int(order) + 1] if integer else weights
+        result = np.convolve(row, values)[shift : top + 1 + shift].copy()
     for i in range(top - shift + 1, top + 1):
         result[i] = np.dot(weights[: i + 1], values[i::-1])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -83,9 +83,10 @@ def test_gl_weights_integer_orders_truncate():
 
 
 def test_gl_weights_match_signed_binomials():
+    # exact, not just close: the recurrence would round 1 - 4/3 here
     order = 3.0
     expected = [(-1.0) ** j * math.comb(3, j) for j in range(4)] + [0.0, 0.0]
-    npt.assert_allclose(gl_weights(order, 5), expected, rtol=0, atol=1e-14)
+    npt.assert_array_equal(gl_weights(order, 5), expected)
 
 
 def test_gl_weights_order_zero_is_identity():
@@ -371,18 +372,28 @@ def test_fft_sum_matches_direct_sum(order, side, count, exponent):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    order=st.sampled_from([1.0, 2.0, 3.0]),
-    side=st.sampled_from([left_rl_derivative, right_rl_derivative]),
+    order=st.sampled_from([1, 2, 3]),
+    side=st.sampled_from(["left", "right"]),
     count=st.integers(_FFT_MIN_COUNT, 3 * _FFT_MIN_COUNT),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_integer_orders_keep_direct_sum(order, side, count, seed):
-    # integer stencils are exact where an exact result exists; an FFT
-    # would spread roundoff over every node
-    grid = TimeGrid(0.0, 1.0, count)
-    f = SampledFunction(grid, np.random.default_rng(seed).standard_normal(count + 1))
-    order = FractionalOrder(order)
-    npt.assert_array_equal(side(f, order).values, _direct_sum(side, f, order).values)
+def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
+    # Integer samples on a unit step: every partial sum of the binomial
+    # stencil is an exact integer, so the result must equal the integer
+    # convolution bit for bit.  An FFT would spread roundoff over every
+    # node; dropping a nonzero weight would show too.
+    grid = TimeGrid(0.0, float(count), count)
+    samples = np.random.default_rng(seed).integers(-(2**20), 2**20, count + 1)
+    shift = 1 if order > 1 else 0
+    row = [(-1) ** j * math.comb(order, j) for j in range(order + 1)]
+    full = np.convolve(row, samples if side == "left" else samples[::-1])
+    expected = full[shift : count + 1 + shift].astype(float)
+    expected[count] = full[count]  # the clamped endpoint drops the shift
+    if side == "right":
+        expected = expected[::-1]
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    numeric = derivative(SampledFunction(grid, samples.astype(float)), FractionalOrder(order))
+    npt.assert_array_equal(numeric.values, expected)
 
 
 # -------------------------------------------------------- interior_mask
