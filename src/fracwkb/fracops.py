@@ -8,16 +8,14 @@ the boundary instead of losing order there.  The closed-form power rule,
 on the standard library's gamma, is included so every kernel result can
 be checked against an analytic value.
 
-The convolution is a direct O(N**2) sum (np.convolve) on small grids
-and, for a non-integer order on a grid of _FFT_MIN_COUNT (1024)
-intervals or more, a zero-padded real FFT product in O(N log N): the
-convolution quadrature of Lubich (SIAM J. Math. Anal. 1986).  Against a
-long-double sum the FFT result measured below roundoff_floor on power
-functions, np.convolve up to several times above it.  Integer orders
-always take the direct sum over their short signed binomial row alone,
-O(N) at any grid size: the weights past it are exact zeros, the sum is
-exact wherever an exact result exists, and an FFT would spread roundoff
-over every node.
+The order alone picks the sum.  An integer order n convolves with its
+n + 1 signed binomial weights (np.convolve, O(N)): the weights past
+them are exact zeros, the sum is exact wherever an exact result exists,
+and an FFT would spread roundoff over every node.  Any other order is a
+zero-padded real FFT product in O(N log N), the convolution quadrature
+of Lubich (SIAM J. Math. Anal. 1986); against a long-double sum its
+error on power functions measured below roundoff_floor.  Overflow, for
+huge samples or orders, gives non-finite values rather than an error.
 """
 
 from __future__ import annotations
@@ -43,20 +41,12 @@ __all__ = [
     "interior_mask",
 ]
 
-# Grid counts at and above which a non-integer order's GL sum is an FFT
-# product.  Measured crossover, direct vs FFT, best of repeats on a
-# 2-core Xeon with numpy 2.4: 0.06 vs 0.06 ms at N=512, 0.18 vs 0.16 ms
-# at N=1024, 3.3 vs 0.7 ms at N=4096, 59 vs 4.8 ms at N=16384.
-_FFT_MIN_COUNT = 1024
-
-
 @dataclass(frozen=True)
 class FractionalOrder:
     """A derivative order together with its integer ceiling.
 
     The ceiling n satisfies n - 1 <= value < n, so an exactly integer
-    order k gets ceiling k + 1.  This matches the convention used by the
-    Hamilton-Jacobi layer, where orders live in [1, 2).
+    order k gets ceiling k + 1.
     """
 
     value: float
@@ -155,19 +145,29 @@ def gl_weights(order: float, count: int) -> np.ndarray:
     alternating binomial sequence (-1)^j C(order, j).  Order zero gives
     the identity stencil.  An integer order n gets the exact binomial
     row followed by zeros; the recurrence would round from n = 3 on.
+    A binomial beyond the float range becomes a signed infinity.
     """
     if not math.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     if int(count) != count or count < 0:
         raise ValueError(f"count must be an integer >= 0, got {count!r}")
     count = int(count)
-    weights = np.empty(count + 1)
+    weights = np.zeros(count + 1)
     weights[0] = 1.0
     if float(order).is_integer():
         n = int(order)
-        weights[1:] = 0.0
-        for j in range(1, min(n, count) + 1):
-            weights[j] = (-1) ** j * math.comb(n, j)
+        # C(n, j) rises up to j = n // 2 and mirrors back after it
+        half, last = min(n // 2, count), min(n, count)
+        binomial = 1
+        for j in range(1, half + 1):
+            binomial = binomial * (n + 1 - j) // j
+            try:
+                weights[j] = binomial
+            except OverflowError:
+                weights[j : half + 1] = math.inf
+                break
+        weights[half + 1 : last + 1] = weights[n - last : n - half][::-1]
+        weights[1 : last + 1 : 2] *= -1.0
     elif count:
         j = np.arange(1.0, count + 1.0)
         weights[1:] = np.cumprod(1.0 - (order + 1.0) / j)
@@ -175,28 +175,24 @@ def gl_weights(order: float, count: int) -> np.ndarray:
 
 
 def _gl_apply(values: np.ndarray, order: float, step: float) -> np.ndarray:
-    # Shift the stencil one node inward for orders above one; clamp the
-    # shift back to zero at nodes where it would index past the grid.
+    # Shift the stencil one node inward for orders above one; the last
+    # node, past which the shift would index, keeps the unshifted sum.
     top = len(values) - 1
     shift = 1 if order > 1.0 else 0
-    weights = gl_weights(order, top + shift)
-    integer = float(order).is_integer()
-    if not integer and top >= _FFT_MIN_COUNT:
-        # power-of-two length at least len(weights) + len(values) - 1,
-        # so the circular product equals the linear convolution
-        size = 1 << (len(weights) + top - 1).bit_length()
-        spectrum = np.fft.rfft(weights, size)
-        spectrum *= np.fft.rfft(values, size)
-        result = np.fft.irfft(spectrum, size)[shift : top + 1 + shift]
-    else:
-        # an integer order's weights past its binomial row are exact
-        # zeros: leave them out of the sum rather than add O(N**2) of them
-        row = weights[: int(order) + 1] if integer else weights
-        result = np.convolve(row, values)[shift : top + 1 + shift].copy()
-    for i in range(top - shift + 1, top + 1):
-        result[i] = np.dot(weights[: i + 1], values[i::-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        return result * step ** (-order)
+        if float(order).is_integer():
+            # leave out the exact zeros past the binomial row: O(N), not O(N**2)
+            full = np.convolve(gl_weights(order, min(int(order), top + shift)), values)
+        else:
+            # a power of two above 2 * top + shift, the last index of the
+            # linear convolution, so the circular product equals it
+            size = 1 << (2 * top + shift).bit_length()
+            spectrum = np.fft.rfft(gl_weights(order, top + shift), size)
+            spectrum *= np.fft.rfft(values, size)
+            full = np.fft.irfft(spectrum, size)
+        result = full[shift : top + 1 + shift]
+        result[top] = full[top]
+        return result * np.float64(step) ** -order
 
 
 def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
@@ -225,7 +221,7 @@ def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFu
 
 
 def rl_power_rule(
-    exponent: float, order: FractionalOrder, offset: float | np.ndarray, side: str = "left"
+    exponent: float, order: FractionalOrder, offset: float | np.ndarray
 ) -> float | np.ndarray:
     """Closed-form derivative of a power function, for kernel checks.
 
@@ -241,8 +237,6 @@ def rl_power_rule(
     whatever the sign of the gamma ratio.  offset may be a float or an
     array of offsets; the result is a float or an array of that shape.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not math.isfinite(exponent) or exponent < 0.0:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
     offsets = np.asarray(offset, dtype=float)
@@ -255,8 +249,8 @@ def rl_power_rule(
         values = np.zeros_like(offsets)
     else:
         power = exponent - order.value
-        with np.errstate(divide="ignore", over="ignore"):
-            values = gamma(exponent + 1.0) / gamma(pole) * offsets**power
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = np.float64(gamma(exponent + 1.0)) / gamma(pole) * offsets**power
         if power < 0.0:
             values = np.where(offsets == 0.0, math.inf, values)
     return values if offsets.ndim else float(values)
@@ -271,19 +265,19 @@ def roundoff_floor(order: FractionalOrder, grid: TimeGrid, magnitude: float) -> 
     stencils.  An error at or below it means the kernel is exact to
     working precision.
     """
-    weight_sum = np.abs(gl_weights(order.value, grid.count + 1)).sum()
-    return float(np.finfo(float).eps * magnitude * weight_sum * grid.step ** -order.value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_sum = np.abs(gl_weights(order.value, grid.count + 1)).sum()
+        scale = np.float64(grid.step) ** -order.value
+        return float(np.finfo(float).eps * magnitude * weight_sum * scale)
 
 
-def interior_mask(grid: TimeGrid, margin: float = 0.1) -> np.ndarray:
-    """Mask of nodes at least margin * (b - a) away from both endpoints.
+def interior_mask(grid: TimeGrid) -> np.ndarray:
+    """Mask of nodes at least 0.1 * (b - a) away from both endpoints.
 
     Used when measuring kernel error: the analytic derivative of a
     generic function is unbounded at the originating endpoint, so
     pointwise comparisons there are meaningless.
     """
-    if not 0.0 <= margin < 0.5:
-        raise ValueError(f"margin must lie in [0, 0.5), got {margin!r}")
     nodes = grid.nodes()
-    pad = margin * (grid.b - grid.a)
+    pad = 0.1 * (grid.b - grid.a)
     return (nodes >= grid.a + pad) & (nodes <= grid.b - pad)
