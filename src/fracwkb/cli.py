@@ -11,8 +11,10 @@ Subcommands:
 
 Exit code 0 means every emitted record passed its tolerance; 1 means at
 least one failed (the failures are echoed on stderr); 2 means the
-invocation itself was invalid.  Output is byte-deterministic for a
-fixed configuration.
+invocation itself was invalid (a setting so large that a float
+overflows included).  Output is byte-deterministic for a fixed
+configuration.  Each subcommand takes only the flags it reads, and a
+--config file holds those same flags as KEY = VALUE lines.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -83,7 +85,7 @@ class RunConfig:
     q: float = 0.0
     hbar: float = 1.0
     fd_step: float = 1e-4
-    grid: tuple[float, float, int] = (0.0, 1.0, 1024)
+    grid: TimeGrid = TimeGrid(0.0, 1.0, 1024)
     output_format: str = "table"
     output_path: str | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
@@ -104,12 +106,8 @@ class RunConfig:
             raise ValueError("hbar must be positive")
         if self.output_format not in ("table", "csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
-        TimeGrid(*self.grid)
         FractionalOrder(self.alpha)
         FractionalOrder(self.beta)
-
-    def time_grid(self) -> TimeGrid:
-        return TimeGrid(*self.grid)
 
 
 def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]:
@@ -124,7 +122,7 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]
     tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
     exponent = _TEST_FUNCTIONS[function]
     order = FractionalOrder(config.alpha if side == "left" else config.beta)
-    grid = config.time_grid()
+    grid = config.grid
     numeric, oracle, error = power_kernel_check(grid, exponent, order, side)
     fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
     fine_error = power_kernel_check(fine_grid, exponent, order, side)[2]
@@ -274,11 +272,11 @@ def _emit(
     return 0
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> TimeGrid:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a,b,count', got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return TimeGrid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
 def _parse_tol(entries: Sequence[str]) -> dict[str, float]:
@@ -291,98 +289,72 @@ def _parse_tol(entries: Sequence[str]) -> dict[str, float]:
     return out
 
 
-_CONFIG_FLOAT_KEYS = (
-    "alpha", "beta", "e1", "e2", "q", "hbar", "fd_step",
-    "c_alpha", "c_beta", "l_alpha", "l_beta", "v",
-)
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A flat KEY = VALUE file as the flags of one subcommand.
 
-
-def _parse_config_file(path: str) -> dict[str, object]:
-    """Flat key=value file mirroring the flags; # starts a comment."""
-    values: dict[str, object] = {}
-    tolerances: dict[str, float] = {}
+    Each key is one of the parser's flags without its leading dashes,
+    written with _ for - (fd_step = 1e-3 is --fd-step=1e-3); tol.NAME = V
+    is --tol=NAME=V.  # starts a comment.
+    """
+    flags = []
     for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, raw = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected KEY = VALUE, got {raw_line!r}")
-        key = key.strip()
-        raw = raw.strip()
-        if key in _CONFIG_FLOAT_KEYS:
-            values[key] = float(raw)
-        elif key == "grid":
-            values["grid"] = _parse_grid(raw)
-        elif key == "format":
-            values["output_format"] = raw
-        elif key == "out":
-            values["output_path"] = raw
-        elif key == "model":
-            values["model"] = raw
-        elif key.startswith("tol."):
-            tolerances[key[4:]] = float(raw)
-        else:
+        if key.startswith("tol."):
+            key, value = "tol", f"{key[4:]}={value}"
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if "-" in key or action is None or action.dest in ("help", "config"):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-    if tolerances:
-        values["tolerances"] = tolerances
-    return values
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, object] = {}
-    if args.config is not None:
-        values.update(_parse_config_file(args.config))
-    file_tolerances = dict(values.pop("tolerances", {}))
-
-    flag_map = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "e1": args.e1,
-        "e2": args.e2,
-        "q": args.q,
-        "hbar": args.hbar,
-        "fd_step": args.fd_step,
-        "output_format": args.format,
-        "output_path": args.out,
-        "model": getattr(args, "model", None),
-        "c_alpha": getattr(args, "c_alpha", None),
-        "c_beta": getattr(args, "c_beta", None),
-        "l_alpha": getattr(args, "l_alpha", None),
-        "l_beta": getattr(args, "l_beta", None),
-        "v": getattr(args, "v", None),
-    }
-    if args.grid is not None:
-        flag_map["grid"] = _parse_grid(args.grid)
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
-
-    tolerances = {**file_tolerances, **_parse_tol(args.tol or [])}
-    return RunConfig(**values, tolerances=tolerances)
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(RunConfig) if given.get(f.name) is not None}
+    if "grid" in values:
+        values["grid"] = _parse_grid(values["grid"])
+    values["tolerances"] = _parse_tol(values.get("tolerances", []))
+    return RunConfig(**values)
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, help="left derivative order (default 1.5)")
-    common.add_argument("--beta", type=float, help="right derivative order (default 1.5)")
-    common.add_argument("--e1", type=float, help="first energy share (default 1)")
-    common.add_argument("--e2", type=float, help="second energy share (default 1)")
-    common.add_argument("--q", type=float, help="frozen coordinate (default 0)")
-    common.add_argument("--hbar", type=float, help="action scale (default 1)")
-    common.add_argument("--fd-step", type=float, dest="fd_step", help="stencil step (default 1e-4)")
-    common.add_argument("--grid", help="grid as a,b,count (default 0,1,1024)")
-    common.add_argument(
-        "--format", choices=("table", "csv", "json"), help="output format (default table)"
+def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers; each dest names a RunConfig field."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format", dest="output_format", choices=("table", "csv", "json"),
+        help="output format (default table)",
     )
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument(
+    output.add_argument(
+        "--out", dest="output_path", metavar="PATH",
+        help="write output to this path instead of stdout",
+    )
+    output.add_argument(
+        "--config", metavar="PATH", help="flat key=value file of this subcommand's flags"
+    )
+    output.add_argument(
         "--tol",
+        dest="tolerances",
         action="append",
         metavar="NAME=VALUE",
         help="override a named tolerance (repeatable)",
     )
+
+    orders = argparse.ArgumentParser(add_help=False)
+    orders.add_argument("--alpha", type=float, help="left derivative order (default 1.5)")
+    orders.add_argument("--beta", type=float, help="right derivative order (default 1.5)")
+
+    model = argparse.ArgumentParser(add_help=False, parents=[orders])
+    model.add_argument("--e1", type=float, help="first energy share (default 1)")
+    model.add_argument("--e2", type=float, help="second energy share (default 1)")
+    model.add_argument("--q", type=float, help="frozen coordinate (default 0)")
+    model.add_argument("--hbar", type=float, help="action scale (default 1)")
+    model.add_argument("--fd-step", type=float, dest="fd_step", help="stencil step (default 1e-4)")
 
     parser = argparse.ArgumentParser(
         prog="fracwkb",
@@ -391,8 +363,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_deriv = sub.add_parser(
-        "deriv", parents=[common], help="one-sided derivative of a test function"
+        "deriv", parents=[orders, output], help="one-sided derivative of a test function"
     )
+    p_deriv.add_argument("--grid", help="grid as a,b,count (default 0,1,1024)")
     p_deriv.add_argument(
         "--function",
         choices=sorted(_TEST_FUNCTIONS),
@@ -402,14 +375,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p_deriv.add_argument("--side", choices=("left", "right"), default="left")
 
     for name in ("example1", "example2"):
-        sub.add_parser(name, parents=[common], help=f"run the {name} model records")
+        sub.add_parser(name, parents=[model, output], help=f"run the {name} model records")
 
-    sub.add_parser("verify", parents=[common], help="run the verification suite")
+    sub.add_parser("verify", parents=[output], help="run the verification suite")
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="repeat model records over a parameter range"
+        "sweep", parents=[model, output], help="repeat model records over a parameter range"
     )
-    p_sweep.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
+    p_sweep.add_argument("--param", choices=_SWEEP_PARAMS)
     p_sweep.add_argument("--values", help="comma-separated explicit sweep values")
     p_sweep.add_argument("--from", dest="sweep_from", type=float, help="linear range start")
     p_sweep.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
@@ -420,7 +393,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--l-alpha", dest="l_alpha", type=float)
     p_sweep.add_argument("--l-beta", dest="l_beta", type=float)
     p_sweep.add_argument("--v", type=float)
-    return parser
+    return parser, sub.choices
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
@@ -440,11 +413,20 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
+    parser, commands = _make_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # file values go before the command line's, so its flags win
+            at = argv.index(args.command) + 1
+            file_flags = _config_flags(args.config, commands[args.command])
+            args = parser.parse_args(argv[:at] + file_flags + argv[at:])
         config = _build_config(args)
         if args.command == "deriv":
+            other = "beta" if args.side == "left" else "alpha"
+            if getattr(args, other) is not None:
+                raise ValueError(f"--{other} does not apply to --side {args.side}")
             return _emit(cmd_deriv(config, args.function, args.side), config)
         if args.command in ("example1", "example2"):
             return _emit(cmd_example(config, args.command), config)
@@ -452,7 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _emit(cmd_verify(config), config)
         rows = cmd_sweep(config, args.param, _sweep_values(args))
         return _emit(rows, config, sweep_param=args.param)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .errors import GammaPoleError, NonFiniteInputError
@@ -43,25 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FractionalOrder:
-    """A derivative order together with its integer ceiling.
-
-    The ceiling n satisfies n - 1 <= value < n, so an exactly integer
-    order k gets ceiling k + 1.
-    """
+    """A finite, positive derivative order."""
 
     value: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value <= 0.0:
             raise ValueError(f"order must be finite and positive, got {self.value!r}")
-
-    @property
-    def ceiling(self) -> int:
-        return math.floor(self.value) + 1
-
-    @property
-    def is_integer(self) -> bool:
-        return self.value == int(self.value)
 
 
 @dataclass(frozen=True)
@@ -96,8 +82,8 @@ class SampledFunction:
     Inputs to the derivative operators must be finite everywhere.
     Operator outputs may carry non-finite entries where the true
     derivative diverges (for example at an endpoint); those are built
-    with allow_nonfinite=True and flagged by divergent_mask rather than
-    silently clipped.
+    with allow_nonfinite=True and kept as they are rather than silently
+    clipped.
     """
 
     grid: TimeGrid
@@ -115,14 +101,6 @@ class SampledFunction:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.nodes()), dtype=float))
-
-    @property
-    def divergent_mask(self) -> np.ndarray:
-        return ~np.isfinite(self.values)
 
 
 def gamma(x: float) -> float:

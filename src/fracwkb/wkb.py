@@ -81,7 +81,6 @@ class WaveField:
 class OperatorResult:
     """Operator action at a point, with its eigenvalue estimate."""
 
-    raw: complex
     eigenvalue_estimate: complex
     residual: float
 
@@ -122,7 +121,7 @@ def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float)
     psi_minus = wf.value(_shift(point, which, -h))
     raw = wf.hbar * (psi_plus - psi_minus) / (2.0 * h * 1j)
     estimate = raw / wf.value(point)
-    return OperatorResult(raw, estimate, abs(estimate - analytic))
+    return OperatorResult(estimate, abs(estimate - analytic))
 
 
 def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> OperatorResult:
@@ -157,7 +156,7 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
     )
     estimate = raw / psi_0
     analytic = wf.pf.energies.total
-    return OperatorResult(raw, estimate, abs(estimate - analytic))
+    return OperatorResult(estimate, abs(estimate - analytic))
 
 
 def probability_density(wf: WaveField, point: TransformedPoint) -> float:

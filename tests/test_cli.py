@@ -1,12 +1,17 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fracwkb.cli import main
+from fracwkb import verification
+from fracwkb.cli import _make_parser, main
 
 
 def _csv_rows(text):
@@ -114,6 +119,67 @@ def test_malformed_grid(capsys):
     ret = main(["deriv", "--grid", "0,1"])
     assert ret == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_overflowing_samples_are_usage_error(capsys):
+    # (b - a)**3 overflows: the inf sample is rejected, without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ret = main(["deriv", "--function", "x3", "--grid", "0,1e200,64"])
+    assert ret == 2
+    assert not caught
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_overflowing_model_setting_is_usage_error(capsys):
+    # q**2 overflows a float: a message and exit 2, not a traceback
+    ret = main(["example1", "--q", "1e308"])
+    assert ret == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["deriv", "--beta", "0.5"], None),
+        (["deriv", "--side", "left", "--beta", "0.5"], None),
+        (["deriv", "--side", "right", "--alpha", "0.5"], None),
+        (["deriv", "--side", "left"], "beta = 0.5"),
+        (["deriv", "--side", "right"], "alpha = 0.5"),
+        (["deriv"], "side = right\nalpha = 0.5"),
+    ],
+)
+def test_deriv_rejects_other_sides_order(argv, line, tmp_path, capsys):
+    # deriv reads --alpha on the left and --beta on the right; the other
+    # order would be ignored, so it is an error wherever it comes from
+    if line is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        argv = argv + ["--config", str(config)]
+    ret = main(argv + ["--grid", "0,1,64"])
+    captured = capsys.readouterr()
+    assert ret == 2
+    assert captured.out == ""
+    assert "does not apply to --side" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alpha", "3"],
+        ["verify", "--grid", "0,1,5"],
+        ["verify", "--e1", "9"],
+        ["deriv", "--e1", "2"],
+        ["deriv", "--model", "custom"],
+        ["example1", "--grid", "0,1,8"],
+        ["example2", "--param", "e1"],
+    ],
+)
+def test_flag_of_another_subcommand_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_example1_defaults_pass(capsys):
@@ -243,6 +309,51 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("example1", "grid = 0,1,8"),  # a deriv flag
+        ("verify", "alpha = 2"),
+        ("example1", "config = other.cfg"),
+        ("example1", "hb = 2"),  # an abbreviation of hbar
+        ("example1", "fd-step = 1e-3"),  # keys spell - as _
+        ("example1", "help = 1"),
+    ],
+)
+def test_config_key_must_be_exact_flag_of_subcommand(command, line, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    ret = main([command, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert ret == 2
+    assert captured.out == ""
+    assert "unknown config key" in captured.err
+
+
+def test_config_file_takes_every_flag_of_its_subcommand(tmp_path, capsys):
+    # sweep's own flags, an underscore key and a repeated tolerance
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "param = e1\nvalues = 2,8\nfd_step = 1e-3\nmodel = example2\n"
+        "format = csv\ntol.momentum_eigenvalue = 1\ntol.energy_eigenvalue = 1\n",
+        encoding="utf-8",
+    )
+    ret = main(["sweep", "--config", str(config), "--tol", "energy_eigenvalue=0"])
+    captured = capsys.readouterr()
+    assert ret == 1
+    rows = _csv_rows(captured.out)
+    w1 = [row for row in rows if row["quantity"] == "w1_slope"]
+    assert [row["e1"] for row in w1] == ["2", "8"]
+    assert float(w1[0]["analytic"]) == math.sqrt(4.0) + 1.0
+    # the command line's tolerance wins over the file's; the file's
+    # stencil step 1e-3 leaves energy residuals of 2e-6 to 4e-6 (about
+    # 2e-8 at the default 1e-4)
+    energy = [row for row in rows if row["quantity"] == "energy"]
+    assert [row["tolerance"] for row in energy] == ["0", "0"]
+    assert all(float(row["residual"]) > 1e-6 for row in energy)
+    assert all(row["tolerance"] == "1" for row in rows if row["quantity"] == "p_alpha")
+
+
 def test_sweep_explicit_values(capsys):
     ret = main(["sweep", "--param", "e1", "--values", "0.5,2,8", "--format", "csv"])
     rows = _csv_rows(capsys.readouterr().out)
@@ -336,3 +447,106 @@ def test_verify_subprocess_is_deterministic():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.splitlines()[0] == "# schema_version=1"
+
+
+def _readme_flags():
+    """Subcommand -> flags, read from the README's flag table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in text.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and "`--" in cells[2]:
+            for name in re.findall(r"`([a-z0-9]+)`", cells[1]):
+                table[name] = set(re.findall(r"`(--[a-z0-9-]+)", cells[2]))
+    return table
+
+
+def test_readme_lists_each_subcommands_flags():
+    parsed = {
+        name: set(sub._option_string_actions) - {"-h", "--help"}
+        for name, sub in _make_parser()[1].items()
+    }
+    assert _readme_flags() == parsed
+
+
+_, _COMMANDS = _make_parser()
+
+# Fixed fuzz vocabulary: every subcommand and flag, valid values and
+# malformed ones.  Grid counts stay <= 4096 and --steps <= 20 so each
+# draw runs in milliseconds.
+_NUMBERS = ["0.5", "1.5", "2", "3", "1", "0", "-1", "1e308", "inf", "nan", "abc", ""]
+_VOCABULARY = {
+    "--alpha": _NUMBERS + ["1e20", "300.5"],
+    "--beta": _NUMBERS + ["1e20"],
+    "--e1": _NUMBERS,
+    "--e2": _NUMBERS,
+    "--q": _NUMBERS,
+    "--hbar": _NUMBERS,
+    "--fd-step": _NUMBERS + ["1e-2", "1e-4"],
+    "--grid": [
+        "0,1,64", "0,2,300", "0,1,4096", "0,1,2", "0,1", "1,0,8", "0,1,1", "0,1,2.5",
+        "0,1e200,64", "0,inf,8", "-1e300,1e300,16", "a,b,c", "",
+    ],
+    "--function": ["const", "x", "x2", "x3", "x9"],
+    "--side": ["left", "right", "up"],
+    "--format": ["table", "csv", "json", "xml"],
+    "--tol": [
+        "probability=0", "kernel_max_error=1", "closed_form=1e-9", "bogus=1",
+        "probability", "=1", "closed_form=-1", "closed_form=nan", "energy_eigenvalue=inf",
+    ],
+    "--param": ["alpha", "beta", "e1", "e2", "q", "fd_step", "hbar"],
+    "--values": ["0.5,2", "1.2,1.7", "", "1,x", "1e-2,1e-3", "-1", ","],
+    "--from": _NUMBERS,
+    "--to": _NUMBERS,
+    "--steps": ["1", "3", "20", "0", "-1", "x"],
+    "--model": ["example1", "example2", "custom", "other"],
+    "--c-alpha": _NUMBERS,
+    "--c-beta": _NUMBERS,
+    "--l-alpha": _NUMBERS,
+    "--l-beta": _NUMBERS,
+    "--v": _NUMBERS,
+    "--out": ["OUT", "TMP"],
+    "--config": ["CONFIG", "MISSING"],
+}
+_CONFIG_LINES = [
+    "e1 = 2", "alpha = 1.2", "beta = 0.5", "fd_step = 1e-3", "grid = 0,1,8", "format = csv",
+    "tol.probability = 0", "tol.bogus = 1", "tol.closed_form = x", "config = x", "hb = 1",
+    "junk", "side = right", "param = e1", "values = 1,2", "steps = 3", "from = 0",
+    "to = 1", "out = OUT", "# comment", "alpha = abc", "model = custom", "v = 1", "= 1",
+]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command, flags drawn mostly from its own, maybe a dangling flag."""
+    command = draw(st.sampled_from([*_COMMANDS, "bogus"]))
+    parser = _COMMANDS.get(command)
+    own = [flag for flag in _VOCABULARY if parser and flag in parser._option_string_actions]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(own * 9 + sorted(_VOCABULARY)), max_size=6)):
+        argv += [flag, draw(st.sampled_from(_VOCABULARY[flag]))]
+    if draw(st.integers(0, 9)) == 0 and len(argv) > 1:
+        argv.pop()
+    return argv
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_fuzz_argv(), config_lines=st.lists(st.sampled_from(_CONFIG_LINES), max_size=4))
+def test_fuzzed_argv_exits_0_1_or_2(argv, config_lines, tmp_path, monkeypatch):
+    # the verification checks are swapped out: what is fuzzed is the
+    # parsing and validation around them, and the full suite takes 0.2 s
+    monkeypatch.setattr(verification, "CHECKS", ())
+    paths = {
+        "OUT": str(tmp_path / "out.txt"), "TMP": str(tmp_path),
+        "CONFIG": str(tmp_path / "run.cfg"), "MISSING": str(tmp_path / "missing.cfg"),
+    }
+    lines = [line.replace("OUT", paths["OUT"]) for line in config_lines]
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        ret = main([paths.get(token, token) for token in argv])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert ret in (0, 1, 2)

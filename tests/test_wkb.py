@@ -1,4 +1,3 @@
-import cmath
 
 import numpy as np
 import pytest
@@ -63,12 +62,6 @@ def test_momentum_eigenvalues():
 def test_momentum_which_validation():
     with pytest.raises(ValueError):
         apply_momentum(_wave(example1(), 1.0, 1.0), "gamma", _POINT, 1e-4)
-
-
-def test_raw_consistent_with_estimate():
-    wf = _wave(example2(), 1.0, 2.0)
-    result = apply_momentum(wf, "alpha", _POINT, 1e-4)
-    assert cmath.isclose(result.raw, result.eigenvalue_estimate * wf.value(_POINT), rel_tol=1e-12)
 
 
 def test_hamiltonian_eigenvalues():
