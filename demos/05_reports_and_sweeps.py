@@ -1,9 +1,10 @@
 """Verification records, report formats, and parameter sweeps.
 
-Everything the command line prints is built from ReportRecord rows;
-this script assembles a few by hand, renders them in all three
-formats, then drives the CLI entry point in-process the way a shell
-user would.  Equivalent shell commands are shown before each call.
+Everything the command line prints is a RecordBatch: ReportRecord
+rows held as columns.  This script assembles a few records by hand,
+renders their batch in all three formats, then drives the CLI entry
+point in-process the way a shell user would.  Equivalent shell
+commands are shown before each call.
 
 Run:  python3 demos/05_reports_and_sweeps.py
 """
@@ -12,15 +13,17 @@ import math
 import tempfile
 from pathlib import Path
 
-from fracwkb import ReportRecord, format_csv, format_json, format_table
+from fracwkb import RecordBatch, ReportRecord, format_csv, format_json, format_table
 from fracwkb.cli import main
 
 print("== hand-built records, three renderings ==")
-rows = [
-    ReportRecord("p_alpha", 2.0, 2.0 + 1.3e-8, 1e-6),
-    ReportRecord("probability", 1.0, 1.0, 1e-14),
-    ReportRecord("divergent_node", math.inf, 64.0, math.inf),
-]
+rows = RecordBatch.from_records(
+    [
+        ReportRecord("p_alpha", 2.0, 2.0 + 1.3e-8, 1e-6),
+        ReportRecord("probability", 1.0, 1.0, 1e-14),
+        ReportRecord("divergent_node", math.inf, 64.0, math.inf),
+    ]
+)
 print(format_table(rows))
 print(format_csv(rows))
 print(format_json(rows))

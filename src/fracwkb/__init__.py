@@ -54,7 +54,7 @@ from .mechanics import (
     hamilton_rhs,
     legendre_transform,
 )
-from .reporting import ReportRecord, format_csv, format_json, format_table
+from .reporting import RecordBatch, ReportRecord, format_csv, format_json, format_table
 from .wkb import (
     OperatorResult,
     WaveField,
@@ -100,6 +100,7 @@ __all__ = [
     "example2",
     "hamilton_rhs",
     "legendre_transform",
+    "RecordBatch",
     "ReportRecord",
     "format_csv",
     "format_json",

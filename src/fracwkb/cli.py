@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .fracops import FractionalOrder, TimeGrid
 from .hamilton_jacobi import (
     EnergyPartition,
@@ -38,6 +40,7 @@ from .hamilton_jacobi import (
 from .mechanics import LagrangianSpec, example1, example2
 from .reporting import (
     INFORMATIONAL,
+    RecordBatch,
     ReportRecord,
     format_csv,
     format_json,
@@ -110,7 +113,7 @@ class RunConfig:
         FractionalOrder(self.beta)
 
 
-def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]:
+def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     """Per-node derivative values plus oracle summary records.
 
     Per-node rows are informational (infinite tolerance): they expose
@@ -127,20 +130,19 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> list[ReportRecord]
     fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
     fine_error = power_kernel_check(fine_grid, exponent, order, side)[2]
 
-    records = [
-        ReportRecord(f"D[x={x:.17g}]", analytic, value, INFORMATIONAL)
-        for x, analytic, value in zip(grid.nodes(), oracle.tolist(), numeric.tolist())
-    ]
-    records.append(
-        ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"])
-    )
-    records.append(
+    summary = [
+        ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"]),
         observed_order_record(
             "observed_order", exponent, order, (grid, error), (fine_grid, fine_error),
             tolerances["kernel_order"],
-        )
+        ),
+    ]
+    return RecordBatch(
+        [f"D[x={x:.17g}]" for x in grid.nodes().tolist()] + [r.quantity for r in summary],
+        np.append(oracle, [r.analytic for r in summary]),
+        np.append(numeric, [r.numeric for r in summary]),
+        np.append(np.full(oracle.size, INFORMATIONAL), [r.tolerance for r in summary]),
     )
-    return records
 
 
 def _model_spec(config: RunConfig, model: str) -> LagrangianSpec:
@@ -226,48 +228,39 @@ def cmd_example(config: RunConfig, model: str) -> list[ReportRecord]:
     return records
 
 
-def cmd_sweep(
-    config: RunConfig, param: str, values: Sequence[float]
-) -> list[tuple[float, ReportRecord]]:
+def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> RecordBatch:
     """Model records repeated for each value of one swept parameter."""
     if param not in _SWEEP_PARAMS:
         raise ValueError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    rows = []
+    records, swept_values = [], []
     for value in values:
-        swept = replace(config, **{param: value})
-        for record in cmd_example(swept, config.model):
-            rows.append((value, record))
-    return rows
+        value_records = cmd_example(replace(config, **{param: value}), config.model)
+        records += value_records
+        swept_values += [value] * len(value_records)
+    return RecordBatch.from_records(records, sweep=(param, swept_values))
 
 
-def cmd_verify(config: RunConfig) -> list[ReportRecord]:
+def cmd_verify(config: RunConfig) -> RecordBatch:
     """Full verification suite with the acceptance tolerances."""
-    records = []
-    for _, check_records in run_checks(config.tolerances):
-        records.extend(check_records)
-    return records
+    return RecordBatch.from_records(
+        [record for _, records in run_checks(config.tolerances) for record in records]
+    )
 
 
-def _emit(
-    rows: list[ReportRecord] | list[tuple[float, ReportRecord]],
-    config: RunConfig,
-    sweep_param: str | None = None,
-) -> int:
+def _emit(batch: RecordBatch, config: RunConfig) -> int:
     formatter = {"table": format_table, "csv": format_csv, "json": format_json}[
         config.output_format
     ]
-    text = formatter(rows, sweep_param)
+    text = formatter(batch)
     if config.output_path is not None:
         Path(config.output_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    records = [row[1] for row in rows] if sweep_param is not None else rows
-    failing = [record for record in records if not record.passed]
-    if failing:
+    if not batch.passed.all():
         sys.stderr.write("failing records:\n")
-        sys.stderr.write(format_table(failing))
+        sys.stderr.write(format_table(batch.failures()))
         return 1
     return 0
 
@@ -415,7 +408,10 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # the subcommand's parser reports it, so the usage shows its flags
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.config is not None:
             # file values go before the command line's, so its flags win
@@ -429,11 +425,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ValueError(f"--{other} does not apply to --side {args.side}")
             return _emit(cmd_deriv(config, args.function, args.side), config)
         if args.command in ("example1", "example2"):
-            return _emit(cmd_example(config, args.command), config)
+            return _emit(RecordBatch.from_records(cmd_example(config, args.command)), config)
         if args.command == "verify":
             return _emit(cmd_verify(config), config)
-        rows = cmd_sweep(config, args.param, _sweep_values(args))
-        return _emit(rows, config, sweep_param=args.param)
+        return _emit(cmd_sweep(config, args.param, _sweep_values(args)), config)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -138,10 +138,14 @@ def canonical_momenta(spec: LagrangianSpec, state: KinematicState) -> Momenta:
 def legendre_transform(spec: LagrangianSpec, momenta: Momenta, q: float) -> float:
     """Hamiltonian value at the given momenta and coordinate."""
     _require_finite(q=q)
+    try:
+        q_squared = q**2
+    except OverflowError:
+        raise ValueError(f"q**2 overflows a float at q = {q!r}") from None
     return (
         (momenta.p_alpha - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
         + (momenta.p_beta - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
-        - 0.5 * spec.v * q**2
+        - 0.5 * spec.v * q_squared
     )
 
 

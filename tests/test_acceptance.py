@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 from fracwkb.cli import main
-from fracwkb.reporting import format_table
+from fracwkb.reporting import RecordBatch, format_table
 from fracwkb.verification import (
     DEFAULT_TOLERANCES,
     check_classical_limit,
@@ -39,7 +39,7 @@ def _gate(number: int, label: str, records) -> None:
         line += " failing: " + ", ".join(record.quantity for record in failing[:5])
     acceptance_lines.append(line)
     print(line)
-    assert not failing, "\n" + format_table(failing)
+    assert not failing, "\n" + format_table(RecordBatch.from_records(failing))
 
 
 def test_criterion_1_fractional_kernel_oracle():

@@ -132,10 +132,14 @@ def test_overflowing_samples_are_usage_error(capsys):
 
 
 def test_overflowing_model_setting_is_usage_error(capsys):
-    # q**2 overflows a float: a message and exit 2, not a traceback
-    ret = main(["example1", "--q", "1e308"])
-    assert ret == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # q**2 overflows a float: exit 2 with a message naming q and the
+    # overflow, not a traceback
+    for argv, q in (
+        (["example1", "--q", "1e308"], "1e+308"),
+        (["sweep", "--param", "q", "--values", "1,-1e308"], "-1e+308"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: q**2 overflows a float at q = {q}\n"
 
 
 @pytest.mark.parametrize(
@@ -179,7 +183,10 @@ def test_flag_of_another_subcommand_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # reported by the subcommand's parser, so the usage shows its flags
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: fracwkb {argv[0]} [-h]")
+    assert f"fracwkb {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def test_example1_defaults_pass(capsys):

@@ -1,16 +1,24 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracwkb.reporting import (
     INFORMATIONAL,
+    RecordBatch,
     ReportRecord,
     format_csv,
     format_float,
     format_json,
     format_table,
 )
+
+
+def _batch(*records, sweep=None):
+    return RecordBatch.from_records(records, sweep)
 
 
 def test_record_residual_and_pass():
@@ -27,6 +35,9 @@ def test_record_rejects_unsafe_names():
         ReportRecord("a,b", 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ReportRecord("a\nb", 0.0, 0.0, 1.0)
+    for name in ("a,b", "a\nb"):
+        with pytest.raises(ValueError, match="CSV-safe"):
+            RecordBatch(["ok", name], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
 
 def test_informational_rows_always_pass():
@@ -43,8 +54,8 @@ def test_format_float_17_digits():
 
 
 def test_table_layout():
-    rows = [ReportRecord("alpha", 1.0, 1.0, 1e-6), ReportRecord("b", 2.0, 3.0, 0.5)]
-    lines = format_table(rows).splitlines()
+    batch = _batch(ReportRecord("alpha", 1.0, 1.0, 1e-6), ReportRecord("b", 2.0, 3.0, 0.5))
+    lines = format_table(batch).splitlines()
     assert lines[0].split() == ["quantity", "analytic", "numeric", "residual", "tolerance", "pass"]
     assert set(lines[1]) <= {"-", " "}
     assert lines[2].startswith("alpha")
@@ -53,15 +64,15 @@ def test_table_layout():
 
 
 def test_table_sweep_column():
-    rows = [(0.5, ReportRecord("p", 1.0, 1.0, 1e-6))]
-    lines = format_table(rows, sweep_param="e1").splitlines()
+    batch = _batch(ReportRecord("p", 1.0, 1.0, 1e-6), sweep=("e1", [0.5]))
+    lines = format_table(batch).splitlines()
     assert lines[0].split()[0] == "e1"
     assert lines[2].split()[0] == "0.5"
 
 
 def test_csv_schema_and_fields():
-    rows = [ReportRecord("p_alpha", 2.0, 2.0 + 1e-9, 1e-6)]
-    lines = format_csv(rows).splitlines()
+    batch = _batch(ReportRecord("p_alpha", 2.0, 2.0 + 1e-9, 1e-6))
+    lines = format_csv(batch).splitlines()
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "quantity,analytic,numeric,residual,tolerance,pass"
     fields = lines[2].split(",")
@@ -73,18 +84,18 @@ def test_csv_schema_and_fields():
 
 
 def test_csv_sweep_column():
-    rows = [(8.0, ReportRecord("p", 4.0, 4.0, 1e-6))]
-    lines = format_csv(rows, sweep_param="e1").splitlines()
+    batch = _batch(ReportRecord("p", 4.0, 4.0, 1e-6), sweep=("e1", [8.0]))
+    lines = format_csv(batch).splitlines()
     assert lines[1] == "e1,quantity,analytic,numeric,residual,tolerance,pass"
     assert lines[2].split(",")[0] == "8"
 
 
 def test_json_parses_and_preserves_values():
-    rows = [
+    batch = _batch(
         ReportRecord("ok", 1.0 / 3.0, 1.0 / 3.0, 1e-12),
         ReportRecord("divergent", math.inf, math.inf, INFORMATIONAL),
-    ]
-    data = json.loads(format_json(rows))
+    )
+    data = json.loads(format_json(batch))
     assert [obj["quantity"] for obj in data] == ["ok", "divergent"]
     assert data[0]["schema_version"] == "1"
     assert data[0]["analytic"] == 1.0 / 3.0
@@ -96,13 +107,133 @@ def test_json_parses_and_preserves_values():
 
 
 def test_json_sweep_key_and_empty():
-    data = json.loads(format_json([(0.5, ReportRecord("p", 1.0, 1.0, 1e-6))], sweep_param="e1"))
+    data = json.loads(format_json(_batch(ReportRecord("p", 1.0, 1.0, 1e-6), sweep=("e1", [0.5]))))
     assert data[0]["e1"] == 0.5
-    assert json.loads(format_json([])) == []
+    assert json.loads(format_json(_batch())) == []
 
 
 def test_formats_are_deterministic():
-    rows = [ReportRecord("q", 1.0 / 7.0, 2.0 / 7.0, 1e-3)]
-    assert format_csv(rows) == format_csv(rows)
-    assert format_json(rows) == format_json(rows)
-    assert format_table(rows) == format_table(rows)
+    batch = _batch(ReportRecord("q", 1.0 / 7.0, 2.0 / 7.0, 1e-3))
+    assert format_csv(batch) == format_csv(batch)
+    assert format_json(batch) == format_json(batch)
+    assert format_table(batch) == format_table(batch)
+
+
+# ------------------------------------- batch against per-row reference
+
+# The per-row renderers below are the reference the columnar formatters
+# are held to: one format_float call per cell, residual and pass read
+# from each ReportRecord.
+
+_HEADER = ("quantity", "analytic", "numeric", "residual", "tolerance", "pass")
+
+
+def _reference_cells(records, sweep):
+    prefixes = [()] * len(records) if sweep is None else [(format_float(v),) for v in sweep[1]]
+    return [
+        prefix
+        + (
+            r.quantity,
+            format_float(r.analytic),
+            format_float(r.numeric),
+            format_float(r.residual),
+            format_float(r.tolerance),
+            "true" if r.passed else "false",
+        )
+        for prefix, r in zip(prefixes, records)
+    ]
+
+
+def _reference_header(sweep):
+    return ((sweep[0],) if sweep is not None else ()) + _HEADER
+
+
+def _reference_table(records, sweep):
+    header = _reference_header(sweep)
+    body = _reference_cells(records, sweep)
+    widths = [len(h) for h in header]
+    for cells in body:
+        widths = [max(w, len(c)) for w, c in zip(widths, cells)]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for cells in body:
+        padded = [cells[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
+        lines.append("  ".join(padded).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(records, sweep):
+    lines = ["# schema_version=1", ",".join(_reference_header(sweep))]
+    lines += [",".join(cells) for cells in _reference_cells(records, sweep)]
+    return "\n".join(lines) + "\n"
+
+
+def _json_number(x):
+    return format_float(x) if math.isfinite(x) else json.dumps(format_float(x))
+
+
+def _reference_json(records, sweep):
+    objects = []
+    for i, r in enumerate(records):
+        pairs = ['"schema_version": "1"']
+        if sweep is not None:
+            pairs.append(f"{json.dumps(sweep[0])}: {_json_number(sweep[1][i])}")
+        pairs += [
+            f'"quantity": {json.dumps(r.quantity)}',
+            f'"analytic": {_json_number(r.analytic)}',
+            f'"numeric": {_json_number(r.numeric)}',
+            f'"residual": {_json_number(r.residual)}',
+            f'"tolerance": {_json_number(r.tolerance)}',
+            f'"pass": {"true" if r.passed else "false"}',
+        ]
+        objects.append("  {" + ", ".join(pairs) + "}")
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
+
+
+_VALUES = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.5e-310, 1e308]
+)
+_TOLERANCES = st.floats(allow_nan=False, allow_infinity=False) | st.just(INFORMATIONAL)
+_NAMES = st.text(st.characters(blacklist_characters=",\n"), max_size=8)
+
+
+@st.composite
+def _records_and_sweep(draw):
+    records = draw(
+        st.lists(st.builds(ReportRecord, _NAMES, _VALUES, _VALUES, _TOLERANCES), max_size=8)
+    )
+    if not draw(st.booleans()):
+        return records, None
+    # a few distinct sweep values, each repeated over several rows
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=3))
+    values = [draw(st.sampled_from(pool)) for _ in records]
+    return records, (draw(st.sampled_from(["e1", "q", "fd_step", "%s"])), values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records_and_sweep())
+@example(  # adjacent 0.0 and -0.0 print differently; inf - inf is nan
+    (
+        [
+            ReportRecord("a", 0.0, -0.0, 0.0),
+            ReportRecord("b", math.inf, math.inf, -0.0),
+            ReportRecord("c", math.inf, math.inf, INFORMATIONAL),
+        ],
+        ("q", [-0.0, 0.0, 0.0]),
+    )
+)
+def test_batch_matches_per_row_records(records_and_sweep):
+    records, sweep = records_and_sweep
+    batch = RecordBatch.from_records(records, sweep)
+    assert len(batch) == len(records)
+    np.testing.assert_array_equal(batch.residual, [r.residual for r in records])
+    assert batch.passed.tolist() == [r.passed for r in records]
+    assert format_table(batch) == _reference_table(records, sweep)
+    assert format_csv(batch) == _reference_csv(records, sweep)
+    assert format_json(batch) == _reference_json(records, sweep)
+    failures = batch.failures()
+    assert format_table(failures) == _reference_table([r for r in records if not r.passed], None)
