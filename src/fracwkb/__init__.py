@@ -8,8 +8,9 @@ Layers, bottom up:
   velocities and its Legendre transform
 - hamilton_jacobi: additive separation of the principal function in
   the transformed coordinates
-- wkb: the 1/sqrt(p) exp(iS/hbar) wave field and finite-difference
-  eigen-checks of the momentum and Hamiltonian operators
+- wkb: the 1/sqrt(p) exp(iS/hbar) wave field, finite-difference
+  eigen-checks of the momentum and Hamiltonian operators, and the
+  batched evaluator of every model quantity
 - verification: the oracle suite behind `fracwkb verify`
 - cli: command-line front end
 """
@@ -62,6 +63,7 @@ from .wkb import (
     apply_momentum,
     build_wavefunction,
     classical_limit_check,
+    evaluate_models,
     probability_density,
 )
 
@@ -111,6 +113,7 @@ __all__ = [
     "apply_momentum",
     "build_wavefunction",
     "classical_limit_check",
+    "evaluate_models",
     "probability_density",
     "__version__",
 ]

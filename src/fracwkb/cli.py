@@ -20,24 +20,17 @@ configuration.  Each subcommand takes only the flags it reads, and a
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid
-from .hamilton_jacobi import (
-    EnergyPartition,
-    TransformedPoint,
-    evaluate_S,
-    hj_residual,
-    momenta_from_S,
-    separate,
-)
-from .mechanics import LagrangianSpec, example1, example2
+from .hamilton_jacobi import EnergyPartition, TransformedPoint
+from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from .reporting import (
     INFORMATIONAL,
     RecordBatch,
@@ -52,7 +45,7 @@ from .verification import (
     resolve_tolerances,
     run_checks,
 )
-from .wkb import apply_hamiltonian, apply_momentum, build_wavefunction, probability_density
+from .wkb import evaluate_model, evaluate_models
 
 __all__ = ["RunConfig", "main"]
 
@@ -145,87 +138,107 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     )
 
 
-def _model_spec(config: RunConfig, model: str) -> LagrangianSpec:
+def _coefficients(config: RunConfig, model: str) -> tuple[float, ...]:
+    """(c_alpha, c_beta, l_alpha, l_beta, v) of the model."""
+    if model == "custom":
+        return config.c_alpha, config.c_beta, config.l_alpha, config.l_beta, config.v
+    spec = example1() if model == "example1" else example2()
+    return spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v
+
+
+def _closed_form_slopes(model: str, coefficients, e1, e2, q) -> tuple[np.ndarray, np.ndarray]:
+    # Hand-expanded per model.  The custom model's expansion takes another
+    # rounding route than the family's l + sqrt(c (v q q + 2 e)): the
+    # product is distributed and sqrt(2 c e2) split in two.
     if model == "example1":
-        return example1(config.alpha, config.beta)
+        return np.sqrt(2.0 * e1), np.sqrt(2.0 * e2)
     if model == "example2":
-        return example2(config.alpha, config.beta)
-    return LagrangianSpec(
-        config.c_alpha,
-        config.c_beta,
-        config.l_alpha,
-        config.l_beta,
-        config.v,
-        FractionalOrder(config.alpha),
-        FractionalOrder(config.beta),
+        return np.sqrt(q * q + 2.0 * e1) + 1.0, np.sqrt(2.0 * e2) + 1.0
+    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
+    return (
+        l_alpha + np.sqrt(c_alpha * v * q * q + 2.0 * c_alpha * e1),
+        l_beta + np.sqrt(2.0 * c_beta) * np.sqrt(e2),
     )
 
 
-def _closed_form_slopes(config: RunConfig, model: str, pf) -> tuple[float, float]:
-    # Hand-expanded per model; the custom model has no independent
-    # expansion, so its slope records compare the family against itself.
-    if model == "example1":
-        return math.sqrt(2.0 * config.e1), math.sqrt(2.0 * config.e2)
-    if model == "example2":
-        return math.sqrt(config.q * config.q + 2.0 * config.e1) + 1.0, math.sqrt(2.0 * config.e2) + 1.0
-    momenta = momenta_from_S(pf, TransformedPoint(0.0, 0.0, 0.0, config.q))
-    return momenta.p_alpha, momenta.p_beta
-
-
-def cmd_example(config: RunConfig, model: str) -> list[ReportRecord]:
-    """Model records: slopes, S, HJ residual, eigenvalues, probability.
-
-    Wave-field records are emitted only when both slope momenta are
-    positive; zero-energy runs still report slopes, S and the HJ
-    residual.
-    """
-    tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
+def _check_setting(config: RunConfig, model: str) -> None:
+    """Run one setting down the scalar path; raises the error it rejects it with."""
+    resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
     if config.alpha < 1.0 or config.beta < 1.0:
         raise ValueError("model commands require alpha >= 1 and beta >= 1")
-    spec = _model_spec(config, model)
-    pf = separate(spec, EnergyPartition(config.e1, config.e2))
-    w1, w2 = _closed_form_slopes(config, model, pf)
+    spec = LagrangianSpec(
+        *_coefficients(config, model), FractionalOrder(config.alpha), FractionalOrder(config.beta)
+    )
+    energies = EnergyPartition(config.e1, config.e2)
     point = TransformedPoint(*_SAMPLE_POINT, config.q)
+    evaluate_model(spec, energies, point, config.fd_step, config.hbar)
 
-    records = [
-        ReportRecord("w1_slope", w1, pf.w1_slope(config.q), tolerances["closed_form"]),
-        ReportRecord("w2_slope", w2, pf.w2_slope, tolerances["closed_form"]),
-        ReportRecord(
-            "S",
-            w1 * point.u1 + w2 * point.u2 - (config.e1 + config.e2) * point.t,
-            evaluate_S(pf, point),
-            tolerances["closed_form"],
-        ),
-        ReportRecord("hj_residual", 0.0, hj_residual(pf, point), tolerances["hj_residual"]),
-    ]
 
-    if w1 > 0.0 and w2 > 0.0:
-        wf = build_wavefunction(pf, config.hbar)
-        for which, analytic in (("alpha", w1), ("beta", w2)):
-            est = apply_momentum(wf, which, point, config.fd_step).eigenvalue_estimate
-            records.append(
-                ReportRecord(f"p_{which}", analytic, est.real, tolerances["momentum_eigenvalue"])
-            )
-            records.append(
-                ReportRecord(f"p_{which}_imag", 0.0, est.imag, tolerances["imag_part"])
-            )
-        est = apply_hamiltonian(wf, point, config.fd_step).eigenvalue_estimate
-        records.append(
-            ReportRecord(
-                "energy", config.e1 + config.e2, est.real, tolerances["energy_eigenvalue"]
-            )
-        )
-        records.append(ReportRecord("energy_imag", 0.0, est.imag, tolerances["imag_part"]))
-        momenta = momenta_from_S(pf, point)
-        records.append(
-            ReportRecord(
-                "probability",
-                1.0,
-                probability_density(wf, point) * momenta.p_alpha * momenta.p_beta,
-                tolerances["probability"],
-            )
-        )
-    return records
+# Model record names, which are also ModelColumns fields, and their
+# tolerances; a row whose momenta are not both positive keeps only the
+# first four.
+_MODEL_RECORDS = {
+    "w1_slope": "closed_form",
+    "w2_slope": "closed_form",
+    "S": "closed_form",
+    "hj_residual": "hj_residual",
+    "p_alpha": "momentum_eigenvalue",
+    "p_alpha_imag": "imag_part",
+    "p_beta": "momentum_eigenvalue",
+    "p_beta_imag": "imag_part",
+    "energy": "energy_eigenvalue",
+    "energy_imag": "imag_part",
+    "probability": "probability",
+}
+
+
+def cmd_example(
+    config: RunConfig, model: str, param: str | None = None, values: Sequence[float] = ()
+) -> RecordBatch:
+    """Model records: slopes, S, HJ residual, eigenvalues, probability.
+
+    One row for config, or one per value with param set to it, all
+    evaluated in one batch.  Wave-field records are emitted only where
+    both slope momenta are positive; zero-energy rows still report
+    slopes, S and the HJ residual.  A row the batch marks is run down
+    the scalar path, which raises the error a row-by-row run would stop
+    at; a marked row that the scalar path accepts keeps its batch values.
+    """
+    settings = {name: getattr(config, name) for name in _SWEEP_PARAMS}
+    if param is not None:
+        settings[param] = values
+    rows = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in settings.values()))
+    alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
+    coefficients = _coefficients(config, model)
+    u1, u2, t = _SAMPLE_POINT
+    columns = evaluate_models(
+        FamilyColumns(*coefficients), e1, e2, u1, u2, t, q, fd_step, config.hbar
+    )
+    orders = np.isfinite(alpha) & np.isfinite(beta) & (alpha >= 1.0) & (beta >= 1.0)
+    flagged = columns.rejected | ~orders
+    try:
+        tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
+    except ValueError:
+        flagged[0] = True  # the first row raises it, after its own checks
+    for i in np.flatnonzero(flagged).tolist():
+        _check_setting(config if param is None else replace(config, **{param: values[i]}), model)
+
+    with np.errstate(all="ignore"):
+        w1, w2 = _closed_form_slopes(model, coefficients, e1, e2, q)
+        S = w1 * u1 + w2 * u2 - (e1 + e2) * t
+    zero, one = np.zeros_like(w1), np.ones_like(w1)
+    analytic = [w1, w2, S, zero, w1, zero, w2, zero, e1 + e2, zero, one]
+    kept = np.ones((len(w1), len(_MODEL_RECORDS)), dtype=bool)
+    kept[:, 4:] = columns.wave[:, None]
+    sweep = None if param is None else (param, np.repeat(values, kept.sum(axis=1)))
+    kept = kept.ravel()
+    return RecordBatch(
+        list(compress(list(_MODEL_RECORDS) * len(w1), kept.tolist())),
+        np.column_stack(analytic).ravel()[kept],
+        np.column_stack([getattr(columns, name) for name in _MODEL_RECORDS]).ravel()[kept],
+        np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], len(w1))[kept],
+        sweep,
+    )
 
 
 def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> RecordBatch:
@@ -234,12 +247,7 @@ def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> RecordB
         raise ValueError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    records, swept_values = [], []
-    for value in values:
-        value_records = cmd_example(replace(config, **{param: value}), config.model)
-        records += value_records
-        swept_values += [value] * len(value_records)
-    return RecordBatch.from_records(records, sweep=(param, swept_values))
+    return cmd_example(config, config.model, param, values)
 
 
 def cmd_verify(config: RunConfig) -> RecordBatch:
@@ -408,6 +416,12 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        flag = argv[0].split("=", 1)[0]
+        parser.error(
+            f"{flag} comes before the subcommand; flags go after it:"
+            f" fracwkb SUBCOMMAND {flag} ..."
+        )
     args, unknown = parser.parse_known_args(argv)
     if unknown:
         # the subcommand's parser reports it, so the usage shows its flags
@@ -425,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ValueError(f"--{other} does not apply to --side {args.side}")
             return _emit(cmd_deriv(config, args.function, args.side), config)
         if args.command in ("example1", "example2"):
-            return _emit(RecordBatch.from_records(cmd_example(config, args.command)), config)
+            return _emit(cmd_example(config, args.command), config)
         if args.command == "verify":
             return _emit(cmd_verify(config), config)
         return _emit(cmd_sweep(config, args.param, _sweep_values(args)), config)

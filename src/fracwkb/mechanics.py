@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .fracops import FractionalOrder
 
@@ -43,6 +45,13 @@ def _require_finite(**named: float) -> None:
     for name, value in named.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _named_square(name: str, value: float) -> float:
+    try:
+        return value**2
+    except OverflowError:
+        raise ValueError(f"{name}**2 overflows a float at {name} = {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,11 +87,11 @@ class LagrangianSpec:
 
     def lagrangian(self, state: "KinematicState") -> float:
         return (
-            0.5 * self.c_alpha * state.d_alpha_q**2
-            + 0.5 * self.c_beta * state.d_beta_q**2
+            0.5 * self.c_alpha * _named_square("d_alpha_q", state.d_alpha_q)
+            + 0.5 * self.c_beta * _named_square("d_beta_q", state.d_beta_q)
             + self.l_alpha * state.d_alpha_q
             + self.l_beta * state.d_beta_q
-            + 0.5 * self.v * state.q**2
+            + 0.5 * self.v * _named_square("q", state.q)
         )
 
 
@@ -107,6 +116,32 @@ class Momenta:
 
     def __post_init__(self) -> None:
         _require_finite(p_alpha=self.p_alpha, p_beta=self.p_beta)
+
+
+class FamilyColumns(NamedTuple):
+    """Coefficients of many family members, one array (or float) each.
+
+    The batch counterpart of LagrangianSpec.  It is not validated: batch
+    code marks invalid rows instead of raising.  No model quantity reads
+    the orders, so they are left out.
+    """
+
+    c_alpha: np.ndarray
+    c_beta: np.ndarray
+    l_alpha: np.ndarray
+    l_beta: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def of(cls, specs: Sequence[LagrangianSpec]) -> FamilyColumns:
+        return cls(*(np.array([getattr(s, name) for s in specs]) for name in cls._fields))
+
+
+class MomentumColumns(NamedTuple):
+    """Canonical momenta of many members: the batch counterpart of Momenta."""
+
+    p_alpha: np.ndarray
+    p_beta: np.ndarray
 
 
 class HamiltonRHS(NamedTuple):
@@ -135,18 +170,29 @@ def canonical_momenta(spec: LagrangianSpec, state: KinematicState) -> Momenta:
     )
 
 
-def legendre_transform(spec: LagrangianSpec, momenta: Momenta, q: float) -> float:
-    """Hamiltonian value at the given momenta and coordinate."""
-    _require_finite(q=q)
-    try:
-        q_squared = q**2
-    except OverflowError:
-        raise ValueError(f"q**2 overflows a float at q = {q!r}") from None
-    return (
-        (momenta.p_alpha - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
-        + (momenta.p_beta - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
-        - 0.5 * spec.v * q_squared
-    )
+def legendre_transform(
+    spec: LagrangianSpec | FamilyColumns,
+    momenta: Momenta | MomentumColumns,
+    q: float | np.ndarray,
+) -> float | np.ndarray:
+    """Hamiltonian value at the given momenta and coordinate.
+
+    With an array q (and FamilyColumns, MomentumColumns whose fields
+    broadcast against it) the value is computed element by element.
+    Arrays do not raise: where a float call raises (q not finite, a
+    square overflowing) the element is not finite.  A float's ** is libm
+    pow and an array's is numpy's correctly rounded square, so the two
+    can differ in the last bit of a square.
+    """
+    if not np.ndim(q):
+        _require_finite(q=q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_squared = q**2 if np.ndim(q) else _named_square("q", q)
+        return (
+            (momenta.p_alpha - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
+            + (momenta.p_beta - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
+            - 0.5 * spec.v * q_squared
+        )
 
 
 def hamilton_rhs(spec: LagrangianSpec, momenta: Momenta, q: float) -> HamiltonRHS:

@@ -32,22 +32,10 @@ from .fracops import (
     rl_power_rule,
     roundoff_floor,
 )
-from .hamilton_jacobi import (
-    EnergyPartition,
-    TransformedPoint,
-    hj_residual,
-    momenta_from_S,
-    separate,
-)
-from .mechanics import LagrangianSpec, example1, example2
+from .hamilton_jacobi import EnergyPartition, TransformedPoint
+from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import (
-    apply_hamiltonian,
-    apply_momentum,
-    build_wavefunction,
-    classical_limit_check,
-    probability_density,
-)
+from .wkb import ModelColumns, classical_limit_check, evaluate_model, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -86,7 +74,6 @@ _QS = (0.0, 1.0, 2.0)
 _FD_STEP = 1e-4
 _RATIO_STEP = 1e-2
 _HBAR = 1.0
-_FRACTIONAL_ORDER = 1.5
 
 # Evaluation points for the eigen-checks: the origin (phase exactly
 # zero) and an offset point with phase magnitude below ~0.3 rad over
@@ -261,14 +248,33 @@ def _draw_member(rng: np.random.Generator) -> tuple[LagrangianSpec, EnergyPartit
             return spec, energies, point
 
 
+def _evaluate(
+    members: Sequence[tuple[LagrangianSpec, EnergyPartition, TransformedPoint]],
+    h: float | np.ndarray,
+) -> ModelColumns:
+    """Scalar-drawn members as one batch.
+
+    A member the batch marks is run down the scalar path, which raises
+    the error a member-by-member run would stop at.
+    """
+    specs, energies, points = zip(*members)
+    columns = evaluate_models(
+        FamilyColumns.of(specs),
+        [e.e1 for e in energies], [e.e2 for e in energies],
+        *([getattr(p, name) for p in points] for name in ("u1", "u2", "t", "q")),
+        h, _HBAR,
+    )
+    steps = np.broadcast_to(h, len(members)).tolist()
+    for i in np.flatnonzero(columns.rejected).tolist():
+        evaluate_model(*members[i], steps[i], _HBAR)
+    return columns
+
+
 @functools.cache
 def _hj_max_residual() -> float:
     rng = np.random.default_rng(_HJ_SEED)
-    worst = 0.0
-    for _ in range(_HJ_DRAWS):
-        spec, energies, point = _draw_member(rng)
-        worst = max(worst, abs(hj_residual(separate(spec, energies), point)))
-    return worst
+    members = [_draw_member(rng) for _ in range(_HJ_DRAWS)]
+    return float(np.max(np.abs(_evaluate(members, _FD_STEP).hj_residual)))
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -280,76 +286,91 @@ def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     ]
 
 
-def _points(q: float) -> list[TransformedPoint]:
-    return [TransformedPoint(u1, u2, t, q) for u1, u2, t in _EVAL_POINTS]
-
-
 @functools.cache
-def _eigen_measurements(order_value: float) -> dict[str, list]:
-    """Momentum/energy estimates for both examples at the given order.
+def _eigen_measurements() -> dict[str, list]:
+    """Momentum/energy estimates for both examples.
 
-    Returns lists of (quantity, analytic, complex estimate) plus the
-    step-halving residual ratios.  Analytic targets are hand-expanded
-    per example rather than routed through the family formulas.
+    Returns lists of (quantity, analytic, real, imag) estimates plus the
+    step-halving residual ratios, each evaluated as one batch.  No model
+    quantity reads the orders, so one set serves every order.  Analytic
+    targets are hand-expanded per example rather than routed through the
+    family formulas.
     """
-    momentum: list[tuple[str, float, complex]] = []
-    energy: list[tuple[str, float, complex]] = []
-    ratios: list[tuple[str, float]] = []
-
-    def estimates(spec, e1, e2, q, which, analytic, label):
-        wf = build_wavefunction(separate(spec, EnergyPartition(e1, e2)), _HBAR)
-        for i, point in enumerate(_points(q)):
-            est = apply_momentum(wf, which, point, _FD_STEP).eigenvalue_estimate
-            momentum.append((f"{label}[pt={i}]", analytic, est))
-
-    ex1 = example1(order_value, order_value)
-    ex2 = example2(order_value, order_value)
+    ex1, ex2 = example1(), example2()
+    # (label, analytic, estimate column, spec, e1, e2, q), each case
+    # evaluated at every point
+    momentum = []
     for e in _ENERGIES:
-        estimates(ex1, e, 1.0, 0.0, "alpha", math.sqrt(2.0 * e), f"example1.p_alpha[e1={e:g}]")
-        estimates(ex1, 1.0, e, 0.0, "beta", math.sqrt(2.0 * e), f"example1.p_beta[e2={e:g}]")
-        estimates(
-            ex2, 1.0, e, 1.0, "beta", math.sqrt(2.0 * e) + 1.0, f"example2.p_beta[e2={e:g}]"
-        )
-        for q in _QS:
-            estimates(
-                ex2, e, 1.0, q, "alpha",
-                math.sqrt(q * q + 2.0 * e) + 1.0,
-                f"example2.p_alpha[e1={e:g} q={q:g}]",
+        root = math.sqrt(2.0 * e)
+        momentum += [
+            (f"example1.p_alpha[e1={e:g}]", root, "p_alpha", ex1, e, 1.0, 0.0),
+            (f"example1.p_beta[e2={e:g}]", root, "p_beta", ex1, 1.0, e, 0.0),
+            (f"example2.p_beta[e2={e:g}]", root + 1.0, "p_beta", ex2, 1.0, e, 1.0),
+        ]
+        momentum += [
+            (
+                f"example2.p_alpha[e1={e:g} q={q:g}]", math.sqrt(q * q + 2.0 * e) + 1.0,
+                "p_alpha", ex2, e, 1.0, q,
             )
+            for q in _QS
+        ]
+    energy = [
+        (f"{name}.energy[e1={e1:g} e2={e2:g} q={q:g}", e1 + e2, "energy", spec, e1, e2, q)
+        for name, spec, qs in (("example1", ex1, (0.0,)), ("example2", ex2, _QS))
+        for e1, e2, q in product(_ENERGIES, _ENERGIES, qs)
+    ]
 
-    for name, spec, qs in (("example1", ex1, (0.0,)), ("example2", ex2, _QS)):
-        for e1, e2, q in product(_ENERGIES, _ENERGIES, qs):
-            wf = build_wavefunction(separate(spec, EnergyPartition(e1, e2)), _HBAR)
-            for i, point in enumerate(_points(q)):
-                est = apply_hamiltonian(wf, point, _FD_STEP).eigenvalue_estimate
-                tag = f"[e1={e1:g} e2={e2:g} q={q:g} pt={i}]"
-                energy.append((f"{name}.energy{tag}", e1 + e2, est))
+    def at_points(cases, suffix):
+        for label, analytic, column, spec, e1, e2, q in cases:
+            for i, point in enumerate(_EVAL_POINTS):
+                member = (spec, EnergyPartition(e1, e2), TransformedPoint(*point, q))
+                yield label + suffix.format(i), analytic, column, member
 
-        wf = build_wavefunction(separate(spec, EnergyPartition(1.0, 1.0)), _HBAR)
-        point = TransformedPoint(0.02, -0.015, 0.005, 1.0)
-        res_coarse = apply_hamiltonian(wf, point, _RATIO_STEP).residual
-        res_fine = apply_hamiltonian(wf, point, _RATIO_STEP / 2.0).residual
-        ratios.append((f"{name}.energy_ratio", res_coarse / res_fine))
+    # the energy labels close their bracket after the point index
+    rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
+    columns = {
+        name: column.tolist()
+        for name, column in _evaluate([row[3] for row in rows], _FD_STEP)._asdict().items()
+    }
+    estimates = [
+        (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
+        for i, (quantity, analytic, column, _) in enumerate(rows)
+    ]
+    split = len(momentum) * len(_EVAL_POINTS)
 
-    return {"momentum": momentum, "energy": energy, "ratios": ratios}
+    # the energy residual |estimate - total| at one point, at a step and
+    # at half of it
+    energies = EnergyPartition(1.0, 1.0)
+    ratio_point = TransformedPoint(0.02, -0.015, 0.005, 1.0)
+    steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
+    members = [(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
+    ratio_columns = _evaluate(members, np.tile(steps, 2))
+    residuals = np.hypot(
+        ratio_columns.energy - energies.total, ratio_columns.energy_imag
+    ).tolist()
+    ratios = [
+        (f"{name}.energy_ratio", coarse / fine)
+        for name, coarse, fine in zip(("example1", "example2"), residuals[::2], residuals[1::2])
+    ]
+    return {"momentum": estimates[:split], "energy": estimates[split:], "ratios": ratios}
 
 
 def check_momentum_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Difference-operator momentum eigenvalues against the closed forms."""
     tol = tolerances["momentum_eigenvalue"]
     return [
-        ReportRecord(quantity, analytic, est.real, tol)
-        for quantity, analytic, est in _eigen_measurements(_FRACTIONAL_ORDER)["momentum"]
+        ReportRecord(quantity, analytic, real, tol)
+        for quantity, analytic, real, _ in _eigen_measurements()["momentum"]
     ]
 
 
 def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Hamiltonian eigenvalues against the partition total, plus the
     step-halving O(h**2) ratio."""
-    data = _eigen_measurements(_FRACTIONAL_ORDER)
+    data = _eigen_measurements()
     records = [
-        ReportRecord(quantity, analytic, est.real, tolerances["energy_eigenvalue"])
-        for quantity, analytic, est in data["energy"]
+        ReportRecord(quantity, analytic, real, tolerances["energy_eigenvalue"])
+        for quantity, analytic, real, _ in data["energy"]
     ]
     records.extend(
         ReportRecord(quantity, 4.0, ratio, tolerances["energy_ratio"])
@@ -361,7 +382,7 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
 @functools.cache
 def _probability_max_deviation() -> float:
     rng = np.random.default_rng(_PROB_SEED)
-    worst = 0.0
+    members = []
     for _ in range(_PROB_DRAWS):
         spec = LagrangianSpec(
             c_alpha=rng.uniform(0.2, 5.0),
@@ -379,12 +400,8 @@ def _probability_max_deviation() -> float:
             rng.uniform(-2.0, 2.0),
             rng.uniform(-2.0, 2.0),
         )
-        pf = separate(spec, energies)
-        wf = build_wavefunction(pf, _HBAR)
-        momenta = momenta_from_S(pf, point)
-        product_value = probability_density(wf, point) * momenta.p_alpha * momenta.p_beta
-        worst = max(worst, abs(product_value - 1.0))
-    return worst
+        members.append((spec, energies, point))
+    return float(np.max(np.abs(_evaluate(members, _FD_STEP).probability - 1.0)))
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -418,14 +435,14 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
                     record.tolerance,
                 )
             )
-    data = _eigen_measurements(1.0)
+    data = _eigen_measurements()
     records.extend(
-        ReportRecord(f"classical.{quantity}", analytic, est.real, tolerances["momentum_eigenvalue"])
-        for quantity, analytic, est in data["momentum"]
+        ReportRecord(f"classical.{quantity}", analytic, real, tolerances["momentum_eigenvalue"])
+        for quantity, analytic, real, _ in data["momentum"]
     )
     records.extend(
-        ReportRecord(f"classical.{quantity}", analytic, est.real, tolerances["energy_eigenvalue"])
-        for quantity, analytic, est in data["energy"]
+        ReportRecord(f"classical.{quantity}", analytic, real, tolerances["energy_eigenvalue"])
+        for quantity, analytic, real, _ in data["energy"]
     )
     records.extend(
         ReportRecord(f"classical.{quantity}", 4.0, ratio, tolerances["energy_ratio"])
@@ -436,10 +453,8 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
 
 def check_imaginary_parts(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Imaginary parts of every eigenvalue estimate stay below budget."""
-    data = _eigen_measurements(_FRACTIONAL_ORDER)
-    worst = max(
-        abs(est.imag) for _, _, est in data["momentum"] + data["energy"]
-    )
+    data = _eigen_measurements()
+    worst = max(abs(imag) for *_, imag in data["momentum"] + data["energy"])
     return [ReportRecord("imag_part_max", 0.0, worst, tolerances["imag_part"])]
 
 

@@ -11,6 +11,12 @@ The operators are realized as central differences, so the eigenvalue
 estimates carry an O(h**2) stencil error that the verification layers
 measure directly.
 
+evaluate_models computes every model quantity of a batch of members as
+float columns: the operators below also act on a whole batch of wave
+fields and points at once, with CPython's complex arithmetic written
+out over (re, im) arrays.  evaluate_model is the scalar path for one
+member, the reference the batch reproduces.
+
 A note on roundoff: the second-difference stencil divides by h**2 and
 therefore amplifies the representation error of the phase, which is
 proportional to |S/hbar| ulps.  At h = 1e-4 this floor is around
@@ -24,6 +30,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NonpositiveMomentumError, StepTooLargeError
 from .hamilton_jacobi import (
@@ -31,10 +40,16 @@ from .hamilton_jacobi import (
     PrincipalFunction,
     TransformedPoint,
     evaluate_S,
+    hj_residual,
     momenta_from_S,
     separate,
 )
-from .mechanics import LagrangianSpec
+from .mechanics import (
+    FamilyColumns,
+    LagrangianSpec,
+    MomentumColumns,
+    legendre_transform,
+)
 from .fracops import gl_weights
 from .reporting import ReportRecord
 
@@ -45,6 +60,7 @@ __all__ = [
     "apply_momentum",
     "apply_hamiltonian",
     "probability_density",
+    "evaluate_models",
     "classical_limit_check",
 ]
 
@@ -75,6 +91,78 @@ class WaveField:
 
     def value(self, point: TransformedPoint) -> complex:
         return self.prefactor(point) * cmath.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
+
+
+class _Complex:
+    """Complex arrays as (re, im), combined as CPython's complex type does.
+
+    A real operand is promoted to (x, 0.0), and a quotient divides
+    through by the larger part of the divisor (Smith's algorithm);
+    numpy's complex product, quotient and abs round differently.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # ndarray * _Complex defers to __rmul__
+
+    def __init__(self, re, im) -> None:
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _parts(z) -> tuple:
+        return (z.re, z.im) if isinstance(z, _Complex) else (np.real(z), np.imag(z))
+
+    def __add__(self, other) -> _Complex:
+        re, im = self._parts(other)
+        return _Complex(self.re + re, self.im + im)
+
+    def __sub__(self, other) -> _Complex:
+        re, im = self._parts(other)
+        return _Complex(self.re - re, self.im - im)
+
+    def __rmul__(self, k) -> _Complex:
+        return _Complex(k * self.re - 0.0 * self.im, k * self.im + 0.0 * self.re)
+
+    def __truediv__(self, other) -> _Complex:
+        ar, ai = self.re, self.im
+        br, bi = self._parts(other)
+        by_real = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        return _Complex(
+            np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom,
+        )
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.re, self.im)
+
+
+@dataclass(frozen=True)
+class _PointColumns:
+    """Points of many members: TransformedPoint's batch counterpart, unchecked."""
+
+    u1: np.ndarray
+    u2: np.ndarray
+    t: np.ndarray
+    q: np.ndarray
+
+
+class _WaveColumns(NamedTuple):
+    """psi of many members: WaveField's batch counterpart, unchecked.
+
+    momenta are the W slopes and total the energy e1 + e2 of each row.
+    """
+
+    spec: FamilyColumns
+    momenta: MomentumColumns
+    total: np.ndarray
+    hbar: np.ndarray
+
+    def value(self, point: _PointColumns) -> _Complex:
+        p_alpha, p_beta = self.momenta
+        S = p_alpha * point.u1 + p_beta * point.u2 - self.total * point.t
+        phase = np.exp(1j * (S / self.hbar))
+        return (1.0 / np.sqrt(p_alpha * p_beta)) * _Complex(phase.real, phase.imag)
 
 
 @dataclass(frozen=True)
@@ -110,13 +198,17 @@ def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float)
     """Central-difference momentum (hbar/i) d/du applied to psi.
 
     The residual compares the eigenvalue estimate against the slope
-    momentum for the chosen axis; it decays as O(h**2).
+    momentum for the chosen axis; it decays as O(h**2).  On the batch
+    field and points of evaluate_models it acts on every row at once and
+    checks no step; the estimate is then a _Complex of columns.
     """
     if which not in ("alpha", "beta"):
         raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
-    momenta = momenta_from_S(wf.pf, point)
+    batch = isinstance(wf, _WaveColumns)
+    momenta = wf.momenta if batch else momenta_from_S(wf.pf, point)
     analytic = momenta.p_alpha if which == "alpha" else momenta.p_beta
-    _check_step(h, analytic, wf.hbar)
+    if not batch:
+        _check_step(h, analytic, wf.hbar)
     psi_plus = wf.value(_shift(point, which, h))
     psi_minus = wf.value(_shift(point, which, -h))
     raw = wf.hbar * (psi_plus - psi_minus) / (2.0 * h * 1j)
@@ -133,12 +225,18 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
     multiplies psi directly.  The residual compares against the total
     energy of the partition and decays as O(h**2).  The coefficients
     come from the spec psi was built from, so operator and state always
-    describe the same system.
+    describe the same system.  Batch input is taken as apply_momentum
+    takes it.
     """
-    spec = wf.pf.spec
-    momenta = momenta_from_S(wf.pf, point)
-    _check_step(h, momenta.p_alpha, wf.hbar)
-    _check_step(h, momenta.p_beta, wf.hbar)
+    if isinstance(wf, _WaveColumns):
+        spec, analytic = wf.spec, wf.total
+    else:
+        spec, analytic = wf.pf.spec, wf.pf.energies.total
+        momenta = momenta_from_S(wf.pf, point)
+        _check_step(h, momenta.p_alpha, wf.hbar)
+        _check_step(h, momenta.p_beta, wf.hbar)
+        if h * h == 0.0:  # the second difference divides by it
+            raise ValueError(f"step {h!r} is too small: its square underflows to 0")
     psi_0 = wf.value(point)
     hbar = wf.hbar
 
@@ -155,13 +253,141 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
         - 0.5 * spec.v * point.q**2 * psi_0
     )
     estimate = raw / psi_0
-    analytic = wf.pf.energies.total
     return OperatorResult(estimate, abs(estimate - analytic))
 
 
 def probability_density(wf: WaveField, point: TransformedPoint) -> float:
     """|psi|**2, equal to 1/(p_alpha * p_beta) up to roundoff."""
     return abs(wf.value(point)) ** 2
+
+
+class ModelColumns(NamedTuple):
+    """Every model quantity of a batch of members, one column each.
+
+    w1_slope, w2_slope, S and hj_residual are what the hamilton_jacobi
+    functions return; p_alpha, p_beta and energy, each with its
+    imaginary part, are the apply_momentum and apply_hamiltonian
+    eigenvalue estimates; probability is |psi|**2 * p_alpha * p_beta.
+    The seven wave-field columns are nan where wave is False, since psi
+    needs both momenta positive.  rejected marks every row on which the
+    scalar path may raise.  It may also mark a row the scalar path
+    accepts, so a caller that needs the scalar error runs the marked
+    rows through evaluate_model.
+    """
+
+    w1_slope: np.ndarray
+    w2_slope: np.ndarray
+    S: np.ndarray
+    hj_residual: np.ndarray
+    p_alpha: np.ndarray
+    p_alpha_imag: np.ndarray
+    p_beta: np.ndarray
+    p_beta_imag: np.ndarray
+    energy: np.ndarray
+    energy_imag: np.ndarray
+    probability: np.ndarray
+    wave: np.ndarray
+    rejected: np.ndarray
+
+
+def evaluate_model(
+    spec: LagrangianSpec,
+    energies: EnergyPartition,
+    point: TransformedPoint,
+    h: float,
+    hbar: float = 1.0,
+) -> ModelColumns:
+    """One member through the scalar functions: the reference for evaluate_models.
+
+    Raises where those functions raise.  The fields are floats, the
+    wave-field ones nan unless both momenta are positive, and rejected
+    is False.
+    """
+    pf = separate(spec, energies)
+    w1, w2 = pf.w1_slope(point.q), pf.w2_slope
+    S = evaluate_S(pf, point)
+    residual = hj_residual(pf, point)
+    wave = w1 > 0.0 and w2 > 0.0
+    p_alpha = p_beta = energy = complex(math.nan, math.nan)
+    probability = math.nan
+    if wave:
+        wf = build_wavefunction(pf, hbar)
+        p_alpha = apply_momentum(wf, "alpha", point, h).eigenvalue_estimate
+        p_beta = apply_momentum(wf, "beta", point, h).eigenvalue_estimate
+        energy = apply_hamiltonian(wf, point, h).eigenvalue_estimate
+        probability = probability_density(wf, point) * w1 * w2
+    return ModelColumns(
+        w1, w2, S, residual, p_alpha.real, p_alpha.imag, p_beta.real, p_beta.imag,
+        energy.real, energy.imag, probability, wave, False,
+    )
+
+
+def evaluate_models(
+    family: FamilyColumns,
+    e1: np.ndarray,
+    e2: np.ndarray,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    t: np.ndarray,
+    q: np.ndarray,
+    h: np.ndarray,
+    hbar: np.ndarray | float = 1.0,
+) -> ModelColumns:
+    """Every model quantity of a batch of members, as float columns.
+
+    family holds the five coefficients (c_alpha, c_beta, l_alpha, l_beta,
+    v), e1 and e2 the energy shares, (u1, u2, t, q) the points, h the
+    stencil steps and hbar the action scales; all broadcast to one 1-D
+    shape.  The operators and the probability are the functions above,
+    called once on the whole batch; no point or wave field is built per
+    row.  Row i equals evaluate_model of that row's member, point and
+    step bit for bit, except that numpy squares an array correctly
+    rounded where a float's ** is libm pow: where the two squares differ
+    in the last bit, so may hj_residual, energy, energy_imag and
+    probability, by a few ulps of their terms.
+    """
+    inputs = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (*family, e1, e2, u1, u2, t, q, h, hbar))
+    )
+    c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q, h, hbar = map(np.ravel, inputs)
+    with np.errstate(all="ignore"):
+        # PrincipalFunction's slopes and evaluate_S, elementwise
+        w1 = l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1))
+        w2 = l_beta + np.sqrt(2.0 * c_beta * e2)
+        total = e1 + e2
+        S = w1 * u1 + w2 * u2 - total * t
+        spec = FamilyColumns(c_alpha, c_beta, l_alpha, l_beta, v)
+        momenta = MomentumColumns(w1, w2)
+        residual = legendre_transform(spec, momenta, q) - total
+
+        wf = _WaveColumns(spec, momenta, total, hbar)
+        point = _PointColumns(u1, u2, t, q)
+        results = (
+            apply_momentum(wf, "alpha", point, h),
+            apply_momentum(wf, "beta", point, h),
+            apply_hamiltonian(wf, point, h),
+        )
+        estimates = [
+            part for r in results for part in (r.eigenvalue_estimate.re, r.eigenvalue_estimate.im)
+        ]
+        probability = probability_density(wf, point) * w1 * w2
+
+        finite = np.isfinite([c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q])
+        accepted = (
+            finite.all(axis=0) & (c_alpha > 0.0) & (c_beta > 0.0) & (e1 >= 0.0) & (e2 >= 0.0)
+            & np.isfinite([w1, w2, S, residual]).all(axis=0)
+        )
+        stepped = np.isfinite(h) & (h > 0.0) & np.isfinite(hbar) & (hbar > 0.0)
+        wave = accepted & (w1 > 0.0) & (w2 > 0.0)
+        # _check_step's guard, then every wave-field value finite
+        stable = (
+            ~(h * np.abs(w1) / hbar > _PHASE_GUARD)
+            & ~(h * np.abs(w2) / hbar > _PHASE_GUARD)
+            & np.isfinite([*estimates, probability]).all(axis=0)
+        )
+    wave_columns = [np.where(wave, x, math.nan) for x in (*estimates, probability)]
+    rejected = ~accepted | ~stepped | (wave & ~stable)
+    return ModelColumns(w1, w2, S, residual, *wave_columns, wave, rejected)
 
 
 def classical_limit_check(
@@ -217,10 +443,15 @@ def classical_limit_check(
     point = TransformedPoint(0.02, -0.015, 0.005, 0.02)
     p1 = p1_classical(point.q)
     if p1 > 0.0 and p2_classical > 0.0:
-        wf = build_wavefunction(pf, hbar)
-        for which, analytic in (("alpha", p1), ("beta", p2_classical)):
-            estimate = apply_momentum(wf, which, point, fd_step).eigenvalue_estimate
-            records.append(ReportRecord(f"p_{which}", analytic, estimate.real, momentum_tol))
-        estimate = apply_hamiltonian(wf, point, fd_step).eigenvalue_estimate
-        records.append(ReportRecord("energy", energies.total, estimate.real, energy_tol))
+        columns = evaluate_models(
+            FamilyColumns.of([spec]), energies.e1, energies.e2,
+            point.u1, point.u2, point.t, point.q, fd_step, hbar,
+        )
+        if columns.rejected[0]:
+            evaluate_model(spec, energies, point, fd_step, hbar)  # raises the scalar error
+        records += [
+            ReportRecord("p_alpha", p1, columns.p_alpha[0], momentum_tol),
+            ReportRecord("p_beta", p2_classical, columns.p_beta[0], momentum_tol),
+            ReportRecord("energy", energies.total, columns.energy[0], energy_tol),
+        ]
     return records

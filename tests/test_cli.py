@@ -1,17 +1,19 @@
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracwkb import verification
-from fracwkb.cli import _make_parser, main
+from fracwkb import cli, verification
+from fracwkb.cli import RunConfig, _make_parser, main
 
 
 def _csv_rows(text):
@@ -187,6 +189,36 @@ def test_flag_of_another_subcommand_is_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: fracwkb {argv[0]} [-h]")
     assert f"fracwkb {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "3", "verify"], ["--format=csv", "verify"]])
+def test_flag_before_subcommand_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    flag = argv[0].split("=")[0]
+    assert f"fracwkb: error: {flag} comes before the subcommand; flags go after it" in (
+        capsys.readouterr().err
+    )
+
+
+def test_deriv_huge_integer_order_output_is_pinned(capsys):
+    # the binomial row of order 1e9 overflows past its first weights; the
+    # sum over the infinite run is counted, not summed, and every byte
+    # of the report stays what the full O(N**2) sum printed
+    ret = main(["deriv", "--alpha", "1e9", "--grid", "0,1,16384", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert ret == 1
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "16334923f301cb936851546737e8bd05f1540df348771d89672b56b222f15773"
+    )
+    assert captured.err == (
+        "failing records:\n"
+        "quantity            analytic  numeric  residual  tolerance            pass\n"
+        "------------------  --------  -------  --------  -------------------  -----\n"
+        "max_interior_error         0      nan       nan                0.001  false\n"
+        "observed_order             1      nan       nan  0.20000000000000001  false\n"
+    )
 
 
 def test_example1_defaults_pass(capsys):
@@ -419,6 +451,68 @@ def test_sweep_custom_model(capsys):
     assert ret == 0
     w1 = next(row for row in rows if row["quantity"] == "w1_slope")
     assert float(w1["analytic"]) == math.sqrt(2.0 * (1.0 * 0.25 + 2.0))
+
+
+def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys):
+    # the custom analytic slopes are expanded apart from the family, so a
+    # family slope that drifts by 1e-9 fails its record
+    argv = [
+        "sweep", "--param", "q", "--values", "0.5,1", "--model", "custom",
+        "--c-alpha", "2", "--v", "0.5", "--l-alpha", "0.25", "--format", "csv",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    evaluate = cli.evaluate_models
+
+    def drifted(*args):
+        columns = evaluate(*args)
+        return columns._replace(w1_slope=columns.w1_slope + 1e-9)
+
+    monkeypatch.setattr(cli, "evaluate_models", drifted)
+    assert main(argv) == 1
+    rows = _csv_rows(capsys.readouterr().out)
+    assert [row["quantity"] for row in rows if row["pass"] == "false"] == ["w1_slope"] * 2
+
+
+def test_sweep_row_without_wave_field_keeps_four_records(capsys):
+    ret = main(["sweep", "--param", "e1", "--values", "1,0,2", "--format", "csv"])
+    rows = _csv_rows(capsys.readouterr().out)
+    assert ret == 0
+    assert [row["e1"] for row in rows] == ["1"] * 11 + ["0"] * 4 + ["2"] * 11
+    assert [row["quantity"] for row in rows[11:15]] == ["w1_slope", "w2_slope", "S", "hj_residual"]
+
+
+_BAD_VALUES = ["1", "0.5", "0", "-1", "2", "nan", "inf", "1e308", "1e200", "1e-300", "0.25"]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    model=st.sampled_from(["example1", "example2", "custom"]),
+    param=st.sampled_from(["alpha", "beta", "e1", "e2", "q", "fd_step"]),
+    values=st.lists(st.sampled_from(_BAD_VALUES), min_size=1, max_size=5),
+    v=st.sampled_from(["1", "-1"]),
+)
+def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys):
+    # a sweep stops at the error the scalar path raises on its first bad
+    # row, as a row-by-row run would
+    ret = main(
+        ["sweep", "--model", model, "--param", param, f"--values={','.join(values)}", f"--v={v}"]
+    )
+    err = capsys.readouterr().err
+    base = RunConfig(model=model, v=float(v))
+    expected = None
+    for value in values:
+        try:
+            cli._check_setting(replace(base, **{param: float(value)}), model)
+        except (ValueError, OverflowError) as exc:
+            expected = f"error: {exc}\n"
+            break
+    if expected is None:
+        assert ret in (0, 1) and not err.startswith("error:")
+    else:
+        assert (ret, err) == (2, expected)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -138,6 +138,20 @@ def test_hamilton_rhs_matches_finite_differences():
         assert abs(rhs.d_q - fd_q) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "state, name, value",
+    [
+        (KinematicState(1.0, 1.0, 1e200), "d_beta_q", "1e+200"),
+        (KinematicState(1.0, -2e154, 1.0), "d_alpha_q", "-2e+154"),
+        (KinematicState(1e300, 1.0, 1.0), "q", "1e+300"),
+    ],
+)
+def test_lagrangian_overflow_names_the_quantity(state, name, value):
+    with pytest.raises(ValueError) as info:
+        example2().lagrangian(state)
+    assert str(info.value) == f"{name}**2 overflows a float at {name} = {value}"
+
+
 def test_lagrangian_value():
     # all five terms contribute 0.5, 0.5, 1, 1, 0.5
     assert example2().lagrangian(KinematicState(1.0, 1.0, 1.0)) == 3.5

@@ -1,16 +1,24 @@
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracwkb import verification
 from fracwkb.errors import NonpositiveMomentumError, StepTooLargeError
 from fracwkb.fracops import FractionalOrder
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint, separate
-from fracwkb.mechanics import LagrangianSpec, example1, example2
+from fracwkb.mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from fracwkb.wkb import (
+    ModelColumns,
     apply_hamiltonian,
     apply_momentum,
     build_wavefunction,
     classical_limit_check,
+    evaluate_model,
+    evaluate_models,
     probability_density,
 )
 
@@ -199,3 +207,114 @@ def test_classical_limit_zero_energies():
 def test_classical_limit_rejects_fractional_orders():
     with pytest.raises(ValueError):
         classical_limit_check(example1(), EnergyPartition(1.0, 1.0))
+
+
+# ------------------------------------------------------ batch evaluator
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _member(draw, small_point=True):
+    """A family member, energies, point, step and hbar; some energies zero."""
+    spec = LagrangianSpec(
+        draw(_floats(0.2, 5.0)), draw(_floats(0.2, 5.0)), draw(_floats(-2.0, 2.0)),
+        draw(_floats(-2.0, 2.0)), draw(_floats(-1.0, 2.0)),
+        FractionalOrder(1.5), FractionalOrder(1.5),
+    )
+    energy = st.sampled_from([0.0]) | _floats(0.0, 4.0)
+    energies = EnergyPartition(draw(energy), draw(energy))
+    span = (0.05, 0.02) if small_point else (3.0, 2.0)
+    point = TransformedPoint(
+        draw(_floats(-span[0], span[0])), draw(_floats(-span[0], span[0])),
+        draw(_floats(-span[1], span[1])), draw(_floats(-2.0, 2.0)),
+    )
+    # steps from 0.02 on often trip the phase guard for one momentum only
+    step = _floats(5e-5, 1e-3) | st.sampled_from([0.02, 0.05])
+    return spec, energies, point, draw(step), draw(_floats(0.5, 2.0))
+
+
+def _batch(members) -> ModelColumns:
+    specs, energies, points, steps, hbars = zip(*members)
+    return evaluate_models(
+        FamilyColumns.of(specs), [e.e1 for e in energies], [e.e2 for e in energies],
+        [p.u1 for p in points], [p.u2 for p in points], [p.t for p in points],
+        [p.q for p in points], steps, hbars,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_member(), min_size=1, max_size=30))
+def test_batch_equals_scalar_path(members):
+    # Every column equals the scalar functions' value bit for bit, signed
+    # zeros included, nan where the wave field is undefined (a zero
+    # energy or a nonpositive momentum), with one exception: numpy
+    # squares an array correctly rounded, where a float's ** is libm
+    # pow.  Where those squares differ in the last bit, hj_residual,
+    # energy, energy_imag and probability may differ by at most 4 ulps
+    # of the magnitude of their terms (at most 2 seen over 160,000
+    # drawn rows).  A member the scalar path rejects (a negative W1
+    # radicand, a step past the phase guard, a momentum product out of
+    # the float range) must be marked rejected.
+    eps = np.finfo(float).eps
+    columns = _batch(members)
+    for i, member in enumerate(members):
+        try:
+            reference = evaluate_model(*member)
+        except (ValueError, ArithmeticError):
+            assert columns.rejected[i]
+            continue
+        spec, q = member[0], member[2].q
+        potential = abs(0.5 * spec.v * q * q)
+        scale = {
+            "hj_residual": (reference.w1_slope - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
+            + (reference.w2_slope - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
+            + potential,
+            "energy": abs(reference.energy) + potential,
+            "energy_imag": abs(reference.energy) + potential,
+            "probability": abs(reference.probability),
+        }
+        for name in ModelColumns._fields[:-2]:
+            got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
+            same = got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want))
+            close = name in scale and abs(got - want) <= 4.0 * eps * scale[name]
+            assert same or close, name
+        assert columns.wave[i] == reference.wave
+
+
+@settings(max_examples=40, deadline=None)
+@given(members=st.lists(_member(small_point=False), min_size=1, max_size=20))
+def test_hj_identity_and_probability_law_hold(members):
+    # H(dS/du, q) + dS/dt = 0 wherever W1 is real, and
+    # |psi|**2 p_alpha p_beta = 1 wherever psi is defined and the
+    # momentum product is a normal float, at any point
+    columns = _batch(members)
+    real = np.isfinite(columns.w1_slope)
+    assert np.all(np.abs(columns.hj_residual[real]) <= 1e-12)
+    normal = columns.wave & (columns.w1_slope * columns.w2_slope >= np.finfo(float).tiny)
+    assert np.all(np.abs(columns.probability[normal] - 1.0) <= 1e-14)
+
+
+@pytest.mark.parametrize(
+    "member, step",
+    [
+        ((example1(), EnergyPartition(1.0, 1.0), _POINT), 0.5),  # past the phase guard
+        (
+            (
+                LagrangianSpec(1.0, 1.0, 0.0, 0.0, -1.0, FractionalOrder(1.5), FractionalOrder(1.5)),
+                EnergyPartition(0.0, 1.0),
+                TransformedPoint(0.02, -0.015, 0.005, 1.0),
+            ),
+            1e-4,
+        ),  # a negative W1 radicand
+    ],
+)
+def test_verify_batch_raises_the_scalar_error(member, step):
+    # verify evaluates its drawn members as one batch; a member the
+    # scalar path rejects raises that path's error instead of giving nan
+    with pytest.raises(Exception) as scalar:
+        evaluate_model(*member, step)
+    good = (example2(), EnergyPartition(1.0, 1.0), _POINT)
+    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+        verification._evaluate([good, member], np.array([1e-4, step]))
