@@ -4,7 +4,8 @@ A check returns ReportRecords, one checked quantity each.  The
 formatters take one RecordBatch: rows held as columns (names in a list;
 analytic, numeric and tolerance values in float arrays; an optional
 leading sweep column), with residual and pass computed once per batch.
-Each formatter renders one text column per field.
+Each formatter renders one text column per field, formatting each
+distinct value of a column (by bit pattern) once.
 
 All floats are rendered with 17 significant digits so a fixed
 configuration always produces byte-identical output.  JSON cannot carry
@@ -130,56 +131,54 @@ def format_float(x: float) -> str:
     return format(x, _FLOAT_SPEC)
 
 
-def _floats(values: np.ndarray) -> list[str]:
-    return list(map(format, values.tolist(), repeat(_FLOAT_SPEC)))
-
-
-def _repeated_floats(values: np.ndarray) -> list[str]:
-    """_floats of a column that repeats values in runs, formatting each run once."""
-    if not values.size:
-        return []
-    # runs of equal bit patterns, so -0.0 and 0.0 keep their own text
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    counts = np.diff(np.append(starts, values.size)).tolist()
-    column: list[str] = []
-    for text, count in zip(_floats(values[starts]), counts):
-        column += [text] * count
-    return column
-
-
-# JSON text of a non-finite float: its float text as a string
-_JSON_NONFINITE = {text: json.dumps(text) for text in ("inf", "-inf", "nan")}
-
-
-def _columns(batch: RecordBatch, as_json: bool = False) -> tuple[list[str], list[list[str]]]:
-    """Header and one text column per field; as_json gives JSON values."""
-    header = ["quantity", "analytic", "numeric", "residual", "tolerance", "pass"]
-    names = batch.quantities
-    floats = [_floats(batch.analytic), _floats(batch.numeric), _floats(batch.residual)]
-    floats.append(_repeated_floats(batch.tolerance))
-    if batch.sweep is not None:
-        header.insert(0, batch.sweep[0])
-        floats.insert(0, _repeated_floats(batch.sweep[1]))
+def _distinct_floats(values: np.ndarray, as_json: bool) -> tuple[list[str], np.ndarray]:
+    """format_float of each distinct bit pattern, so -0.0 and 0.0 keep their
+    own text, and each row's index into those texts; as_json gives JSON values."""
+    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    texts = list(map(float.__format__, floats, repeat(_FLOAT_SPEC)))
     if as_json:
-        names = [json.dumps(name) for name in names]
-        floats = [list(map(_JSON_NONFINITE.get, text, text)) for text in floats]
-    passed = [("false", "true")[p] for p in batch.passed.tolist()]
-    # the sweep column, if any, then quantity, the four floats and pass
-    return header, floats[:-4] + [names] + floats[-4:] + [passed]
+        texts = [text if math.isfinite(x) else json.dumps(text) for x, text in zip(floats, texts)]
+    return texts, rows
+
+
+def _columns(
+    batch: RecordBatch, as_json: bool = False, justify: bool = False
+) -> tuple[list[str], list[list[str]]]:
+    """Header and one text column per field; as_json gives JSON values, and
+    justify pads each heading and text to its column's width, the texts of
+    the first column to the left and the others to the right."""
+    header: list[str] = []
+    columns: list[list[str]] = []
+
+    def add(heading: str, texts: list[str], rows: np.ndarray | None = None) -> None:
+        # a column from its distinct texts and each row's index into
+        # them, or from its row texts when rows is None
+        if justify:
+            width = max([len(heading), *map(len, texts)])
+            heading = heading.ljust(width)
+            texts = list(map(str.rjust if columns else str.ljust, texts, repeat(width)))
+        header.append(heading)
+        columns.append(texts if rows is None else np.array(texts, dtype=object)[rows].tolist())
+
+    if batch.sweep is not None:
+        add(batch.sweep[0], *_distinct_floats(batch.sweep[1], as_json))
+    names = batch.quantities
+    if as_json:
+        quoted = {name: json.dumps(name) for name in set(names)}
+        names = list(map(quoted.__getitem__, names))
+    add("quantity", names)
+    for field in ("analytic", "numeric", "residual", "tolerance"):
+        add(field, *_distinct_floats(getattr(batch, field), as_json))
+    flags, passed = np.unique(batch.passed, return_inverse=True)
+    add("pass", [("false", "true")[f] for f in flags.tolist()], passed)
+    return header, columns
 
 
 def format_table(batch: RecordBatch) -> str:
-    header, columns = _columns(batch)
-    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(header, columns)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    # first column left-justified, the others right-justified; the last
-    # is the pass column, so no row ends in blanks
-    row = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
-    lines.extend(map(row.__mod__, zip(*columns)))
+    header, columns = _columns(batch, justify=True)
+    lines = ["  ".join(header).rstrip(), "  ".join("-" * len(h) for h in header)]
+    lines.extend(map("  ".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

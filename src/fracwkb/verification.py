@@ -454,7 +454,7 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
 def check_imaginary_parts(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Imaginary parts of every eigenvalue estimate stay below budget."""
     data = _eigen_measurements()
-    worst = max(abs(imag) for *_, imag in data["momentum"] + data["energy"])
+    worst = float(np.max(np.abs([imag for *_, imag in data["momentum"] + data["energy"]])))
     return [ReportRecord("imag_part_max", 0.0, worst, tolerances["imag_part"])]
 
 

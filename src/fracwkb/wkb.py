@@ -87,7 +87,13 @@ class WaveField:
                 f"prefactor undefined: momenta ({momenta.p_alpha!r}, {momenta.p_beta!r})"
                 " must both be positive"
             )
-        return 1.0 / math.sqrt(momenta.p_alpha * momenta.p_beta)
+        product = momenta.p_alpha * momenta.p_beta
+        if not 0.0 < product < math.inf:
+            raise ValueError(
+                f"prefactor undefined: momentum product p_alpha * p_beta = {product!r}"
+                " underflows or overflows a float"
+            )
+        return 1.0 / math.sqrt(product)
 
     def value(self, point: TransformedPoint) -> complex:
         return self.prefactor(point) * cmath.exp(1j * (evaluate_S(self.pf, point) / self.hbar))

@@ -145,6 +145,30 @@ def test_overflowing_model_setting_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "coefficients, product",
+    [
+        (["--l-alpha", "1e-200", "--l-beta", "1e-200"], "0.0"),
+        (["--l-alpha", "1e308", "--l-beta", "1e308", "--hbar", "1e308"], "inf"),
+    ],
+)
+def test_momentum_product_out_of_range_is_usage_error(coefficients, product, capsys):
+    # psi's prefactor is 1/sqrt(p_alpha * p_beta): a product that
+    # underflows to 0 or overflows to inf exits 2 with a message naming
+    # it, not a ZeroDivisionError traceback
+    argv = [
+        "sweep", "--model", "custom", *coefficients,
+        "--e1", "0", "--e2", "0", "--param", "q", "--values", "0",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: prefactor undefined: momentum product p_alpha * p_beta = {product}"
+        " underflows or overflows a float\n"
+    )
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, line",
     [
         (["deriv", "--beta", "0.5"], None),
@@ -219,6 +243,35 @@ def test_deriv_huge_integer_order_output_is_pinned(capsys):
         "max_interior_error         0      nan       nan                0.001  false\n"
         "observed_order             1      nan       nan  0.20000000000000001  false\n"
     )
+
+
+# sha256 of stdout for a 50-step e2 sweep, taken before distinct values
+# were formatted once per column
+_SWEEP_SHA256 = {
+    ("example1", "csv"): "287da0affba98b924fa36ec1955fd33de0ce57fb40f502c1ba00bd597c93e749",
+    ("example1", "table"): "814a8ec846c617016f4bbc26fa68d9af752ee609a6e91988615d7065c71ecac2",
+    ("example1", "json"): "0635f1d1664ffb109d45638678589c2c0aaa6ca3053aff44b6299ba4b911120a",
+    ("example2", "csv"): "4df54cdcd52dc6c5f8ea940ca8a28850d0a5e212475369237d30ee26f4aaca90",
+    ("example2", "table"): "4e0c01cdca1fc30ad956b1f7df2e4dcbb4633e9488247fca6e650ab510cb0d3b",
+    ("example2", "json"): "f7e4c073e3a93fa95e7525652a5c8f768f51842a757c270d243796a96794b208",
+    ("custom", "csv"): "7a941b06f6dd5e5ef46d9405b1effc488905f462f2e8e4f0c4d508dbd6af07cb",
+    ("custom", "table"): "248090fbb1684d5de2323b8d278ada640d9b9555e4bba29807a1c012d81b766c",
+    ("custom", "json"): "80366abaea12dd8d785257b0205884d5634eae9d99c09e27841eb894bb4c26d1",
+}
+
+
+def test_sweep_output_is_pinned(capsys):
+    # every byte of each model's sweep report in each format stays as it
+    # was; the first step (e2 = 0) has no wave field and keeps 4 records
+    digests = {}
+    for model, fmt in _SWEEP_SHA256:
+        argv = [
+            "sweep", "--model", model, "--param", "e2",
+            "--from", "0", "--to", "3", "--steps", "50", "--format", fmt,
+        ]
+        assert main(argv) == 0
+        digests[model, fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _SWEEP_SHA256
 
 
 def test_example1_defaults_pass(capsys):
@@ -538,6 +591,22 @@ def test_verify_corrupted_tolerance_fails(capsys):
     captured = capsys.readouterr()
     assert ret == 1
     assert "failing records:" in captured.err
+
+
+@pytest.mark.parametrize("kind, slot", [("momentum", 1), ("energy", -1)])
+def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
+    # a nan imaginary part anywhere, not only in the first slot, fails
+    # imag_part_max
+    data = verification._eigen_measurements()
+    estimates = list(data[kind])
+    quantity, analytic, real, _ = estimates[slot]
+    estimates[slot] = (quantity, analytic, real, math.nan)
+    monkeypatch.setattr(verification, "_eigen_measurements", lambda: {**data, kind: estimates})
+    [record] = verification.check_imaginary_parts(verification.resolve_tolerances())
+    assert math.isnan(record.numeric)
+    assert not record.passed
+    assert main(["verify", "--format", "csv"]) == 1
+    assert "imag_part_max" in capsys.readouterr().err
 
 
 def test_verify_subprocess_is_deterministic():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fracwkb.reporting import (
@@ -237,3 +237,59 @@ def test_batch_matches_per_row_records(records_and_sweep):
     assert format_json(batch) == _reference_json(records, sweep)
     failures = batch.failures()
     assert format_table(failures) == _reference_table([r for r in records if not r.passed], None)
+
+
+# ------------------------------------------- long columns of repeats
+
+# a nan with a payload and the sign bit: a bit pattern of its own that
+# still prints "nan"
+_PAYLOAD_NAN = float(np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0])
+_REPEATED_POOL = [
+    0.0, -0.0, math.nan, -math.nan, _PAYLOAD_NAN, math.inf, -math.inf,
+    5e-324, -2.5e-310, 2.2250738585072014e-308, 1.0, 1.0 / 3.0, -1e-12,
+]
+
+
+def _cycled_runs(draw, pool, size):
+    """size cells cycling through runs of pool values, so values repeat
+    both in runs and far apart."""
+    runs = draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 30)), min_size=1, max_size=12)
+    )
+    cells = [value for value, count in runs for _ in range(count)]
+    return [cells[i % len(cells)] for i in range(size)]
+
+
+@st.composite
+def _repeated_records_and_sweep(draw):
+    pool = draw(st.lists(st.sampled_from(_REPEATED_POOL) | st.floats(), min_size=1, max_size=6))
+    size = draw(st.integers(0, 300))
+    names = _cycled_runs(draw, draw(st.lists(_NAMES, min_size=1, max_size=4)), size)
+    columns = [_cycled_runs(draw, pool, size) for _ in range(3)]
+    records = list(map(ReportRecord, names, *columns))
+    if not draw(st.booleans()):
+        return records, None
+    return records, (draw(st.sampled_from(["e1", "q"])), _cycled_runs(draw, pool, size))
+
+
+# no shrink phase: shrinking a failing column of hundreds of rows took
+# over six minutes, and the unshrunk example already shows the bad cell
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_repeated_records_and_sweep())
+@example(  # 0.0 and -0.0 apart in each column, nans of three bit patterns
+    (
+        [
+            ReportRecord("a", value, -value, value)
+            for value in [0.0, math.nan, -0.0, _PAYLOAD_NAN, 1.0, -math.nan, 0.0] * 20
+        ],
+        ("q", [-0.0, 0.0, 5e-324, -0.0] * 35),
+    )
+)
+def test_repeated_columns_match_per_cell_format(records_and_sweep):
+    # every cell of a long column drawn from a few values is the
+    # format_float text of its own value, whatever its bit pattern
+    records, sweep = records_and_sweep
+    batch = RecordBatch.from_records(records, sweep)
+    assert format_csv(batch) == _reference_csv(records, sweep)
+    assert format_table(batch) == _reference_table(records, sweep)
+    assert format_json(batch) == _reference_json(records, sweep)
