@@ -145,9 +145,9 @@ def _distinct_floats(values: np.ndarray, as_json: bool) -> tuple[list[str], np.n
 def _columns(
     batch: RecordBatch, as_json: bool = False, justify: bool = False
 ) -> tuple[list[str], list[list[str]]]:
-    """Header and one text column per field; as_json gives JSON values, and
-    justify pads each heading and text to its column's width, the texts of
-    the first column to the left and the others to the right."""
+    """Header and one text column per field; as_json gives JSON "key": value
+    pairs, and justify pads each heading and text to its column's width, the
+    texts of the first column to the left and the others to the right."""
     header: list[str] = []
     columns: list[list[str]] = []
 
@@ -158,6 +158,8 @@ def _columns(
             width = max([len(heading), *map(len, texts)])
             heading = heading.ljust(width)
             texts = list(map(str.rjust if columns else str.ljust, texts, repeat(width)))
+        elif as_json and rows is not None:
+            texts = list(map(f"{json.dumps(heading)}: ".__add__, texts))
         header.append(heading)
         columns.append(texts if rows is None else np.array(texts, dtype=object)[rows].tolist())
 
@@ -165,7 +167,7 @@ def _columns(
         add(batch.sweep[0], *_distinct_floats(batch.sweep[1], as_json))
     names = batch.quantities
     if as_json:
-        quoted = {name: json.dumps(name) for name in set(names)}
+        quoted = {name: '"quantity": ' + json.dumps(name) for name in set(names)}
         names = list(map(quoted.__getitem__, names))
     add("quantity", names)
     for field in ("analytic", "numeric", "residual", "tolerance"):
@@ -192,8 +194,8 @@ def format_csv(batch: RecordBatch) -> str:
 def format_json(batch: RecordBatch) -> str:
     if not len(batch):
         return "[]\n"
-    header, columns = _columns(batch, as_json=True)
-    pairs = [f'"schema_version": {json.dumps(SCHEMA_VERSION)}']
-    pairs += [json.dumps(key).replace("%", "%%") + ": %s" for key in header]
-    row = "  {" + ", ".join(pairs) + "}"
-    return "[\n" + ",\n".join(map(row.__mod__, zip(*columns))) + "\n]\n"
+    _, columns = _columns(batch, as_json=True)
+    # each row is one object whose first pair is the schema version
+    opening = f'  {{"schema_version": {json.dumps(SCHEMA_VERSION)}, '
+    rows = map(", ".join, zip(*columns))
+    return "[\n" + opening + ("},\n" + opening).join(rows) + "}\n]\n"

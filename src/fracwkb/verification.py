@@ -11,6 +11,9 @@ small phases keep the 1/h**2 roundoff amplification (see the wkb module
 notes) far beneath the 1e-8 imaginary-part budget.
 
 All randomized sweeps use fixed seeds so output is byte-deterministic.
+Each random suite is drawn from its seeded stream as one block of
+columns, one per member field, holding the doubles a member-by-member
+scalar draw would take, in the same stream order.
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ _HJ_SEED = 202301
 _PROB_SEED = 202302
 _HJ_DRAWS = 1000
 _PROB_DRAWS = 100
+
+# (low, high) of each member field of the random suites, in draw order:
+# the spec's c_alpha, c_beta, l_alpha, l_beta, v, alpha and beta, the
+# energies e1 and e2, and the point u1, u2, t and q
+_HJ_RANGES = (
+    (0.2, 5.0), (0.2, 5.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 2.0), (1.0, 2.0), (1.0, 2.0),
+    (0.0, 4.0), (0.0, 4.0), (-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0), (-2.0, 2.0),
+)
+_PROB_RANGES = (
+    (0.2, 5.0), (0.2, 5.0), (0.1, 2.0), (0.1, 2.0), (0.0, 2.0), (1.0, 2.0), (1.0, 2.0),
+    (0.1, 4.0), (0.1, 4.0), (-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0), (-2.0, 2.0),
+)
 
 
 def resolve_tolerances(
@@ -226,55 +241,74 @@ def check_integer_reduction(tolerances: Mapping[str, float]) -> list[ReportRecor
     ]
 
 
-def _draw_member(rng: np.random.Generator) -> tuple[LagrangianSpec, EnergyPartition, TransformedPoint]:
-    while True:
-        spec = LagrangianSpec(
-            c_alpha=rng.uniform(0.2, 5.0),
-            c_beta=rng.uniform(0.2, 5.0),
-            l_alpha=rng.uniform(-2.0, 2.0),
-            l_beta=rng.uniform(-2.0, 2.0),
-            v=rng.uniform(-1.0, 2.0),
-            alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
-            beta=FractionalOrder(rng.uniform(1.0, 2.0)),
-        )
-        energies = EnergyPartition(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0))
-        point = TransformedPoint(
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(-2.0, 2.0),
-            rng.uniform(-2.0, 2.0),
-        )
-        if spec.v * point.q**2 + 2.0 * energies.e1 >= 0.0:
-            return spec, energies, point
-
-
-def _evaluate(
-    members: Sequence[tuple[LagrangianSpec, EnergyPartition, TransformedPoint]],
-    h: float | np.ndarray,
-) -> ModelColumns:
-    """Scalar-drawn members as one batch.
-
-    A member the batch marks is run down the scalar path, which raises
-    the error a member-by-member run would stop at.
-    """
-    specs, energies, points = zip(*members)
-    columns = evaluate_models(
-        FamilyColumns.of(specs),
-        [e.e1 for e in energies], [e.e2 for e in energies],
-        *([getattr(p, name) for p in points] for name in ("u1", "u2", "t", "q")),
-        h, _HBAR,
+def _member_row(
+    spec: LagrangianSpec, energies: EnergyPartition, point: TransformedPoint
+) -> tuple[float, ...]:
+    """A member's 13 fields in draw order."""
+    return (
+        spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v, spec.alpha.value,
+        spec.beta.value, energies.e1, energies.e2, point.u1, point.u2, point.t, point.q,
     )
-    steps = np.broadcast_to(h, len(members)).tolist()
+
+
+def _member(row: Sequence[float]) -> tuple[LagrangianSpec, EnergyPartition, TransformedPoint]:
+    """The member whose fields, in draw order, are row."""
+    *coefficients, alpha, beta, e1, e2 = row[:9]
+    spec = LagrangianSpec(*coefficients, FractionalOrder(alpha), FractionalOrder(beta))
+    return spec, EnergyPartition(e1, e2), TransformedPoint(*row[9:])
+
+
+def _draw_columns(
+    seed: int,
+    ranges: Sequence[tuple[float, float]],
+    n: int,
+    accept: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """n rows drawn from a seeded stream, one column per (low, high) range.
+
+    Bit for bit the scalar loop that draws rng.uniform(low, high) for
+    each range in turn, row after row, and draws the row again when
+    accept rejects it: uniform is low + (high - low) * next_double, and
+    rng.random fills a block with the same doubles in the same order.
+    accept maps a block to a mask of the rows to keep.
+    """
+    rng = np.random.default_rng(seed)
+    low, high = np.array(ranges).T
+    rows = np.empty((0, len(ranges)))
+    while len(rows) < n:
+        block = low + (high - low) * rng.random((n, len(ranges)))
+        rows = np.concatenate([rows, block if accept is None else block[accept(block)]])
+    return rows[:n]
+
+
+def _w1_real(block: np.ndarray) -> np.ndarray:
+    """Rows whose W1 radicand is not negative: v*q**2 + 2*e1 >= 0.
+
+    On floats, as the scalar draw tested it: their ** is libm pow, which
+    may differ from numpy's square in the last bit.
+    """
+    fields = (block[:, j].tolist() for j in (4, 7, 12))
+    return np.array([v * q**2 + 2.0 * e1 >= 0.0 for v, e1, q in zip(*fields)])
+
+
+def _evaluate(rows: np.ndarray, h: float | np.ndarray) -> ModelColumns:
+    """Members as one batch, one row of fields each in draw order.
+
+    A row the batch marks is rebuilt as a member and run down the scalar
+    path, which raises the error a member-by-member run would stop at.
+    """
+    fields = rows.T
+    columns = evaluate_models(FamilyColumns(*fields[:5]), *fields[7:], h, _HBAR)
+    steps = np.broadcast_to(h, len(rows)).tolist()
     for i in np.flatnonzero(columns.rejected).tolist():
-        evaluate_model(*members[i], steps[i], _HBAR)
+        evaluate_model(*_member(rows[i].tolist()), steps[i], _HBAR)
     return columns
 
 
 @functools.cache
 def _hj_max_residual() -> float:
-    rng = np.random.default_rng(_HJ_SEED)
-    members = [_draw_member(rng) for _ in range(_HJ_DRAWS)]
-    return float(np.max(np.abs(_evaluate(members, _FD_STEP).hj_residual)))
+    rows = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
+    return float(np.max(np.abs(_evaluate(rows, _FD_STEP).hj_residual)))
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -323,15 +357,13 @@ def _eigen_measurements() -> dict[str, list]:
     def at_points(cases, suffix):
         for label, analytic, column, spec, e1, e2, q in cases:
             for i, point in enumerate(_EVAL_POINTS):
-                member = (spec, EnergyPartition(e1, e2), TransformedPoint(*point, q))
+                member = _member_row(spec, EnergyPartition(e1, e2), TransformedPoint(*point, q))
                 yield label + suffix.format(i), analytic, column, member
 
     # the energy labels close their bracket after the point index
     rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
-    columns = {
-        name: column.tolist()
-        for name, column in _evaluate([row[3] for row in rows], _FD_STEP)._asdict().items()
-    }
+    columns = _evaluate(np.array([row[3] for row in rows]), _FD_STEP)._asdict()
+    columns = {name: column.tolist() for name, column in columns.items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
         for i, (quantity, analytic, column, _) in enumerate(rows)
@@ -343,8 +375,8 @@ def _eigen_measurements() -> dict[str, list]:
     energies = EnergyPartition(1.0, 1.0)
     ratio_point = TransformedPoint(0.02, -0.015, 0.005, 1.0)
     steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
-    members = [(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
-    ratio_columns = _evaluate(members, np.tile(steps, 2))
+    members = [_member_row(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
+    ratio_columns = _evaluate(np.array(members), np.tile(steps, 2))
     residuals = np.hypot(
         ratio_columns.energy - energies.total, ratio_columns.energy_imag
     ).tolist()
@@ -381,27 +413,8 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
 
 @functools.cache
 def _probability_max_deviation() -> float:
-    rng = np.random.default_rng(_PROB_SEED)
-    members = []
-    for _ in range(_PROB_DRAWS):
-        spec = LagrangianSpec(
-            c_alpha=rng.uniform(0.2, 5.0),
-            c_beta=rng.uniform(0.2, 5.0),
-            l_alpha=rng.uniform(0.1, 2.0),
-            l_beta=rng.uniform(0.1, 2.0),
-            v=rng.uniform(0.0, 2.0),
-            alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
-            beta=FractionalOrder(rng.uniform(1.0, 2.0)),
-        )
-        energies = EnergyPartition(rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0))
-        point = TransformedPoint(
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(-2.0, 2.0),
-            rng.uniform(-2.0, 2.0),
-        )
-        members.append((spec, energies, point))
-    return float(np.max(np.abs(_evaluate(members, _FD_STEP).probability - 1.0)))
+    rows = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
+    return float(np.max(np.abs(_evaluate(rows, _FD_STEP).probability - 1.0)))
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -416,39 +429,22 @@ def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]
 
 def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Order-1 reduction: structural checks plus the full eigen-grid."""
-    records = []
-    for name, spec in (("example1", example1(1.0, 1.0)), ("example2", example2(1.0, 1.0))):
-        for record in classical_limit_check(
-            spec,
-            EnergyPartition(0.5, 0.5),
-            hbar=_HBAR,
-            fd_step=_FD_STEP,
+    records = [
+        ReportRecord(f"classical.{name}.{r.quantity}", r.analytic, r.numeric, r.tolerance)
+        for name, spec in (("example1", example1(1.0, 1.0)), ("example2", example2(1.0, 1.0)))
+        for r in classical_limit_check(
+            spec, EnergyPartition(0.5, 0.5), hbar=_HBAR, fd_step=_FD_STEP,
             structure_tol=tolerances["hj_residual"],
             momentum_tol=tolerances["momentum_eigenvalue"],
             energy_tol=tolerances["energy_eigenvalue"],
-        ):
-            records.append(
-                ReportRecord(
-                    f"classical.{name}.{record.quantity}",
-                    record.analytic,
-                    record.numeric,
-                    record.tolerance,
-                )
-            )
-    data = _eigen_measurements()
-    records.extend(
-        ReportRecord(f"classical.{quantity}", analytic, real, tolerances["momentum_eigenvalue"])
-        for quantity, analytic, real, _ in data["momentum"]
-    )
-    records.extend(
-        ReportRecord(f"classical.{quantity}", analytic, real, tolerances["energy_eigenvalue"])
-        for quantity, analytic, real, _ in data["energy"]
-    )
-    records.extend(
-        ReportRecord(f"classical.{quantity}", 4.0, ratio, tolerances["energy_ratio"])
-        for quantity, ratio in data["ratios"]
-    )
-    return records
+        )
+    ]
+    # no model quantity reads the orders, so the eigen-grid is that of
+    # the fractional checks
+    eigen = check_momentum_eigenvalues(tolerances) + check_energy_eigenvalues(tolerances)
+    return records + [
+        ReportRecord(f"classical.{r.quantity}", r.analytic, r.numeric, r.tolerance) for r in eigen
+    ]
 
 
 def check_imaginary_parts(tolerances: Mapping[str, float]) -> list[ReportRecord]:

@@ -274,6 +274,24 @@ def test_sweep_output_is_pinned(capsys):
     assert digests == _SWEEP_SHA256
 
 
+# sha256 of verify's stdout, taken before the random suites were drawn
+# as column blocks
+_VERIFY_SHA256 = {
+    "csv": "7594b1c23f5de7a4c5db8b811604bfaf3bd765f99bb6c2930d2c7ff51e7dd97c",
+    "table": "b4f4216c3e4164b724ede73e4cd4375c99d1094083dc869a369fb04d0f0ff076",
+    "json": "19ef7b64bfabdf8e639e807dc1984c31b4bf4a4aff2550cad733e83f00e38ad9",
+}
+
+
+def test_verify_output_is_pinned(capsys):
+    # every byte of the verify report in each format stays as it was
+    digests = {}
+    for fmt in _VERIFY_SHA256:
+        assert main(["verify", "--format", fmt]) == 0
+        digests[fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _VERIFY_SHA256
+
+
 def test_example1_defaults_pass(capsys):
     ret = main(["example1"])
     out = capsys.readouterr().out
@@ -609,14 +627,15 @@ def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
     assert "imag_part_max" in capsys.readouterr().err
 
 
-def test_verify_subprocess_is_deterministic():
+def test_verify_subprocess_is_deterministic(capsys):
+    # a fresh process gives the pinned bytes and those of this process
     cmd = [sys.executable, "-m", "fracwkb", "verify", "--format", "csv"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    assert first.returncode == 0
-    assert second.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stdout.splitlines()[0] == "# schema_version=1"
+    fresh = subprocess.run(cmd, capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert hashlib.sha256(fresh.stdout.encode()).hexdigest() == _VERIFY_SHA256["csv"]
+    assert main(["verify", "--format", "csv"]) == 0
+    assert fresh.stdout == capsys.readouterr().out
+    assert fresh.stdout.splitlines()[0] == "# schema_version=1"
 
 
 def _readme_flags():

@@ -1,0 +1,134 @@
+"""The random suites of verify: block draws against the scalar draw loop."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fracwkb import verification
+from fracwkb.cli import main
+from fracwkb.fracops import FractionalOrder
+from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
+from fracwkb.mechanics import LagrangianSpec
+from fracwkb.wkb import evaluate_model
+
+
+def _hj_reference(seed, n):
+    # verify's scalar HJ draw: one rng.uniform per field, and a member
+    # whose W1 radicand is negative drawn again; also returns the count
+    # of members drawn again
+    rng = np.random.default_rng(seed)
+    members, tries = [], 0
+    while len(members) < n:
+        tries += 1
+        spec = LagrangianSpec(
+            c_alpha=rng.uniform(0.2, 5.0),
+            c_beta=rng.uniform(0.2, 5.0),
+            l_alpha=rng.uniform(-2.0, 2.0),
+            l_beta=rng.uniform(-2.0, 2.0),
+            v=rng.uniform(-1.0, 2.0),
+            alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
+            beta=FractionalOrder(rng.uniform(1.0, 2.0)),
+        )
+        energies = EnergyPartition(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0))
+        point = TransformedPoint(
+            rng.uniform(-3.0, 3.0),
+            rng.uniform(-3.0, 3.0),
+            rng.uniform(-2.0, 2.0),
+            rng.uniform(-2.0, 2.0),
+        )
+        if spec.v * point.q**2 + 2.0 * energies.e1 >= 0.0:
+            members.append((spec, energies, point))
+    return members, tries - n
+
+
+def _probability_reference(seed, n):
+    # verify's scalar probability-law draw, which keeps every member
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(n):
+        spec = LagrangianSpec(
+            c_alpha=rng.uniform(0.2, 5.0),
+            c_beta=rng.uniform(0.2, 5.0),
+            l_alpha=rng.uniform(0.1, 2.0),
+            l_beta=rng.uniform(0.1, 2.0),
+            v=rng.uniform(0.0, 2.0),
+            alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
+            beta=FractionalOrder(rng.uniform(1.0, 2.0)),
+        )
+        energies = EnergyPartition(rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0))
+        point = TransformedPoint(
+            rng.uniform(-3.0, 3.0),
+            rng.uniform(-3.0, 3.0),
+            rng.uniform(-2.0, 2.0),
+            rng.uniform(-2.0, 2.0),
+        )
+        members.append((spec, energies, point))
+    return members, 0
+
+
+_SUITES = {
+    "hj": (_hj_reference, verification._HJ_RANGES, verification._w1_real),
+    "probability": (_probability_reference, verification._PROB_RANGES, None),
+}
+
+
+def _bits(members):
+    rows = np.array([verification._member_row(*member) for member in members])
+    return rows.view(np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 300),
+    suite=st.sampled_from(sorted(_SUITES)),
+)
+@example(seed=verification._HJ_SEED, n=300, suite="hj")
+@example(seed=verification._PROB_SEED, n=verification._PROB_DRAWS, suite="probability")
+def test_block_draw_equals_scalar_draw(seed, n, suite):
+    reference, ranges, accept = _SUITES[suite]
+    members, _ = reference(seed, n)
+    drawn = verification._draw_columns(seed, ranges, n, accept)
+    np.testing.assert_array_equal(drawn.view(np.int64), _bits(members))
+
+
+def test_hj_draw_skips_the_members_the_scalar_loop_drew_again():
+    # verify's own HJ draw, in which the scalar loop drew members again
+    members, redrawn = _hj_reference(verification._HJ_SEED, verification._HJ_DRAWS)
+    assert redrawn > 0
+    drawn = verification._draw_columns(
+        verification._HJ_SEED, verification._HJ_RANGES, verification._HJ_DRAWS,
+        verification._w1_real,
+    )
+    np.testing.assert_array_equal(drawn.view(np.int64), _bits(members))
+
+
+def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
+    # With a step past the phase guard the scalar path raises on drawn
+    # members.  The batch is made to mark one of them, not the first; verify
+    # must rebuild that member and stop with the scalar path's message.
+    step = 0.5
+    members, _ = _hj_reference(verification._HJ_SEED, verification._HJ_DRAWS)
+    errors = {}
+    for i, member in enumerate(members):
+        try:
+            evaluate_model(*member, step)
+        except ValueError as exc:
+            errors[i] = str(exc)
+    assert len(errors) > 1
+    marked = sorted(errors)[-1]
+
+    real = verification.evaluate_models
+
+    def mark_one(*args):
+        columns = real(*args)
+        rejected = np.zeros_like(columns.rejected)
+        rejected[marked] = True
+        return columns._replace(rejected=rejected)
+
+    monkeypatch.setattr(verification, "evaluate_models", mark_one)
+    monkeypatch.setattr(verification, "_FD_STEP", step)
+    # a raising call caches nothing, so the memo is clean afterwards too
+    verification._hj_max_residual.cache_clear()
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == f"error: {errors[marked]}\n"

@@ -317,4 +317,5 @@ def test_verify_batch_raises_the_scalar_error(member, step):
         evaluate_model(*member, step)
     good = (example2(), EnergyPartition(1.0, 1.0), _POINT)
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        verification._evaluate([good, member], np.array([1e-4, step]))
+        rows = np.array([verification._member_row(*m) for m in (good, member)])
+        verification._evaluate(rows, np.array([1e-4, step]))
