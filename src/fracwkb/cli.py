@@ -119,9 +119,9 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     exponent = _TEST_FUNCTIONS[function]
     order = FractionalOrder(config.alpha if side == "left" else config.beta)
     grid = config.grid
-    numeric, oracle, error = power_kernel_check(grid, exponent, order, side)
+    numeric, oracle, error = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
     fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
-    fine_error = power_kernel_check(fine_grid, exponent, order, side)[2]
+    fine_error = power_kernel_check(fine_grid, [exponent], [order], side)[2][0, 0]
 
     summary = [
         ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"]),

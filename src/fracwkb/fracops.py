@@ -16,12 +16,20 @@ zero-padded real FFT product in O(N log N), the convolution quadrature
 of Lubich (SIAM J. Math. Anal. 1986); against a long-double sum its
 error on power functions measured below roundoff_floor.  Overflow, for
 huge samples or orders, gives non-finite values rather than an error.
+
+rl_derivative_block takes several functions on one grid and several
+orders in one call: the block of samples is transformed once, each
+order's weights once, and each order's product is inverted for all rows
+together.  Every row of the result equals the one-function, one-order
+operators bit for bit, which run through the same sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
 import numpy as np
 
 from .errors import GammaPoleError, NonFiniteInputError
@@ -34,6 +42,7 @@ __all__ = [
     "gl_weights",
     "left_rl_derivative",
     "right_rl_derivative",
+    "rl_derivative_block",
     "rl_power_rule",
     "roundoff_floor",
     "interior_mask",
@@ -72,7 +81,8 @@ class TimeGrid:
         return (self.b - self.a) / self.count
 
     def nodes(self) -> np.ndarray:
-        return self.a + self.step * np.arange(self.count + 1)
+        # a + step * j can round past b at j = count; clamp it back
+        return np.minimum(self.a + self.step * np.arange(self.count + 1), self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,25 +162,65 @@ def gl_weights(order: float, count: int) -> np.ndarray:
     return weights
 
 
-def _gl_apply(values: np.ndarray, order: float, step: float) -> np.ndarray:
-    # Shift the stencil one node inward for orders above one; the last
-    # node, past which the shift would index, keeps the unshifted sum.
-    top = len(values) - 1
-    shift = 1 if order > 1.0 else 0
+def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.ndarray:
+    # Sums of every row of the (rows, top + 1) block for every order, as
+    # (orders, rows, top + 1).  Shift the stencil one node inward for
+    # orders above one; the last node, past which the shift would index,
+    # keeps the unshifted sum.
+    top = block.shape[1] - 1
+    out = np.empty((len(orders), *block.shape))
+    fft_orders = [i for i, order in enumerate(orders) if not float(order).is_integer()]
+    # a power of two above 2 * top + 1, the last index of the linear
+    # convolution for either stencil, so the circular product equals it
+    size = 1 << (2 * top).bit_length()
     with np.errstate(over="ignore", invalid="ignore"):
-        if float(order).is_integer():
-            # leave out the exact zeros past the binomial row: O(N), not O(N**2)
-            full = np.convolve(gl_weights(order, min(int(order), top + shift)), values)
-        else:
-            # a power of two above 2 * top + shift, the last index of the
-            # linear convolution, so the circular product equals it
-            size = 1 << (2 * top + shift).bit_length()
-            spectrum = np.fft.rfft(gl_weights(order, top + shift), size)
-            spectrum *= np.fft.rfft(values, size)
-            full = np.fft.irfft(spectrum, size)
-        result = full[shift : top + 1 + shift]
-        result[top] = full[top]
-        return result * np.float64(step) ** -order
+        if fft_orders:
+            block_spectrum = np.fft.rfft(block, size)
+        for i, (result, order) in enumerate(zip(out, orders)):
+            shift = 1 if order > 1.0 else 0
+            if i in fft_orders:
+                # the last order's product overwrites the block spectrum,
+                # so a one-order call holds two spectra, as a 1-D one did
+                spectrum = np.multiply(
+                    np.fft.rfft(gl_weights(order, top + shift), size),
+                    block_spectrum,
+                    out=block_spectrum if i == fft_orders[-1] else None,
+                )
+                full = np.fft.irfft(spectrum, size)
+            else:
+                # leave out the exact zeros past the binomial row: O(N), not O(N**2)
+                weights = gl_weights(order, min(int(order), top + shift))
+                full = (np.convolve(weights, row) for row in block)
+            for row, sums in zip(result, full):
+                row[:] = sums[shift : top + 1 + shift]
+                row[top] = sums[top]
+            result *= np.float64(step) ** -order
+    return out
+
+
+def rl_derivative_block(
+    functions: Sequence[SampledFunction], orders: Sequence[FractionalOrder], side: str = "left"
+) -> np.ndarray:
+    """Derivatives of several functions on one grid, for several orders.
+
+    Returns an array of shape (len(orders), len(functions), count + 1)
+    whose [i, r] row is the side's derivative of functions[r] at order
+    orders[i], bit for bit what left_rl_derivative or
+    right_rl_derivative gives for that one function and order.
+    """
+    grid = functions[0].grid
+    if any(f.grid != grid for f in functions):
+        raise ValueError("functions must share one grid")
+    block = np.array([f.values for f in functions])
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("derivative input contains NaN or infinity")
+    values = [order.value for order in orders]
+    if side == "left":
+        return _gl_apply(block, values, grid.step)
+    if side == "right":
+        # the mirror image of the left sum
+        return _gl_apply(block[:, ::-1], values, grid.step)[..., ::-1]
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
@@ -180,9 +230,7 @@ def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFun
     the true derivative of a generic function diverges, so the first few
     nodes are best excluded via interior_mask when measuring error.
     """
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteInputError("derivative input contains NaN or infinity")
-    out = _gl_apply(f.values, order.value, f.grid.step)
+    out = rl_derivative_block([f], [order], "left")[0, 0]
     return SampledFunction(f.grid, out, allow_nonfinite=True)
 
 
@@ -192,10 +240,8 @@ def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFu
     Implemented as the mirror image of the left operator, so the two
     sides agree exactly under reflection of the samples.
     """
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteInputError("derivative input contains NaN or infinity")
-    out = _gl_apply(f.values[::-1], order.value, f.grid.step)
-    return SampledFunction(f.grid, out[::-1], allow_nonfinite=True)
+    out = rl_derivative_block([f], [order], "right")[0, 0]
+    return SampledFunction(f.grid, out, allow_nonfinite=True)
 
 
 def rl_power_rule(

@@ -13,7 +13,8 @@ notes) far beneath the 1e-8 imaginary-part budget.
 All randomized sweeps use fixed seeds so output is byte-deterministic.
 Each random suite is drawn from its seeded stream as one block of
 columns, one per member field, holding the doubles a member-by-member
-scalar draw would take, in the same stream order.
+scalar draw would take, in the same stream order.  The kernel oracle
+differentiates every power at every order in one block call per grid.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .fracops import (
     TimeGrid,
     interior_mask,
     left_rl_derivative,
-    right_rl_derivative,
+    rl_derivative_block,
     rl_power_rule,
     roundoff_floor,
 )
@@ -116,35 +117,39 @@ def resolve_tolerances(
     return table
 
 
-def _max_interior_error(numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid) -> np.float64:
+def _max_interior_error(
+    numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid
+) -> np.ndarray | np.float64:
+    # over the last axis, so a block of rows gives one error per row
     mask = interior_mask(grid)
     # infinite values on both sides (huge orders) give a nan error
     with np.errstate(invalid="ignore"):
-        return np.max(np.abs(numeric[mask] - oracle[mask]))
+        return np.max(np.abs(numeric[..., mask] - oracle[..., mask]), axis=-1)
 
 
 def power_kernel_check(
-    grid: TimeGrid, exponent: int, order: FractionalOrder, side: str = "left"
-) -> tuple[np.ndarray, np.ndarray, np.float64]:
-    """Kernel derivative of a power function against the power rule.
+    grid: TimeGrid,
+    exponents: Sequence[int],
+    orders: Sequence[FractionalOrder],
+    side: str = "left",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel derivatives of power functions against the power rule.
 
-    Samples offset**exponent on the grid, the offset being measured from
-    the endpoint the chosen side's derivative starts at, and returns the
-    numeric derivative, the closed-form oracle at every node and the
-    max interior error between them.
+    Samples offset**k on the grid for each exponent k, the offset being
+    measured from the endpoint the chosen side's derivative starts at,
+    and differentiates them at every order in one block call.  Returns
+    the numeric derivatives and the closed-form oracles at every node,
+    of shape (orders, exponents, count + 1), and the max interior error
+    between them, of shape (orders, exponents).
     """
-    nodes = grid.nodes()
-    if side == "left":
-        offsets = nodes - grid.a
-        derivative = left_rl_derivative
-    else:
-        offsets = grid.b - nodes
-        derivative = right_rl_derivative
+    offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
     # an overflowing sample is inf, which SampledFunction rejects
     with np.errstate(over="ignore"):
-        samples = offsets**exponent
-    numeric = derivative(SampledFunction(grid, samples), order).values
-    oracle = rl_power_rule(exponent, order, offsets)
+        functions = [SampledFunction(grid, offsets**k) for k in exponents]
+    numeric = rl_derivative_block(functions, orders, side)
+    oracle = np.empty_like(numeric)
+    for (i, order), (j, k) in product(enumerate(orders), enumerate(exponents)):
+        oracle[i, j] = rl_power_rule(k, order, offsets)
     return numeric, oracle, _max_interior_error(numeric, oracle, grid)
 
 
@@ -168,22 +173,26 @@ def observed_order_record(
     magnitude = (fine_grid.b - fine_grid.a) ** exponent
     if fine_error <= 2.0 * roundoff_floor(order, fine_grid, magnitude):
         return ReportRecord(quantity, 1.0, math.nan, INFORMATIONAL)
-    # errors infinite on both grids (huge orders) give a nan order
+    # errors infinite on both grids (huge orders) give a nan order, and
+    # an exact coarse result against a rounded fine one an order of -inf
     with np.errstate(invalid="ignore"):
         ratio = np.float64(coarse_error) / fine_error
-    observed = math.log(ratio) / math.log(fine_grid.count / coarse_grid.count)
+    log_ratio = -math.inf if ratio == 0.0 else math.log(ratio)
+    observed = log_ratio / math.log(fine_grid.count / coarse_grid.count)
     return ReportRecord(quantity, 1.0, observed, tolerance)
 
 
 @functools.cache
 def _kernel_errors() -> dict[tuple[int, float], dict[int, np.float64]]:
     a, b = _DOMAIN
+    orders = [FractionalOrder(alpha) for alpha in _ORDERS]
+    errors = {
+        count: power_kernel_check(TimeGrid(a, b, count), _EXPONENTS, orders)[2]
+        for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS})
+    }
     return {
-        (k, alpha): {
-            count: power_kernel_check(TimeGrid(a, b, count), k, FractionalOrder(alpha))[2]
-            for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS})
-        }
-        for k, alpha in product(_EXPONENTS, _ORDERS)
+        (k, alpha): {count: per_grid[i, j] for count, per_grid in errors.items()}
+        for (j, k), (i, alpha) in product(enumerate(_EXPONENTS), enumerate(_ORDERS))
     }
 
 

@@ -8,9 +8,6 @@ exactly what the `verify` subcommand runs; criterion 9 exercises the
 CLI surface itself.
 """
 
-import subprocess
-import sys
-
 from fracwkb.cli import main
 from fracwkb.reporting import RecordBatch, format_table
 from fracwkb.verification import (
@@ -89,14 +86,12 @@ def test_criterion_8_imaginary_parts():
 def test_criterion_9_cli_contract(capsys, tmp_path):
     failures = []
 
+    # in-process: test_verify_subprocess_is_deterministic runs `-m fracwkb`
     out = tmp_path / "verify.csv"
-    result = subprocess.run(
-        [sys.executable, "-m", "fracwkb", "verify", "--format", "csv", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    if result.returncode != 0:
-        failures.append(f"pristine verify exited {result.returncode}")
+    ret = main(["verify", "--format", "csv", "--out", str(out)])
+    capsys.readouterr()
+    if ret != 0:
+        failures.append(f"pristine verify exited {ret}")
     if not out.read_text(encoding="utf-8").startswith("# schema_version=1"):
         failures.append("verify report missing schema header")
 

@@ -8,12 +8,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracwkb import cli, verification
 from fracwkb.cli import RunConfig, _make_parser, main
+from fracwkb.fracops import TimeGrid
 
 
 def _csv_rows(text):
@@ -69,6 +71,35 @@ def test_deriv_right_side(capsys):
     assert ret == 0
     rows = capsys.readouterr().out.splitlines()
     assert any(line.startswith("observed_order") and line.endswith("true") for line in rows)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    a=st.floats(-100.0, 100.0),
+    width=st.floats(1e-2, 100.0),
+    count=st.integers(2, 64),
+    function=st.sampled_from(["const", "x", "x2", "x3"]),
+    beta=st.sampled_from(["0.5", "1", "1.5", "2"]),
+)
+# a + step * count rounds past b on this grid; the last offset from b
+# was -2.2e-16 and deriv exited 2
+@example(a=0.0, width=1.8, count=7, function="x", beta="0.5")
+# the coarse error is exactly 0 and the fine one above twice its floor;
+# the log of their ratio raised "math domain error" and deriv exited 2
+@example(a=15.115942764213088, width=0.9296885141416986, count=2, function="x", beta="2")
+def test_right_deriv_runs_on_every_grid(a, width, count, function, beta, capsys):
+    b = a + width
+    grid = cli._parse_grid(f"{a!r},{b!r},{count}")
+    for nodes in (grid.nodes(), TimeGrid(a, b, 4 * count).nodes()):
+        assert np.all((nodes >= a) & (nodes <= b))
+    argv = [
+        "deriv", "--function", function, "--side", "right", "--beta", beta,
+        f"--grid={a!r},{b!r},{count}", "--format", "csv",
+    ]
+    assert main(argv) in (0, 1)
+    assert not capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -243,6 +274,45 @@ def test_deriv_huge_integer_order_output_is_pinned(capsys):
         "max_interior_error         0      nan       nan                0.001  false\n"
         "observed_order             1      nan       nan  0.20000000000000001  false\n"
     )
+
+
+# (exit code, sha256 of stdout) of deriv on each side, taken before the
+# kernel took blocks of rows and orders; the last grid is shifted off
+# [0, 1] and its last node lands on b
+_DERIV_SHA256 = {
+    ("x2", "left", "0.6", "0,1,1024", "csv"): (
+        0, "518a451548fdb3ae5b7367f7f7dccf8f57cfb4cf2bc35d6eb24e444572179cc0"
+    ),
+    ("x3", "right", "1.5", "0,1,4096", "table"): (
+        0, "38856322224d31bc8e44250c1171e13a78c5a779d2bd91bddd0563d6d4785922"
+    ),
+    ("x", "left", "2", "0,1,4096", "json"): (
+        0, "820534c6c0db1af811c35642dd467a75681c2eaf4a439ba36c3a557aae2f9ddd"
+    ),
+    ("x3", "left", "1.5", "0,1,1024", "json"): (
+        1, "b0f7f6c4b4d679634d77b5849863a47af4a77aae033c2564afbd632734090c54"
+    ),
+    ("x2", "right", "0.6", "0,1,4096", "csv"): (
+        0, "fb3db8c3b1048c344d487324eafb5e30c0c48fedc62964d004bba34648b2267d"
+    ),
+    ("x2", "right", "1.5", "0.3,1.7,1024", "table"): (
+        1, "d3b2964fdda77ea487be439f4e35d24fa4f9a7e2a02eefb711df4bf0ad0ad130"
+    ),
+}
+
+
+def test_deriv_output_is_pinned(capsys):
+    # every byte of each deriv report stays as it was
+    digests = {}
+    for function, side, order, grid, fmt in _DERIV_SHA256:
+        argv = [
+            "deriv", "--function", function, "--side", side,
+            "--alpha" if side == "left" else "--beta", order, "--grid", grid, "--format", fmt,
+        ]
+        ret = main(argv)
+        out = capsys.readouterr().out
+        digests[function, side, order, grid, fmt] = ret, hashlib.sha256(out.encode()).hexdigest()
+    assert digests == _DERIV_SHA256
 
 
 # sha256 of stdout for a 50-step e2 sweep, taken before distinct values

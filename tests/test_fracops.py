@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracwkb.errors import GammaPoleError, NonFiniteInputError
@@ -16,6 +16,7 @@ from fracwkb.fracops import (
     interior_mask,
     left_rl_derivative,
     right_rl_derivative,
+    rl_derivative_block,
     rl_power_rule,
     roundoff_floor,
 )
@@ -144,6 +145,20 @@ def test_grid_validation():
         TimeGrid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, math.inf, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    count=st.integers(2, 5000),
+)
+@example(a=0.0, width=1.8, count=7)  # a + step * count rounds past b
+def test_grid_nodes_lie_in_the_interval(a, width, count):
+    grid = TimeGrid(a, a + width, count)
+    nodes = grid.nodes()
+    assert nodes[0] == grid.a and nodes[-1] <= grid.b
+    assert np.all(np.diff(nodes) >= 0.0)
 
 
 # ------------------------------------------------------ SampledFunction
@@ -381,7 +396,7 @@ def test_fft_sum_matches_direct_sum(order, side, count, exponent):
     # the floor over 7,600 draws; there the bound is 16x the floor.
     grid = TimeGrid(0.0, 1.0, count)
     order = FractionalOrder(order)
-    fast, oracle, _ = power_kernel_check(grid, exponent, order, side)
+    fast, oracle, _ = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
     if side == "left":
         direct = _direct_gl_sum((grid.nodes() - grid.a) ** exponent, order.value, grid.step)
     else:
@@ -420,6 +435,76 @@ def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
     npt.assert_array_equal(numeric.values, expected)
 
 
+# --------------------------------------------------- rl_derivative_block
+
+def _one_row_sum(values, order, step):
+    # the one-row sum as it stood before rows and orders were batched
+    top = len(values) - 1
+    shift = 1 if order > 1.0 else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(order).is_integer():
+            full = np.convolve(gl_weights(order, min(int(order), top + shift)), values)
+        else:
+            size = 1 << (2 * top + shift).bit_length()
+            spectrum = np.fft.rfft(gl_weights(order, top + shift), size)
+            spectrum *= np.fft.rfft(values, size)
+            full = np.fft.irfft(spectrum, size)
+        result = full[shift : top + 1 + shift]
+        result[top] = full[top]
+        return result * np.float64(step) ** -order
+
+
+_POWERS_OF_TWO = [2**n for n in range(1, 14)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    orders=st.lists(
+        st.integers(1, 3) | st.floats(0.01, 1.99).filter(lambda a: not a.is_integer()),
+        min_size=1,
+        max_size=4,
+    ),
+    count=st.sampled_from(_POWERS_OF_TWO) | st.integers(2, 8192),
+    side=st.sampled_from(["left", "right"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=3, orders=[0.25, 0.5, 0.75, 1.5], count=8192, side="left", seed=0)
+@example(rows=1, orders=[1, 0.5, 2, 1.5, 3], count=4096, side="right", seed=1)
+def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
+    # every (order, row) slice of one block call is, bit for bit, the
+    # one-function, one-order operator, and that is the one-row sum the
+    # operators ran before they were batched
+    grid = TimeGrid(0.0, 1.0, count)
+    rng = np.random.default_rng(seed)
+    functions = [
+        SampledFunction(grid, rng.standard_normal(count + 1) * 10.0 ** rng.integers(-3, 4))
+        for _ in range(rows)
+    ]
+    orders = [FractionalOrder(float(order)) for order in orders]
+    block = rl_derivative_block(functions, orders, side)
+    assert block.shape == (len(orders), rows, count + 1)
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    for i, order in enumerate(orders):
+        for r, f in enumerate(functions):
+            single = derivative(f, order).values
+            values = f.values if side == "left" else f.values[::-1]
+            reference = _one_row_sum(values, order.value, grid.step)
+            if side == "right":
+                reference = reference[::-1]
+            assert np.array_equal(block[i, r].view(np.int64), single.view(np.int64))
+            assert np.array_equal(single.view(np.int64), reference.view(np.int64))
+
+
+def test_block_rejects_mixed_grids_and_sides():
+    f = SampledFunction(TimeGrid(0.0, 1.0, 8), np.ones(9))
+    g = SampledFunction(TimeGrid(0.0, 2.0, 8), np.ones(9))
+    with pytest.raises(ValueError, match="one grid"):
+        rl_derivative_block([f, g], [FractionalOrder(0.5)])
+    with pytest.raises(ValueError, match="side"):
+        rl_derivative_block([f], [FractionalOrder(0.5)], "up")
+
+
 def test_observed_order_gates_errors_above_twice_the_floor():
     coarse, fine = TimeGrid(0.0, 1.0, 64), TimeGrid(0.0, 1.0, 256)
     order = FractionalOrder(0.5)
@@ -433,6 +518,10 @@ def test_observed_order_gates_errors_above_twice_the_floor():
     # at twice the floor the fine error may be half rounding: no order
     record = observed_order_record("order", 1, order, (coarse, 1e-3), (fine, 2.0 * floor), 0.2)
     assert math.isnan(record.numeric) and record.passed
+    # an exact coarse result against a fine error above the floor: the
+    # error grew without bound, an order of -inf that fails
+    record = observed_order_record("order", 1, order, (coarse, 0.0), (fine, 1e-3), 0.2)
+    assert record.numeric == -math.inf and not record.passed
 
 
 # -------------------------------------------------------- interior_mask

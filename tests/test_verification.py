@@ -1,4 +1,11 @@
-"""The random suites of verify: block draws against the scalar draw loop."""
+"""verify's shared work against the per-case loops it replaced.
+
+The random suites are drawn as column blocks and held to the scalar
+draw loop; the kernel oracle's block calls are held to one kernel call
+per (power, order, grid) case.
+"""
+
+from itertools import product
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -6,7 +13,14 @@ from hypothesis import strategies as st
 
 from fracwkb import verification
 from fracwkb.cli import main
-from fracwkb.fracops import FractionalOrder
+from fracwkb.fracops import (
+    FractionalOrder,
+    SampledFunction,
+    TimeGrid,
+    interior_mask,
+    left_rl_derivative,
+    rl_power_rule,
+)
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
 from fracwkb.mechanics import LagrangianSpec
 from fracwkb.wkb import evaluate_model
@@ -132,3 +146,33 @@ def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
     verification._hj_max_residual.cache_clear()
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {errors[marked]}\n"
+
+
+def _kernel_errors_reference():
+    # the kernel oracle's per-case loop: one derivative, one power rule
+    # and one interior error per (power, order, grid)
+    a, b = verification._DOMAIN
+    counts = sorted({verification._KERNEL_COUNT, *verification._ORDER_COUNTS})
+    errors = {}
+    for k, alpha in product(verification._EXPONENTS, verification._ORDERS):
+        order = FractionalOrder(alpha)
+        errors[k, alpha] = {}
+        for count in counts:
+            grid = TimeGrid(a, b, count)
+            offsets = grid.nodes() - grid.a
+            numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order).values
+            oracle = rl_power_rule(k, order, offsets)
+            mask = interior_mask(grid)
+            errors[k, alpha][count] = np.max(np.abs(numeric[mask] - oracle[mask]))
+    return errors
+
+
+def test_kernel_errors_equal_the_per_case_loop():
+    errors = verification._kernel_errors()
+    reference = _kernel_errors_reference()
+    assert list(errors) == list(reference)
+    for case, per_count in reference.items():
+        assert list(errors[case]) == list(per_count)
+        for count, error in per_count.items():
+            assert type(errors[case][count]) is np.float64
+            assert np.float64(errors[case][count]).view(np.int64) == error.view(np.int64)
