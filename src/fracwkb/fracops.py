@@ -12,8 +12,9 @@ The order alone picks the sum.  An integer order n convolves with its
 n + 1 signed binomial weights (np.convolve, O(N)): the weights past
 them are exact zeros, the sum is exact wherever an exact result exists,
 and an FFT would spread roundoff over every node.  Any other order is a
-zero-padded real FFT product in O(N log N), the convolution quadrature
-of Lubich (SIAM J. Math. Anal. 1986); against a long-double sum its
+real FFT product in O(N log N), the convolution quadrature of Lubich
+(SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth length
+(2**a * 3**b * 5**c) of at least 2N + 1; against a long-double sum its
 error on power functions measured below roundoff_floor.  Overflow, for
 huge samples or orders, gives non-finite values rather than an error.
 
@@ -129,8 +130,9 @@ def gamma(x: float) -> float:
 def gl_weights(order: float, count: int) -> np.ndarray:
     """First count + 1 Grunwald-Letnikov weights for the given order.
 
-    w_0 = 1 and w_j = w_{j-1} * (1 - (order + 1) / j), which is the
-    alternating binomial sequence (-1)^j C(order, j).  Order zero gives
+    w_0 = 1 and w_j = w_{j-1} * (j - 1 - order) / j, which is the
+    alternating binomial sequence (-1)^j C(order, j); past j = 2 (order
+    + 1) the factor is evaluated as 1 - (order + 1) / j.  Order zero gives
     the identity stencil.  An integer order n gets the exact binomial
     row followed by zeros; the recurrence would round from n = 3 on.
     A binomial beyond the float range becomes a signed infinity.
@@ -158,8 +160,27 @@ def gl_weights(order: float, count: int) -> np.ndarray:
         weights[1 : last + 1 : 2] *= -1.0
     elif count:
         j = np.arange(1.0, count + 1.0)
-        weights[1:] = np.cumprod(1.0 - (order + 1.0) / j)
+        # below j = 2 (order + 1), 1 - (order + 1) / j cancels near an
+        # integer order while j - 1 - order does not; past it, j - 1 - order
+        # would round order's low bits alike for every j of a binade, a
+        # bias the product piles up, and 1 - (order + 1) / j does not
+        near = j < 2.0 * (order + 1.0)
+        weights[1:] = np.cumprod(np.where(near, (j - 1.0 - order) / j, 1.0 - (order + 1.0) / j))
     return weights
+
+
+def _fft_length(n: int) -> int:
+    # the smallest 2**a * 3**b * 5**c >= n, a length pocketfft is fast on
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            # the least power of two that lifts odd to n or above
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
 
 
 def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.ndarray:
@@ -170,9 +191,10 @@ def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.nda
     top = block.shape[1] - 1
     out = np.empty((len(orders), *block.shape))
     fft_orders = [i for i, order in enumerate(orders) if not float(order).is_integer()]
-    # a power of two above 2 * top + 1, the last index of the linear
-    # convolution for either stencil, so the circular product equals it
-    size = 1 << (2 * top).bit_length()
+    # a 5-smooth length >= 2 * top + 1: the circular product equals the
+    # linear convolution on every index read.  The shifted stencil's last
+    # index, 2 * top + 1, wraps onto index 0, which it never reads.
+    size = _fft_length(2 * top + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         if fft_orders:
             block_spectrum = np.fft.rfft(block, size)

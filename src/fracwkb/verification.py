@@ -164,13 +164,18 @@ def observed_order_record(
     """Observed convergence order of power_kernel_check errors.
 
     coarse and fine are (grid, max interior error) pairs.  When the fine
-    error is at or below twice its roundoff floor, at least half of it
+    error is at or below twice its roundoff floor, which counts the
+    rounding of the samples and of their offsets, at least half of it
     may be rounding, so the ratio carries no convergence order: the
     record is informational with a nan value, and the max-error records
     still gate.
     """
     (coarse_grid, coarse_error), (fine_grid, fine_error) = coarse, fine
-    magnitude = (fine_grid.b - fine_grid.a) ** exponent
+    width, reach = fine_grid.b - fine_grid.a, max(abs(fine_grid.a), abs(fine_grid.b))
+    # samples up to width**k, plus the rounding of offsets taken on nodes
+    # as large as reach, carried through the power (none for a constant)
+    rounding = exponent * width ** (exponent - 1) * reach if exponent else 0.0
+    magnitude = width**exponent + rounding
     if fine_error <= 2.0 * roundoff_floor(order, fine_grid, magnitude):
         return ReportRecord(quantity, 1.0, math.nan, INFORMATIONAL)
     # errors infinite on both grids (huge orders) give a nan order, and

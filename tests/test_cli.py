@@ -276,27 +276,28 @@ def test_deriv_huge_integer_order_output_is_pinned(capsys):
     )
 
 
-# (exit code, sha256 of stdout) of deriv on each side, taken before the
-# kernel took blocks of rows and orders; the last grid is shifted off
-# [0, 1] and its last node lands on b
+# (exit code, sha256 of stdout) of deriv on each side, taken when the
+# kernel's FFT length became 5-smooth and its weights stopped cancelling
+# near integer orders; the last grid is shifted off [0, 1] and its last
+# node lands on b
 _DERIV_SHA256 = {
     ("x2", "left", "0.6", "0,1,1024", "csv"): (
-        0, "518a451548fdb3ae5b7367f7f7dccf8f57cfb4cf2bc35d6eb24e444572179cc0"
+        0, "bdfaf2c31462f71dc8d2bdbf3fbb69540b6d879dcc720f98da9835e5037ada97"
     ),
     ("x3", "right", "1.5", "0,1,4096", "table"): (
-        0, "38856322224d31bc8e44250c1171e13a78c5a779d2bd91bddd0563d6d4785922"
+        0, "69a53dc100ea8e0250a18678833110a4ff624613b049f1deedb69653bfa5f76b"
     ),
     ("x", "left", "2", "0,1,4096", "json"): (
         0, "820534c6c0db1af811c35642dd467a75681c2eaf4a439ba36c3a557aae2f9ddd"
     ),
     ("x3", "left", "1.5", "0,1,1024", "json"): (
-        1, "b0f7f6c4b4d679634d77b5849863a47af4a77aae033c2564afbd632734090c54"
+        1, "6e60ae86d91259e56a11154ac43d2ce320b35d119b0d2ed9c7a0fe461f2f4f38"
     ),
     ("x2", "right", "0.6", "0,1,4096", "csv"): (
-        0, "fb3db8c3b1048c344d487324eafb5e30c0c48fedc62964d004bba34648b2267d"
+        0, "8457456118725727fca7382e5bbc20ed49b65fc96544f6519df3dbc0e29d5f9e"
     ),
     ("x2", "right", "1.5", "0.3,1.7,1024", "table"): (
-        1, "d3b2964fdda77ea487be439f4e35d24fa4f9a7e2a02eefb711df4bf0ad0ad130"
+        1, "59a08b57c732f19c09f479b395674bc0f23d73b60b554a76473ccee1a03619ab"
     ),
 }
 
@@ -344,12 +345,12 @@ def test_sweep_output_is_pinned(capsys):
     assert digests == _SWEEP_SHA256
 
 
-# sha256 of verify's stdout, taken before the random suites were drawn
-# as column blocks
+# sha256 of verify's stdout, taken when the kernel's FFT length became
+# 5-smooth and its weights stopped cancelling near integer orders
 _VERIFY_SHA256 = {
-    "csv": "7594b1c23f5de7a4c5db8b811604bfaf3bd765f99bb6c2930d2c7ff51e7dd97c",
-    "table": "b4f4216c3e4164b724ede73e4cd4375c99d1094083dc869a369fb04d0f0ff076",
-    "json": "19ef7b64bfabdf8e639e807dc1984c31b4bf4a4aff2550cad733e83f00e38ad9",
+    "csv": "5af5ce427da925a1860f788af3e684ef5cfd3ef86933e3892107a8c9661ad484",
+    "table": "0d91cd5c055e365f52ccd2396d87307592a3a2f241c1a023603b0578559169e9",
+    "json": "82bc43438f4a266de1517eea4d6cd40ff61ca726f27b70818a46c15ed981656c",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fracwkb.errors import GammaPoleError, NonFiniteInputError
 from fracwkb.fracops import (
+    _fft_length,
     FractionalOrder,
     SampledFunction,
     TimeGrid,
@@ -71,7 +72,7 @@ def test_gamma_non_finite():
 # ----------------------------------------------------------- gl_weights
 
 def test_gl_weights_half_order():
-    # w_j = w_{j-1} (1 - 1.5/j) evaluated by hand
+    # w_j = w_{j-1} (j - 1.5) / j evaluated by hand
     npt.assert_allclose(gl_weights(0.5, 3), [1.0, -0.5, -0.125, -0.0625], rtol=0, atol=0)
 
 
@@ -93,15 +94,26 @@ def test_gl_weights_order_zero_is_identity():
     npt.assert_array_equal(weights[1:], np.zeros(8))
 
 
-# Within d of an integer (but off it) the recurrence factor
-# 1 - (order + 1) / j cancels and costs the weights eps / d relative
-# precision; 0.01 keeps that below the test's bound.
-_WELL_SEPARATED_ORDERS = st.floats(0.0, 3.0).filter(
-    lambda x: x.is_integer() or 0.01 <= x % 1.0 <= 0.99
-) | st.integers(0, 3).map(float)
+# Orders anywhere in [0, 3], integers, and orders within 1e-15 ... 1e-2
+# of an integer, where a factor 1 - (order + 1) / j would cancel and
+# cost the weights eps / d relative precision.  All lie on a grid of
+# 2**-50, so a + b is exact: near an integer, rounding the sum would by
+# itself move the weights of order a + b by eps / d.
+_SERIES_ORDERS = (
+    st.floats(0.0, 3.0)
+    | st.integers(0, 3).map(float)
+    | st.builds(
+        lambda n, d, sign: abs(n + sign * d),
+        st.integers(0, 3),
+        st.floats(1e-15, 1e-2),
+        st.sampled_from([-1.0, 1.0]),
+    )
+).map(lambda x: math.ldexp(round(math.ldexp(x, 50)), -50))
 
 
-@given(a=_WELL_SEPARATED_ORDERS, b=_WELL_SEPARATED_ORDERS, n=st.integers(0, 200))
+@given(a=_SERIES_ORDERS, b=_SERIES_ORDERS, n=st.integers(0, 200))
+@example(a=3.78e-13, b=0.0, n=200)
+@example(a=2.0 - 1e-15, b=1.0 + 1e-15, n=200)
 def test_gl_weights_are_binomial_series_coefficients(a, b, n):
     # w_j are the coefficients of (1 - z)**order, so the product of two
     # series is the series of the summed order; exact for integer orders
@@ -435,17 +447,76 @@ def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
     npt.assert_array_equal(numeric.values, expected)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    side=st.sampled_from(["left", "right"]),
+    count=st.integers(2, 3000).filter(lambda n: n & (n - 1)),
+    exponent=st.sampled_from([1, 2, 3]),
+)
+def test_shifted_stencil_is_meerschaert_tadjeran(order, side, count, exponent):
+    # The shifted Grunwald formula of Meerschaert and Tadjeran (J.
+    # Comput. Appl. Math. 2004) for orders in (1, 2), written out as its
+    # own O(N**2) sum: left, h**-a sum_{k=0}^{i+1} g_k f(x_{i+1-k}); right,
+    # h**-a sum_{k=0}^{N-i+1} g_k f(x_{i-1+k}), with g_k = (-1)**k C(a, k).
+    # The node whose shifted sum would reach past the grid keeps the
+    # unshifted one.  Held to the bound of test_fft_sum_matches_direct_sum.
+    grid = TimeGrid(0.0, 1.0, count)
+    order = FractionalOrder(order)
+    fast, oracle, _ = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
+    f = ((grid.nodes() - grid.a) if side == "left" else (grid.b - grid.nodes())) ** exponent
+    g = [1.0]
+    for k in range(1, count + 2):
+        g.append(g[-1] * (k - 1 - order.value) / k)
+    g = np.array(g)
+    shifted = np.empty(count + 1)
+    for i in range(count + 1):
+        if side == "left":
+            taps = f[: i + 2][::-1] if i < count else f[::-1]
+        else:
+            taps = f[i - 1 :] if i > 0 else f
+        shifted[i] = np.dot(g[: taps.size], taps)
+    shifted *= grid.step**-order.value
+    difference = np.max(np.abs(fast - shifted))
+    discretization = np.max(np.abs(shifted - oracle)[interior_mask(grid)])
+    floor = roundoff_floor(order, grid, 1.0)
+    assert difference <= max(1e-2 * discretization, 16.0 * floor)
+
+
+def _five_smooth_at_least(n):
+    # brute force: the first length from n up with no prime factor above 5
+    size = n
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
+def test_fft_length_is_smallest_5_smooth():
+    for n in range(1, 5001):
+        assert _fft_length(n) == _five_smooth_at_least(n)
+    # 2N + 1 on the power-of-two grids of verify and deriv, N 1024 ... 65536
+    lengths = {1024: 2160, 2048: 4320, 4096: 8640, 8192: 16875, 16384: 32805, 65536: 131220}
+    for count, size in lengths.items():
+        assert _fft_length(2 * count + 1) == _five_smooth_at_least(2 * count + 1) == size
+
+
 # --------------------------------------------------- rl_derivative_block
 
 def _one_row_sum(values, order, step):
-    # the one-row sum as it stood before rows and orders were batched
+    # the one-row sum, transformed at the smallest 5-smooth length that
+    # holds the linear convolution of the unshifted stencil
     top = len(values) - 1
     shift = 1 if order > 1.0 else 0
     with np.errstate(over="ignore", invalid="ignore"):
         if float(order).is_integer():
             full = np.convolve(gl_weights(order, min(int(order), top + shift)), values)
         else:
-            size = 1 << (2 * top + shift).bit_length()
+            size = _five_smooth_at_least(2 * top + 1)
             spectrum = np.fft.rfft(gl_weights(order, top + shift), size)
             spectrum *= np.fft.rfft(values, size)
             full = np.fft.irfft(spectrum, size)
@@ -508,7 +579,8 @@ def test_block_rejects_mixed_grids_and_sides():
 def test_observed_order_gates_errors_above_twice_the_floor():
     coarse, fine = TimeGrid(0.0, 1.0, 64), TimeGrid(0.0, 1.0, 256)
     order = FractionalOrder(0.5)
-    floor = roundoff_floor(order, fine, 1.0)
+    # x on [0, 1]: samples up to 1, plus offsets rounded at nodes up to 1
+    floor = roundoff_floor(order, fine, 2.0)
     # errors far above the floor that barely shrink: a gated FAIL
     record = observed_order_record("order", 1, order, (coarse, 1e-3), (fine, 9e-4), 0.2)
     assert record.tolerance == 0.2 and not record.passed
@@ -522,6 +594,39 @@ def test_observed_order_gates_errors_above_twice_the_floor():
     # error grew without bound, an order of -inf that fails
     record = observed_order_record("order", 1, order, (coarse, 0.0), (fine, 1e-3), 0.2)
     assert record.numeric == -math.inf and not record.passed
+
+
+# exact stencils: order 1 on x, and every integer order at or above the
+# power, whose differences of x and x**2 vanish or are constant.  From
+# 16 intervals on, every interior node holds the whole order-3 stencil.
+# (power, order) pairs
+_EXACT_STENCILS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stencil=st.sampled_from(_EXACT_STENCILS),
+    side=st.sampled_from(["left", "right"]),
+    a=st.floats(-100.0, 100.0),
+    width=st.floats(1e-3, 100.0),
+    count=st.integers(16, 512),
+)
+@example(  # an observed order of -inf under a floor blind to the offsets' rounding
+    stencil=(1, 2), side="right", a=-40.663770820033605, width=0.9776684189620966, count=14
+)
+def test_exact_stencils_never_fail_observed_order_on_shifted_grids(stencil, side, a, width, count):
+    # off [0, 1] the offsets carry the nodes' rounding, eps * max(|a|, |b|);
+    # an exact stencil's fine error is that rounding, so the order is
+    # informational or measured, never a FAIL
+    exponent, order = stencil
+    grid = TimeGrid(a, a + width, count)
+    fine = TimeGrid(grid.a, grid.b, 4 * count)
+    order = FractionalOrder(float(order))
+    error, fine_error = (
+        power_kernel_check(g, [exponent], [order], side)[2][0, 0] for g in (grid, fine)
+    )
+    record = observed_order_record("order", exponent, order, (grid, error), (fine, fine_error), 0.2)
+    assert record.passed, (error, fine_error, record.numeric)
 
 
 # -------------------------------------------------------- interior_mask
