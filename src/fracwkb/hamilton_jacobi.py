@@ -127,11 +127,8 @@ def lambda_constants(pf: PrincipalFunction, point: TransformedPoint) -> tuple[fl
     """
     if pf.energies.e1 <= 0.0 or pf.energies.e2 <= 0.0:
         raise ZeroEnergyError("lambda constants need e1 > 0 and e2 > 0")
+    pf.w1_slope(point.q)  # raises on a negative radicand
     radicand1 = pf.w1_radicand(point.q)
-    if radicand1 < 0.0:
-        raise ForbiddenRegionError(
-            f"W1 slope imaginary at q={point.q!r}: radicand {radicand1!r} < 0"
-        )
     if radicand1 == 0.0:
         raise ZeroEnergyError("lambda1 undefined where the W1 radicand vanishes")
     lambda1 = pf.spec.c_alpha * point.u1 / math.sqrt(radicand1)

@@ -48,10 +48,10 @@ def _require_finite(**named: float) -> None:
 
 
 def _named_square(name: str, value: float) -> float:
-    try:
-        return value**2
-    except OverflowError:
-        raise ValueError(f"{name}**2 overflows a float at {name} = {value!r}") from None
+    square = value * value
+    if math.isinf(square):
+        raise ValueError(f"{name}**2 overflows a float at {name} = {value!r}")
+    return square
 
 
 @dataclass(frozen=True)
@@ -179,18 +179,19 @@ def legendre_transform(
 
     With an array q (and FamilyColumns, MomentumColumns whose fields
     broadcast against it) the value is computed element by element.
-    Arrays do not raise: where a float call raises (q not finite, a
-    square overflowing) the element is not finite.  A float's ** is libm
-    pow and an array's is numpy's correctly rounded square, so the two
-    can differ in the last bit of a square.
+    Arrays do not raise: where a float call raises (q not finite, q * q
+    overflowing) the element is not finite.  Every square is a product,
+    so an element equals the float call's value bit for bit.
     """
     if not np.ndim(q):
         _require_finite(q=q)
     with np.errstate(over="ignore", invalid="ignore"):
-        q_squared = q**2 if np.ndim(q) else _named_square("q", q)
+        q_squared = q * q if np.ndim(q) else _named_square("q", q)
+        kinetic_alpha = momenta.p_alpha - spec.l_alpha
+        kinetic_beta = momenta.p_beta - spec.l_beta
         return (
-            (momenta.p_alpha - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
-            + (momenta.p_beta - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
+            kinetic_alpha * kinetic_alpha / (2.0 * spec.c_alpha)
+            + kinetic_beta * kinetic_beta / (2.0 * spec.c_beta)
             - 0.5 * spec.v * q_squared
         )
 

@@ -13,9 +13,10 @@ measure directly.
 
 evaluate_models computes every model quantity of a batch of members as
 float columns: the operators below also act on a whole batch of wave
-fields and points at once, with CPython's complex arithmetic written
-out over (re, im) arrays.  evaluate_model is the scalar path for one
-member, the reference the batch reproduces.
+fields and points at once, on complex128 arrays.  evaluate_model is the
+scalar path for one member, the reference the batch reproduces.  Both
+paths compute psi with numpy's complex arithmetic and every square as a
+product, so they agree bit for bit.
 
 A note on roundoff: the second-difference stencil divides by h**2 and
 therefore amplifies the representation error of the phase, which is
@@ -27,7 +28,6 @@ eigen-relations are point-independent, so this costs no generality.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -88,7 +88,7 @@ class WaveField:
                 " must both be positive"
             )
         product = momenta.p_alpha * momenta.p_beta
-        if not 0.0 < product < math.inf:
+        if not 0.0 < product < math.inf or 1.0 / product == math.inf:
             raise ValueError(
                 f"prefactor undefined: momentum product p_alpha * p_beta = {product!r}"
                 " underflows or overflows a float"
@@ -96,51 +96,7 @@ class WaveField:
         return 1.0 / math.sqrt(product)
 
     def value(self, point: TransformedPoint) -> complex:
-        return self.prefactor(point) * cmath.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
-
-
-class _Complex:
-    """Complex arrays as (re, im), combined as CPython's complex type does.
-
-    A real operand is promoted to (x, 0.0), and a quotient divides
-    through by the larger part of the divisor (Smith's algorithm);
-    numpy's complex product, quotient and abs round differently.
-    """
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None  # ndarray * _Complex defers to __rmul__
-
-    def __init__(self, re, im) -> None:
-        self.re, self.im = re, im
-
-    @staticmethod
-    def _parts(z) -> tuple:
-        return (z.re, z.im) if isinstance(z, _Complex) else (np.real(z), np.imag(z))
-
-    def __add__(self, other) -> _Complex:
-        re, im = self._parts(other)
-        return _Complex(self.re + re, self.im + im)
-
-    def __sub__(self, other) -> _Complex:
-        re, im = self._parts(other)
-        return _Complex(self.re - re, self.im - im)
-
-    def __rmul__(self, k) -> _Complex:
-        return _Complex(k * self.re - 0.0 * self.im, k * self.im + 0.0 * self.re)
-
-    def __truediv__(self, other) -> _Complex:
-        ar, ai = self.re, self.im
-        br, bi = self._parts(other)
-        by_real = np.abs(br) >= np.abs(bi)
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        return _Complex(
-            np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom,
-        )
-
-    def __abs__(self) -> np.ndarray:
-        return np.hypot(self.re, self.im)
+        return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
 
 
 @dataclass(frozen=True)
@@ -164,11 +120,10 @@ class _WaveColumns(NamedTuple):
     total: np.ndarray
     hbar: np.ndarray
 
-    def value(self, point: _PointColumns) -> _Complex:
+    def value(self, point: _PointColumns) -> np.ndarray:
         p_alpha, p_beta = self.momenta
         S = p_alpha * point.u1 + p_beta * point.u2 - self.total * point.t
-        phase = np.exp(1j * (S / self.hbar))
-        return (1.0 / np.sqrt(p_alpha * p_beta)) * _Complex(phase.real, phase.imag)
+        return (1.0 / np.sqrt(p_alpha * p_beta)) * np.exp(1j * (S / self.hbar))
 
 
 @dataclass(frozen=True)
@@ -206,7 +161,7 @@ def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float)
     The residual compares the eigenvalue estimate against the slope
     momentum for the chosen axis; it decays as O(h**2).  On the batch
     field and points of evaluate_models it acts on every row at once and
-    checks no step; the estimate is then a _Complex of columns.
+    checks no step; the estimate is then a complex128 array.
     """
     if which not in ("alpha", "beta"):
         raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
@@ -256,7 +211,7 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
     raw = (
         branch("alpha", spec.c_alpha, spec.l_alpha)
         + branch("beta", spec.c_beta, spec.l_beta)
-        - 0.5 * spec.v * point.q**2 * psi_0
+        - 0.5 * spec.v * (point.q * point.q) * psi_0
     )
     estimate = raw / psi_0
     return OperatorResult(estimate, abs(estimate - analytic))
@@ -264,7 +219,8 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
 
 def probability_density(wf: WaveField, point: TransformedPoint) -> float:
     """|psi|**2, equal to 1/(p_alpha * p_beta) up to roundoff."""
-    return abs(wf.value(point)) ** 2
+    psi = wf.value(point)
+    return psi.real * psi.real + psi.imag * psi.imag
 
 
 class ModelColumns(NamedTuple):
@@ -274,7 +230,8 @@ class ModelColumns(NamedTuple):
     functions return; p_alpha, p_beta and energy, each with its
     imaginary part, are the apply_momentum and apply_hamiltonian
     eigenvalue estimates; probability is |psi|**2 * p_alpha * p_beta.
-    The seven wave-field columns are nan where wave is False, since psi
+    Row i equals evaluate_model of that row's member bit for bit.  The
+    seven wave-field columns are nan where wave is False, since psi
     needs both momenta positive.  rejected marks every row on which the
     scalar path may raise.  It may also mark a row the scalar path
     accepts, so a caller that needs the scalar error runs the marked
@@ -305,9 +262,9 @@ def evaluate_model(
 ) -> ModelColumns:
     """One member through the scalar functions: the reference for evaluate_models.
 
-    Raises where those functions raise.  The fields are floats, the
-    wave-field ones nan unless both momenta are positive, and rejected
-    is False.
+    Raises where those functions raise, and warns nowhere.  The fields
+    are floats, the wave-field ones nan unless both momenta are positive,
+    and rejected is False.
     """
     pf = separate(spec, energies)
     w1, w2 = pf.w1_slope(point.q), pf.w2_slope
@@ -318,10 +275,11 @@ def evaluate_model(
     probability = math.nan
     if wave:
         wf = build_wavefunction(pf, hbar)
-        p_alpha = apply_momentum(wf, "alpha", point, h).eigenvalue_estimate
-        p_beta = apply_momentum(wf, "beta", point, h).eigenvalue_estimate
-        energy = apply_hamiltonian(wf, point, h).eigenvalue_estimate
-        probability = probability_density(wf, point) * w1 * w2
+        with np.errstate(all="ignore"):  # as in evaluate_models: overflow is inf, not a warning
+            p_alpha = apply_momentum(wf, "alpha", point, h).eigenvalue_estimate
+            p_beta = apply_momentum(wf, "beta", point, h).eigenvalue_estimate
+            energy = apply_hamiltonian(wf, point, h).eigenvalue_estimate
+            probability = probability_density(wf, point) * w1 * w2
     return ModelColumns(
         w1, w2, S, residual, p_alpha.real, p_alpha.imag, p_beta.real, p_beta.imag,
         energy.real, energy.imag, probability, wave, False,
@@ -347,10 +305,7 @@ def evaluate_models(
     shape.  The operators and the probability are the functions above,
     called once on the whole batch; no point or wave field is built per
     row.  Row i equals evaluate_model of that row's member, point and
-    step bit for bit, except that numpy squares an array correctly
-    rounded where a float's ** is libm pow: where the two squares differ
-    in the last bit, so may hj_residual, energy, energy_imag and
-    probability, by a few ulps of their terms.
+    step bit for bit.
     """
     inputs = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (*family, e1, e2, u1, u2, t, q, h, hbar))
@@ -374,7 +329,9 @@ def evaluate_models(
             apply_hamiltonian(wf, point, h),
         )
         estimates = [
-            part for r in results for part in (r.eigenvalue_estimate.re, r.eigenvalue_estimate.im)
+            part
+            for r in results
+            for part in (r.eigenvalue_estimate.real, r.eigenvalue_estimate.imag)
         ]
         probability = probability_density(wf, point) * w1 * w2
 

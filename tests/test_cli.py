@@ -180,17 +180,22 @@ def test_overflowing_model_setting_is_usage_error(capsys):
     [
         (["--l-alpha", "1e-200", "--l-beta", "1e-200"], "0.0"),
         (["--l-alpha", "1e308", "--l-beta", "1e308", "--hbar", "1e308"], "inf"),
+        (["--l-alpha", "1", "--l-beta", "1e-313"], "1e-313"),
     ],
 )
 def test_momentum_product_out_of_range_is_usage_error(coefficients, product, capsys):
     # psi's prefactor is 1/sqrt(p_alpha * p_beta): a product that
-    # underflows to 0 or overflows to inf exits 2 with a message naming
-    # it, not a ZeroDivisionError traceback
+    # underflows to 0, overflows to inf or is so small that its
+    # reciprocal, |psi|**2, overflows exits 2 with a message naming it,
+    # not a traceback or a RuntimeWarning
     argv = [
         "sweep", "--model", "custom", *coefficients,
         "--e1", "0", "--e2", "0", "--param", "q", "--values", "0",
     ]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not caught
     err = capsys.readouterr().err
     assert err == (
         f"error: prefactor undefined: momentum product p_alpha * p_beta = {product}"
@@ -316,18 +321,18 @@ def test_deriv_output_is_pinned(capsys):
     assert digests == _DERIV_SHA256
 
 
-# sha256 of stdout for a 50-step e2 sweep, taken before distinct values
-# were formatted once per column
+# sha256 of stdout for a 50-step e2 sweep, taken when psi's arithmetic
+# became numpy's on both the scalar and the batch path
 _SWEEP_SHA256 = {
-    ("example1", "csv"): "287da0affba98b924fa36ec1955fd33de0ce57fb40f502c1ba00bd597c93e749",
-    ("example1", "table"): "814a8ec846c617016f4bbc26fa68d9af752ee609a6e91988615d7065c71ecac2",
-    ("example1", "json"): "0635f1d1664ffb109d45638678589c2c0aaa6ca3053aff44b6299ba4b911120a",
-    ("example2", "csv"): "4df54cdcd52dc6c5f8ea940ca8a28850d0a5e212475369237d30ee26f4aaca90",
-    ("example2", "table"): "4e0c01cdca1fc30ad956b1f7df2e4dcbb4633e9488247fca6e650ab510cb0d3b",
-    ("example2", "json"): "f7e4c073e3a93fa95e7525652a5c8f768f51842a757c270d243796a96794b208",
-    ("custom", "csv"): "7a941b06f6dd5e5ef46d9405b1effc488905f462f2e8e4f0c4d508dbd6af07cb",
-    ("custom", "table"): "248090fbb1684d5de2323b8d278ada640d9b9555e4bba29807a1c012d81b766c",
-    ("custom", "json"): "80366abaea12dd8d785257b0205884d5634eae9d99c09e27841eb894bb4c26d1",
+    ("example1", "csv"): "d8879d4919c9c9da9e83273abad6dceca60bb3ca2eb6fd115139c5a4b98681f6",
+    ("example1", "table"): "0db0e90989a3c7903fc1e6bc4dcffc28c127e7d3aef7c1a3a14cc00d94429479",
+    ("example1", "json"): "342ef14649008964125ab9c24d20006f5c2d1b7888461d069d4c291d4a762ec7",
+    ("example2", "csv"): "f1831007956e5ad5f1ba96b6342f57d6d5ac51fa7d282b275f34872bb4b8d7ef",
+    ("example2", "table"): "3f9b21334f36f94d59fd0e365fde5989d7b839bf78c103117ab21e52cd818602",
+    ("example2", "json"): "37daa23746947678733fea9ec0ffd2a9a58795c52ff4cf41a88062dc3e2417ed",
+    ("custom", "csv"): "9959cf9fdb8754eb68cfaecd59b87d5ac9455f00581f81ea74537bbcd1fdcb4f",
+    ("custom", "table"): "c25f27c81bdc3c28779ab7952b074aec49637902a6945a7f7a3e348acfebeb4c",
+    ("custom", "json"): "efd4c795561e320db865c9a409e75b8f3319bee49d9b4650f2f32db5e1920b57",
 }
 
 
@@ -345,12 +350,12 @@ def test_sweep_output_is_pinned(capsys):
     assert digests == _SWEEP_SHA256
 
 
-# sha256 of verify's stdout, taken when the kernel's FFT length became
-# 5-smooth and its weights stopped cancelling near integer orders
+# sha256 of verify's stdout, taken when psi's arithmetic became numpy's
+# on both the scalar and the batch path
 _VERIFY_SHA256 = {
-    "csv": "5af5ce427da925a1860f788af3e684ef5cfd3ef86933e3892107a8c9661ad484",
-    "table": "0d91cd5c055e365f52ccd2396d87307592a3a2f241c1a023603b0578559169e9",
-    "json": "82bc43438f4a266de1517eea4d6cd40ff61ca726f27b70818a46c15ed981656c",
+    "csv": "d26f6740f4014755d2a22565b8f8eadfc5a579abd5b1501ab54ef3113fd67eff",
+    "table": "1c9b2f03fd6f5b75d737afaea8fa0595829000df3d28139decbcddb5d25e3722",
+    "json": "256634916c00133fb9838839bfe2f9d2505be9281a9c2e88c0be843dfcaf540b",
 }
 
 

@@ -178,6 +178,8 @@ def test_forbidden_region():
         momenta_from_S(pf, point)
     with pytest.raises(ForbiddenRegionError):
         hj_residual(pf, point)
+    with pytest.raises(ForbiddenRegionError, match=r"W1 slope imaginary at q=2\.0"):
+        lambda_constants(pf, point)
 
 
 def test_hj_residual_frozen_values():

@@ -245,19 +245,13 @@ def _batch(members) -> ModelColumns:
 
 
 @settings(max_examples=60, deadline=None)
-@given(members=st.lists(_member(), min_size=1, max_size=30))
+@given(members=st.lists(_member() | _member(small_point=False), min_size=1, max_size=30))
 def test_batch_equals_scalar_path(members):
     # Every column equals the scalar functions' value bit for bit, signed
     # zeros included, nan where the wave field is undefined (a zero
-    # energy or a nonpositive momentum), with one exception: numpy
-    # squares an array correctly rounded, where a float's ** is libm
-    # pow.  Where those squares differ in the last bit, hj_residual,
-    # energy, energy_imag and probability may differ by at most 4 ulps
-    # of the magnitude of their terms (at most 2 seen over 160,000
-    # drawn rows).  A member the scalar path rejects (a negative W1
-    # radicand, a step past the phase guard, a momentum product out of
-    # the float range) must be marked rejected.
-    eps = np.finfo(float).eps
+    # energy or a nonpositive momentum).  A member the scalar path
+    # rejects (a negative W1 radicand, a step past the phase guard, a
+    # momentum product out of the float range) must be marked rejected.
     columns = _batch(members)
     for i, member in enumerate(members):
         try:
@@ -265,21 +259,9 @@ def test_batch_equals_scalar_path(members):
         except (ValueError, ArithmeticError):
             assert columns.rejected[i]
             continue
-        spec, q = member[0], member[2].q
-        potential = abs(0.5 * spec.v * q * q)
-        scale = {
-            "hj_residual": (reference.w1_slope - spec.l_alpha) ** 2 / (2.0 * spec.c_alpha)
-            + (reference.w2_slope - spec.l_beta) ** 2 / (2.0 * spec.c_beta)
-            + potential,
-            "energy": abs(reference.energy) + potential,
-            "energy_imag": abs(reference.energy) + potential,
-            "probability": abs(reference.probability),
-        }
         for name in ModelColumns._fields[:-2]:
             got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
-            same = got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want))
-            close = name in scale and abs(got - want) <= 4.0 * eps * scale[name]
-            assert same or close, name
+            assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), name
         assert columns.wave[i] == reference.wave
 
 
