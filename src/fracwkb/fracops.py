@@ -27,6 +27,7 @@ operators bit for bit, which run through the same sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -311,10 +312,17 @@ def roundoff_floor(order: FractionalOrder, grid: TimeGrid, magnitude: float) -> 
     stencils.  An error at or below it means the kernel is exact to
     working precision.
     """
+    weight_sum = _abs_weight_sum(order.value, grid.count + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        weight_sum = np.abs(gl_weights(order.value, grid.count + 1)).sum()
         scale = np.float64(grid.step) ** -order.value
         return float(np.finfo(float).eps * magnitude * weight_sum * scale)
+
+
+@functools.lru_cache(maxsize=64)
+def _abs_weight_sum(order: float, count: int) -> np.float64:
+    # shared by every floor of one (order, grid), whatever the magnitude
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(gl_weights(order, count)).sum()
 
 
 def interior_mask(grid: TimeGrid) -> np.ndarray:

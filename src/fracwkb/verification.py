@@ -10,17 +10,23 @@ radian.  The estimates are point-independent up to stencil error, and
 small phases keep the 1/h**2 roundoff amplification (see the wkb module
 notes) far beneath the 1e-8 imaginary-part budget.
 
-All randomized sweeps use fixed seeds so output is byte-deterministic.
-Each random suite is drawn from its seeded stream as one block of
+All randomized sweeps use fixed seeds (202301 for the HJ identity,
+202302 for the probability law) so output is byte-deterministic.  They
+draw from the standard library's random.Random, the MT19937 Mersenne
+Twister: Python documents that random() keeps its sequence for a seed
+across versions, while NumPy (NEP 19) promises no cross-version stream
+for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
-scalar draw would take, in the same stream order.  The kernel oracle
-differentiates every power at every order in one block call per grid.
+scalar uniform draw would take, in the same stream order.  The kernel
+oracle differentiates every power at every order in one block call per
+grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -120,11 +126,13 @@ def resolve_tolerances(
 def _max_interior_error(
     numeric: np.ndarray, oracle: np.ndarray, grid: TimeGrid
 ) -> np.ndarray | np.float64:
-    # over the last axis, so a block of rows gives one error per row
-    mask = interior_mask(grid)
+    # over the last axis, so a block of rows gives one error per row; the
+    # interior is one run of nodes, so a slice views it without a copy
+    nodes = np.flatnonzero(interior_mask(grid))
+    interior = slice(nodes[0], nodes[-1] + 1)
     # infinite values on both sides (huge orders) give a nan error
     with np.errstate(invalid="ignore"):
-        return np.max(np.abs(numeric[..., mask] - oracle[..., mask]), axis=-1)
+        return np.max(np.abs(numeric[..., interior] - oracle[..., interior]), axis=-1)
 
 
 def power_kernel_check(
@@ -278,31 +286,32 @@ def _draw_columns(
     n: int,
     accept: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """n rows drawn from a seeded stream, one column per (low, high) range.
+    """n rows drawn from random.Random(seed), one column per (low, high) range.
 
-    Bit for bit the scalar loop that draws rng.uniform(low, high) for
-    each range in turn, row after row, and draws the row again when
-    accept rejects it: uniform is low + (high - low) * next_double, and
-    rng.random fills a block with the same doubles in the same order.
-    accept maps a block to a mask of the rows to keep.
+    Bit for bit the scalar loop that draws uniform(low, high) for each
+    range in turn, row after row, and draws the row again when accept
+    rejects it: uniform is low + (high - low) * random(), and a block
+    takes the same random() doubles in the same order.  Each block draws
+    the rows still missing.  accept maps a block to a mask of the rows
+    to keep.  The stream is MT19937, whose random() sequence for a seed
+    Python keeps across versions.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     low, high = np.array(ranges).T
     rows = np.empty((0, len(ranges)))
     while len(rows) < n:
-        block = low + (high - low) * rng.random((n, len(ranges)))
+        missing = n - len(rows)
+        doubles = np.array([rng.random() for _ in range(missing * len(ranges))])
+        block = low + (high - low) * doubles.reshape(missing, len(ranges))
         rows = np.concatenate([rows, block if accept is None else block[accept(block)]])
-    return rows[:n]
+    return rows
 
 
 def _w1_real(block: np.ndarray) -> np.ndarray:
-    """Rows whose W1 radicand is not negative: v*q**2 + 2*e1 >= 0.
-
-    On floats, as the scalar draw tested it: their ** is libm pow, which
-    may differ from numpy's square in the last bit.
-    """
-    fields = (block[:, j].tolist() for j in (4, 7, 12))
-    return np.array([v * q**2 + 2.0 * e1 >= 0.0 for v, e1, q in zip(*fields)])
+    """Rows whose W1 radicand is not negative: v * q * q + 2 * e1 >= 0,
+    the product form of PrincipalFunction.w1_radicand."""
+    v, e1, q = block[:, 4], block[:, 7], block[:, 12]
+    return v * q * q + 2.0 * e1 >= 0.0
 
 
 def _evaluate(rows: np.ndarray, h: float | np.ndarray) -> ModelColumns:

@@ -704,10 +704,19 @@ def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
 
 
 def test_verify_subprocess_is_deterministic(capsys):
-    # a fresh process gives the pinned bytes and those of this process
-    cmd = [sys.executable, "-m", "fracwkb", "verify", "--format", "csv"]
+    # a fresh process gives the pinned bytes and those of this process;
+    # -X importtime lists on stderr each module it imports, and the
+    # seeded draws must not pull in numpy.random
+    cmd = [sys.executable, "-X", "importtime", "-m", "fracwkb", "verify", "--format", "csv"]
     fresh = subprocess.run(cmd, capture_output=True, text=True)
     assert fresh.returncode == 0
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in fresh.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "numpy" in imported
+    assert not [name for name in imported if name.startswith("numpy.random")]
     assert hashlib.sha256(fresh.stdout.encode()).hexdigest() == _VERIFY_SHA256["csv"]
     assert main(["verify", "--format", "csv"]) == 0
     assert fresh.stdout == capsys.readouterr().out

@@ -637,3 +637,25 @@ def test_interior_mask_margins():
     mask = interior_mask(grid)
     npt.assert_array_equal(mask, [False] + [True] * 7 + [False])
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    endpoints=st.one_of(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(1e-12, 200.0)).map(
+            lambda aw: (aw[0], aw[0] + aw[1])
+        ),
+        # a few ulps wide near 1e16, where the nodes collapse onto a and b
+        st.tuples(st.floats(1e16, 1.01e16), st.integers(1, 8)).map(
+            lambda an: (an[0], an[0] + an[1] * math.ulp(an[0]))
+        ),
+    ),
+    count=st.integers(2, 5000),
+)
+@example(endpoints=(0.0, 1.0), count=2)
+@example(endpoints=(1e16, 1e16 + 2.0), count=5000)
+def test_interior_mask_is_one_nonempty_run(endpoints, count):
+    # the kernel's interior error reads the interior as one slice
+    mask = interior_mask(TimeGrid(*endpoints, count))
+    nodes = np.flatnonzero(mask)
+    assert nodes.size > 0
+    assert mask[nodes[0] : nodes[-1] + 1].all()

@@ -5,6 +5,7 @@ draw loop; the kernel oracle's block calls are held to one kernel call
 per (power, order, grid) case.
 """
 
+import random
 from itertools import product
 
 import numpy as np
@@ -30,7 +31,7 @@ def _hj_reference(seed, n):
     # verify's scalar HJ draw: one rng.uniform per field, and a member
     # whose W1 radicand is negative drawn again; also returns the count
     # of members drawn again
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     members, tries = [], 0
     while len(members) < n:
         tries += 1
@@ -50,14 +51,14 @@ def _hj_reference(seed, n):
             rng.uniform(-2.0, 2.0),
             rng.uniform(-2.0, 2.0),
         )
-        if spec.v * point.q**2 + 2.0 * energies.e1 >= 0.0:
+        if spec.v * point.q * point.q + 2.0 * energies.e1 >= 0.0:
             members.append((spec, energies, point))
     return members, tries - n
 
 
 def _probability_reference(seed, n):
     # verify's scalar probability-law draw, which keeps every member
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     members = []
     for _ in range(n):
         spec = LagrangianSpec(
