@@ -12,6 +12,7 @@ Run:  python3 demos/04_wave_construction.py
 
 from fracwkb import (
     EnergyPartition,
+    RecordBatch,
     TransformedPoint,
     apply_hamiltonian,
     apply_momentum,
@@ -77,8 +78,8 @@ print()
 
 print("== classical limit (alpha = beta = 1) ==")
 for name, spec in (("example1", example1(1.0, 1.0)), ("example2", example2(1.0, 1.0))):
-    records = classical_limit_check(spec, EnergyPartition(0.5, 0.5))
-    status = "all pass" if all(r.passed for r in records) else "FAILED"
-    print(f"{name}: {len(records)} structural records, {status}")
-    for record in records:
-        print(f"  {record.quantity:<24} residual {record.residual:.2e}")
+    batch = RecordBatch.from_records(classical_limit_check(spec, EnergyPartition(0.5, 0.5)))
+    status = "all pass" if batch.passed.all() else "FAILED"
+    print(f"{name}: {len(batch)} structural records, {status}")
+    for quantity, residual in zip(batch.quantities, batch.residual.tolist()):
+        print(f"  {quantity:<24} residual {residual:.2e}")

@@ -40,6 +40,7 @@ from .reporting import (
     format_table,
 )
 from .verification import (
+    DEFAULT_TOLERANCES,
     observed_order_record,
     power_kernel_check,
     resolve_tolerances,
@@ -51,15 +52,18 @@ __all__ = ["RunConfig", "main"]
 
 _TEST_FUNCTIONS = {"const": 0, "x": 1, "x2": 2, "x3": 3}
 
-_DERIV_TOLERANCES = {"kernel_max_error": 1e-3, "kernel_order": 0.2}
+_DERIV_TOLERANCES = {
+    name: DEFAULT_TOLERANCES[name] for name in ("kernel_max_error", "kernel_order")
+}
 
+# the model records' own tolerances, then those they share with verify
 _EXAMPLE_TOLERANCES = {
     "closed_form": 1e-12,
     "hj_residual": 1e-10,
-    "momentum_eigenvalue": 1e-6,
-    "energy_eigenvalue": 1e-6,
-    "probability": 1e-14,
-    "imag_part": 1e-8,
+    **{
+        name: DEFAULT_TOLERANCES[name]
+        for name in ("momentum_eigenvalue", "energy_eigenvalue", "probability", "imag_part")
+    },
 }
 
 _SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")

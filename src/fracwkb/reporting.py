@@ -1,11 +1,13 @@
 """Verification records and deterministic table/CSV/JSON rendering.
 
-A check returns ReportRecords, one checked quantity each.  The
-formatters take one RecordBatch: rows held as columns (names in a list;
-analytic, numeric and tolerance values in float arrays; an optional
-leading sweep column), with residual and pass computed once per batch.
-Each formatter renders one text column per field, formatting each
-distinct value of a column (by bit pattern) once.
+A check returns ReportRecords, one checked quantity each: a plain row
+of name, analytic target, numeric value and tolerance.  The formatters
+take one RecordBatch: rows held as columns (names in a list; analytic,
+numeric and tolerance values in float arrays; an optional leading sweep
+column).  The batch is the only thing that judges a row: it checks the
+names, and computes each residual and pass.  Each formatter renders one
+text column per field, formatting each distinct value of a column (by
+bit pattern) once.
 
 All floats are rendered with 17 significant digits so a fixed
 configuration always produces byte-identical output.  JSON cannot carry
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,44 +41,25 @@ SCHEMA_VERSION = "1"
 INFORMATIONAL = math.inf
 
 
-def _check_names(names: list[str]) -> None:
-    joined = "".join(names)
-    if "," in joined or "\n" in joined:
-        bad = next(name for name in names if "," in name or "\n" in name)
-        raise ValueError(f"quantity name must be CSV-safe, got {bad!r}")
+class ReportRecord(NamedTuple):
+    """One checked quantity: analytic target, numeric value, tolerance.
 
-
-@dataclass(frozen=True)
-class ReportRecord:
-    """One checked quantity: analytic target, numeric value, tolerance."""
+    A plain row; RecordBatch checks its name and judges it.
+    """
 
     quantity: str
     analytic: float
     numeric: float
     tolerance: float
 
-    def __post_init__(self) -> None:
-        _check_names([self.quantity])
-
-    @property
-    def residual(self) -> float:
-        return abs(self.analytic - self.numeric)
-
-    @property
-    def passed(self) -> bool:
-        # informational rows never gate, even when the residual is nan
-        # (both values infinite, e.g. a divergent endpoint)
-        if math.isinf(self.tolerance):
-            return True
-        return self.residual <= self.tolerance
-
 
 class RecordBatch:
     """Records as columns, with residual and passed computed once.
 
     sweep, when given, is a (parameter name, value per row) pair shown
-    as a leading column.  residual and passed equal, row by row, those
-    of the ReportRecord with the same fields.
+    as a leading column.  This is the one place a row's residual
+    |analytic - numeric| and its pass are computed, and its name checked
+    to be CSV-safe.
     """
 
     def __init__(
@@ -89,28 +71,28 @@ class RecordBatch:
         sweep: tuple[str, Sequence[float]] | None = None,
     ) -> None:
         self.quantities = list(quantities)
-        _check_names(self.quantities)
+        joined = "".join(self.quantities)
+        if "," in joined or "\n" in joined:
+            bad = next(name for name in self.quantities if "," in name or "\n" in name)
+            raise ValueError(f"quantity name must be CSV-safe, got {bad!r}")
         self.analytic = np.asarray(analytic, dtype=np.float64)
         self.numeric = np.asarray(numeric, dtype=np.float64)
         self.tolerance = np.asarray(tolerance, dtype=np.float64)
         self.sweep = None if sweep is None else (sweep[0], np.asarray(sweep[1], np.float64))
-        # inf - inf gives nan and a huge difference inf, as in the scalar
-        # path, without a warning
+        # inf - inf gives nan and a huge difference inf, without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             self.residual = np.abs(self.analytic - self.numeric)
+        # informational rows never gate, even when the residual is nan
+        # (both values infinite, e.g. a divergent endpoint)
         self.passed = np.isinf(self.tolerance) | (self.residual <= self.tolerance)
 
     @classmethod
     def from_records(
         cls, records: Sequence[ReportRecord], sweep: tuple[str, Sequence[float]] | None = None
     ) -> RecordBatch:
-        return cls(
-            [r.quantity for r in records],
-            [r.analytic for r in records],
-            [r.numeric for r in records],
-            [r.tolerance for r in records],
-            sweep,
-        )
+        # zip(*rows) gives no columns at all for zero rows
+        columns = zip(*records) if records else ((),) * 4
+        return cls(*columns, sweep)
 
     def __len__(self) -> int:
         return len(self.quantities)

@@ -406,15 +406,10 @@ def classical_limit_check(
     point = TransformedPoint(0.02, -0.015, 0.005, 0.02)
     p1 = p1_classical(point.q)
     if p1 > 0.0 and p2_classical > 0.0:
-        columns = evaluate_models(
-            FamilyColumns.of([spec]), energies.e1, energies.e2,
-            point.u1, point.u2, point.t, point.q, fd_step, hbar,
-        )
-        if columns.rejected[0]:
-            evaluate_model(spec, energies, point, fd_step, hbar)  # raises the scalar error
+        model = evaluate_model(spec, energies, point, fd_step, hbar)
         records += [
-            ReportRecord("p_alpha", p1, columns.p_alpha[0], momentum_tol),
-            ReportRecord("p_beta", p2_classical, columns.p_beta[0], momentum_tol),
-            ReportRecord("energy", energies.total, columns.energy[0], energy_tol),
+            ReportRecord("p_alpha", p1, model.p_alpha, momentum_tol),
+            ReportRecord("p_beta", p2_classical, model.p_beta, momentum_tol),
+            ReportRecord("energy", energies.total, model.energy, energy_tol),
         ]
     return records

@@ -29,14 +29,14 @@ _TOLERANCES = resolve_tolerances()
 
 
 def _gate(number: int, label: str, records) -> None:
-    failing = [record for record in records if not record.passed]
-    status = "PASS" if not failing else "FAIL"
+    failing = RecordBatch.from_records(records).failures()
+    status = "PASS" if not len(failing) else "FAIL"
     line = f"criterion {number} ({label}): {status} [{len(records)} records]"
-    if failing:
-        line += " failing: " + ", ".join(record.quantity for record in failing[:5])
+    if len(failing):
+        line += " failing: " + ", ".join(failing.quantities[:5])
     acceptance_lines.append(line)
     print(line)
-    assert not failing, "\n" + format_table(RecordBatch.from_records(failing))
+    assert not len(failing), "\n" + format_table(failing)
 
 
 def test_criterion_1_fractional_kernel_oracle():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fracwkb import cli, verification
 from fracwkb.cli import RunConfig, _make_parser, main
 from fracwkb.fracops import TimeGrid
+from fracwkb.reporting import RecordBatch
 
 
 def _csv_rows(text):
@@ -263,9 +264,9 @@ def test_flag_before_subcommand_is_usage_error(argv, capsys):
 
 
 def test_deriv_huge_integer_order_output_is_pinned(capsys):
-    # the binomial row of order 1e9 overflows past its first weights; the
-    # sum over the infinite run is counted, not summed, and every byte
-    # of the report stays what the full O(N**2) sum printed
+    # the binomial row of order 1e9 overflows past its first weights, and
+    # the full O(N**2) sum runs over the infinite rest of the row; every
+    # byte of the report is pinned, so a cap on that row must not move it
     ret = main(["deriv", "--alpha", "1e9", "--grid", "0,1,16384", "--format", "csv"])
     captured = capsys.readouterr()
     assert ret == 1
@@ -696,9 +697,10 @@ def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
     quantity, analytic, real, _ = estimates[slot]
     estimates[slot] = (quantity, analytic, real, math.nan)
     monkeypatch.setattr(verification, "_eigen_measurements", lambda: {**data, kind: estimates})
-    [record] = verification.check_imaginary_parts(verification.resolve_tolerances())
-    assert math.isnan(record.numeric)
-    assert not record.passed
+    records = verification.check_imaginary_parts(verification.resolve_tolerances())
+    batch = RecordBatch.from_records(records)
+    assert math.isnan(batch.numeric[0])
+    assert batch.passed.tolist() == [False]
     assert main(["verify", "--format", "csv"]) == 1
     assert "imag_part_max" in capsys.readouterr().err
 

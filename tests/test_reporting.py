@@ -22,28 +22,33 @@ def _batch(*records, sweep=None):
 
 
 def test_record_residual_and_pass():
-    record = ReportRecord("x", 1.0, 1.25, 0.5)
-    assert record.residual == 0.25
-    assert record.passed
-    assert not ReportRecord("x", 1.0, 2.0, 0.5).passed
-    # boundary counts as passing
-    assert ReportRecord("x", 1.0, 1.5, 0.5).passed
+    batch = _batch(
+        ReportRecord("x", 1.0, 1.25, 0.5),
+        ReportRecord("x", 1.0, 2.0, 0.5),
+        # boundary counts as passing
+        ReportRecord("x", 1.0, 1.5, 0.5),
+    )
+    assert batch.residual.tolist() == [0.25, 1.0, 0.5]
+    assert batch.passed.tolist() == [True, False, True]
 
 
 def test_record_rejects_unsafe_names():
-    with pytest.raises(ValueError):
-        ReportRecord("a,b", 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ReportRecord("a\nb", 0.0, 0.0, 1.0)
     for name in ("a,b", "a\nb"):
+        with pytest.raises(ValueError, match="CSV-safe"):
+            _batch(ReportRecord(name, 0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="CSV-safe"):
             RecordBatch(["ok", name], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
 
 def test_informational_rows_always_pass():
-    record = ReportRecord("node", math.inf, 0.0, INFORMATIONAL)
-    assert record.residual == math.inf
-    assert record.passed
+    # an infinite residual, and inf against inf, whose residual is nan
+    batch = _batch(
+        ReportRecord("node", math.inf, 0.0, INFORMATIONAL),
+        ReportRecord("node", math.inf, math.inf, INFORMATIONAL),
+    )
+    assert batch.residual[0] == math.inf
+    assert math.isnan(batch.residual[1])
+    assert batch.passed.tolist() == [True, True]
 
 
 def test_format_float_17_digits():
@@ -122,10 +127,18 @@ def test_formats_are_deterministic():
 # ------------------------------------- batch against per-row reference
 
 # The per-row renderers below are the reference the columnar formatters
-# are held to: one format_float call per cell, residual and pass read
-# from each ReportRecord.
+# are held to: one format_float call per cell, and residual and pass
+# computed per row from the ReportRecord's fields.
 
 _HEADER = ("quantity", "analytic", "numeric", "residual", "tolerance", "pass")
+
+
+def _residual(r):
+    return abs(r.analytic - r.numeric)
+
+
+def _passes(r):
+    return math.isinf(r.tolerance) or _residual(r) <= r.tolerance
 
 
 def _reference_cells(records, sweep):
@@ -136,9 +149,9 @@ def _reference_cells(records, sweep):
             r.quantity,
             format_float(r.analytic),
             format_float(r.numeric),
-            format_float(r.residual),
+            format_float(_residual(r)),
             format_float(r.tolerance),
-            "true" if r.passed else "false",
+            "true" if _passes(r) else "false",
         )
         for prefix, r in zip(prefixes, records)
     ]
@@ -184,9 +197,9 @@ def _reference_json(records, sweep):
             f'"quantity": {json.dumps(r.quantity)}',
             f'"analytic": {_json_number(r.analytic)}',
             f'"numeric": {_json_number(r.numeric)}',
-            f'"residual": {_json_number(r.residual)}',
+            f'"residual": {_json_number(_residual(r))}',
             f'"tolerance": {_json_number(r.tolerance)}',
-            f'"pass": {"true" if r.passed else "false"}',
+            f'"pass": {"true" if _passes(r) else "false"}',
         ]
         objects.append("  {" + ", ".join(pairs) + "}")
     if not objects:
@@ -230,13 +243,13 @@ def test_batch_matches_per_row_records(records_and_sweep):
     records, sweep = records_and_sweep
     batch = RecordBatch.from_records(records, sweep)
     assert len(batch) == len(records)
-    np.testing.assert_array_equal(batch.residual, [r.residual for r in records])
-    assert batch.passed.tolist() == [r.passed for r in records]
+    np.testing.assert_array_equal(batch.residual, [_residual(r) for r in records])
+    assert batch.passed.tolist() == [_passes(r) for r in records]
     assert format_table(batch) == _reference_table(records, sweep)
     assert format_csv(batch) == _reference_csv(records, sweep)
     assert format_json(batch) == _reference_json(records, sweep)
     failures = batch.failures()
-    assert format_table(failures) == _reference_table([r for r in records if not r.passed], None)
+    assert format_table(failures) == _reference_table([r for r in records if not _passes(r)], None)
 
 
 # ------------------------------------------- long columns of repeats
