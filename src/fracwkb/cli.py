@@ -46,7 +46,7 @@ from .verification import (
     resolve_tolerances,
     run_checks,
 )
-from .wkb import evaluate_model, evaluate_models
+from .wkb import SAMPLE_POINT, evaluate_model, evaluate_models
 
 __all__ = ["RunConfig", "main"]
 
@@ -67,10 +67,6 @@ _EXAMPLE_TOLERANCES = {
 }
 
 _SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")
-
-# Fixed sample point for the model records; chosen with a small phase
-# so the stencil eigen-checks sit well above the roundoff floor.
-_SAMPLE_POINT = (0.02, -0.015, 0.005)
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def _check_setting(config: RunConfig, model: str) -> None:
         *_coefficients(config, model), FractionalOrder(config.alpha), FractionalOrder(config.beta)
     )
     energies = EnergyPartition(config.e1, config.e2)
-    point = TransformedPoint(*_SAMPLE_POINT, config.q)
+    point = TransformedPoint(*SAMPLE_POINT, config.q)
     evaluate_model(spec, energies, point, config.fd_step, config.hbar)
 
 
@@ -214,7 +210,7 @@ def cmd_example(
     rows = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in settings.values()))
     alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
     coefficients = _coefficients(config, model)
-    u1, u2, t = _SAMPLE_POINT
+    u1, u2, t = SAMPLE_POINT
     columns = evaluate_models(
         FamilyColumns(*coefficients), e1, e2, u1, u2, t, q, fd_step, config.hbar
     )
@@ -243,15 +239,6 @@ def cmd_example(
         np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], len(w1))[kept],
         sweep,
     )
-
-
-def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> RecordBatch:
-    """Model records repeated for each value of one swept parameter."""
-    if param not in _SWEEP_PARAMS:
-        raise ValueError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    return cmd_example(config, config.model, param, values)
 
 
 def cmd_verify(config: RunConfig) -> RecordBatch:
@@ -403,18 +390,24 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
-        parts = [part for part in args.values.split(",") if part.strip()]
-        return [float(part) for part in parts]
-    if args.sweep_from is not None or args.sweep_to is not None or args.steps is not None:
+        values = [float(part) for part in args.values.split(",") if part.strip()]
+    elif args.sweep_from is not None or args.sweep_to is not None or args.steps is not None:
         if args.sweep_from is None or args.sweep_to is None or args.steps is None:
             raise ValueError("linear sweep needs --from, --to and --steps together")
         if args.steps < 1:
             raise ValueError("--steps must be >= 1")
         if args.steps == 1:
-            return [args.sweep_from]
-        width = (args.sweep_to - args.sweep_from) / (args.steps - 1)
-        return [args.sweep_from + i * width for i in range(args.steps)]
-    raise ValueError("sweep needs --values or --from/--to/--steps")
+            values = [args.sweep_from]
+        else:
+            width = (args.sweep_to - args.sweep_from) / (args.steps - 1)
+            values = [args.sweep_from + i * width for i in range(args.steps)]
+    else:
+        raise ValueError("sweep needs --values or --from/--to/--steps")
+    if args.param not in _SWEEP_PARAMS:
+        raise ValueError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    return values
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -446,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _emit(cmd_example(config, args.command), config)
         if args.command == "verify":
             return _emit(cmd_verify(config), config)
-        return _emit(cmd_sweep(config, args.param, _sweep_values(args)), config)
+        return _emit(cmd_example(config, config.model, args.param, _sweep_values(args)), config)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

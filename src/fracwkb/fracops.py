@@ -18,11 +18,12 @@ real FFT product in O(N log N), the convolution quadrature of Lubich
 error on power functions measured below roundoff_floor.  Overflow, for
 huge samples or orders, gives non-finite values rather than an error.
 
-rl_derivative_block takes several functions on one grid and several
-orders in one call: the block of samples is transformed once, each
-order's weights once, and each order's product is inverted for all rows
-together.  Every row of the result equals the one-function, one-order
-operators bit for bit, which run through the same sum.
+rl_derivative_block is the one function every kernel call goes
+through, and the only one that checks kernel input.  It takes a grid, a
+block of sample rows on it and several orders: the block is transformed
+once, each order's weights once, and each order's product is inverted
+for all rows together.  left_rl_derivative and right_rl_derivative are
+its one-row, one-order case on a SampledFunction.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class TimeGrid:
         if int(self.count) != self.count or self.count < 2:
             raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
+        # b - a can overflow to inf, and a tiny width over count underflow to 0
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(
+                f"grid step (b - a) / count must be positive and finite, got {self.step!r}"
+            )
 
     @property
     def step(self) -> float:
@@ -184,14 +190,33 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.ndarray:
-    # Sums of every row of the (rows, top + 1) block for every order, as
-    # (orders, rows, top + 1).  Shift the stencil one node inward for
-    # orders above one; the last node, past which the shift would index,
-    # keeps the unshifted sum.
-    top = block.shape[1] - 1
-    out = np.empty((len(orders), *block.shape))
-    fft_orders = [i for i, order in enumerate(orders) if not float(order).is_integer()]
+def rl_derivative_block(
+    grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
+    orders: Sequence[FractionalOrder], side: str = "left",
+) -> np.ndarray:
+    """Derivatives of several sample rows on one grid, for several orders.
+
+    samples holds rows of grid.count + 1 finite values.  Returns an
+    array of shape (len(orders), rows, count + 1) whose [i, r] row is
+    the side's derivative of row r at order orders[i].
+    """
+    rows = [np.asarray(row, dtype=float) for row in samples]
+    if not rows or any(row.shape != (grid.count + 1,) for row in rows):
+        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
+    block = np.array(rows)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("samples contain NaN or infinity")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "right":
+        # the mirror image of the left sum
+        block = block[:, ::-1]
+    # Shift the stencil one node inward for orders above one; the last
+    # node, past which the shift would index, keeps the unshifted sum.
+    top = grid.count
+    values = [order.value for order in orders]
+    out = np.empty((len(values), *block.shape))
+    fft_orders = [i for i, order in enumerate(values) if not float(order).is_integer()]
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
@@ -199,7 +224,7 @@ def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         if fft_orders:
             block_spectrum = np.fft.rfft(block, size)
-        for i, (result, order) in enumerate(zip(out, orders)):
+        for i, (result, order) in enumerate(zip(out, values)):
             shift = 1 if order > 1.0 else 0
             if i in fft_orders:
                 # the last order's product overwrites the block spectrum,
@@ -217,33 +242,8 @@ def _gl_apply(block: np.ndarray, orders: Sequence[float], step: float) -> np.nda
             for row, sums in zip(result, full):
                 row[:] = sums[shift : top + 1 + shift]
                 row[top] = sums[top]
-            result *= np.float64(step) ** -order
-    return out
-
-
-def rl_derivative_block(
-    functions: Sequence[SampledFunction], orders: Sequence[FractionalOrder], side: str = "left"
-) -> np.ndarray:
-    """Derivatives of several functions on one grid, for several orders.
-
-    Returns an array of shape (len(orders), len(functions), count + 1)
-    whose [i, r] row is the side's derivative of functions[r] at order
-    orders[i], bit for bit what left_rl_derivative or
-    right_rl_derivative gives for that one function and order.
-    """
-    grid = functions[0].grid
-    if any(f.grid != grid for f in functions):
-        raise ValueError("functions must share one grid")
-    block = np.array([f.values for f in functions])
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteInputError("derivative input contains NaN or infinity")
-    values = [order.value for order in orders]
-    if side == "left":
-        return _gl_apply(block, values, grid.step)
-    if side == "right":
-        # the mirror image of the left sum
-        return _gl_apply(block[:, ::-1], values, grid.step)[..., ::-1]
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+            result *= np.float64(grid.step) ** -order
+    return out if side == "left" else out[..., ::-1]
 
 
 def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
@@ -253,7 +253,7 @@ def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFun
     the true derivative of a generic function diverges, so the first few
     nodes are best excluded via interior_mask when measuring error.
     """
-    out = rl_derivative_block([f], [order], "left")[0, 0]
+    out = rl_derivative_block(f.grid, [f.values], [order], "left")[0, 0]
     return SampledFunction(f.grid, out, allow_nonfinite=True)
 
 
@@ -263,7 +263,7 @@ def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFu
     Implemented as the mirror image of the left operator, so the two
     sides agree exactly under reflection of the samples.
     """
-    out = rl_derivative_block([f], [order], "right")[0, 0]
+    out = rl_derivative_block(f.grid, [f.values], [order], "right")[0, 0]
     return SampledFunction(f.grid, out, allow_nonfinite=True)
 
 

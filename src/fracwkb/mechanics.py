@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,10 +131,6 @@ class FamilyColumns(NamedTuple):
     l_alpha: np.ndarray
     l_beta: np.ndarray
     v: np.ndarray
-
-    @classmethod
-    def of(cls, specs: Sequence[LagrangianSpec]) -> FamilyColumns:
-        return cls(*(np.array([getattr(s, name) for s in specs]) for name in cls._fields))
 
 
 class MomentumColumns(NamedTuple):

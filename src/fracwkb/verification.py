@@ -19,7 +19,7 @@ for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
 scalar uniform draw would take, in the same stream order.  The kernel
 oracle differentiates every power at every order in one block call per
-grid.
+grid, and the integer reduction its four polynomials in one more.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ import numpy as np
 
 from .fracops import (
     FractionalOrder,
-    SampledFunction,
     TimeGrid,
     interior_mask,
-    left_rl_derivative,
     rl_derivative_block,
     rl_power_rule,
     roundoff_floor,
@@ -45,7 +43,7 @@ from .fracops import (
 from .hamilton_jacobi import EnergyPartition, TransformedPoint
 from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import ModelColumns, classical_limit_check, evaluate_model, evaluate_models
+from .wkb import SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_model, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -86,9 +84,8 @@ _RATIO_STEP = 1e-2
 _HBAR = 1.0
 
 # Evaluation points for the eigen-checks: the origin (phase exactly
-# zero) and an offset point with phase magnitude below ~0.3 rad over
-# the whole parameter grid.
-_EVAL_POINTS = ((0.0, 0.0, 0.0), (0.02, -0.015, 0.005))
+# zero) and the small-phase sample point.
+_EVAL_POINTS = ((0.0, 0.0, 0.0), SAMPLE_POINT)
 
 _HJ_SEED = 202301
 _PROB_SEED = 202302
@@ -151,10 +148,10 @@ def power_kernel_check(
     between them, of shape (orders, exponents).
     """
     offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
-    # an overflowing sample is inf, which SampledFunction rejects
+    # an overflowing sample is inf, which rl_derivative_block rejects
     with np.errstate(over="ignore"):
-        functions = [SampledFunction(grid, offsets**k) for k in exponents]
-    numeric = rl_derivative_block(functions, orders, side)
+        samples = [offsets**k for k in exponents]
+    numeric = rl_derivative_block(grid, samples, orders, side)
     oracle = np.empty_like(numeric)
     for (i, order), (j, k) in product(enumerate(orders), enumerate(exponents)):
         oracle[i, j] = rl_power_rule(k, order, offsets)
@@ -241,18 +238,15 @@ def _integer_reduction_errors() -> dict[str, float]:
     a, b = _DOMAIN
     grid = TimeGrid(a, b, _KERNEL_COUNT)
     nodes = grid.nodes()
-    order = FractionalOrder(1.0)
     cases = {
         "x": (nodes, np.ones_like(nodes)),
         "x^2": (nodes**2, 2.0 * nodes),
         "x^3": (nodes**3, 3.0 * nodes**2),
         "x^3-2x^2+x": (nodes**3 - 2.0 * nodes**2 + nodes, 3.0 * nodes**2 - 4.0 * nodes + 1.0),
     }
-    errors = {}
-    for name, (values, oracle) in cases.items():
-        numeric = left_rl_derivative(SampledFunction(grid, values), order).values
-        errors[name] = _max_interior_error(numeric, oracle, grid)
-    return errors
+    samples, oracles = zip(*cases.values())
+    numeric = rl_derivative_block(grid, samples, [FractionalOrder(1.0)])[0]
+    return dict(zip(cases, _max_interior_error(numeric, np.array(oracles), grid)))
 
 
 def check_integer_reduction(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -396,7 +390,7 @@ def _eigen_measurements() -> dict[str, list]:
     # the energy residual |estimate - total| at one point, at a step and
     # at half of it
     energies = EnergyPartition(1.0, 1.0)
-    ratio_point = TransformedPoint(0.02, -0.015, 0.005, 1.0)
+    ratio_point = TransformedPoint(*SAMPLE_POINT, 1.0)
     steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
     members = [_member_row(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
     ratio_columns = _evaluate(np.array(members), np.tile(steps, 2))

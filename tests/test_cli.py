@@ -165,6 +165,21 @@ def test_overflowing_samples_are_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", ["0,1e-320,100000", "0,1e-320,1500", "-1e308,1e308,4"])
+def test_degenerate_grid_step_is_usage_error(grid, capsys):
+    # a step that underflows to 0, on the grid itself or on its 4N
+    # refinement, or a width that overflows to inf: exit 2 naming the
+    # step, without a warning or a traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ret = main(["deriv", f"--grid={grid}"])
+    assert ret == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid step (b - a) / count must be positive and finite")
+    assert err.count("\n") == 1
+
+
 def test_overflowing_model_setting_is_usage_error(capsys):
     # q**2 overflows a float: exit 2 with a message naming q and the
     # overflow, not a traceback
@@ -761,7 +776,8 @@ _VOCABULARY = {
     "--fd-step": _NUMBERS + ["1e-2", "1e-4"],
     "--grid": [
         "0,1,64", "0,2,300", "0,1,4096", "0,1,2", "0,1", "1,0,8", "0,1,1", "0,1,2.5",
-        "0,1e200,64", "0,inf,8", "-1e300,1e300,16", "a,b,c", "",
+        "0,1e200,64", "0,inf,8", "-1e300,1e300,16", "0,1e-320,1500", "-1e308,1e308,4",
+        "a,b,c", "",
     ],
     "--function": ["const", "x", "x2", "x3", "x9"],
     "--side": ["left", "right", "up"],

@@ -158,6 +158,11 @@ def test_grid_validation():
         TimeGrid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, math.inf, 4)
+    # a width that underflows to a zero step, and one that overflows to inf
+    with pytest.raises(ValueError, match="step"):
+        TimeGrid(0.0, 1e-320, 100000)
+    with pytest.raises(ValueError, match="step"):
+        TimeGrid(-1e308, 1e308, 4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -554,7 +559,7 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
         for _ in range(rows)
     ]
     orders = [FractionalOrder(float(order)) for order in orders]
-    block = rl_derivative_block(functions, orders, side)
+    block = rl_derivative_block(grid, [f.values for f in functions], orders, side)
     assert block.shape == (len(orders), rows, count + 1)
     derivative = left_rl_derivative if side == "left" else right_rl_derivative
     for i, order in enumerate(orders):
@@ -568,13 +573,18 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
             assert np.array_equal(single.view(np.int64), reference.view(np.int64))
 
 
-def test_block_rejects_mixed_grids_and_sides():
-    f = SampledFunction(TimeGrid(0.0, 1.0, 8), np.ones(9))
-    g = SampledFunction(TimeGrid(0.0, 2.0, 8), np.ones(9))
-    with pytest.raises(ValueError, match="one grid"):
-        rl_derivative_block([f, g], [FractionalOrder(0.5)])
+def test_block_rejects_bad_rows_and_sides():
+    grid, order = TimeGrid(0.0, 1.0, 8), FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="rows of 9 samples"):
+        rl_derivative_block(grid, [np.ones(9), np.ones(8)], [order])
+    with pytest.raises(ValueError, match="rows of 9 samples"):
+        rl_derivative_block(grid, np.ones(9), [order])
+    with pytest.raises(ValueError, match="rows of 9 samples"):
+        rl_derivative_block(grid, [], [order])
+    with pytest.raises(NonFiniteInputError, match="^samples contain NaN or infinity$"):
+        rl_derivative_block(grid, [np.ones(9), np.append(np.ones(8), math.inf)], [order])
     with pytest.raises(ValueError, match="side"):
-        rl_derivative_block([f], [FractionalOrder(0.5)], "up")
+        rl_derivative_block(grid, [np.ones(9)], [order], "up")
 
 
 def _passes(record) -> bool:

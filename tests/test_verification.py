@@ -168,6 +168,26 @@ def _kernel_errors_reference():
     return errors
 
 
+def test_integer_reduction_errors_equal_the_per_case_loop():
+    # the integer reduction's per-case loop: one order-1 derivative and
+    # one interior error per polynomial
+    grid = TimeGrid(*verification._DOMAIN, verification._KERNEL_COUNT)
+    nodes, mask = grid.nodes(), interior_mask(grid)
+    cases = {
+        "x": (nodes, np.ones_like(nodes)),
+        "x^2": (nodes**2, 2.0 * nodes),
+        "x^3": (nodes**3, 3.0 * nodes**2),
+        "x^3-2x^2+x": (nodes**3 - 2.0 * nodes**2 + nodes, 3.0 * nodes**2 - 4.0 * nodes + 1.0),
+    }
+    errors = verification._integer_reduction_errors()
+    assert list(errors) == list(cases)
+    for name, (values, oracle) in cases.items():
+        numeric = left_rl_derivative(SampledFunction(grid, values), FractionalOrder(1.0)).values
+        error = np.max(np.abs(numeric[mask] - oracle[mask]))
+        assert type(errors[name]) is np.float64
+        assert np.float64(errors[name]).view(np.int64) == error.view(np.int64)
+
+
 def test_kernel_errors_equal_the_per_case_loop():
     errors = verification._kernel_errors()
     reference = _kernel_errors_reference()

@@ -238,8 +238,11 @@ def _member(draw, small_point=True):
 
 def _batch(members) -> ModelColumns:
     specs, energies, points, steps, hbars = zip(*members)
+    family = FamilyColumns(
+        *(np.array([getattr(s, name) for s in specs]) for name in FamilyColumns._fields)
+    )
     return evaluate_models(
-        FamilyColumns.of(specs), [e.e1 for e in energies], [e.e2 for e in energies],
+        family, [e.e1 for e in energies], [e.e2 for e in energies],
         [p.u1 for p in points], [p.u2 for p in points], [p.t for p in points],
         [p.q for p in points], steps, hbars,
     )
