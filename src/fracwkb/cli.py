@@ -15,13 +15,18 @@ invocation itself was invalid (a setting so large that a float
 overflows included).  Output is byte-deterministic for a fixed
 configuration.  Each subcommand takes only the flags it reads, and a
 --config file holds those same flags as KEY = VALUE lines.
+
+argparse checks the choices; RunConfig checks nothing.  A model
+setting, from a flag, a config line or a sweep value, is checked by the
+scalar model path that evaluates it (verification.evaluate_members), so
+a bad value gives one message wherever it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 from typing import Sequence
@@ -29,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid
-from .hamilton_jacobi import EnergyPartition, TransformedPoint
-from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
+from .mechanics import example1, example2
 from .reporting import (
     INFORMATIONAL,
     RecordBatch,
@@ -41,12 +45,13 @@ from .reporting import (
 )
 from .verification import (
     DEFAULT_TOLERANCES,
+    evaluate_members,
     observed_order_record,
     power_kernel_check,
     resolve_tolerances,
     run_checks,
 )
-from .wkb import SAMPLE_POINT, evaluate_model, evaluate_models
+from .wkb import SAMPLE_POINT
 
 __all__ = ["RunConfig", "main"]
 
@@ -71,7 +76,7 @@ _SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings: defaults, then config file, then flags."""
+    """Resolved settings: defaults, then config file, then flags; unchecked."""
 
     model: str = "example1"
     alpha: float = 1.5
@@ -91,20 +96,6 @@ class RunConfig:
     l_beta: float = 0.0
     v: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.model not in ("example1", "example2", "custom"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.e1 < 0.0 or self.e2 < 0.0:
-            raise ValueError("e1 and e2 must be >= 0")
-        if not self.fd_step > 0.0:
-            raise ValueError("fd_step must be positive")
-        if not self.hbar > 0.0:
-            raise ValueError("hbar must be positive")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
-        FractionalOrder(self.alpha)
-        FractionalOrder(self.beta)
-
 
 def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     """Per-node derivative values plus oracle summary records.
@@ -115,12 +106,16 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     observed_order records; observed_order is informational too when
     the fine grid's error is within twice its roundoff floor.
     """
-    tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
     exponent = _TEST_FUNCTIONS[function]
     order = FractionalOrder(config.alpha if side == "left" else config.beta)
+    tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
     grid = config.grid
+    try:
+        fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
+    except ValueError as exc:
+        refined = f"{grid.a!r},{grid.b!r},{4 * grid.count}"
+        raise ValueError(f"4x refinement grid {refined}: {exc}") from None
     numeric, oracle, error = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
-    fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
     fine_error = power_kernel_check(fine_grid, [exponent], [order], side)[2][0, 0]
 
     summary = [
@@ -161,19 +156,6 @@ def _closed_form_slopes(model: str, coefficients, e1, e2, q) -> tuple[np.ndarray
     )
 
 
-def _check_setting(config: RunConfig, model: str) -> None:
-    """Run one setting down the scalar path; raises the error it rejects it with."""
-    resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
-    if config.alpha < 1.0 or config.beta < 1.0:
-        raise ValueError("model commands require alpha >= 1 and beta >= 1")
-    spec = LagrangianSpec(
-        *_coefficients(config, model), FractionalOrder(config.alpha), FractionalOrder(config.beta)
-    )
-    energies = EnergyPartition(config.e1, config.e2)
-    point = TransformedPoint(*SAMPLE_POINT, config.q)
-    evaluate_model(spec, energies, point, config.fd_step, config.hbar)
-
-
 # Model record names, which are also ModelColumns fields, and their
 # tolerances; a row whose momenta are not both positive keeps only the
 # first four.
@@ -200,10 +182,11 @@ def cmd_example(
     One row for config, or one per value with param set to it, all
     evaluated in one batch.  Wave-field records are emitted only where
     both slope momenta are positive; zero-energy rows still report
-    slopes, S and the HJ residual.  A row the batch marks is run down
-    the scalar path, which raises the error a row-by-row run would stop
-    at; a marked row that the scalar path accepts keeps its batch values.
+    slopes, S and the HJ residual.  The rows are validated where they
+    are evaluated, by evaluate_members: a bad setting raises the scalar
+    path's error, whether it came from a flag or a sweep value.
     """
+    tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
     settings = {name: getattr(config, name) for name in _SWEEP_PARAMS}
     if param is not None:
         settings[param] = values
@@ -211,17 +194,9 @@ def cmd_example(
     alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
     coefficients = _coefficients(config, model)
     u1, u2, t = SAMPLE_POINT
-    columns = evaluate_models(
-        FamilyColumns(*coefficients), e1, e2, u1, u2, t, q, fd_step, config.hbar
-    )
-    orders = np.isfinite(alpha) & np.isfinite(beta) & (alpha >= 1.0) & (beta >= 1.0)
-    flagged = columns.rejected | ~orders
-    try:
-        tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
-    except ValueError:
-        flagged[0] = True  # the first row raises it, after its own checks
-    for i in np.flatnonzero(flagged).tolist():
-        _check_setting(config if param is None else replace(config, **{param: values[i]}), model)
+    # the 13 member fields in draw order
+    members = np.broadcast_arrays(*coefficients, alpha, beta, e1, e2, u1, u2, t, q)
+    columns = evaluate_members(np.column_stack(members), fd_step, config.hbar)
 
     with np.errstate(all="ignore"):
         w1, w2 = _closed_form_slopes(model, coefficients, e1, e2, q)

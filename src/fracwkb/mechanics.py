@@ -83,7 +83,10 @@ class LagrangianSpec:
         if self.c_alpha <= 0.0 or self.c_beta <= 0.0:
             raise ValueError("kinetic coefficients c_alpha, c_beta must be positive")
         if self.alpha.value < 1.0 or self.beta.value < 1.0:
-            raise ValueError("orders must be at least 1")
+            raise ValueError(
+                f"orders alpha and beta must be at least 1, got {self.alpha.value!r},"
+                f" {self.beta.value!r}"
+            )
 
     def lagrangian(self, state: "KinematicState") -> float:
         return (

@@ -48,6 +48,7 @@ from .wkb import SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_mod
 __all__ = [
     "DEFAULT_TOLERANCES",
     "resolve_tolerances",
+    "evaluate_members",
     "power_kernel_check",
     "observed_order_record",
     "run_checks",
@@ -308,24 +309,31 @@ def _w1_real(block: np.ndarray) -> np.ndarray:
     return v * q * q + 2.0 * e1 >= 0.0
 
 
-def _evaluate(rows: np.ndarray, h: float | np.ndarray) -> ModelColumns:
+def evaluate_members(
+    rows: np.ndarray, h: float | np.ndarray, hbar: float | np.ndarray
+) -> ModelColumns:
     """Members as one batch, one row of fields each in draw order.
 
-    A row the batch marks is rebuilt as a member and run down the scalar
-    path, which raises the error a member-by-member run would stop at.
+    h and hbar are the stencil steps and action scales, one per row or
+    one for all.  A row the batch marks, or whose alpha or beta is not
+    finite and at least 1 (the batch reads no order), is rebuilt as a
+    member and run down the scalar path, in row order, so the first bad
+    row raises the error a member-by-member run would stop at.
     """
     fields = rows.T
-    columns = evaluate_models(FamilyColumns(*fields[:5]), *fields[7:], h, _HBAR)
-    steps = np.broadcast_to(h, len(rows)).tolist()
-    for i in np.flatnonzero(columns.rejected).tolist():
-        evaluate_model(*_member(rows[i].tolist()), steps[i], _HBAR)
+    columns = evaluate_models(FamilyColumns(*fields[:5]), *fields[7:], h, hbar)
+    orders = fields[5:7]
+    flagged = columns.rejected | ~((orders >= 1.0) & (orders < math.inf)).all(axis=0)
+    steps, hbars = (np.broadcast_to(x, len(rows)).tolist() for x in (h, hbar))
+    for i in np.flatnonzero(flagged).tolist():
+        evaluate_model(*_member(rows[i].tolist()), steps[i], hbars[i])
     return columns
 
 
 @functools.cache
 def _hj_max_residual() -> float:
     rows = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
-    return float(np.max(np.abs(_evaluate(rows, _FD_STEP).hj_residual)))
+    return float(np.max(np.abs(evaluate_members(rows, _FD_STEP, _HBAR).hj_residual)))
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -379,7 +387,7 @@ def _eigen_measurements() -> dict[str, list]:
 
     # the energy labels close their bracket after the point index
     rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
-    columns = _evaluate(np.array([row[3] for row in rows]), _FD_STEP)._asdict()
+    columns = evaluate_members(np.array([row[3] for row in rows]), _FD_STEP, _HBAR)._asdict()
     columns = {name: column.tolist() for name, column in columns.items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
@@ -393,7 +401,7 @@ def _eigen_measurements() -> dict[str, list]:
     ratio_point = TransformedPoint(*SAMPLE_POINT, 1.0)
     steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
     members = [_member_row(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
-    ratio_columns = _evaluate(np.array(members), np.tile(steps, 2))
+    ratio_columns = evaluate_members(np.array(members), np.tile(steps, 2), _HBAR)
     residuals = np.hypot(
         ratio_columns.energy - energies.total, ratio_columns.energy_imag
     ).tolist()
@@ -431,7 +439,7 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
 @functools.cache
 def _probability_max_deviation() -> float:
     rows = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
-    return float(np.max(np.abs(_evaluate(rows, _FD_STEP).probability - 1.0)))
+    return float(np.max(np.abs(evaluate_members(rows, _FD_STEP, _HBAR).probability - 1.0)))
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:

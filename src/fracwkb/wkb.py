@@ -76,6 +76,11 @@ _PHASE_GUARD = 0.1
 SAMPLE_POINT = (0.02, -0.015, 0.005)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WaveField:
     """Immutable wave function psi = prefactor * exp(i S / hbar)."""
@@ -84,8 +89,7 @@ class WaveField:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.hbar) or self.hbar <= 0.0:
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar!r}")
+        _require_positive("hbar", self.hbar)
 
     def prefactor(self, point: TransformedPoint) -> float:
         momenta = momenta_from_S(self.pf, point)
@@ -147,8 +151,7 @@ def build_wavefunction(pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
 
 
 def _check_step(h: float, momentum: float, hbar: float) -> None:
-    if not math.isfinite(h) or h <= 0.0:
-        raise ValueError(f"step must be finite and positive, got {h!r}")
+    _require_positive("step", h)
     if h * abs(momentum) / hbar > _PHASE_GUARD:
         raise StepTooLargeError(
             f"step {h!r} advances the phase by more than {_PHASE_GUARD} rad"
@@ -269,10 +272,14 @@ def evaluate_model(
 ) -> ModelColumns:
     """One member through the scalar functions: the reference for evaluate_models.
 
-    Raises where those functions raise, and warns nowhere.  The fields
-    are floats, the wave-field ones nan unless both momenta are positive,
-    and rejected is False.
+    Raises where those functions raise, and warns nowhere.  h and hbar
+    must be finite and positive for every member, as evaluate_models
+    marks them, even one whose zero energy leaves no wave field to
+    difference.  The fields are floats, the wave-field ones nan unless
+    both momenta are positive, and rejected is False.
     """
+    _require_positive("step", h)
+    _require_positive("hbar", hbar)
     pf = separate(spec, energies)
     w1, w2 = pf.w1_slope(point.q), pf.w2_slope
     S = evaluate_S(pf, point)

@@ -17,6 +17,8 @@ from fracwkb import cli, verification
 from fracwkb.cli import RunConfig, _make_parser, main
 from fracwkb.fracops import TimeGrid
 from fracwkb.reporting import RecordBatch
+from fracwkb.verification import resolve_tolerances
+from fracwkb.wkb import SAMPLE_POINT, evaluate_model
 
 
 def _csv_rows(text):
@@ -176,8 +178,30 @@ def test_degenerate_grid_step_is_usage_error(grid, capsys):
     assert ret == 2
     assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("error: grid step (b - a) / count must be positive and finite")
+    refined = "4x refinement grid 0.0,1e-320,6000: " if grid == "0,1e-320,1500" else ""
+    assert err.startswith(f"error: {refined}grid step (b - a) / count must be positive and finite")
     assert err.count("\n") == 1
+
+
+def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
+    # the 4N grid's step underflows although the given grid's does not:
+    # deriv names the refinement grid and runs no kernel
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verification.power_kernel_check(*args)
+
+    monkeypatch.setattr(cli, "power_kernel_check", counted)
+    assert main(["deriv", "--grid", "0,1e-320,1500"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 4x refinement grid 0.0,1e-320,6000: grid step (b - a) / count must be"
+        " positive and finite, got 0.0\n"
+    )
+    assert calls == []
+    main(["deriv", "--grid", "0,1,64"])
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_overflowing_model_setting_is_usage_error(capsys):
@@ -473,6 +497,33 @@ def test_bad_tolerance_syntax(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("e1", "-1", "energy shares must be >= 0, got -1.0, 1.0"),
+        ("fd_step", "0", "step must be finite and positive, got 0.0"),
+        ("alpha", "0.5", "orders alpha and beta must be at least 1, got 0.5, 1.5"),
+        ("alpha", "inf", "order must be finite and positive, got inf"),
+        # zero energies leave no wave field to difference
+        ("fd_step", "inf", "step must be finite and positive, got inf"),
+        ("hbar", "inf", "hbar must be finite and positive, got inf"),
+    ],
+)
+def test_bad_setting_fails_alike_from_flag_config_or_sweep(name, value, message, tmp_path, capsys):
+    # the scalar model path checks a setting wherever it comes from
+    zero = ["--e1=0", "--e2=0"] if value == "inf" and name != "alpha" else []
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n", encoding="utf-8")
+    runs = [
+        ["example1", f"--{name.replace('_', '-')}={value}", *zero],
+        ["example1", "--config", str(config), *zero],
+    ]
+    if name in cli._SWEEP_PARAMS:
+        runs.append(["sweep", "--param", name, f"--values={value}", *zero])
+    for argv in runs:
+        assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n"), argv
+
+
 def test_alpha_below_one_rejected_for_models(capsys):
     ret = main(["example1", "--alpha", "0.9"])
     assert ret == 2
@@ -625,13 +676,13 @@ def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    evaluate = cli.evaluate_models
+    evaluate = verification.evaluate_models
 
     def drifted(*args):
         columns = evaluate(*args)
         return columns._replace(w1_slope=columns.w1_slope + 1e-9)
 
-    monkeypatch.setattr(cli, "evaluate_models", drifted)
+    monkeypatch.setattr(verification, "evaluate_models", drifted)
     assert main(argv) == 1
     rows = _csv_rows(capsys.readouterr().out)
     assert [row["quantity"] for row in rows if row["pass"] == "false"] == ["w1_slope"] * 2
@@ -664,11 +715,15 @@ def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys
         ["sweep", "--model", model, "--param", param, f"--values={','.join(values)}", f"--v={v}"]
     )
     err = capsys.readouterr().err
-    base = RunConfig(model=model, v=float(v))
+    config = RunConfig(model=model, v=float(v))
+    resolve_tolerances(config.tolerances, cli._EXAMPLE_TOLERANCES)
+    coefficients = cli._coefficients(config, model)
     expected = None
     for value in values:
+        row = replace(config, **{param: float(value)})
+        fields = [*coefficients, row.alpha, row.beta, row.e1, row.e2, *SAMPLE_POINT, row.q]
         try:
-            cli._check_setting(replace(base, **{param: float(value)}), model)
+            evaluate_model(*verification._member(fields), row.fd_step, row.hbar)
         except (ValueError, OverflowError) as exc:
             expected = f"error: {exc}\n"
             break

@@ -511,6 +511,75 @@ def test_fft_length_is_smallest_5_smooth():
         assert _fft_length(2 * count + 1) == _five_smooth_at_least(2 * count + 1) == size
 
 
+# The weights of order a are the coefficients of (1 - z)**a, so
+# (1 - z)**a (1 - z)**b = (1 - z)**(a + b) makes the discrete operators
+# compose exactly: D**a (D**b f) = D**(a + b) f, where the stencil shifts
+# add up, [a > 1] + [b > 1] = [a + b > 1].  Orders on a 2**-20 lattice
+# make a + b exact, so the rounding of the sum plays no part.
+_LATTICE = 2**20
+
+
+@st.composite
+def _composable_orders(draw):
+    """(a, b) on the lattice: both at most 1 with a sum at most 1, or one above 1."""
+    if draw(st.booleans()):
+        total = draw(st.integers(2, _LATTICE))
+        a = draw(st.integers(1, total - 1))
+        b = total - a
+    else:
+        a = draw(st.integers(1, _LATTICE))
+        b = draw(st.integers(_LATTICE + 1, 3 * _LATTICE - 1))
+    pair = (a / _LATTICE, b / _LATTICE)
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    orders=_composable_orders(),
+    side=st.sampled_from(["left", "right"]),
+    count=st.integers(2, 4096),
+)
+@example(orders=(0.25, 0.5), side="left", count=65536)
+@example(orders=(0.75, 1.25), side="right", count=65536)
+@example(orders=(2.0**-20, 2.0**-20), side="left", count=65536)
+def test_fft_kernel_composes_orders(orders, side, count):
+    # The FFT path at every size deriv runs, 65,536 intervals included,
+    # held to an identity that needs no O(N**2) reference.  f = x**k
+    # (k = 1-3) vanishes at the endpoint the side starts from, so the
+    # identity holds at every node but the one whose stencil drops its
+    # shift; that includes the endpoint a short FFT length would alias.
+    # Measured at up to 5.5x the floor (both orders near 0, where the
+    # floor is about eps and the FFT's own rounding sets the difference)
+    # over 2,000 draws at N up to 100,000; the bound is 8x the floor.
+    a, b = orders
+    grid = TimeGrid(0.0, 1.0, count)
+    offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
+    samples = [offsets**k for k in (1, 2, 3)]
+    inner = rl_derivative_block(grid, samples, [FractionalOrder(b)], side)[0]
+    composed = rl_derivative_block(grid, inner, [FractionalOrder(a)], side)[0]
+    direct = rl_derivative_block(grid, samples, [FractionalOrder(a + b)], side)[0]
+    nodes = slice(0, -1) if side == "left" else slice(1, None)
+    difference = np.max(np.abs(composed - direct)[:, nodes])
+    assert difference <= 8.0 * roundoff_floor(FractionalOrder(a + b), grid, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orders=_composable_orders(), count=st.integers(1, 4096))
+@example(orders=(2.0 - 2.0**-20, 2.0**-20), count=64)  # cancels unless taken as j - 1 - a
+def test_weights_compose_orders(orders, count):
+    # the weights-level identity behind test_fft_kernel_composes_orders.
+    # Each weight row is a product of j rounded factors, so its weight j
+    # carries a relative error of up to about j eps: measured at up to
+    # 0.54x eps (j + 1) times the convolution of the absolute weights over
+    # 600 draws; the bound is 2x.
+    a, b = orders
+    w_a, w_b = gl_weights(a, count), gl_weights(b, count)
+    product = np.convolve(w_a, w_b)[: count + 1]
+    scale = np.convolve(np.abs(w_a), np.abs(w_b))[: count + 1] * np.arange(1, count + 2)
+    difference = np.abs(product - gl_weights(a + b, count))
+    assert np.all(difference <= 2.0 * np.finfo(float).eps * scale)
+
+
 # --------------------------------------------------- rl_derivative_block
 
 def _one_row_sum(values, order, step):

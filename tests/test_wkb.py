@@ -1,4 +1,5 @@
 
+import math
 import re
 
 import numpy as np
@@ -218,7 +219,8 @@ def _floats(lo, hi):
 
 @st.composite
 def _member(draw, small_point=True):
-    """A family member, energies, point, step and hbar; some energies zero."""
+    """A family member, energies, point, step and hbar; some energies zero,
+    and some steps and hbars not finite and positive."""
     spec = LagrangianSpec(
         draw(_floats(0.2, 5.0)), draw(_floats(0.2, 5.0)), draw(_floats(-2.0, 2.0)),
         draw(_floats(-2.0, 2.0)), draw(_floats(-1.0, 2.0)),
@@ -233,7 +235,13 @@ def _member(draw, small_point=True):
     )
     # steps from 0.02 on often trip the phase guard for one momentum only
     step = _floats(5e-5, 1e-3) | st.sampled_from([0.02, 0.05])
-    return spec, energies, point, draw(step), draw(_floats(0.5, 2.0))
+    # each of step and hbar is not finite and positive on one member in ten
+    invalid = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+    step, hbar = (
+        draw(invalid if draw(st.integers(0, 9)) == 0 else valid)
+        for valid in (step, _floats(0.5, 2.0))
+    )
+    return spec, energies, point, step, hbar
 
 
 def _batch(members) -> ModelColumns:
@@ -256,8 +264,14 @@ def test_batch_equals_scalar_path(members):
     # energy or a nonpositive momentum).  A member the scalar path
     # rejects (a negative W1 radicand, a step past the phase guard, a
     # momentum product out of the float range) must be marked rejected.
+    # A step or hbar that is not finite and positive is rejected on every
+    # member, zero energies included.
     columns = _batch(members)
     for i, member in enumerate(members):
+        *_, step, hbar = member
+        if not (0.0 < step < math.inf and 0.0 < hbar < math.inf):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                evaluate_model(*member)
         try:
             reference = evaluate_model(*member)
         except (ValueError, ArithmeticError):
@@ -273,12 +287,16 @@ def test_batch_equals_scalar_path(members):
 @given(members=st.lists(_member(small_point=False), min_size=1, max_size=20))
 def test_hj_identity_and_probability_law_hold(members):
     # H(dS/du, q) + dS/dt = 0 wherever W1 is real, and
-    # |psi|**2 p_alpha p_beta = 1 wherever psi is defined and the
-    # momentum product is a normal float, at any point
+    # |psi|**2 p_alpha p_beta = 1 wherever psi is defined (hbar finite
+    # and positive) and the momentum product is a normal float, at any point
     columns = _batch(members)
     real = np.isfinite(columns.w1_slope)
     assert np.all(np.abs(columns.hj_residual[real]) <= 1e-12)
-    normal = columns.wave & (columns.w1_slope * columns.w2_slope >= np.finfo(float).tiny)
+    hbar = np.array([member[-1] for member in members])
+    normal = (
+        columns.wave & (0.0 < hbar) & (hbar < math.inf)
+        & (columns.w1_slope * columns.w2_slope >= np.finfo(float).tiny)
+    )
     assert np.all(np.abs(columns.probability[normal] - 1.0) <= 1e-14)
 
 
@@ -304,4 +322,4 @@ def test_verify_batch_raises_the_scalar_error(member, step):
     good = (example2(), EnergyPartition(1.0, 1.0), _POINT)
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
         rows = np.array([verification._member_row(*m) for m in (good, member)])
-        verification._evaluate(rows, np.array([1e-4, step]))
+        verification.evaluate_members(rows, np.array([1e-4, step]), 1.0)
