@@ -24,6 +24,7 @@ from fracwkb import (
     probability_density,
     separate,
 )
+from fracwkb.verification import DEFAULT_TOLERANCES
 
 # small phase keeps the 1/h**2 stencil roundoff floor far below the
 # stencil truncation error
@@ -36,7 +37,7 @@ for name, spec in (("example1", example1()), ("example2", example2())):
     wf = build_wavefunction(pf)
     p = momenta_from_S(pf, point)
     for which, target in (("alpha", p.p_alpha), ("beta", p.p_beta)):
-        est = apply_momentum(wf, which, point, h).eigenvalue_estimate
+        est = apply_momentum(wf, which, point, h)
         print(
             f"{name} P_{which}: estimate {est.real:.9f}  target {target:.9f}  "
             f"|imag| {abs(est.imag):.1e}"
@@ -47,10 +48,11 @@ print("== energy eigenvalues ==")
 for name, spec in (("example1", example1()), ("example2", example2())):
     pf = separate(spec, EnergyPartition(2.0, 0.5))
     wf = build_wavefunction(pf)
-    result = apply_hamiltonian(wf, point, h)
+    est = apply_hamiltonian(wf, point, h)
+    target = pf.energies.total
     print(
-        f"{name} H: estimate {result.eigenvalue_estimate.real:.9f}  "
-        f"target {pf.energies.total}  residual {result.residual:.1e}"
+        f"{name} H: estimate {est.real:.9f}  "
+        f"target {target}  residual {abs(est - target):.1e}"
     )
 print()
 
@@ -59,7 +61,7 @@ pf = separate(example1(), EnergyPartition(2.0, 2.0))
 wf = build_wavefunction(pf)
 wide = TransformedPoint(0.4, 0.3, 0.1)
 for step in (2e-2, 1e-2, 5e-3):
-    r = apply_hamiltonian(wf, wide, step).residual
+    r = abs(apply_hamiltonian(wf, wide, step) - pf.energies.total)
     print(f"h = {step:6.0e}: energy residual = {r:.3e}")
 print()
 
@@ -78,7 +80,8 @@ print()
 
 print("== classical limit (alpha = beta = 1) ==")
 for name, spec in (("example1", example1(1.0, 1.0)), ("example2", example2(1.0, 1.0))):
-    batch = RecordBatch.from_records(classical_limit_check(spec, EnergyPartition(0.5, 0.5)))
+    records = classical_limit_check(spec, EnergyPartition(0.5, 0.5), DEFAULT_TOLERANCES)
+    batch = RecordBatch.from_records(records)
     status = "all pass" if batch.passed.all() else "FAILED"
     print(f"{name}: {len(batch)} structural records, {status}")
     for quantity, residual in zip(batch.quantities, batch.residual.tolist()):

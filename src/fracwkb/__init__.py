@@ -57,7 +57,6 @@ from .mechanics import (
 )
 from .reporting import RecordBatch, ReportRecord, format_csv, format_json, format_table
 from .wkb import (
-    OperatorResult,
     WaveField,
     apply_hamiltonian,
     apply_momentum,
@@ -107,7 +106,6 @@ __all__ = [
     "format_csv",
     "format_json",
     "format_table",
-    "OperatorResult",
     "WaveField",
     "apply_hamiltonian",
     "apply_momentum",

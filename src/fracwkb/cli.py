@@ -51,7 +51,7 @@ from .verification import (
     resolve_tolerances,
     run_checks,
 )
-from .wkb import SAMPLE_POINT
+from .wkb import FD_STEP, SAMPLE_POINT
 
 __all__ = ["RunConfig", "main"]
 
@@ -85,7 +85,7 @@ class RunConfig:
     e2: float = 1.0
     q: float = 0.0
     hbar: float = 1.0
-    fd_step: float = 1e-4
+    fd_step: float = FD_STEP
     grid: TimeGrid = TimeGrid(0.0, 1.0, 1024)
     output_format: str = "table"
     output_path: str | None = None
@@ -107,8 +107,8 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     the fine grid's error is within twice its roundoff floor.
     """
     exponent = _TEST_FUNCTIONS[function]
-    order = FractionalOrder(config.alpha if side == "left" else config.beta)
     tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
+    order = FractionalOrder(config.alpha if side == "left" else config.beta)
     grid = config.grid
     try:
         fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)

@@ -86,11 +86,25 @@ class PrincipalFunction:
             raise ForbiddenRegionError(
                 f"W1 slope imaginary at q={q!r}: radicand {radicand!r} < 0"
             )
-        return self.spec.l_alpha + math.sqrt(radicand)
+        spec, e1 = self.spec, self.energies.e1
+        slope = spec.l_alpha + math.sqrt(radicand)
+        if not math.isfinite(slope):
+            raise ValueError(
+                f"W1 slope must be finite, got {slope!r} at c_alpha = {spec.c_alpha!r},"
+                f" l_alpha = {spec.l_alpha!r}, v = {spec.v!r}, q = {q!r}, e1 = {e1!r}"
+            )
+        return slope
 
     @property
     def w2_slope(self) -> float:
-        return self.spec.l_beta + math.sqrt(2.0 * self.spec.c_beta * self.energies.e2)
+        spec, e2 = self.spec, self.energies.e2
+        slope = spec.l_beta + math.sqrt(2.0 * spec.c_beta * e2)
+        if not math.isfinite(slope):
+            raise ValueError(
+                f"W2 slope must be finite, got {slope!r} at c_beta = {spec.c_beta!r},"
+                f" l_beta = {spec.l_beta!r}, e2 = {e2!r}"
+            )
+        return slope
 
 
 def separate(spec: LagrangianSpec, energies: EnergyPartition) -> PrincipalFunction:

@@ -43,7 +43,14 @@ from .fracops import (
 from .hamilton_jacobi import EnergyPartition, TransformedPoint
 from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_model, evaluate_models
+from .wkb import (
+    FD_STEP,
+    SAMPLE_POINT,
+    ModelColumns,
+    classical_limit_check,
+    evaluate_model,
+    evaluate_models,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -80,7 +87,6 @@ _KERNEL_COUNT = 4096
 _ORDER_COUNTS = (1024, 8192)
 _ENERGIES = (0.5, 1.0, 2.0, 8.0)
 _QS = (0.0, 1.0, 2.0)
-_FD_STEP = 1e-4
 _RATIO_STEP = 1e-2
 _HBAR = 1.0
 
@@ -333,7 +339,7 @@ def evaluate_members(
 @functools.cache
 def _hj_max_residual() -> float:
     rows = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
-    return float(np.max(np.abs(evaluate_members(rows, _FD_STEP, _HBAR).hj_residual)))
+    return float(np.max(np.abs(evaluate_members(rows, FD_STEP, _HBAR).hj_residual)))
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -387,7 +393,7 @@ def _eigen_measurements() -> dict[str, list]:
 
     # the energy labels close their bracket after the point index
     rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
-    columns = evaluate_members(np.array([row[3] for row in rows]), _FD_STEP, _HBAR)._asdict()
+    columns = evaluate_members(np.array([row[3] for row in rows]), FD_STEP, _HBAR)._asdict()
     columns = {name: column.tolist() for name, column in columns.items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
@@ -439,7 +445,7 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
 @functools.cache
 def _probability_max_deviation() -> float:
     rows = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
-    return float(np.max(np.abs(evaluate_members(rows, _FD_STEP, _HBAR).probability - 1.0)))
+    return float(np.max(np.abs(evaluate_members(rows, FD_STEP, _HBAR).probability - 1.0)))
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -457,12 +463,7 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
     records = [
         ReportRecord(f"classical.{name}.{r.quantity}", r.analytic, r.numeric, r.tolerance)
         for name, spec in (("example1", example1(1.0, 1.0)), ("example2", example2(1.0, 1.0)))
-        for r in classical_limit_check(
-            spec, EnergyPartition(0.5, 0.5), hbar=_HBAR, fd_step=_FD_STEP,
-            structure_tol=tolerances["hj_residual"],
-            momentum_tol=tolerances["momentum_eigenvalue"],
-            energy_tol=tolerances["energy_eigenvalue"],
-        )
+        for r in classical_limit_check(spec, EnergyPartition(0.5, 0.5), tolerances)
     ]
     # no model quantity reads the orders, so the eigen-grid is that of
     # the fractional checks

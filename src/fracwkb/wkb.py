@@ -7,9 +7,8 @@ The wave field is amplitude times phase,
 evaluated on the transformed coordinates (u1, u2).  Because S is linear
 in u1 and u2 at frozen q, psi is an exact eigenfunction of the momentum
 operators (hbar/i) d/du, and of the Hamiltonian assembled from them.
-The operators are realized as central differences, so the eigenvalue
-estimates carry an O(h**2) stencil error that the verification layers
-measure directly.
+The operators are realized as central differences and return their
+eigenvalue estimates, which carry an O(h**2) stencil error.
 
 evaluate_models computes every model quantity of a batch of members as
 float columns: the operators below also act on a whole batch of wave
@@ -20,17 +19,17 @@ product, so they agree bit for bit.
 
 A note on roundoff: the second-difference stencil divides by h**2 and
 therefore amplifies the representation error of the phase, which is
-proportional to |S/hbar| ulps.  At h = 1e-4 this floor is around
-2e-8 * |S/hbar|, so checks that push residuals below 1e-7 must evaluate
-at points where |S/hbar| is small (a fraction of a radian).  The
-eigen-relations are point-independent, so this costs no generality.
+proportional to |S/hbar| ulps.  At h = FD_STEP = 1e-4 this floor is
+around 2e-8 * |S/hbar|, so checks that push residuals below 1e-7 must
+evaluate at points where |S/hbar| is small (a fraction of a radian).
+The eigen-relations are point-independent, so this costs no generality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from .reporting import ReportRecord
 
 __all__ = [
     "WaveField",
-    "OperatorResult",
     "build_wavefunction",
     "apply_momentum",
     "apply_hamiltonian",
@@ -63,6 +61,7 @@ __all__ = [
     "evaluate_models",
     "classical_limit_check",
     "SAMPLE_POINT",
+    "FD_STEP",
 ]
 
 # Central differencing aliases the phase once h per wavelength gets
@@ -74,6 +73,10 @@ _PHASE_GUARD = 0.1
 # grid, small enough that the stencil eigen-checks sit well above the
 # roundoff floor of the note above.
 SAMPLE_POINT = (0.02, -0.015, 0.005)
+
+# The stencil step every check and the model commands' default use; the
+# roundoff note above gives its floor.
+FD_STEP = 1e-4
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -137,14 +140,6 @@ class _WaveColumns(NamedTuple):
         return (1.0 / np.sqrt(p_alpha * p_beta)) * np.exp(1j * (S / self.hbar))
 
 
-@dataclass(frozen=True)
-class OperatorResult:
-    """Operator action at a point, with its eigenvalue estimate."""
-
-    eigenvalue_estimate: complex
-    residual: float
-
-
 def build_wavefunction(pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
     """Wave field for the given principal function and action scale."""
     return WaveField(pf, hbar)
@@ -165,44 +160,41 @@ def _shift(point: TransformedPoint, which: str, delta: float) -> TransformedPoin
     return replace(point, u2=point.u2 + delta)
 
 
-def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float) -> OperatorResult:
+def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float) -> complex:
     """Central-difference momentum (hbar/i) d/du applied to psi.
 
-    The residual compares the eigenvalue estimate against the slope
-    momentum for the chosen axis; it decays as O(h**2).  On the batch
-    field and points of evaluate_models it acts on every row at once and
-    checks no step; the estimate is then a complex128 array.
+    Returns the eigenvalue estimate (hbar/i) psi' / psi for the chosen
+    axis, the slope momentum up to O(h**2).  On the batch field and
+    points of evaluate_models it acts on every row at once and checks no
+    step; the estimate is then a complex128 array.
     """
     if which not in ("alpha", "beta"):
         raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
-    batch = isinstance(wf, _WaveColumns)
-    momenta = wf.momenta if batch else momenta_from_S(wf.pf, point)
-    analytic = momenta.p_alpha if which == "alpha" else momenta.p_beta
-    if not batch:
-        _check_step(h, analytic, wf.hbar)
+    if not isinstance(wf, _WaveColumns):
+        momenta = momenta_from_S(wf.pf, point)
+        _check_step(h, momenta.p_alpha if which == "alpha" else momenta.p_beta, wf.hbar)
     psi_plus = wf.value(_shift(point, which, h))
     psi_minus = wf.value(_shift(point, which, -h))
     raw = wf.hbar * (psi_plus - psi_minus) / (2.0 * h * 1j)
-    estimate = raw / wf.value(point)
-    return OperatorResult(estimate, abs(estimate - analytic))
+    return raw / wf.value(point)
 
 
-def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> OperatorResult:
+def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> complex:
     """Hamiltonian assembled from difference operators, applied to psi.
 
     Each branch expands (P - l)**2 / (2c) termwise: the squared momentum
     is the 3-point second difference times -hbar**2, the linear momentum
     is the central first difference.  The potential term -v/2 q**2
-    multiplies psi directly.  The residual compares against the total
-    energy of the partition and decays as O(h**2).  The coefficients
+    multiplies psi directly.  Returns the eigenvalue estimate H psi / psi,
+    the total energy of the partition up to O(h**2).  The coefficients
     come from the spec psi was built from, so operator and state always
     describe the same system.  Batch input is taken as apply_momentum
     takes it.
     """
     if isinstance(wf, _WaveColumns):
-        spec, analytic = wf.spec, wf.total
+        spec = wf.spec
     else:
-        spec, analytic = wf.pf.spec, wf.pf.energies.total
+        spec = wf.pf.spec
         momenta = momenta_from_S(wf.pf, point)
         _check_step(h, momenta.p_alpha, wf.hbar)
         _check_step(h, momenta.p_beta, wf.hbar)
@@ -223,8 +215,7 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> Opera
         + branch("beta", spec.c_beta, spec.l_beta)
         - 0.5 * spec.v * (point.q * point.q) * psi_0
     )
-    estimate = raw / psi_0
-    return OperatorResult(estimate, abs(estimate - analytic))
+    return raw / psi_0
 
 
 def probability_density(wf: WaveField, point: TransformedPoint) -> float:
@@ -290,9 +281,9 @@ def evaluate_model(
     if wave:
         wf = build_wavefunction(pf, hbar)
         with np.errstate(all="ignore"):  # as in evaluate_models: overflow is inf, not a warning
-            p_alpha = apply_momentum(wf, "alpha", point, h).eigenvalue_estimate
-            p_beta = apply_momentum(wf, "beta", point, h).eigenvalue_estimate
-            energy = apply_hamiltonian(wf, point, h).eigenvalue_estimate
+            p_alpha = apply_momentum(wf, "alpha", point, h)
+            p_beta = apply_momentum(wf, "beta", point, h)
+            energy = apply_hamiltonian(wf, point, h)
             probability = probability_density(wf, point) * w1 * w2
     return ModelColumns(
         w1, w2, S, residual, p_alpha.real, p_alpha.imag, p_beta.real, p_beta.imag,
@@ -342,11 +333,7 @@ def evaluate_models(
             apply_momentum(wf, "beta", point, h),
             apply_hamiltonian(wf, point, h),
         )
-        estimates = [
-            part
-            for r in results
-            for part in (r.eigenvalue_estimate.real, r.eigenvalue_estimate.imag)
-        ]
+        estimates = [part for r in results for part in (r.real, r.imag)]
         probability = probability_density(wf, point) * w1 * w2
 
         finite = np.isfinite([c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q])
@@ -368,20 +355,17 @@ def evaluate_models(
 
 
 def classical_limit_check(
-    spec: LagrangianSpec,
-    energies: EnergyPartition,
-    hbar: float = 1.0,
-    fd_step: float = 1e-4,
-    structure_tol: float = 1e-12,
-    momentum_tol: float = 1e-6,
-    energy_tol: float = 1e-6,
+    spec: LagrangianSpec, energies: EnergyPartition, tolerances: Mapping[str, float]
 ) -> list[ReportRecord]:
     """Structural checks that orders one reduce to ordinary mechanics.
 
     At alpha = beta = 1 both transformed coordinates are order-0
     derivatives of q, i.e. q itself, so S collapses to the ordinary
-    p(q) * q - E t and the difference operators reproduce the classical
-    momenta and energy.  Records:
+    p(q) * q - E t and the difference operators, at hbar 1 and step
+    FD_STEP, reproduce the classical momenta and energy.  Each record
+    reads its tolerance from the table: hj_residual for the structural
+    ones, momentum_eigenvalue and energy_eigenvalue for the eigenvalues.
+    Records:
 
     - order0_identity: the order-0 difference stencil is the identity
     - S_reduction: S at u1 = u2 = q against a hand-written classical
@@ -404,6 +388,7 @@ def classical_limit_check(
 
     p2_classical = spec.l_beta + math.sqrt(2.0 * spec.c_beta * energies.e2)
 
+    structure_tol = tolerances["hj_residual"]
     records = []
     stencil = gl_weights(0.0, 16)
     stencil_error = abs(stencil[0] - 1.0) + float(abs(stencil[1:]).max())
@@ -420,10 +405,11 @@ def classical_limit_check(
     point = TransformedPoint(*SAMPLE_POINT, 0.02)
     p1 = p1_classical(point.q)
     if p1 > 0.0 and p2_classical > 0.0:
-        model = evaluate_model(spec, energies, point, fd_step, hbar)
+        model = evaluate_model(spec, energies, point, FD_STEP)
+        momentum_tol = tolerances["momentum_eigenvalue"]
         records += [
             ReportRecord("p_alpha", p1, model.p_alpha, momentum_tol),
             ReportRecord("p_beta", p2_classical, model.p_beta, momentum_tol),
-            ReportRecord("energy", energies.total, model.energy, energy_tol),
+            ReportRecord("energy", energies.total, model.energy, tolerances["energy_eigenvalue"]),
         ]
     return records

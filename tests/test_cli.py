@@ -205,14 +205,41 @@ def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
 
 
 def test_overflowing_model_setting_is_usage_error(capsys):
-    # q**2 overflows a float: exit 2 with a message naming q and the
-    # overflow, not a traceback
-    for argv, q in (
-        (["example1", "--q", "1e308"], "1e+308"),
-        (["sweep", "--param", "q", "--values", "1,-1e308"], "-1e+308"),
+    # q**2 or a W slope overflows a float: exit 2 with a message naming
+    # the overflowing quantity and the settings that enter it, not a
+    # traceback
+    w1 = "W1 slope must be finite, got inf at c_alpha = {}, l_alpha = {}, v = {}, q = {}, e1 = {}"
+    w2 = "W2 slope must be finite, got inf at c_beta = {}, l_beta = {}, e2 = {}"
+    for argv, message in (
+        (["example1", "--q", "1e308"], "q**2 overflows a float at q = 1e+308"),
+        (
+            ["sweep", "--param", "q", "--values", "1,-1e308"],
+            "q**2 overflows a float at q = -1e+308",
+        ),
+        (["example1", "--e1", "1e308"], w1.format(1.0, 0.0, 0.0, 0.0, 1e308)),
+        (["example2", "--e1", "1e308"], w1.format(1.0, 1.0, 1.0, 0.0, 1e308)),
+        (["example2", "--q", "1e308"], w1.format(1.0, 1.0, 1.0, 1e308, 1.0)),
+        (
+            ["sweep", "--model", "custom", "--c-alpha", "1e308", "--param", "q", "--values", "0"],
+            w1.format(1e308, 0.0, 0.0, 0.0, 1.0),
+        ),
+        (["example2", "--e2", "1e308"], w2.format(1.0, 1.0, 1e308)),
     ):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: q**2 overflows a float at q = {q}\n"
+        assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deriv", "--alpha", "inf"],
+        ["deriv", "--side", "right", "--beta", "nan"],
+        ["example1", "--alpha", "inf"],
+    ],
+)
+def test_bad_tolerance_is_reported_before_a_bad_order(argv, capsys):
+    # every subcommand resolves its tolerances before it reads a setting
+    assert main(argv + ["--tol", "bogus=1"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown tolerance 'bogus'")
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,7 @@ def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
         return columns._replace(rejected=rejected)
 
     monkeypatch.setattr(verification, "evaluate_models", mark_one)
-    monkeypatch.setattr(verification, "_FD_STEP", step)
+    monkeypatch.setattr(verification, "FD_STEP", step)
     # a raising call caches nothing, so the memo is clean afterwards too
     verification._hj_max_residual.cache_clear()
     assert main(["verify"]) == 2

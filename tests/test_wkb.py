@@ -13,6 +13,7 @@ from fracwkb.fracops import FractionalOrder
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint, separate
 from fracwkb.mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from fracwkb.reporting import RecordBatch
+from fracwkb.verification import DEFAULT_TOLERANCES
 from fracwkb.wkb import (
     ModelColumns,
     apply_hamiltonian,
@@ -59,14 +60,14 @@ def test_hbar_validation():
 
 
 def test_momentum_eigenvalues():
-    result = apply_momentum(_wave(example1(), 0.5, 0.5), "alpha", _POINT, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 1.0) <= 1e-6
-    result = apply_momentum(_wave(example1(), 2.0, 2.0), "alpha", _POINT, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 2.0) <= 1e-6
+    estimate = apply_momentum(_wave(example1(), 0.5, 0.5), "alpha", _POINT, 1e-4)
+    assert abs(estimate.real - 1.0) <= 1e-6
+    estimate = apply_momentum(_wave(example1(), 2.0, 2.0), "alpha", _POINT, 1e-4)
+    assert abs(estimate.real - 2.0) <= 1e-6
     # driven model at q = 0: slope is l + sqrt(2 c e1) = 2
-    result = apply_momentum(_wave(example2(), 0.5, 0.5), "beta", _POINT, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 2.0) <= 1e-6
-    assert result.residual <= 1e-6
+    estimate = apply_momentum(_wave(example2(), 0.5, 0.5), "beta", _POINT, 1e-4)
+    assert abs(estimate.real - 2.0) <= 1e-6
+    assert abs(estimate - 2.0) <= 1e-6
 
 
 def test_momentum_which_validation():
@@ -75,26 +76,25 @@ def test_momentum_which_validation():
 
 
 def test_hamiltonian_eigenvalues():
-    result = apply_hamiltonian(_wave(example1(), 1.0, 1.0), _POINT, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 2.0) <= 1e-6
-    result = apply_hamiltonian(_wave(example2(), 0.5, 0.5), _POINT, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 1.0) <= 1e-6
+    estimate = apply_hamiltonian(_wave(example1(), 1.0, 1.0), _POINT, 1e-4)
+    assert abs(estimate.real - 2.0) <= 1e-6
+    estimate = apply_hamiltonian(_wave(example2(), 0.5, 0.5), _POINT, 1e-4)
+    assert abs(estimate.real - 1.0) <= 1e-6
     # zero e2 still works: p_beta = l_beta = 1 stays positive
     point = TransformedPoint(0.02, -0.015, 0.005, 2.0)
-    result = apply_hamiltonian(_wave(example2(), 1.0, 0.0), point, 1e-4)
-    assert abs(result.eigenvalue_estimate.real - 1.0) <= 1e-6
-    assert result.residual <= 1e-6
+    estimate = apply_hamiltonian(_wave(example2(), 1.0, 0.0), point, 1e-4)
+    assert abs(estimate.real - 1.0) <= 1e-6
+    assert abs(estimate - 1.0) <= 1e-6
 
 
 def test_stencil_error_is_second_order():
     # halving h divides the eigenvalue residual by about four
     wf = _wave(example1(), 2.0, 2.0)
     point = TransformedPoint(0.4, 0.3, 0.1)
-    coarse = apply_momentum(wf, "alpha", point, 2e-2).residual
-    fine = apply_momentum(wf, "alpha", point, 1e-2).residual
+    coarse, fine = (abs(apply_momentum(wf, "alpha", point, h) - 2.0) for h in (2e-2, 1e-2))
     assert 3.6 <= coarse / fine <= 4.4
-    coarse = apply_hamiltonian(wf, point, 2e-2).residual
-    fine = apply_hamiltonian(wf, point, 1e-2).residual
+    # the partition total e1 + e2
+    coarse, fine = (abs(apply_hamiltonian(wf, point, h) - 4.0) for h in (2e-2, 1e-2))
     assert 3.6 <= coarse / fine <= 4.4
 
 
@@ -163,22 +163,22 @@ def test_eigenvalue_estimates_point_independent():
     wf = _wave(example2(), 1.0, 1.0)
     p1 = TransformedPoint(0.1, 0.2, 0.0, 0.5)
     p2 = TransformedPoint(-0.8, 0.6, 1.1, 0.5)
-    a = apply_momentum(wf, "alpha", p1, 1e-2).eigenvalue_estimate
-    b = apply_momentum(wf, "alpha", p2, 1e-2).eigenvalue_estimate
+    a = apply_momentum(wf, "alpha", p1, 1e-2)
+    b = apply_momentum(wf, "alpha", p2, 1e-2)
     assert abs(a - b) <= 1e-12
 
 
 def test_imaginary_part_small_at_small_phase():
     wf = _wave(example1(), 8.0, 8.0)
-    est = apply_hamiltonian(wf, _POINT, 1e-4).eigenvalue_estimate
+    est = apply_hamiltonian(wf, _POINT, 1e-4)
     assert abs(est.imag) < 1e-8
-    est = apply_momentum(wf, "alpha", _POINT, 1e-4).eigenvalue_estimate
+    est = apply_momentum(wf, "alpha", _POINT, 1e-4)
     assert abs(est.imag) < 1e-8
 
 
 def test_classical_limit_passes():
     for spec in (example1(1.0, 1.0), example2(1.0, 1.0)):
-        records = classical_limit_check(spec, EnergyPartition(0.5, 0.5))
+        records = classical_limit_check(spec, EnergyPartition(0.5, 0.5), DEFAULT_TOLERANCES)
         assert len(records) == 6
         failures = RecordBatch.from_records(records).failures()
         assert not len(failures), failures.quantities
@@ -186,7 +186,9 @@ def test_classical_limit_passes():
 
 def test_classical_limit_reduction_value():
     # e2 = 0 suppresses the second branch: S at q = 1 collapses to p1 * q = 1
-    records = classical_limit_check(example1(1.0, 1.0), EnergyPartition(0.5, 0.0))
+    records = classical_limit_check(
+        example1(1.0, 1.0), EnergyPartition(0.5, 0.0), DEFAULT_TOLERANCES
+    )
     by_name = {r.quantity: r for r in records}
     assert by_name["S_reduction[q=1 t=0]"].numeric == 1.0
     # zero momentum on the beta branch: no eigen-operator records
@@ -194,7 +196,9 @@ def test_classical_limit_reduction_value():
 
 
 def test_classical_limit_zero_energies():
-    records = classical_limit_check(example1(1.0, 1.0), EnergyPartition(0.0, 0.0))
+    records = classical_limit_check(
+        example1(1.0, 1.0), EnergyPartition(0.0, 0.0), DEFAULT_TOLERANCES
+    )
     assert [r.quantity for r in records] == [
         "order0_identity",
         "S_reduction[q=1 t=0]",
@@ -206,9 +210,20 @@ def test_classical_limit_zero_energies():
             assert record.numeric == 0.0
 
 
+def test_classical_limit_records_read_the_tolerance_table():
+    # each record carries the table entry of its key, so one changed
+    # entry moves exactly the records that read it
+    table = {**DEFAULT_TOLERANCES, "momentum_eigenvalue": 0.125}
+    records = classical_limit_check(example2(1.0, 1.0), EnergyPartition(0.5, 0.5), table)
+    assert [r.quantity for r in records if r.tolerance == 0.125] == ["p_alpha", "p_beta"]
+    expected = {"p_alpha": 0.125, "p_beta": 0.125, "energy": table["energy_eigenvalue"]}
+    for record in records:
+        assert record.tolerance == expected.get(record.quantity, table["hj_residual"])
+
+
 def test_classical_limit_rejects_fractional_orders():
     with pytest.raises(ValueError):
-        classical_limit_check(example1(), EnergyPartition(1.0, 1.0))
+        classical_limit_check(example1(), EnergyPartition(1.0, 1.0), DEFAULT_TOLERANCES)
 
 
 # ------------------------------------------------------ batch evaluator

@@ -3,7 +3,8 @@
 A refactor of fracwkb is shown correct by byte-identical output.  This
 script runs one fixed, seeded list of argvs in-process through
 fracwkb.cli.main and records, for each argv, the sha256 of stdout, the
-stderr text, the exit code and the warnings raised.
+stderr text, the exit code and the warnings raised, and for an argv that
+writes --out the sha256 of the file it wrote.
 
     python3 tools/identity_corpus.py               # one JSON record per argv
     python3 tools/identity_corpus.py --against REV
@@ -20,7 +21,11 @@ nan, inf, 1e308 and 1e-300, with and without zero energies, from a flag,
 a --config line and a sweep value; sweeps with --tol bogus=1 and
 --hbar=0; deriv on both sides for every built-in function over orders
 0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals; degenerate
-grids; and the other side's order.
+grids; the other side's order; a bad order with --tol bogus=1; W slopes
+that overflow or turn imaginary and momentum products that leave the
+float range; known tolerances set in and out of range; malformed --tol
+entries and config lines; every sweep-range error; flags before the
+subcommand or of another one; and --out.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ DERIV_ORDERS = ("0.3", "0.5", "0.75", "1", "1.5", "1.9", "2", "2.5", "3", "300.5
 DERIV_GRIDS = ("0,1,64", "0,1,256", "-1,2,1024", "0,1,4096")
 # stands for the path of a file holding the run's config text
 CONFIG = "CONFIG"
+# stands for the path --out writes to
+OUT = "OUT"
 
 
 def _flag(name: str) -> str:
@@ -114,11 +121,70 @@ def corpus() -> list[tuple[list[str], str | None]]:
     ):
         add("deriv", *flags)
     add("deriv", config="side = right\nalpha = 0.5\n")
+    # a bad order and an unknown tolerance: the tolerance is reported
+    for flags in (("--alpha", "inf"), ("--side", "right", "--beta", "nan")):
+        add("deriv", *flags, "--tol", "bogus=1")
+    add("example1", "--alpha", "inf", "--tol", "bogus=1")
+
+    # a W slope overflows a float or is imaginary, and the momentum product
+    # leaves its range
+    for argv in (("example1", "--e1", "1e308"), ("example2", "--e1", "1e308"),
+                 ("example2", "--q", "1e308"), ("example2", "--e2", "1e308"),
+                 ("example1", "--q", "1e308")):
+        add(*argv)
+    custom = ("sweep", "--model", "custom")
+    add(*custom, "--c-alpha", "1e308", "--param", "q", "--values", "0")
+    add(*custom, "--v", "-1", "--param", "q", "--values", "0,3")
+    for coefficients in (("--l-alpha", "1", "--l-beta", "1e-313"),
+                         ("--l-alpha", "1e-200", "--l-beta", "1e-200"),
+                         ("--l-alpha", "1e308", "--l-beta", "1e308", "--hbar", "1e308")):
+        add(*custom, *coefficients, "--e1", "0", "--e2", "0", "--param", "q", "--values", "0")
+
+    # known tolerances, in and out of range, and malformed entries
+    for command, name in (("verify", "imag_part"), ("example1", "probability"),
+                          ("sweep", "momentum_eigenvalue"), ("deriv", "kernel_order")):
+        sweep = ("--param", "e1", "--values", "1,2") if command == "sweep" else ()
+        for value in ("1e-30", "0.5", "0", "-1", "nan", "inf"):
+            add(command, *sweep, "--tol", f"{name}={value}")
+    for entry in ("probability", "=1", "probability=", "probability=x"):
+        add("example1", "--tol", entry)
+    add("example1", "--tol", "probability=1e-13", "--tol", "imag_part=1e-3", "--format", "csv")
+
+    # config files: comments and blank lines, tol.NAME keys, bad lines and keys
+    for text in ("# comment only\n\n   \n", "alpha = 1.25  # trailing comment\n\ne1 = 2\n",
+                 "tol.probability = 1e-13\n", "tol.probability = -1\n", "tol.bogus = 1\n",
+                 "alpha 1.5\n", "= 1\n", "bogus = 1\n", "fd-step = 1e-3\n", "help = 1\n",
+                 "config = x\n", "grid = 0,1,64\n"):
+        add("example1", config=text)
+    add("deriv", config="tol.kernel_order = 0.5\ngrid = 0,1,64\n")
+    add("verify", config="tol.imag_part = 1e-30\nformat = csv\n")
+
+    # every sweep-range error
+    for flags in (("--param", "e1", "--from", "0", "--to", "1"),
+                  ("--param", "e1", "--from", "0", "--to", "1", "--steps", "0"),
+                  ("--param", "e1"), ("--values", "1"), ("--param", "e1", "--values", ","),
+                  ("--param", "e1", "--steps", "3")):
+        add("sweep", *flags)
+
+    # flags before the subcommand or of another subcommand
+    for argv in (("--alpha", "3", "verify"), ("--format=csv", "verify"),
+                 ("verify", "--alpha", "3"), ("deriv", "--e1", "2"), ("example1", "--bogus")):
+        add(*argv)
+
+    # --out: the written file's hash is recorded
+    for argv in (("verify",), ("example2", "--format", "csv"), ("example1", "--e1", "-1"),
+                 ("deriv", "--grid", "0,1,64", "--format", "json"),
+                 ("sweep", "--param", "q", "--values", "0,1", "--tol", "imag_part=1e-30")):
+        add(*argv, "--out", OUT)
     return runs
 
 
 def record(main, argv: list[str]) -> dict:
-    """Run one argv through main; its stdout hash, stderr, exit code and warnings."""
+    """Run one argv through main; its stdout hash, stderr, exit code and warnings.
+
+    For an argv with --out PATH it also hashes the file written there, or
+    gives None when none was, and then removes the file.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
         out
@@ -128,8 +194,15 @@ def record(main, argv: list[str]) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+    out_sha256 = None
+    if "--out" in argv:
+        written = Path(argv[argv.index("--out") + 1])
+        if written.exists():
+            out_sha256 = hashlib.sha256(written.read_bytes()).hexdigest()
+            written.unlink()
     return {
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "out_sha256": out_sha256,
         "stderr": err.getvalue(),
         "exit": code,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
@@ -144,11 +217,14 @@ def run_tree(src: Path) -> list[dict]:
     records = []
     with tempfile.TemporaryDirectory() as workdir:
         config = Path(workdir) / "run.cfg"
+        paths = {CONFIG: str(config), OUT: str(Path(workdir) / "out.txt")}
         for argv, text in corpus():
             if text is not None:
                 config.write_text(text, encoding="utf-8")
-            resolved = [str(config) if token == CONFIG else token for token in argv]
-            records.append({"argv": argv, "config": text, **record(main, resolved)})
+            entry = record(main, [paths.get(token, token) for token in argv])
+            # a config error names the file, whose temporary path differs per run
+            entry["stderr"] = entry["stderr"].replace(str(config), CONFIG)
+            records.append({"argv": argv, "config": text, **entry})
     return records
 
 
@@ -178,14 +254,14 @@ def compare(rev: str) -> int:
         # both trees run at once, each in its own interpreter
         theirs, ours = _spawn(Path(tree) / "src"), _spawn(ROOT / "src")
         before, after = _collect(theirs), _collect(ours)
-    fields = ("stdout_sha256", "exit", "stderr", "warnings")
+    fields = ("stdout_sha256", "out_sha256", "exit", "stderr", "warnings")
     differing = [
         ([name for name in fields if old[name] != new[name]], old, new)
         for old, new in zip(before, after)
         if old != new
     ]
-    # a changed stdout or exit code matters most, so it is shown first
-    differing.sort(key=lambda diff: diff[0][0] not in fields[:2])
+    # a changed output or exit code matters most, so it is shown first
+    differing.sort(key=lambda diff: diff[0][0] not in fields[:3])
     counts = ", ".join(
         f"{name} {sum(name in names for names, _, _ in differing)}" for name in fields
     )
