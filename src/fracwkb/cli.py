@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
@@ -35,14 +36,7 @@ import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid
 from .mechanics import example1, example2
-from .reporting import (
-    INFORMATIONAL,
-    RecordBatch,
-    ReportRecord,
-    format_csv,
-    format_json,
-    format_table,
-)
+from .reporting import INFORMATIONAL, RecordBatch, ReportRecord, render
 from .verification import (
     DEFAULT_TOLERANCES,
     evaluate_members,
@@ -224,17 +218,15 @@ def cmd_verify(config: RunConfig) -> RecordBatch:
 
 
 def _emit(batch: RecordBatch, config: RunConfig) -> int:
-    formatter = {"table": format_table, "csv": format_csv, "json": format_json}[
-        config.output_format
-    ]
-    text = formatter(batch)
-    if config.output_path is not None:
-        Path(config.output_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # the columns are rendered before --out is opened, so a failure there
+    # leaves an existing file as it was
+    pieces = render(batch, config.output_format)
+    path = config.output_path
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as out:
+        out.writelines(pieces)
     if not batch.passed.all():
         sys.stderr.write("failing records:\n")
-        sys.stderr.write(format_table(batch.failures()))
+        sys.stderr.writelines(render(batch.failures(), "table"))
         return 1
     return 0
 

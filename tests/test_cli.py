@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fracwkb import cli, verification
+from fracwkb import cli, reporting, verification
 from fracwkb.cli import RunConfig, _make_parser, main
 from fracwkb.fracops import TimeGrid
 from fracwkb.reporting import RecordBatch
@@ -768,6 +769,55 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert captured.out == ""
     main(["example1", "--format", "csv"])
     assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+class _KeptWrites(io.StringIO):
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deriv", "--grid", "0,1,3000"],
+        ["sweep", "--param", "e1", "--from", "0.5", "--to", "2", "--steps", "300"],
+    ],
+)
+def test_output_is_written_a_chunk_at_a_time(argv, fmt, tmp_path, monkeypatch):
+    argv = [*argv, "--format", fmt]
+    stdout = _KeptWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.getvalue().count("\n") > 2 * reporting.CHUNK_ROWS
+    # several writes, none holding more than one chunk of rows
+    assert len(stdout.writes) > 1
+    assert max(text.count("\n") for text in stdout.writes) <= reporting.CHUNK_ROWS
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == stdout.getvalue().encode()
+
+
+def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"kept\n")
+    assert main(["sweep", "--param", "e1", "--values", ",", "--out", str(target)]) == 2
+
+    # a failure while rendering comes before the file is opened
+    def fail(values, as_json):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(reporting, "_distinct_floats", fail)
+    assert main(["example1", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.endswith("error: cannot render\n")
+    assert target.read_bytes() == b"kept\n"
 
 
 def test_json_output_parses(capsys):

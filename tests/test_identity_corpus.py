@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from fracwkb import reporting
 from fracwkb.cli import main
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_corpus.py"
@@ -58,3 +59,20 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
     assert (slope["exit"], slope["stderr"]) == (
         2, "error: W2 slope must be finite, got inf at c_beta = 1.0, l_beta = 1.0, e2 = 1e+308\n"
     )
+
+
+def test_chunk_edge_runs_land_on_the_edges(capsys):
+    # the corpus's chunk-edge argvs give CHUNK_ROWS - 1, CHUNK_ROWS,
+    # CHUNK_ROWS + 1 and 2 * CHUNK_ROWS + 1 rows of output
+    tool = _load_tool()
+    assert tool.CHUNK == reporting.CHUNK_ROWS
+    argvs = [argv for argv, _ in tool.corpus()]
+    sweep = ["sweep", "--model", "custom", "--l-alpha=-1", "--param", "e1", "--from", "0"]
+    counts = []
+    for grid, (to, steps) in zip(tool.CHUNK_EDGE_GRIDS, tool.CHUNK_EDGE_SWEEPS):
+        for argv in (["deriv", f"--grid={grid}"], [*sweep, "--to", to, "--steps", steps]):
+            argv = [*argv, "--format", "csv"]
+            assert argv in argvs
+            main(argv)
+            counts.append(len(capsys.readouterr().out.splitlines()) - 2)
+    assert counts == [rows for rows in tool.EDGE_ROWS for _ in range(2)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from fracwkb import reporting
 from fracwkb.reporting import (
     INFORMATIONAL,
     RecordBatch,
@@ -115,6 +116,11 @@ def test_json_sweep_key_and_empty():
     data = json.loads(format_json(_batch(ReportRecord("p", 1.0, 1.0, 1e-6), sweep=("e1", [0.5]))))
     assert data[0]["e1"] == 0.5
     assert json.loads(format_json(_batch())) == []
+
+
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="got 'xml'"):
+        reporting.render(_batch(ReportRecord("q", 1.0, 1.0, 1e-3)), "xml")
 
 
 def test_formats_are_deterministic():
@@ -227,8 +233,18 @@ def _records_and_sweep(draw):
     return records, (draw(st.sampled_from(["e1", "q", "fd_step", "%s"])), values)
 
 
+# Rows per rendered piece: the module's own, and sizes small enough
+# that a few rows cross piece boundaries.
+_CHUNKS = st.sampled_from([1, 2, 3, reporting.CHUNK_ROWS])
+
+
+def _rows(count):
+    # distinct names; the even rows fail, so the failures cross pieces too
+    return [ReportRecord(f"r{i}", float(i), i + 0.5, 0.25 + i % 2) for i in range(count)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(_records_and_sweep())
+@given(_records_and_sweep(), _CHUNKS)
 @example(  # adjacent 0.0 and -0.0 print differently; inf - inf is nan
     (
         [
@@ -237,19 +253,32 @@ def _records_and_sweep(draw):
             ReportRecord("c", math.inf, math.inf, INFORMATIONAL),
         ],
         ("q", [-0.0, 0.0, 0.0]),
-    )
+    ),
+    2,
 )
-def test_batch_matches_per_row_records(records_and_sweep):
+# 0, 1, k * chunk and k * chunk + 1 rows
+@example(([], None), 2)
+@example((_rows(1), ("e1", [0.5])), 2)
+@example((_rows(4), None), 2)
+@example((_rows(5), ("e1", [0.5, -0.0, 0.5, 1.0, 1.0])), 2)
+@example((_rows(6), None), 3)
+@example((_rows(7), ("q", [0.0] * 7)), 3)
+@example((_rows(3), None), 1)
+def test_batch_matches_per_row_records(records_and_sweep, chunk):
     records, sweep = records_and_sweep
     batch = RecordBatch.from_records(records, sweep)
     assert len(batch) == len(records)
     np.testing.assert_array_equal(batch.residual, [_residual(r) for r in records])
     assert batch.passed.tolist() == [_passes(r) for r in records]
-    assert format_table(batch) == _reference_table(records, sweep)
-    assert format_csv(batch) == _reference_csv(records, sweep)
-    assert format_json(batch) == _reference_json(records, sweep)
-    failures = batch.failures()
-    assert format_table(failures) == _reference_table([r for r in records if not _passes(r)], None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporting, "CHUNK_ROWS", chunk)
+        assert format_table(batch) == _reference_table(records, sweep)
+        assert format_csv(batch) == _reference_csv(records, sweep)
+        assert format_json(batch) == _reference_json(records, sweep)
+        failures = batch.failures()
+        assert format_table(failures) == _reference_table(
+            [r for r in records if not _passes(r)], None
+        )
 
 
 # ------------------------------------------- long columns of repeats
@@ -288,7 +317,7 @@ def _repeated_records_and_sweep(draw):
 # no shrink phase: shrinking a failing column of hundreds of rows took
 # over six minutes, and the unshrunk example already shows the bad cell
 @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_repeated_records_and_sweep())
+@given(_repeated_records_and_sweep(), _CHUNKS)
 @example(  # 0.0 and -0.0 apart in each column, nans of three bit patterns
     (
         [
@@ -296,13 +325,23 @@ def _repeated_records_and_sweep(draw):
             for value in [0.0, math.nan, -0.0, _PAYLOAD_NAN, 1.0, -math.nan, 0.0] * 20
         ],
         ("q", [-0.0, 0.0, 5e-324, -0.0] * 35),
-    )
+    ),
+    3,
 )
-def test_repeated_columns_match_per_cell_format(records_and_sweep):
+# 0, 1, k * chunk and k * chunk + 1 rows
+@example(([], ("e1", [])), 3)
+@example(([ReportRecord("a", math.nan, -0.0, 1.0)], ("e1", [-0.0])), 3)
+@example(([ReportRecord("a", 0.0, -0.0, 1.0)] * 6, ("e1", [0.0, -0.0] * 3)), 2)
+@example(([ReportRecord("a", -0.0, math.inf, 0.0)] * 7, None), 2)
+@example(([ReportRecord("a", 1.0, 1.0, 0.0)] * 9, ("q", [1.0] * 9)), 3)
+@example(([ReportRecord("a", 1.0, math.nan, 0.0)] * 10, None), 3)
+def test_repeated_columns_match_per_cell_format(records_and_sweep, chunk):
     # every cell of a long column drawn from a few values is the
     # format_float text of its own value, whatever its bit pattern
     records, sweep = records_and_sweep
     batch = RecordBatch.from_records(records, sweep)
-    assert format_csv(batch) == _reference_csv(records, sweep)
-    assert format_table(batch) == _reference_table(records, sweep)
-    assert format_json(batch) == _reference_json(records, sweep)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporting, "CHUNK_ROWS", chunk)
+        assert format_csv(batch) == _reference_csv(records, sweep)
+        assert format_table(batch) == _reference_table(records, sweep)
+        assert format_json(batch) == _reference_json(records, sweep)

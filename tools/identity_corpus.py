@@ -25,7 +25,9 @@ grids; the other side's order; a bad order with --tol bogus=1; W slopes
 that overflow or turn imaginary and momentum products that leave the
 float range; known tolerances set in and out of range; malformed --tol
 entries and config lines; every sweep-range error; flags before the
-subcommand or of another one; and --out.
+subcommand or of another one; deriv grids and sweeps whose row counts
+land at the edges of a piece of rendered output, in every format; and
+--out.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ COEFFICIENTS = ("c_alpha", "c_beta", "l_alpha", "l_beta", "v")
 ZERO = ("--e1=0", "--e2=0")
 DERIV_ORDERS = ("0.3", "0.5", "0.75", "1", "1.5", "1.9", "2", "2.5", "3", "300.5", "2000", "1e9")
 DERIV_GRIDS = ("0,1,64", "0,1,256", "-1,2,1024", "0,1,4096")
+# fracwkb.reporting.CHUNK_ROWS, the rows rendered per piece of output
+CHUNK = 1024
+EDGE_ROWS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+# deriv --grid 0,1,N gives N + 3 rows
+CHUNK_EDGE_GRIDS = tuple(f"0,1,{rows - 3}" for rows in EDGE_ROWS)
+# (--to, --steps) of sweep --model custom --l-alpha -1 --param e1 --from 0
+# giving EDGE_ROWS rows: a step keeps its 11 records when e1 > 0.5, and 4
+# otherwise
+CHUNK_EDGE_SWEEPS = (("4.75", "100"), ("20", "95"), ("9", "97"), ("11", "192"))
 # stands for the path of a file holding the run's config text
 CONFIG = "CONFIG"
 # stands for the path --out writes to
@@ -171,10 +182,20 @@ def corpus() -> list[tuple[list[str], str | None]]:
                  ("verify", "--alpha", "3"), ("deriv", "--e1", "2"), ("example1", "--bogus")):
         add(*argv)
 
+    # row counts at the edges of a piece of rendered output
+    chunk_edges = [("deriv", f"--grid={grid}") for grid in CHUNK_EDGE_GRIDS] + [
+        ("sweep", "--model", "custom", "--l-alpha=-1", "--param", "e1", "--from", "0",
+         "--to", to, "--steps", steps)
+        for to, steps in CHUNK_EDGE_SWEEPS
+    ]
+    for argv, fmt in itertools.product(chunk_edges, FORMATS):
+        add(*argv, "--format", fmt)
+
     # --out: the written file's hash is recorded
     for argv in (("verify",), ("example2", "--format", "csv"), ("example1", "--e1", "-1"),
                  ("deriv", "--grid", "0,1,64", "--format", "json"),
-                 ("sweep", "--param", "q", "--values", "0,1", "--tol", "imag_part=1e-30")):
+                 ("sweep", "--param", "q", "--values", "0,1", "--tol", "imag_part=1e-30"),
+                 (*chunk_edges[-1], "--format", "json"), (*chunk_edges[3], "--format", "table")):
         add(*argv, "--out", OUT)
     return runs
 
