@@ -25,12 +25,12 @@ a bad value gives one message wherever it came from.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _EXAMPLE_TOLERANCES = {
 _SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved settings: defaults, then config file, then flags; unchecked."""
 
     model: str = "example1"
@@ -83,7 +82,7 @@ class RunConfig:
     grid: TimeGrid = TimeGrid(0.0, 1.0, 1024)
     output_format: str = "table"
     output_path: str | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Mapping[str, float] = MappingProxyType({})
     c_alpha: float = 1.0
     c_beta: float = 1.0
     l_alpha: float = 0.0
@@ -221,9 +220,19 @@ def _emit(batch: RecordBatch, config: RunConfig) -> int:
     # the columns are rendered before --out is opened, so a failure there
     # leaves an existing file as it was
     pieces = render(batch, config.output_format)
-    path = config.output_path
-    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as out:
-        out.writelines(pieces)
+    if config.output_path is not None:
+        with open(config.output_path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
+    else:
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout, which fails no record: stop writing,
+            # and send what is left, up to the final flush, to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     if not batch.passed.all():
         sys.stderr.write("failing records:\n")
         sys.stderr.writelines(render(batch.failures(), "table"))
@@ -275,7 +284,7 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
-    values = {f.name: given[f.name] for f in fields(RunConfig) if given.get(f.name) is not None}
+    values = {name: given[name] for name in RunConfig._fields if given.get(name) is not None}
     if "grid" in values:
         values["grid"] = _parse_grid(values["grid"])
     values["tolerances"] = _parse_tol(values.get("tolerances", []))

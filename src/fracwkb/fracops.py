@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,38 +50,36 @@ __all__ = [
     "interior_mask",
 ]
 
-@dataclass(frozen=True)
-class FractionalOrder:
+class FractionalOrder(NamedTuple("FractionalOrder", [("value", float)])):
     """A finite, positive derivative order."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value <= 0.0:
-            raise ValueError(f"order must be finite and positive, got {self.value!r}")
+    def __new__(cls, value: float) -> FractionalOrder:
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"order must be finite and positive, got {value!r}")
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int)])):
     """Uniform grid of count + 1 nodes x_j = a + j * step on [a, b]."""
 
-    a: float
-    b: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __new__(cls, a: float, b: float, count: int) -> TimeGrid:
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("grid endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
-        if int(self.count) != self.count or self.count < 2:
-            raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        if not a < b:
+            raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+        if int(count) != count or count < 2:
+            raise ValueError(f"count must be an integer >= 2, got {count!r}")
+        self = super().__new__(cls, a, b, int(count))
         # b - a can overflow to inf, and a tiny width over count underflow to 0
         if not 0.0 < self.step < math.inf:
             raise ValueError(
                 f"grid step (b - a) / count must be positive and finite, got {self.step!r}"
             )
+        return self
 
     @property
     def step(self) -> float:
@@ -93,32 +90,37 @@ class TimeGrid:
         return np.minimum(self.a + self.step * np.arange(self.count + 1), self.b)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
+class SampledFunction(
+    NamedTuple(
+        "SampledFunction",
+        [("grid", TimeGrid), ("values", np.ndarray), ("allow_nonfinite", bool)],
+    )
+):
     """Function samples aligned with a TimeGrid.
 
     Inputs to the derivative operators must be finite everywhere.
     Operator outputs may carry non-finite entries where the true
     derivative diverges (for example at an endpoint); those are built
     with allow_nonfinite=True and kept as they are rather than silently
-    clipped.
+    clipped.  It holds an array, so it compares and hashes by identity.
     """
 
-    grid: TimeGrid
-    values: np.ndarray
-    allow_nonfinite: bool = field(default=False, repr=False)
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.count + 1,):
-            raise ValueError(
-                f"expected {self.grid.count + 1} samples, got shape {values.shape}"
-            )
-        if not self.allow_nonfinite and not np.all(np.isfinite(values)):
+    def __new__(
+        cls, grid: TimeGrid, values: np.ndarray, allow_nonfinite: bool = False
+    ) -> SampledFunction:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.count + 1,):
+            raise ValueError(f"expected {grid.count + 1} samples, got shape {values.shape}")
+        if not allow_nonfinite and not np.all(np.isfinite(values)):
             raise NonFiniteInputError("samples contain NaN or infinity")
         values = values.copy()
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, grid, values, allow_nonfinite)
 
 
 def gamma(x: float) -> float:

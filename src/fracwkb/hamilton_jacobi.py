@@ -20,7 +20,7 @@ lambda2, the coordinates conjugate to the partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ForbiddenRegionError, ZeroEnergyError
 from .mechanics import LagrangianSpec, Momenta, legendre_transform
@@ -37,41 +37,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyPartition:
+class EnergyPartition(NamedTuple("EnergyPartition", [("e1", float), ("e2", float)])):
     """Split of the conserved energy between the two separated sectors."""
 
-    e1: float
-    e2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.e1) and math.isfinite(self.e2)):
+    def __new__(cls, e1: float, e2: float) -> EnergyPartition:
+        if not (math.isfinite(e1) and math.isfinite(e2)):
             raise ValueError("energy shares must be finite")
-        if self.e1 < 0.0 or self.e2 < 0.0:
-            raise ValueError(f"energy shares must be >= 0, got {self.e1!r}, {self.e2!r}")
+        if e1 < 0.0 or e2 < 0.0:
+            raise ValueError(f"energy shares must be >= 0, got {e1!r}, {e2!r}")
+        return super().__new__(cls, e1, e2)
 
     @property
     def total(self) -> float:
         return self.e1 + self.e2
 
 
-@dataclass(frozen=True)
-class TransformedPoint:
+class TransformedPoint(
+    NamedTuple("TransformedPoint", [("u1", float), ("u2", float), ("t", float), ("q", float)])
+):
     """Evaluation point (u1, u2, t) plus the coordinate q entering W1."""
 
-    u1: float
-    u2: float
-    t: float
-    q: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("u1", "u2", "t", "q"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, u1: float, u2: float, t: float, q: float = 0.0) -> TransformedPoint:
+        for name, value in zip(cls._fields, (u1, u2, t, q)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        return super().__new__(cls, u1, u2, t, q)
 
 
-@dataclass(frozen=True)
-class PrincipalFunction:
+class PrincipalFunction(NamedTuple):
     """Separated principal function for one spec and energy partition."""
 
     spec: LagrangianSpec

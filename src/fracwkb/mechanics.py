@@ -21,7 +21,6 @@ velocity and the transform only touches the velocity slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +53,15 @@ def _named_square(name: str, value: float) -> float:
     return square
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class LagrangianSpec(
+    NamedTuple(
+        "LagrangianSpec",
+        [
+            ("c_alpha", float), ("c_beta", float), ("l_alpha", float), ("l_beta", float),
+            ("v", float), ("alpha", FractionalOrder), ("beta", FractionalOrder),
+        ],
+    )
+):
     """Coefficients of one member of the Lagrangian family.
 
     c_alpha and c_beta multiply the squared fractional velocities,
@@ -64,29 +70,21 @@ class LagrangianSpec:
     alpha = beta = 1 sits inside the family.
     """
 
-    c_alpha: float
-    c_beta: float
-    l_alpha: float
-    l_beta: float
-    v: float
-    alpha: FractionalOrder
-    beta: FractionalOrder
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite(
-            c_alpha=self.c_alpha,
-            c_beta=self.c_beta,
-            l_alpha=self.l_alpha,
-            l_beta=self.l_beta,
-            v=self.v,
-        )
-        if self.c_alpha <= 0.0 or self.c_beta <= 0.0:
+    def __new__(
+        cls, c_alpha: float, c_beta: float, l_alpha: float, l_beta: float, v: float,
+        alpha: FractionalOrder, beta: FractionalOrder,
+    ) -> LagrangianSpec:
+        _require_finite(c_alpha=c_alpha, c_beta=c_beta, l_alpha=l_alpha, l_beta=l_beta, v=v)
+        if c_alpha <= 0.0 or c_beta <= 0.0:
             raise ValueError("kinetic coefficients c_alpha, c_beta must be positive")
-        if self.alpha.value < 1.0 or self.beta.value < 1.0:
+        if alpha.value < 1.0 or beta.value < 1.0:
             raise ValueError(
-                f"orders alpha and beta must be at least 1, got {self.alpha.value!r},"
-                f" {self.beta.value!r}"
+                f"orders alpha and beta must be at least 1, got {alpha.value!r},"
+                f" {beta.value!r}"
             )
+        return super().__new__(cls, c_alpha, c_beta, l_alpha, l_beta, v, alpha, beta)
 
     def lagrangian(self, state: "KinematicState") -> float:
         return (
@@ -98,27 +96,26 @@ class LagrangianSpec:
         )
 
 
-@dataclass(frozen=True)
-class KinematicState:
+class KinematicState(
+    NamedTuple("KinematicState", [("q", float), ("d_alpha_q", float), ("d_beta_q", float)])
+):
     """Coordinate plus the two fractional velocities at one instant."""
 
-    q: float
-    d_alpha_q: float
-    d_beta_q: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite(q=self.q, d_alpha_q=self.d_alpha_q, d_beta_q=self.d_beta_q)
+    def __new__(cls, q: float, d_alpha_q: float, d_beta_q: float) -> KinematicState:
+        _require_finite(q=q, d_alpha_q=d_alpha_q, d_beta_q=d_beta_q)
+        return super().__new__(cls, q, d_alpha_q, d_beta_q)
 
 
-@dataclass(frozen=True)
-class Momenta:
+class Momenta(NamedTuple("Momenta", [("p_alpha", float), ("p_beta", float)])):
     """Canonical momenta conjugate to the two fractional velocities."""
 
-    p_alpha: float
-    p_beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite(p_alpha=self.p_alpha, p_beta=self.p_beta)
+    def __new__(cls, p_alpha: float, p_beta: float) -> Momenta:
+        _require_finite(p_alpha=p_alpha, p_beta=p_beta)
+        return super().__new__(cls, p_alpha, p_beta)
 
 
 class FamilyColumns(NamedTuple):

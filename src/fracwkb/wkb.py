@@ -28,7 +28,6 @@ The eigen-relations are point-independent, so this costs no generality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -84,15 +83,14 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-@dataclass(frozen=True)
-class WaveField:
+class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", float)])):
     """Immutable wave function psi = prefactor * exp(i S / hbar)."""
 
-    pf: PrincipalFunction
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_positive("hbar", self.hbar)
+    def __new__(cls, pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
+        _require_positive("hbar", hbar)
+        return super().__new__(cls, pf, hbar)
 
     def prefactor(self, point: TransformedPoint) -> float:
         momenta = momenta_from_S(self.pf, point)
@@ -113,8 +111,7 @@ class WaveField:
         return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
 
 
-@dataclass(frozen=True)
-class _PointColumns:
+class _PointColumns(NamedTuple):
     """Points of many members: TransformedPoint's batch counterpart, unchecked."""
 
     u1: np.ndarray
@@ -155,9 +152,11 @@ def _check_step(h: float, momentum: float, hbar: float) -> None:
 
 
 def _shift(point: TransformedPoint, which: str, delta: float) -> TransformedPoint:
+    # by its class, not _replace, so a TransformedPoint is checked again
+    u1, u2, t, q = point
     if which == "alpha":
-        return replace(point, u1=point.u1 + delta)
-    return replace(point, u2=point.u2 + delta)
+        return type(point)(u1 + delta, u2, t, q)
+    return type(point)(u1, u2 + delta, t, q)
 
 
 def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float) -> complex:

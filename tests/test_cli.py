@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -748,7 +747,7 @@ def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys
     coefficients = cli._coefficients(config, model)
     expected = None
     for value in values:
-        row = replace(config, **{param: float(value)})
+        row = config._replace(**{param: float(value)})
         fields = [*coefficients, row.alpha, row.beta, row.e1, row.e2, *SAMPLE_POINT, row.q]
         try:
             evaluate_model(*verification._member(fields), row.fd_step, row.hbar)
@@ -870,6 +869,20 @@ def test_verify_subprocess_is_deterministic(capsys):
     assert main(["verify", "--format", "csv"]) == 0
     assert fresh.stdout == capsys.readouterr().out
     assert fresh.stdout.splitlines()[0] == "# schema_version=1"
+
+
+def test_closed_stdout_is_not_an_invocation_error():
+    # as `fracwkb deriv ... | head -1`: about 1 MB of output, far more than
+    # a pipe holds, so the run is still writing when the reader leaves
+    cmd = [sys.executable, "-m", "fracwkb", "deriv", "--grid", "0,1,16384", "--format", "csv"]
+    with subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as process:
+        assert process.stdout.readline() == "# schema_version=1\n"
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=60) == 0
+    assert stderr == ""
 
 
 def _readme_flags():

@@ -1,8 +1,8 @@
 """tools/identity_corpus.py keeps working: a fixed corpus, one record per outcome.
 
 The tool is loaded by path, as test_tracer_names loads the tracer; only
-its corpus and its in-process recorder run here, not the two-tree
-comparison.
+its corpus, its in-process recorder and its demo records run here, not
+the two-tree comparison.
 """
 
 import hashlib
@@ -76,3 +76,14 @@ def test_chunk_edge_runs_land_on_the_edges(capsys):
             main(argv)
             counts.append(len(capsys.readouterr().out.splitlines()) - 2)
     assert counts == [rows for rows in tool.EDGE_ROWS for _ in range(2)]
+
+
+def test_library_records_cover_each_demo_and_the_quickstart():
+    tool = _load_tool()
+    root = _TOOL.parents[1]
+    records = tool.library_records(root)
+    demos = [f"demos/{path.name}" for path in sorted((root / "demos").glob("*.py"))]
+    assert [r["library"] for r in records] == [*demos, "README.md quickstart"]
+    for entry in records:
+        assert entry["exit"] == 0 and entry["warnings"] == [] and entry["out_sha256"] is None
+        assert entry["stdout_sha256"] != hashlib.sha256(b"").hexdigest()

@@ -4,16 +4,21 @@ A refactor of fracwkb is shown correct by byte-identical output.  This
 script runs one fixed, seeded list of argvs in-process through
 fracwkb.cli.main and records, for each argv, the sha256 of stdout, the
 stderr text, the exit code and the warnings raised, and for an argv that
-writes --out the sha256 of the file it wrote.
+writes --out the sha256 of the file it wrote.  It then runs each
+demos/*.py script and the python block under "Library quickstart" in
+README.md in-process, as tests/test_demos.py runs them, and records the
+same for each: the demos and the quickstart call the library API that
+the argvs reach only through the CLI.
 
-    python3 tools/identity_corpus.py               # one JSON record per argv
+    python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
 
---against extracts src/ of the git revision REV into a temporary
-directory with git archive, runs the corpus on that tree and on this
-one, each in its own interpreter, and prints the identical and
-differing counts and the first differences.  --src DIR runs the corpus
-on the fracwkb package under DIR instead of this checkout's src/.
+--against extracts src/, demos/ and README.md of the git revision REV
+into a temporary directory with git archive, runs the corpus on that
+tree and on this one, each in its own interpreter, and prints the
+identical and differing counts and the first differences.  --src DIR
+runs the corpus on the fracwkb package under DIR, and the demos and
+README.md next to DIR, instead of this checkout's.
 
 The list covers verify, example1 and example2 in every format; each
 model flag, and each sweep parameter of each model, at 1, 0.5, 0, -1,
@@ -34,12 +39,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -200,38 +207,72 @@ def corpus() -> list[tuple[list[str], str | None]]:
     return runs
 
 
-def record(main, argv: list[str]) -> dict:
-    """Run one argv through main; its stdout hash, stderr, exit code and warnings.
-
-    For an argv with --out PATH it also hashes the file written there, or
-    gives None when none was, and then removes the file.
-    """
+def _capture(run) -> dict:
+    """Call run(); its stdout hash, stderr, exit code and warnings."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
         out
     ), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code = main(argv)
+            code = run()
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    out_sha256 = None
-    if "--out" in argv:
-        written = Path(argv[argv.index("--out") + 1])
-        if written.exists():
-            out_sha256 = hashlib.sha256(written.read_bytes()).hexdigest()
-            written.unlink()
     return {
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "out_sha256": out_sha256,
         "stderr": err.getvalue(),
         "exit": code,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
     }
 
 
+def record(main, argv: list[str]) -> dict:
+    """Run one argv through main; its stdout hash, stderr, exit code and warnings.
+
+    For an argv with --out PATH it also hashes the file written there, or
+    gives None when none was, and then removes the file.
+    """
+    entry = _capture(lambda: main(argv))
+    out_sha256 = None
+    if "--out" in argv:
+        written = Path(argv[argv.index("--out") + 1])
+        if written.exists():
+            out_sha256 = hashlib.sha256(written.read_bytes()).hexdigest()
+            written.unlink()
+    return {**entry, "out_sha256": out_sha256}
+
+
+def _run_demo(path: Path) -> int:
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def _run_block(code) -> int:
+    exec(code, {"__name__": "__main__"})
+    return 0
+
+
+def library_records(root: Path) -> list[dict]:
+    """The records of each demos/*.py script under root, then of the quickstart.
+
+    A demo runs as `python demos/NAME.py` would run it; the quickstart is
+    the python block under "Library quickstart" in root's README.md.
+    """
+    runs = [
+        (f"demos/{path.name}", functools.partial(_run_demo, path))
+        for path in sorted((root / "demos").glob("*.py"))
+    ]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    code = compile(block, "README.md quickstart", "exec")
+    runs.append(("README.md quickstart", functools.partial(_run_block, code)))
+    return [{"library": label, **_capture(run), "out_sha256": None} for label, run in runs]
+
+
 def run_tree(src: Path) -> list[dict]:
-    """The corpus records of the fracwkb package under src, in corpus order."""
+    """The records of the fracwkb package under src, in corpus order, then
+    those of the demos and the quickstart next to src."""
     sys.path.insert(0, str(src))
     from fracwkb.cli import main
 
@@ -246,7 +287,7 @@ def run_tree(src: Path) -> list[dict]:
             # a config error names the file, whose temporary path differs per run
             entry["stderr"] = entry["stderr"].replace(str(config), CONFIG)
             records.append({"argv": argv, "config": text, **entry})
-    return records
+    return records + library_records(src.parent)
 
 
 def _spawn(src: Path) -> subprocess.Popen:
@@ -267,7 +308,7 @@ def compare(rev: str) -> int:
     """Run the corpus on rev's src/ and on this checkout's; 0 when all match."""
     with tempfile.TemporaryDirectory() as tree:
         archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+            ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "demos", "README.md"],
             check=True, capture_output=True,
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -287,12 +328,15 @@ def compare(rev: str) -> int:
         f"{name} {sum(name in names for names, _, _ in differing)}" for name in fields
     )
     print(
-        f"identity corpus against {rev}: {len(after)} argvs, {len(after) - len(differing)}"
+        f"identity corpus against {rev}: {len(after)} runs, {len(after) - len(differing)}"
         f" identical, {len(differing)} differing ({counts})"
     )
     for names, old, new in differing[:SHOWN]:
-        print(f"\n  fracwkb {' '.join(old['argv'])}")
-        if old["config"] is not None:
+        if "library" in old:
+            print(f"\n  {old['library']}")
+        else:
+            print(f"\n  fracwkb {' '.join(old['argv'])}")
+        if old.get("config") is not None:
             print(f"    with CONFIG: {old['config']!r}")
         for name in names:
             print(f"    {name}: {old[name]!r}\n    {' ' * len(name)}  -> {new[name]!r}")
