@@ -17,9 +17,10 @@ configuration.  Each subcommand takes only the flags it reads, and a
 --config file holds those same flags as KEY = VALUE lines.
 
 argparse checks the choices; RunConfig checks nothing.  A model
-setting, from a flag, a config line or a sweep value, is checked by the
-scalar model path that evaluates it (verification.evaluate_members), so
-a bad value gives one message wherever it came from.
+setting, from a flag, a config line or a sweep value, is checked where
+its row is evaluated: wkb.evaluate_models reruns a row it flags down
+the scalar model path, so a bad value gives one message wherever it
+came from.
 """
 
 from __future__ import annotations
@@ -35,17 +36,16 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid
-from .mechanics import example1, example2
+from .mechanics import FamilyColumns, example1, example2
 from .reporting import INFORMATIONAL, RecordBatch, ReportRecord, render
 from .verification import (
     DEFAULT_TOLERANCES,
-    evaluate_members,
     observed_order_record,
     power_kernel_check,
     resolve_tolerances,
     run_checks,
 )
-from .wkb import FD_STEP, SAMPLE_POINT
+from .wkb import FD_STEP, SAMPLE_POINT, evaluate_models
 
 __all__ = ["RunConfig", "main"]
 
@@ -176,7 +176,7 @@ def cmd_example(
     evaluated in one batch.  Wave-field records are emitted only where
     both slope momenta are positive; zero-energy rows still report
     slopes, S and the HJ residual.  The rows are validated where they
-    are evaluated, by evaluate_members: a bad setting raises the scalar
+    are evaluated, by evaluate_models: a bad setting raises the scalar
     path's error, whether it came from a flag or a sweep value.
     """
     tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
@@ -187,9 +187,9 @@ def cmd_example(
     alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
     coefficients = _coefficients(config, model)
     u1, u2, t = SAMPLE_POINT
-    # the 13 member fields in draw order
-    members = np.broadcast_arrays(*coefficients, alpha, beta, e1, e2, u1, u2, t, q)
-    columns = evaluate_members(np.column_stack(members), fd_step, config.hbar)
+    columns = evaluate_models(
+        FamilyColumns(*coefficients, alpha, beta), e1, e2, u1, u2, t, q, fd_step, config.hbar
+    )
 
     with np.errstate(all="ignore"):
         w1, w2 = _closed_form_slopes(model, coefficients, e1, e2, q)

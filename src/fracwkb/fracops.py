@@ -11,12 +11,15 @@ be checked against an analytic value.
 The order alone picks the sum.  An integer order n convolves with its
 n + 1 signed binomial weights (np.convolve, O(N)): the weights past
 them are exact zeros, the sum is exact wherever an exact result exists,
-and an FFT would spread roundoff over every node.  Any other order is a
-real FFT product in O(N log N), the convolution quadrature of Lubich
-(SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth length
-(2**a * 3**b * 5**c) of at least 2N + 1; against a long-double sum its
-error on power functions measured below roundoff_floor.  Overflow, for
-huge samples or orders, gives non-finite values rather than an error.
+and an FFT would spread roundoff over every node.  Where a huge order's
+binomials overflow and the samples do not change sign, each sum past
+the first infinite weight is nan, and is not summed.  Any other order
+is a real FFT product in O(N log N), the convolution quadrature of
+Lubich (SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth
+length (2**a * 3**b * 5**c) of at least 2N + 1; against a long-double
+sum its error on power functions measured below roundoff_floor.
+Overflow, for huge samples or orders, gives non-finite values rather
+than an error.
 
 rl_derivative_block is the one function every kernel call goes
 through, and the only one that checks kernel input.  It takes a grid, a
@@ -192,6 +195,31 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _binomial_sums(weights: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """np.convolve(weights, row) up to index len(row), bit for bit but for nan signs.
+
+    A huge integer order's binomials overflow: from the first infinite
+    weight to the end of the row every weight is infinite, with signs
+    alternating.  If no two neighbouring samples have opposite signs,
+    each sum past that weight holds two neighbouring infinite terms that
+    are nan or of opposite signs, so it is nan in any order of summation.
+    The row is then convolved only up to that weight: O(N), not O(N**2).
+    """
+    infinite = np.isinf(weights)
+    cap = int(infinite.argmax()) + 2  # up to the second infinite weight
+    if (
+        not infinite[cap - 2 :].all()
+        or not cap <= len(row) <= len(weights)
+        or np.any(np.sign(row[:-1]) * np.sign(row[1:]) < 0.0)
+    ):
+        return np.convolve(weights, row)[: len(row) + 1]
+    sums = np.full(len(row) + 1, math.nan)
+    # equal lengths keep each sum below the cap the same dot product as in
+    # the whole convolution, over the same terms in the same order
+    sums[: cap - 1] = np.convolve(weights[:cap], row[:cap])[: cap - 1]
+    return sums
+
+
 def rl_derivative_block(
     grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
     orders: Sequence[FractionalOrder], side: str = "left",
@@ -240,7 +268,7 @@ def rl_derivative_block(
             else:
                 # leave out the exact zeros past the binomial row: O(N), not O(N**2)
                 weights = gl_weights(order, min(int(order), top + shift))
-                full = (np.convolve(weights, row) for row in block)
+                full = (_binomial_sums(weights, row) for row in block)
             for row, sums in zip(result, full):
                 row[:] = sums[shift : top + 1 + shift]
                 row[top] = sums[top]

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ForbiddenRegionError, ZeroEnergyError
 from .mechanics import LagrangianSpec, Momenta, legendre_transform
 
@@ -54,9 +56,16 @@ class EnergyPartition(NamedTuple("EnergyPartition", [("e1", float), ("e2", float
         return self.e1 + self.e2
 
 
-class TransformedPoint(
-    NamedTuple("TransformedPoint", [("u1", float), ("u2", float), ("t", float), ("q", float)])
-):
+class PointColumns(NamedTuple):
+    """Points of many members: TransformedPoint's unchecked batch counterpart."""
+
+    u1: np.ndarray
+    u2: np.ndarray
+    t: np.ndarray
+    q: np.ndarray
+
+
+class TransformedPoint(PointColumns):
     """Evaluation point (u1, u2, t) plus the coordinate q entering W1."""
 
     __slots__ = ()
@@ -133,8 +142,8 @@ def lambda_constants(pf: PrincipalFunction, point: TransformedPoint) -> tuple[fl
     lambda1 differentiates W1(q; e1) * u1 with respect to e1, lambda2
     differentiates W2(e2) * u2 with respect to e2.  Both require
     strictly positive radicands; a zero energy share would put a zero
-    under the square-root derivative, so it is rejected instead of
-    returning infinity.
+    under the square-root derivative, so it raises ZeroEnergyError
+    instead of returning infinity.
     """
     if pf.energies.e1 <= 0.0 or pf.energies.e2 <= 0.0:
         raise ZeroEnergyError("lambda constants need e1 > 0 and e2 > 0")

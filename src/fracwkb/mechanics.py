@@ -53,15 +53,31 @@ def _named_square(name: str, value: float) -> float:
     return square
 
 
-class LagrangianSpec(
-    NamedTuple(
-        "LagrangianSpec",
-        [
-            ("c_alpha", float), ("c_beta", float), ("l_alpha", float), ("l_beta", float),
-            ("v", float), ("alpha", FractionalOrder), ("beta", FractionalOrder),
-        ],
-    )
-):
+class FamilyColumns(NamedTuple):
+    """Coefficients and orders of many family members, one array (or float) each.
+
+    The unchecked batch counterpart of LagrangianSpec, which subclasses
+    it; the orders are plain floats here.  No model quantity reads the
+    orders: batch code only checks them.
+    """
+
+    c_alpha: np.ndarray
+    c_beta: np.ndarray
+    l_alpha: np.ndarray
+    l_beta: np.ndarray
+    v: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+class MomentumColumns(NamedTuple):
+    """Canonical momenta of many members: Momenta's unchecked batch counterpart."""
+
+    p_alpha: np.ndarray
+    p_beta: np.ndarray
+
+
+class LagrangianSpec(FamilyColumns):
     """Coefficients of one member of the Lagrangian family.
 
     c_alpha and c_beta multiply the squared fractional velocities,
@@ -108,7 +124,7 @@ class KinematicState(
         return super().__new__(cls, q, d_alpha_q, d_beta_q)
 
 
-class Momenta(NamedTuple("Momenta", [("p_alpha", float), ("p_beta", float)])):
+class Momenta(MomentumColumns):
     """Canonical momenta conjugate to the two fractional velocities."""
 
     __slots__ = ()
@@ -116,28 +132,6 @@ class Momenta(NamedTuple("Momenta", [("p_alpha", float), ("p_beta", float)])):
     def __new__(cls, p_alpha: float, p_beta: float) -> Momenta:
         _require_finite(p_alpha=p_alpha, p_beta=p_beta)
         return super().__new__(cls, p_alpha, p_beta)
-
-
-class FamilyColumns(NamedTuple):
-    """Coefficients of many family members, one array (or float) each.
-
-    The batch counterpart of LagrangianSpec.  It is not validated: batch
-    code marks invalid rows instead of raising.  No model quantity reads
-    the orders, so they are left out.
-    """
-
-    c_alpha: np.ndarray
-    c_beta: np.ndarray
-    l_alpha: np.ndarray
-    l_beta: np.ndarray
-    v: np.ndarray
-
-
-class MomentumColumns(NamedTuple):
-    """Canonical momenta of many members: the batch counterpart of Momenta."""
-
-    p_alpha: np.ndarray
-    p_beta: np.ndarray
 
 
 class HamiltonRHS(NamedTuple):

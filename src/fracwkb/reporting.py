@@ -83,6 +83,16 @@ class RecordBatch:
         self.numeric = np.asarray(numeric, dtype=np.float64)
         self.tolerance = np.asarray(tolerance, dtype=np.float64)
         self.sweep = None if sweep is None else (sweep[0], np.asarray(sweep[1], np.float64))
+        # one value per name in each column, or a row would be dropped or made up
+        columns = {"analytic": self.analytic, "numeric": self.numeric, "tolerance": self.tolerance}
+        if self.sweep is not None:
+            columns[f"sweep {self.sweep[0]!r}"] = self.sweep[1]
+        n = len(self)
+        if any(x.shape != (n,) for x in columns.values()):
+            got = ", ".join(
+                f"{name} {x.shape[0] if x.ndim == 1 else x.shape}" for name, x in columns.items()
+            )
+            raise ValueError(f"record columns need one value per quantity ({n}), got {got}")
         # inf - inf gives nan and a huge difference inf, without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             self.residual = np.abs(self.analytic - self.numeric)

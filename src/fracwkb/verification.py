@@ -17,9 +17,10 @@ Twister: Python documents that random() keeps its sequence for a seed
 across versions, while NumPy (NEP 19) promises no cross-version stream
 for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
-scalar uniform draw would take, in the same stream order.  The kernel
-oracle differentiates every power at every order in one block call per
-grid, and the integer reduction its four polynomials in one more.
+scalar uniform draw would take, in the same stream order, and is one
+checked wkb.evaluate_models batch.  The kernel oracle differentiates
+every power at every order in one block call per grid, and the integer
+reduction its four polynomials in one more.
 """
 
 from __future__ import annotations
@@ -43,19 +44,11 @@ from .fracops import (
 from .hamilton_jacobi import EnergyPartition, TransformedPoint
 from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import (
-    FD_STEP,
-    SAMPLE_POINT,
-    ModelColumns,
-    classical_limit_check,
-    evaluate_model,
-    evaluate_models,
-)
+from .wkb import FD_STEP, SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
     "resolve_tolerances",
-    "evaluate_members",
     "power_kernel_check",
     "observed_order_record",
     "run_checks",
@@ -274,13 +267,6 @@ def _member_row(
     )
 
 
-def _member(row: Sequence[float]) -> tuple[LagrangianSpec, EnergyPartition, TransformedPoint]:
-    """The member whose fields, in draw order, are row."""
-    *coefficients, alpha, beta, e1, e2 = row[:9]
-    spec = LagrangianSpec(*coefficients, FractionalOrder(alpha), FractionalOrder(beta))
-    return spec, EnergyPartition(e1, e2), TransformedPoint(*row[9:])
-
-
 def _draw_columns(
     seed: int,
     ranges: Sequence[tuple[float, float]],
@@ -315,31 +301,17 @@ def _w1_real(block: np.ndarray) -> np.ndarray:
     return v * q * q + 2.0 * e1 >= 0.0
 
 
-def evaluate_members(
+def _evaluate_rows(
     rows: np.ndarray, h: float | np.ndarray, hbar: float | np.ndarray
 ) -> ModelColumns:
-    """Members as one batch, one row of fields each in draw order.
-
-    h and hbar are the stencil steps and action scales, one per row or
-    one for all.  A row the batch marks, or whose alpha or beta is not
-    finite and at least 1 (the batch reads no order), is rebuilt as a
-    member and run down the scalar path, in row order, so the first bad
-    row raises the error a member-by-member run would stop at.
-    """
-    fields = rows.T
-    columns = evaluate_models(FamilyColumns(*fields[:5]), *fields[7:], h, hbar)
-    orders = fields[5:7]
-    flagged = columns.rejected | ~((orders >= 1.0) & (orders < math.inf)).all(axis=0)
-    steps, hbars = (np.broadcast_to(x, len(rows)).tolist() for x in (h, hbar))
-    for i in np.flatnonzero(flagged).tolist():
-        evaluate_model(*_member(rows[i].tolist()), steps[i], hbars[i])
-    return columns
+    """evaluate_models of members given as rows of their 13 fields in draw order."""
+    return evaluate_models(FamilyColumns(*rows.T[:7]), *rows.T[7:], h, hbar)
 
 
 @functools.cache
 def _hj_max_residual() -> float:
     rows = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
-    return float(np.max(np.abs(evaluate_members(rows, FD_STEP, _HBAR).hj_residual)))
+    return float(np.max(np.abs(_evaluate_rows(rows, FD_STEP, _HBAR).hj_residual)))
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -393,7 +365,7 @@ def _eigen_measurements() -> dict[str, list]:
 
     # the energy labels close their bracket after the point index
     rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
-    columns = evaluate_members(np.array([row[3] for row in rows]), FD_STEP, _HBAR)._asdict()
+    columns = _evaluate_rows(np.array([row[3] for row in rows]), FD_STEP, _HBAR)._asdict()
     columns = {name: column.tolist() for name, column in columns.items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
@@ -407,7 +379,7 @@ def _eigen_measurements() -> dict[str, list]:
     ratio_point = TransformedPoint(*SAMPLE_POINT, 1.0)
     steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
     members = [_member_row(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
-    ratio_columns = evaluate_members(np.array(members), np.tile(steps, 2), _HBAR)
+    ratio_columns = _evaluate_rows(np.array(members), np.tile(steps, 2), _HBAR)
     residuals = np.hypot(
         ratio_columns.energy - energies.total, ratio_columns.energy_imag
     ).tolist()
@@ -445,7 +417,7 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
 @functools.cache
 def _probability_max_deviation() -> float:
     rows = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
-    return float(np.max(np.abs(evaluate_members(rows, FD_STEP, _HBAR).probability - 1.0)))
+    return float(np.max(np.abs(_evaluate_rows(rows, FD_STEP, _HBAR).probability - 1.0)))
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:

@@ -15,7 +15,9 @@ float columns: the operators below also act on a whole batch of wave
 fields and points at once, on complex128 arrays.  evaluate_model is the
 scalar path for one member, the reference the batch reproduces.  Both
 paths compute psi with numpy's complex arithmetic and every square as a
-product, so they agree bit for bit.
+product, so they agree bit for bit.  evaluate_models is also where a
+batch is checked: it reruns each row the scalar path may reject down
+evaluate_model, so a bad member raises the scalar error.
 
 A note on roundoff: the second-difference stencil divides by h**2 and
 therefore amplifies the representation error of the phase, which is
@@ -35,6 +37,7 @@ import numpy as np
 from .errors import NonpositiveMomentumError, StepTooLargeError
 from .hamilton_jacobi import (
     EnergyPartition,
+    PointColumns,
     PrincipalFunction,
     TransformedPoint,
     evaluate_S,
@@ -48,7 +51,7 @@ from .mechanics import (
     MomentumColumns,
     legendre_transform,
 )
-from .fracops import gl_weights
+from .fracops import FractionalOrder, gl_weights
 from .reporting import ReportRecord
 
 __all__ = [
@@ -111,15 +114,6 @@ class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", flo
         return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
 
 
-class _PointColumns(NamedTuple):
-    """Points of many members: TransformedPoint's batch counterpart, unchecked."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    t: np.ndarray
-    q: np.ndarray
-
-
 class _WaveColumns(NamedTuple):
     """psi of many members: WaveField's batch counterpart, unchecked.
 
@@ -131,7 +125,7 @@ class _WaveColumns(NamedTuple):
     total: np.ndarray
     hbar: np.ndarray
 
-    def value(self, point: _PointColumns) -> np.ndarray:
+    def value(self, point: PointColumns) -> np.ndarray:
         p_alpha, p_beta = self.momenta
         S = p_alpha * point.u1 + p_beta * point.u2 - self.total * point.t
         return (1.0 / np.sqrt(p_alpha * p_beta)) * np.exp(1j * (S / self.hbar))
@@ -232,10 +226,7 @@ class ModelColumns(NamedTuple):
     eigenvalue estimates; probability is |psi|**2 * p_alpha * p_beta.
     Row i equals evaluate_model of that row's member bit for bit.  The
     seven wave-field columns are nan where wave is False, since psi
-    needs both momenta positive.  rejected marks every row on which the
-    scalar path may raise.  It may also mark a row the scalar path
-    accepts, so a caller that needs the scalar error runs the marked
-    rows through evaluate_model.
+    needs both momenta positive.
     """
 
     w1_slope: np.ndarray
@@ -250,7 +241,6 @@ class ModelColumns(NamedTuple):
     energy_imag: np.ndarray
     probability: np.ndarray
     wave: np.ndarray
-    rejected: np.ndarray
 
 
 def evaluate_model(
@@ -264,9 +254,9 @@ def evaluate_model(
 
     Raises where those functions raise, and warns nowhere.  h and hbar
     must be finite and positive for every member, as evaluate_models
-    marks them, even one whose zero energy leaves no wave field to
+    checks them, even one whose zero energy leaves no wave field to
     difference.  The fields are floats, the wave-field ones nan unless
-    both momenta are positive, and rejected is False.
+    both momenta are positive.
     """
     _require_positive("step", h)
     _require_positive("hbar", hbar)
@@ -286,7 +276,7 @@ def evaluate_model(
             probability = probability_density(wf, point) * w1 * w2
     return ModelColumns(
         w1, w2, S, residual, p_alpha.real, p_alpha.imag, p_beta.real, p_beta.imag,
-        energy.real, energy.imag, probability, wave, False,
+        energy.real, energy.imag, probability, wave,
     )
 
 
@@ -303,37 +293,44 @@ def evaluate_models(
 ) -> ModelColumns:
     """Every model quantity of a batch of members, as float columns.
 
-    family holds the five coefficients (c_alpha, c_beta, l_alpha, l_beta,
-    v), e1 and e2 the energy shares, (u1, u2, t, q) the points, h the
-    stencil steps and hbar the action scales; all broadcast to one 1-D
-    shape.  The operators and the probability are the functions above,
-    called once on the whole batch; no point or wave field is built per
-    row.  Row i equals evaluate_model of that row's member, point and
-    step bit for bit.
+    family holds the coefficients and orders of LagrangianSpec as
+    floats, e1 and e2 the energy shares, (u1, u2, t, q) the points, h
+    the stencil steps and hbar the action scales; all broadcast to one
+    1-D shape.  The operators and the probability are the functions
+    above, called once on the whole batch; no point or wave field is
+    built per row.  Row i equals evaluate_model of that row's member,
+    point and step bit for bit.
+
+    The batch checks its rows as the scalar path does.  Each row on
+    which that path may raise, or whose orders are not finite and at
+    least 1, is rebuilt as a member from Python floats and run down
+    evaluate_model, in row order, so the first bad row raises the error
+    a member-by-member run would stop at.
     """
     inputs = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (*family, e1, e2, u1, u2, t, q, h, hbar))
     )
-    c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q, h, hbar = map(np.ravel, inputs)
+    fields = [np.ravel(x) for x in inputs]
+    c_alpha, c_beta, l_alpha, l_beta, v, alpha, beta, e1, e2, u1, u2, t, q, h, hbar = fields
     with np.errstate(all="ignore"):
         # PrincipalFunction's slopes and evaluate_S, elementwise
         w1 = l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1))
         w2 = l_beta + np.sqrt(2.0 * c_beta * e2)
         total = e1 + e2
         S = w1 * u1 + w2 * u2 - total * t
-        spec = FamilyColumns(c_alpha, c_beta, l_alpha, l_beta, v)
+        family = FamilyColumns(c_alpha, c_beta, l_alpha, l_beta, v, alpha, beta)
         momenta = MomentumColumns(w1, w2)
-        residual = legendre_transform(spec, momenta, q) - total
+        residual = legendre_transform(family, momenta, q) - total
 
-        wf = _WaveColumns(spec, momenta, total, hbar)
-        point = _PointColumns(u1, u2, t, q)
+        wf = _WaveColumns(family, momenta, total, hbar)
+        points = PointColumns(u1, u2, t, q)
         results = (
-            apply_momentum(wf, "alpha", point, h),
-            apply_momentum(wf, "beta", point, h),
-            apply_hamiltonian(wf, point, h),
+            apply_momentum(wf, "alpha", points, h),
+            apply_momentum(wf, "beta", points, h),
+            apply_hamiltonian(wf, points, h),
         )
         estimates = [part for r in results for part in (r.real, r.imag)]
-        probability = probability_density(wf, point) * w1 * w2
+        probability = probability_density(wf, points) * w1 * w2
 
         finite = np.isfinite([c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q])
         accepted = (
@@ -341,6 +338,7 @@ def evaluate_models(
             & np.isfinite([w1, w2, S, residual]).all(axis=0)
         )
         stepped = np.isfinite(h) & (h > 0.0) & np.isfinite(hbar) & (hbar > 0.0)
+        ordered = (alpha >= 1.0) & (alpha < math.inf) & (beta >= 1.0) & (beta < math.inf)
         wave = accepted & (w1 > 0.0) & (w2 > 0.0)
         # _check_step's guard, then every wave-field value finite
         stable = (
@@ -349,8 +347,14 @@ def evaluate_models(
             & np.isfinite([*estimates, probability]).all(axis=0)
         )
     wave_columns = [np.where(wave, x, math.nan) for x in (*estimates, probability)]
-    rejected = ~accepted | ~stepped | (wave & ~stable)
-    return ModelColumns(w1, w2, S, residual, *wave_columns, wave, rejected)
+    flagged = ~(accepted & stepped & ordered) | (wave & ~stable)
+    # each flagged row as Python floats, whose reprs the scalar messages
+    # show, built in the order a member-by-member run builds it
+    for row in zip(*(field[flagged].tolist() for field in fields)):
+        spec = LagrangianSpec(*row[:5], FractionalOrder(row[5]), FractionalOrder(row[6]))
+        energies, point = EnergyPartition(*row[7:9]), TransformedPoint(*row[9:13])
+        evaluate_model(spec, energies, point, *row[13:])
+    return ModelColumns(w1, w2, S, residual, *wave_columns, wave)
 
 
 def classical_limit_check(

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fracwkb import cli, reporting, verification
+from fracwkb import cli, reporting, verification, wkb
 from fracwkb.cli import RunConfig, _make_parser, main
-from fracwkb.fracops import TimeGrid
+from fracwkb.fracops import FractionalOrder, TimeGrid
+from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
+from fracwkb.mechanics import LagrangianSpec
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import resolve_tolerances
 from fracwkb.wkb import SAMPLE_POINT, evaluate_model
@@ -703,13 +705,13 @@ def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    evaluate = verification.evaluate_models
+    evaluate = cli.evaluate_models
 
     def drifted(*args):
         columns = evaluate(*args)
         return columns._replace(w1_slope=columns.w1_slope + 1e-9)
 
-    monkeypatch.setattr(verification, "evaluate_models", drifted)
+    monkeypatch.setattr(cli, "evaluate_models", drifted)
     assert main(argv) == 1
     rows = _csv_rows(capsys.readouterr().out)
     assert [row["quantity"] for row in rows if row["pass"] == "false"] == ["w1_slope"] * 2
@@ -748,9 +750,13 @@ def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys
     expected = None
     for value in values:
         row = config._replace(**{param: float(value)})
-        fields = [*coefficients, row.alpha, row.beta, row.e1, row.e2, *SAMPLE_POINT, row.q]
         try:
-            evaluate_model(*verification._member(fields), row.fd_step, row.hbar)
+            spec = LagrangianSpec(
+                *coefficients, FractionalOrder(row.alpha), FractionalOrder(row.beta)
+            )
+            energies = EnergyPartition(row.e1, row.e2)
+            point = TransformedPoint(*SAMPLE_POINT, row.q)
+            evaluate_model(spec, energies, point, row.fd_step, row.hbar)
         except (ValueError, OverflowError) as exc:
             expected = f"error: {exc}\n"
             break
@@ -758,6 +764,34 @@ def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys
         assert ret in (0, 1) and not err.startswith("error:")
     else:
         assert (ret, err) == (2, expected)
+
+
+def test_model_batches_rerun_no_good_row(monkeypatch, capsys):
+    # A batch that quietly went row by row would print the same output,
+    # so count the scalar model path's calls: a 2000-step sweep of each
+    # model makes none, and verify only the two of its classical limit check
+    callers = []
+    evaluate = wkb.evaluate_model
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return evaluate(*args)
+
+    monkeypatch.setattr(wkb, "evaluate_model", counted)
+    custom = ["--c-alpha", "2", "--v", "0.5", "--l-alpha", "0.25"]
+    for model in ("example1", "example2", "custom"):
+        argv = ["sweep", "--model", model, "--param", "q", "--from", "-1", "--to", "1"]
+        argv += ["--steps", "2000", "--format", "csv", *(custom if model == "custom" else [])]
+        assert main(argv) == 0
+    assert callers == []
+    for memo in (
+        verification._hj_max_residual, verification._eigen_measurements,
+        verification._probability_max_deviation,
+    ):
+        memo.cache_clear()
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert callers == ["classical_limit_check"] * 2
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

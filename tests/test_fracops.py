@@ -453,6 +453,42 @@ def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
     npt.assert_array_equal(numeric.values, expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.sampled_from([2000.0, 1e9, 1e20, 1e200]),
+    side=st.sampled_from(["left", "right"]),
+    count=st.integers(2, 600),
+    kind=st.sampled_from(["power", "negative", "signed", "alternating", "signed_zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_huge_integer_orders_equal_the_whole_binomial_sum(order, side, count, kind, seed):
+    # Past its first infinite weight a huge order's binomial row is not
+    # summed where the sums are nan whatever their order; every node must
+    # still equal the sum over the whole row, bit for bit or nan where it
+    # is nan.  A unit step leaves the sums unscaled, so their finite
+    # values show too; rows that change sign keep the whole sum.
+    grid = TimeGrid(0.0, float(count), count)
+    rng = np.random.default_rng(seed)
+    nodes = np.arange(count + 1.0)
+    samples = {
+        "power": nodes ** rng.integers(0, 4),
+        "negative": -rng.random(count + 1),
+        "signed": rng.standard_normal(count + 1),
+        "alternating": (-1.0) ** nodes,
+        "signed_zeros": np.where(rng.random(count + 1) < 0.3, -0.0, -rng.random(count + 1)),
+    }[kind]
+    numeric = rl_derivative_block(grid, [samples], [FractionalOrder(order)], side)[0, 0]
+    values = samples if side == "left" else samples[::-1]
+    full = np.convolve(gl_weights(order, min(int(order), count + 1)), values)
+    expected = full[1 : count + 2].copy()
+    expected[count] = full[count]  # the clamped endpoint drops the shift
+    if side == "right":
+        expected = expected[::-1]
+    nan = np.isnan(expected)
+    npt.assert_array_equal(np.isnan(numeric), nan)
+    npt.assert_array_equal(numeric[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     order=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),

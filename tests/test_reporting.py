@@ -41,6 +41,32 @@ def test_record_rejects_unsafe_names():
             RecordBatch(["ok", name], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        # a failing second record would vanish from the output
+        (
+            (["a"], [1.0, 2.0], [1.0, 5.0], [0.1, 0.1]),
+            r"one value per quantity \(1\), got analytic 2, numeric 2, tolerance 2$",
+        ),
+        # b would vanish, its values made up by broadcasting
+        (
+            (["a", "b"], [1.0], [1.0], [0.1]),
+            r"\(2\), got analytic 1, numeric 1, tolerance 1$",
+        ),
+        (
+            (["a", "b"], [1.0, 1.0], [1.0, 1.0], [0.1, 0.1], ("e1", [0.5])),
+            r"\(2\), got analytic 2, numeric 2, tolerance 2, sweep 'e1' 1$",
+        ),
+        ((["a"], 1.0, 1.0, 0.1), r"\(1\), got analytic \(\), numeric \(\), tolerance \(\)$"),
+    ],
+    ids=["values_past_the_names", "names_past_the_values", "short_sweep", "scalar_values"],
+)
+def test_record_batch_rejects_columns_of_unequal_length(columns, message):
+    with pytest.raises(ValueError, match=message):
+        RecordBatch(*columns)
+
+
 def test_informational_rows_always_pass():
     # an infinite residual, and inf against inf, whose residual is nan
     batch = _batch(

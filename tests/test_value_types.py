@@ -16,7 +16,12 @@ import pytest
 
 from fracwkb import cli, wkb
 from fracwkb.fracops import FractionalOrder, SampledFunction, TimeGrid
-from fracwkb.hamilton_jacobi import EnergyPartition, PrincipalFunction, TransformedPoint
+from fracwkb.hamilton_jacobi import (
+    EnergyPartition,
+    PointColumns,
+    PrincipalFunction,
+    TransformedPoint,
+)
 from fracwkb.mechanics import KinematicState, LagrangianSpec, Momenta, example2
 
 _SPEC_REPR = (
@@ -60,9 +65,9 @@ _CASES = {
     "WaveField": (
         lambda: wkb.WaveField(_pf(), hbar=2.0), "hbar", f"WaveField(pf={_PF_REPR}, hbar=2.0)"
     ),
-    "_PointColumns": (
-        lambda: wkb._PointColumns(0.02, -0.015, 0.005, 1.0), "t",
-        "_PointColumns(u1=0.02, u2=-0.015, t=0.005, q=1.0)",
+    "PointColumns": (
+        lambda: PointColumns(0.02, -0.015, 0.005, 1.0), "t",
+        "PointColumns(u1=0.02, u2=-0.015, t=0.005, q=1.0)",
     ),
     "RunConfig": (
         lambda: cli.RunConfig(tolerances={"closed_form": 1e-9}), "alpha", _CONFIG_REPR

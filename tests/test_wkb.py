@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwkb import verification
-from fracwkb.errors import NonpositiveMomentumError, StepTooLargeError
+from fracwkb.errors import ForbiddenRegionError, NonpositiveMomentumError, StepTooLargeError
 from fracwkb.fracops import FractionalOrder
-from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint, separate
+from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint, hj_residual, separate
 from fracwkb.mechanics import FamilyColumns, LagrangianSpec, example1, example2
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import DEFAULT_TOLERANCES
 from fracwkb.wkb import (
+    FD_STEP,
     ModelColumns,
     apply_hamiltonian,
     apply_momentum,
@@ -262,7 +262,7 @@ def _member(draw, small_point=True):
 def _batch(members) -> ModelColumns:
     specs, energies, points, steps, hbars = zip(*members)
     family = FamilyColumns(
-        *(np.array([getattr(s, name) for s in specs]) for name in FamilyColumns._fields)
+        *np.array([[*s[:5], s.alpha.value, s.beta.value] for s in specs]).T
     )
     return evaluate_models(
         family, [e.e1 for e in energies], [e.e2 for e in energies],
@@ -274,25 +274,36 @@ def _batch(members) -> ModelColumns:
 @settings(max_examples=60, deadline=None)
 @given(members=st.lists(_member() | _member(small_point=False), min_size=1, max_size=30))
 def test_batch_equals_scalar_path(members):
-    # Every column equals the scalar functions' value bit for bit, signed
-    # zeros included, nan where the wave field is undefined (a zero
-    # energy or a nonpositive momentum).  A member the scalar path
-    # rejects (a negative W1 radicand, a step past the phase guard, a
-    # momentum product out of the float range) must be marked rejected.
-    # A step or hbar that is not finite and positive is rejected on every
-    # member, zero energies included.
-    columns = _batch(members)
-    for i, member in enumerate(members):
+    # A member the scalar path rejects (a negative W1 radicand, a step
+    # past the phase guard, a momentum product out of the float range)
+    # raises the same error from a one-row batch, and a batch of all the
+    # members raises the first one's.  A step or hbar that is not finite
+    # and positive is rejected on every member, zero energies included.
+    # On the accepted members every column equals the scalar functions'
+    # value bit for bit, signed zeros included, nan where the wave field
+    # is undefined (a zero energy or a nonpositive momentum).
+    accepted, references, errors = [], [], []
+    for member in members:
         *_, step, hbar = member
         if not (0.0 < step < math.inf and 0.0 < hbar < math.inf):
             with pytest.raises(ValueError, match="must be finite and positive"):
                 evaluate_model(*member)
         try:
-            reference = evaluate_model(*member)
-        except (ValueError, ArithmeticError):
-            assert columns.rejected[i]
+            references.append(evaluate_model(*member))
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(exc)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                _batch([member])
             continue
-        for name in ModelColumns._fields[:-2]:
+        accepted.append(member)
+    if errors:
+        with pytest.raises(type(errors[0]), match=f"^{re.escape(str(errors[0]))}$"):
+            _batch(members)
+    if not accepted:
+        return
+    columns = _batch(accepted)
+    for i, reference in enumerate(references):
+        for name in ModelColumns._fields[:-1]:
             got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
             assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), name
         assert columns.wave[i] == reference.wave
@@ -303,15 +314,30 @@ def test_batch_equals_scalar_path(members):
 def test_hj_identity_and_probability_law_hold(members):
     # H(dS/du, q) + dS/dt = 0 wherever W1 is real, and
     # |psi|**2 p_alpha p_beta = 1 wherever psi is defined (hbar finite
-    # and positive) and the momentum product is a normal float, at any point
-    columns = _batch(members)
-    real = np.isfinite(columns.w1_slope)
-    assert np.all(np.abs(columns.hj_residual[real]) <= 1e-12)
-    hbar = np.array([member[-1] for member in members])
-    normal = (
-        columns.wave & (0.0 < hbar) & (hbar < math.inf)
-        & (columns.w1_slope * columns.w2_slope >= np.finfo(float).tiny)
-    )
+    # and positive) and the momentum product is a normal float, at any
+    # point.  Neither reads the step, nor the HJ residual hbar, so each
+    # member is evaluated at step FD_STEP, and at hbar 1 where its own is
+    # not finite and positive.  Positive momenta whose product is not a
+    # normal float may leave no psi, and the batch rejects such a member:
+    # its residual is the scalar path's.
+    kept, own_hbar = [], []
+    for spec, energies, point, _, hbar in members:
+        pf = separate(spec, energies)
+        try:
+            w1, w2 = pf.w1_slope(point.q), pf.w2_slope
+        except ForbiddenRegionError:
+            continue  # W1 imaginary
+        if w1 > 0.0 and w2 > 0.0 and w1 * w2 < np.finfo(float).tiny:
+            assert abs(hj_residual(pf, point)) <= 1e-12
+            continue
+        valid = 0.0 < hbar < math.inf
+        kept.append((spec, energies, point, FD_STEP, hbar if valid else 1.0))
+        own_hbar.append(valid)
+    if not kept:
+        return
+    columns = _batch(kept)
+    assert np.all(np.abs(columns.hj_residual) <= 1e-12)
+    normal = columns.wave & np.array(own_hbar)
     assert np.all(np.abs(columns.probability[normal] - 1.0) <= 1e-14)
 
 
@@ -334,7 +360,6 @@ def test_verify_batch_raises_the_scalar_error(member, step):
     # scalar path rejects raises that path's error instead of giving nan
     with pytest.raises(Exception) as scalar:
         evaluate_model(*member, step)
-    good = (example2(), EnergyPartition(1.0, 1.0), _POINT)
+    good = (example2(), EnergyPartition(1.0, 1.0), _POINT, 1e-4, 1.0)
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        rows = np.array([verification._member_row(*m) for m in (good, member)])
-        verification.evaluate_members(rows, np.array([1e-4, step]), 1.0)
+        _batch([good, (*member, step, 1.0)])
