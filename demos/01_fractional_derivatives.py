@@ -35,7 +35,7 @@ nodes = grid.nodes()
 mask = interior_mask(grid)
 for k in (1, 2, 3):
     f = SampledFunction(grid, nodes**k)
-    numeric = left_rl_derivative(f, order).values
+    numeric = left_rl_derivative(f, order)
     oracle = rl_power_rule(k, order, nodes)
     err = np.abs(numeric[mask] - oracle[mask]).max()
     print(f"f(x) = x^{k}: max interior error = {err:.3e}")
@@ -44,22 +44,22 @@ print()
 print("== constants are not annihilated ==")
 const = SampledFunction(grid, np.ones(grid.count + 1))
 d_const = left_rl_derivative(const, order)
-print(f"D^0.5[1] at x=1:   {d_const.values[-1]:.12f}")
+print(f"D^0.5[1] at x=1:   {d_const[-1]:.12f}")
 print(f"closed form 1/sqrt(pi x):  {rl_power_rule(0, order, 1.0):.12f}")
 print(f"analytic value at x=0: {rl_power_rule(0, order, 0.0)}")
 for count in (1024, 4096):
     g = TimeGrid(0.0, 1.0, count)
     d = left_rl_derivative(SampledFunction(g, np.ones(count + 1)), order)
-    print(f"numeric at x=0 with count {count}: {d.values[0]:8.3f}  (grows as step^-0.5)")
+    print(f"numeric at x=0 with count {count}: {d[0]:8.3f}  (grows as step^-0.5)")
 print()
 
 print("== mirror symmetry ==")
 # the right derivative of f equals the left derivative of the mirrored
 # function, read off at the mirrored node; the match is bit-exact
 f = SampledFunction(grid, nodes**2)
-right = right_rl_derivative(f, order).values
+right = right_rl_derivative(f, order)
 mirrored = SampledFunction(grid, ((grid.a + grid.b) - nodes) ** 2)
-left_of_mirror = left_rl_derivative(mirrored, order).values[::-1]
+left_of_mirror = left_rl_derivative(mirrored, order)[::-1]
 print(f"max |right - mirrored left| = {np.abs(right - left_of_mirror).max():.1e}")
 print()
 
@@ -68,7 +68,7 @@ errors = {}
 for count in (512, 1024, 2048, 4096):
     g = TimeGrid(0.0, 1.0, count)
     x = g.nodes()
-    numeric = left_rl_derivative(SampledFunction(g, x**2), FractionalOrder(1.5)).values
+    numeric = left_rl_derivative(SampledFunction(g, x**2), FractionalOrder(1.5))
     oracle = rl_power_rule(2, FractionalOrder(1.5), x)
     m = interior_mask(g)
     errors[count] = np.abs(numeric[m] - oracle[m]).max()

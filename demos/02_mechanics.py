@@ -57,7 +57,7 @@ print("== feeding a sampled trajectory through the momentum map ==")
 grid = TimeGrid(0.0, 1.0, 2048)
 order = FractionalOrder(1.25)
 t = grid.nodes()
-velocity = left_rl_derivative(SampledFunction(grid, t**2), order).values
+velocity = left_rl_derivative(SampledFunction(grid, t**2), order)
 node = 1536  # t = 0.75
 state = KinematicState(t[node] ** 2, velocity[node], 0.0)
 p = canonical_momenta(example2(1.25, 1.25), state)

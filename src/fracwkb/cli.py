@@ -12,9 +12,10 @@ Subcommands:
 Exit code 0 means every emitted record passed its tolerance; 1 means at
 least one failed (the failures are echoed on stderr); 2 means the
 invocation itself was invalid (a setting so large that a float
-overflows included).  Output is byte-deterministic for a fixed
-configuration.  Each subcommand takes only the flags it reads, and a
---config file holds those same flags as KEY = VALUE lines.
+overflows included); a reader that closes stdout or stderr changes none
+of them.  Output is byte-deterministic for a fixed configuration.  Each
+subcommand takes only the flags it reads, and a --config file holds
+those same flags as KEY = VALUE lines.
 
 argparse checks the choices; RunConfig checks nothing.  A model
 setting, from a flag, a config line or a sweep value, is checked where
@@ -28,10 +29,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -216,6 +217,18 @@ def cmd_verify(config: RunConfig) -> RecordBatch:
     )
 
 
+def _write(stream: TextIO, pieces: Iterable[str]) -> None:
+    try:
+        stream.writelines(pieces)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the stream, which changes no exit code: stop
+        # writing, and send what is left, up to the final flush, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _emit(batch: RecordBatch, config: RunConfig) -> int:
     # the columns are rendered before --out is opened, so a failure there
     # leaves an existing file as it was
@@ -224,27 +237,28 @@ def _emit(batch: RecordBatch, config: RunConfig) -> int:
         with open(config.output_path, "w", encoding="utf-8") as out:
             out.writelines(pieces)
     else:
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout, which fails no record: stop writing,
-            # and send what is left, up to the final flush, to devnull
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _write(sys.stdout, pieces)
     if not batch.passed.all():
-        sys.stderr.write("failing records:\n")
-        sys.stderr.writelines(render(batch.failures(), "table"))
+        _write(sys.stderr, chain(["failing records:\n"], render(batch.failures(), "table")))
         return 1
     return 0
+
+
+def _number(kind: type, text: str, what: str) -> float:
+    """kind(text), or a ValueError that names what the text was for."""
+    try:
+        return kind(text)
+    except ValueError:
+        needed = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {needed}, got {text!r}") from None
 
 
 def _parse_grid(text: str) -> TimeGrid:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a,b,count', got {text!r}")
-    return TimeGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+    a, b = (_number(float, part, "--grid endpoint") for part in parts[:2])
+    return TimeGrid(a, b, _number(int, parts[2], "--grid count"))
 
 
 def _parse_tol(entries: Sequence[str]) -> dict[str, float]:
@@ -253,7 +267,7 @@ def _parse_tol(entries: Sequence[str]) -> dict[str, float]:
         name, sep, value = entry.partition("=")
         if not sep or not name:
             raise ValueError(f"tolerance override must be NAME=VALUE, got {entry!r}")
-        out[name] = float(value)
+        out[name] = _number(float, value, f"--tol {name}")
     return out
 
 
@@ -366,7 +380,7 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
-        values = [float(part) for part in args.values.split(",") if part.strip()]
+        values = [_number(float, x, "--values entry") for x in args.values.split(",") if x.strip()]
     elif args.sweep_from is not None or args.sweep_to is not None or args.steps is not None:
         if args.sweep_from is None or args.sweep_to is None or args.steps is None:
             raise ValueError("linear sweep needs --from, --to and --steps together")
@@ -417,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _emit(cmd_verify(config), config)
         return _emit(cmd_example(config, config.model, args.param, _sweep_values(args)), config)
     except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}\n"])
         return 2
 
 

@@ -22,11 +22,12 @@ Overflow, for huge samples or orders, gives non-finite values rather
 than an error.
 
 rl_derivative_block is the one function every kernel call goes
-through, and the only one that checks kernel input.  It takes a grid, a
-block of sample rows on it and several orders: the block is transformed
-once, each order's weights once, and each order's product is inverted
-for all rows together.  left_rl_derivative and right_rl_derivative are
-its one-row, one-order case on a SampledFunction.
+through.  It takes a grid, a block of sample rows on it and several
+orders: the block is transformed once, each order's weights once, and
+each order's product is inverted for all rows together.
+left_rl_derivative and right_rl_derivative are its one-row, one-order
+case on a SampledFunction; each of SampledFunction and
+rl_derivative_block checks its samples' shape and finiteness.
 """
 
 from __future__ import annotations
@@ -93,19 +94,11 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
         return np.minimum(self.a + self.step * np.arange(self.count + 1), self.b)
 
 
-class SampledFunction(
-    NamedTuple(
-        "SampledFunction",
-        [("grid", TimeGrid), ("values", np.ndarray), ("allow_nonfinite", bool)],
-    )
-):
-    """Function samples aligned with a TimeGrid.
+class SampledFunction(NamedTuple("SampledFunction", [("grid", TimeGrid), ("values", np.ndarray)])):
+    """Finite function samples aligned with a TimeGrid: the operators' input.
 
-    Inputs to the derivative operators must be finite everywhere.
-    Operator outputs may carry non-finite entries where the true
-    derivative diverges (for example at an endpoint); those are built
-    with allow_nonfinite=True and kept as they are rather than silently
-    clipped.  It holds an array, so it compares and hashes by identity.
+    The values are a read-only copy.  It holds an array, so it compares
+    and hashes by identity.
     """
 
     __slots__ = ()
@@ -113,17 +106,15 @@ class SampledFunction(
     __ne__ = object.__ne__
     __hash__ = object.__hash__
 
-    def __new__(
-        cls, grid: TimeGrid, values: np.ndarray, allow_nonfinite: bool = False
-    ) -> SampledFunction:
+    def __new__(cls, grid: TimeGrid, values: np.ndarray) -> SampledFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.count + 1,):
             raise ValueError(f"expected {grid.count + 1} samples, got shape {values.shape}")
-        if not allow_nonfinite and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise NonFiniteInputError("samples contain NaN or infinity")
         values = values.copy()
         values.setflags(write=False)
-        return super().__new__(cls, grid, values, allow_nonfinite)
+        return super().__new__(cls, grid, values)
 
 
 def gamma(x: float) -> float:
@@ -276,25 +267,23 @@ def rl_derivative_block(
     return out if side == "left" else out[..., ::-1]
 
 
-def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
-    """Derivative taken from the left endpoint, evaluated at every node.
+def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> np.ndarray:
+    """Derivative from the left endpoint: count + 1 values, one per node.
 
-    First-order accurate away from the left endpoint; near that endpoint
-    the true derivative of a generic function diverges, so the first few
-    nodes are best excluded via interior_mask when measuring error.
+    Non-finite where the derivative diverges.  First-order accurate away
+    from the left endpoint; near it the true derivative of a generic
+    function diverges, so interior_mask excludes it when measuring error.
     """
-    out = rl_derivative_block(f.grid, [f.values], [order], "left")[0, 0]
-    return SampledFunction(f.grid, out, allow_nonfinite=True)
+    return rl_derivative_block(f.grid, [f.values], [order], "left")[0, 0]
 
 
-def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
-    """Derivative taken from the right endpoint, evaluated at every node.
+def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> np.ndarray:
+    """Derivative from the right endpoint: count + 1 values, one per node.
 
-    Implemented as the mirror image of the left operator, so the two
-    sides agree exactly under reflection of the samples.
+    The mirror image of the left operator, so the two sides agree
+    exactly under reflection of the samples.
     """
-    out = rl_derivative_block(f.grid, [f.values], [order], "right")[0, 0]
-    return SampledFunction(f.grid, out, allow_nonfinite=True)
+    return rl_derivative_block(f.grid, [f.values], [order], "right")[0, 0]
 
 
 def rl_power_rule(

@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "RecordBatch",
     "ReportRecord",
-    "format_float",
     "format_table",
     "format_csv",
     "format_json",
@@ -131,13 +130,9 @@ CHUNK_ROWS = 1024
 _Columns = list[tuple[np.ndarray, np.ndarray]]
 
 
-def format_float(x: float) -> str:
-    return format(x, _FLOAT_SPEC)
-
-
 def _distinct_floats(values: np.ndarray, as_json: bool) -> tuple[list[str], np.ndarray]:
-    """format_float of each distinct bit pattern, so -0.0 and 0.0 keep their
-    own text, and each row's index into those texts; as_json gives JSON values."""
+    """The text of each distinct bit pattern, so -0.0 and 0.0 keep their own
+    text, and each row's index into those texts; as_json gives JSON values."""
     bits, rows = np.unique(values.view(np.int64), return_inverse=True)
     floats = bits.view(np.float64).tolist()
     texts = list(map(float.__format__, floats, repeat(_FLOAT_SPEC)))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -157,6 +158,22 @@ def test_malformed_grid(capsys):
     ret = main(["deriv", "--grid", "0,1"])
     assert ret == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["deriv", "--grid", "0,1,1e3"], "--grid count must be an integer, got '1e3'"),
+        (["deriv", "--grid", "a,1,4"], "--grid endpoint must be a number, got 'a'"),
+        (["deriv", "--grid", "0,b,4"], "--grid endpoint must be a number, got 'b'"),
+        (["example1", "--tol", "probability=x"], "--tol probability must be a number, got 'x'"),
+        (["example1", "--tol", "probability="], "--tol probability must be a number, got ''"),
+        (["sweep", "--param=e1", "--values", "1,x"], "--values entry must be a number, got 'x'"),
+    ],
+)
+def test_unparsable_number_names_its_flag(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_overflowing_samples_are_usage_error(capsys):
@@ -917,6 +934,31 @@ def test_closed_stdout_is_not_an_invocation_error():
         stderr = process.stderr.read()
         assert process.wait(timeout=60) == 0
     assert stderr == ""
+
+
+def _closed_pipe():
+    """The write end of a pipe whose reader has closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def test_closed_stderr_keeps_the_exit_code(capsys):
+    # an invalid invocation exits 2 even when its message cannot be written
+    cmd = [sys.executable, "-m", "fracwkb", "deriv", "--grid", "0,1"]
+    write = _closed_pipe()
+    try:
+        process = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=write, timeout=60)
+    finally:
+        os.close(write)
+    assert process.returncode == 2
+    # and a failing run returns 1 when its failures table cannot be written;
+    # line-buffered, as sys.stderr is, so each line is written as it comes
+    closed = os.fdopen(_closed_pipe(), "w", buffering=1)
+    with closed, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stderr", closed)
+        assert main(["deriv", "--grid", "0,1,64", "--tol", "kernel_max_error=0"]) == 1
+    assert capsys.readouterr().out.startswith("quantity")
 
 
 def _readme_flags():

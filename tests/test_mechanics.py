@@ -169,7 +169,7 @@ def test_momenta_from_sampled_velocity():
     grid = TimeGrid(0.0, 1.0, 2048)
     order = FractionalOrder(1.25)
     q_samples = SampledFunction(grid, grid.nodes() ** 2)
-    d_alpha_q = left_rl_derivative(q_samples, order).values
+    d_alpha_q = left_rl_derivative(q_samples, order)
     node = 1536  # x = 0.75
     state = KinematicState(q_samples.values[node], d_alpha_q[node], 0.0)
     momenta = canonical_momenta(example2(1.25, 1.25), state)

@@ -12,7 +12,6 @@ from fracwkb.reporting import (
     RecordBatch,
     ReportRecord,
     format_csv,
-    format_float,
     format_json,
     format_table,
 )
@@ -79,10 +78,11 @@ def test_informational_rows_always_pass():
 
 
 def test_format_float_17_digits():
-    assert format_float(1.0 / 3.0) == "0.33333333333333331"
-    assert format_float(1e-12) == "9.9999999999999998e-13"
-    assert format_float(2.0) == "2"
-    assert format_float(math.inf) == "inf"
+    # every float is rendered with 17 significant digits
+    batch = _batch(ReportRecord("x", 1.0 / 3.0, 1e-12, math.inf), ReportRecord("y", 2.0, 2.0, 1.0))
+    rows = [line.split(",") for line in format_csv(batch).splitlines()[2:]]
+    assert rows[0][1:3] == ["0.33333333333333331", "9.9999999999999998e-13"]
+    assert rows[0][4] == "inf" and rows[1][1:5] == ["2", "2", "0", "1"]
 
 
 def test_table_layout():
@@ -159,7 +159,7 @@ def test_formats_are_deterministic():
 # ------------------------------------- batch against per-row reference
 
 # The per-row renderers below are the reference the columnar formatters
-# are held to: one format_float call per cell, and residual and pass
+# are held to: one format(x, ".17g") call per cell, and residual and pass
 # computed per row from the ReportRecord's fields.
 
 _HEADER = ("quantity", "analytic", "numeric", "residual", "tolerance", "pass")
@@ -174,15 +174,15 @@ def _passes(r):
 
 
 def _reference_cells(records, sweep):
-    prefixes = [()] * len(records) if sweep is None else [(format_float(v),) for v in sweep[1]]
+    prefixes = [()] * len(records) if sweep is None else [(format(v, ".17g"),) for v in sweep[1]]
     return [
         prefix
         + (
             r.quantity,
-            format_float(r.analytic),
-            format_float(r.numeric),
-            format_float(_residual(r)),
-            format_float(r.tolerance),
+            format(r.analytic, ".17g"),
+            format(r.numeric, ".17g"),
+            format(_residual(r), ".17g"),
+            format(r.tolerance, ".17g"),
             "true" if _passes(r) else "false",
         )
         for prefix, r in zip(prefixes, records)
@@ -216,7 +216,8 @@ def _reference_csv(records, sweep):
 
 
 def _json_number(x):
-    return format_float(x) if math.isfinite(x) else json.dumps(format_float(x))
+    text = format(x, ".17g")
+    return text if math.isfinite(x) else json.dumps(text)
 
 
 def _reference_json(records, sweep):
@@ -363,7 +364,7 @@ def _repeated_records_and_sweep(draw):
 @example(([ReportRecord("a", 1.0, math.nan, 0.0)] * 10, None), 3)
 def test_repeated_columns_match_per_cell_format(records_and_sweep, chunk):
     # every cell of a long column drawn from a few values is the
-    # format_float text of its own value, whatever its bit pattern
+    # .17g text of its own value, whatever its bit pattern
     records, sweep = records_and_sweep
     batch = RecordBatch.from_records(records, sweep)
     with pytest.MonkeyPatch.context() as patch:

@@ -102,9 +102,9 @@ def test_sampled_function_compares_by_identity():
     assert sampled == sampled and not sampled != sampled
     assert sampled != twin and not sampled == twin
     assert hash(sampled) == object.__hash__(sampled) != hash(twin)
-    assert sampled.allow_nonfinite is False and not sampled.values.flags.writeable
-    assert repr(sampled).startswith(
-        "SampledFunction(grid=TimeGrid(a=0.0, b=1.0, count=4), values=array([0., 1., 2., 3., 4.])"
+    assert not sampled.values.flags.writeable
+    assert repr(sampled) == (
+        "SampledFunction(grid=TimeGrid(a=0.0, b=1.0, count=4), values=array([0., 1., 2., 3., 4.]))"
     )
 
 

@@ -153,7 +153,7 @@ def _kernel_errors_reference():
         for count in counts:
             grid = TimeGrid(a, b, count)
             offsets = grid.nodes() - grid.a
-            numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order).values
+            numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order)
             oracle = rl_power_rule(k, order, offsets)
             mask = interior_mask(grid)
             errors[k, alpha][count] = np.max(np.abs(numeric[mask] - oracle[mask]))
@@ -174,7 +174,7 @@ def test_integer_reduction_errors_equal_the_per_case_loop():
     errors = verification._integer_reduction_errors()
     assert list(errors) == list(cases)
     for name, (values, oracle) in cases.items():
-        numeric = left_rl_derivative(SampledFunction(grid, values), FractionalOrder(1.0)).values
+        numeric = left_rl_derivative(SampledFunction(grid, values), FractionalOrder(1.0))
         error = np.max(np.abs(numeric[mask] - oracle[mask]))
         assert type(errors[name]) is np.float64
         assert np.float64(errors[name]).view(np.int64) == error.view(np.int64)

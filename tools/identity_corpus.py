@@ -29,10 +29,10 @@ a --config line and a sweep value; sweeps with --tol bogus=1 and
 grids; the other side's order; a bad order with --tol bogus=1; W slopes
 that overflow or turn imaginary and momentum products that leave the
 float range; known tolerances set in and out of range; malformed --tol
-entries and config lines; every sweep-range error; flags before the
-subcommand or of another one; deriv grids and sweeps whose row counts
-land at the edges of a piece of rendered output, in every format; and
---out.
+entries and config lines; numbers that do not parse in --grid and
+--values; every sweep-range error; flags before the subcommand or of
+another one; deriv grids and sweeps whose row counts land at the edges
+of a piece of rendered output, in every format; and --out.
 """
 
 from __future__ import annotations
@@ -166,6 +166,11 @@ def corpus() -> list[tuple[list[str], str | None]]:
             add(command, *sweep, "--tol", f"{name}={value}")
     for entry in ("probability", "=1", "probability=", "probability=x"):
         add("example1", "--tol", entry)
+    # numbers that do not parse, in --grid and --values
+    for grid in ("0,1,1e3", "a,1,4"):
+        add("deriv", "--grid", grid)
+    add("deriv", config="grid = 0,1,1e3\n")
+    add("sweep", "--param", "e1", "--values", "1,x")
     add("example1", "--tol", "probability=1e-13", "--tol", "imag_part=1e-3", "--format", "csv")
 
     # config files: comments and blank lines, tol.NAME keys, bad lines and keys
