@@ -16,7 +16,7 @@ from fracwkb import (
     SampledFunction,
     TimeGrid,
     gl_weights,
-    interior_mask,
+    interior,
     left_rl_derivative,
     right_rl_derivative,
     rl_power_rule,
@@ -32,12 +32,12 @@ print()
 
 print("== power rule vs kernel ==")
 nodes = grid.nodes()
-mask = interior_mask(grid)
+inner = interior(grid)
 for k in (1, 2, 3):
     f = SampledFunction(grid, nodes**k)
     numeric = left_rl_derivative(f, order)
     oracle = rl_power_rule(k, order, nodes)
-    err = np.abs(numeric[mask] - oracle[mask]).max()
+    err = np.abs(numeric[inner] - oracle[inner]).max()
     print(f"f(x) = x^{k}: max interior error = {err:.3e}")
 print()
 
@@ -70,8 +70,8 @@ for count in (512, 1024, 2048, 4096):
     x = g.nodes()
     numeric = left_rl_derivative(SampledFunction(g, x**2), FractionalOrder(1.5))
     oracle = rl_power_rule(2, FractionalOrder(1.5), x)
-    m = interior_mask(g)
-    errors[count] = np.abs(numeric[m] - oracle[m]).max()
+    inner = interior(g)
+    errors[count] = np.abs(numeric[inner] - oracle[inner]).max()
     print(f"count = {count:5d}: max interior error = {errors[count]:.3e}")
 rate = np.log(errors[512] / errors[4096]) / np.log(8.0)
 print(f"observed convergence order: {rate:.3f} (kernel is first-order)")

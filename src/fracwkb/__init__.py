@@ -17,7 +17,6 @@ Layers, bottom up:
 
 from .errors import (
     ForbiddenRegionError,
-    GammaPoleError,
     NonFiniteInputError,
     NonpositiveMomentumError,
     StepTooLargeError,
@@ -27,9 +26,8 @@ from .fracops import (
     FractionalOrder,
     SampledFunction,
     TimeGrid,
-    gamma,
     gl_weights,
-    interior_mask,
+    interior,
     left_rl_derivative,
     right_rl_derivative,
     rl_power_rule,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ForbiddenRegionError",
-    "GammaPoleError",
     "NonFiniteInputError",
     "NonpositiveMomentumError",
     "StepTooLargeError",
@@ -78,9 +75,8 @@ __all__ = [
     "FractionalOrder",
     "SampledFunction",
     "TimeGrid",
-    "gamma",
     "gl_weights",
-    "interior_mask",
+    "interior",
     "left_rl_derivative",
     "right_rl_derivative",
     "rl_power_rule",

@@ -271,12 +271,25 @@ def _parse_tol(entries: Sequence[str]) -> dict[str, float]:
     return out
 
 
+def _parse_value(flag: str, action: argparse.Action, value: str) -> None:
+    """Parse a config value as its flag would, naming the flag if it fails."""
+    if action.dest == "grid":
+        _parse_grid(value)
+    elif action.dest == "tolerances":
+        _parse_tol([value])
+    elif action.type is not None:
+        _number(action.type, value, flag)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{flag} must be one of {', '.join(action.choices)}, got {value!r}")
+
+
 def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """A flat KEY = VALUE file as the flags of one subcommand.
 
     Each key is one of the parser's flags without its leading dashes,
     written with _ for - (fd_step = 1e-3 is --fd-step=1e-3); tol.NAME = V
-    is --tol=NAME=V.  # starts a comment.
+    is --tol=NAME=V.  # starts a comment.  A value its flag would not
+    parse is an error that names its line.
     """
     flags = []
     for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -292,6 +305,10 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
         action = parser._option_string_actions.get(flag)
         if "-" in key or action is None or action.dest in ("help", "config"):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            _parse_value(flag, action, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         flags.append(f"{flag}={value}")
     return flags
 

@@ -5,10 +5,6 @@ distinction can catch a single built-in type.
 """
 
 
-class GammaPoleError(ValueError):
-    """Gamma function requested at a non-positive integer."""
-
-
 class NonFiniteInputError(ValueError):
     """An input sample contains NaN or infinity."""
 

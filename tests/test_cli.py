@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fracwkb import cli, reporting, verification, wkb
 from fracwkb.cli import RunConfig, _make_parser, main
-from fracwkb.fracops import FractionalOrder, TimeGrid
+from fracwkb.fracops import FractionalOrder, TimeGrid, roundoff_floor
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
 from fracwkb.mechanics import LagrangianSpec
 from fracwkb.reporting import RecordBatch
@@ -77,6 +77,21 @@ def test_deriv_right_side(capsys):
     assert ret == 0
     rows = capsys.readouterr().out.splitlines()
     assert any(line.startswith("observed_order") and line.endswith("true") for line in rows)
+
+
+def test_deriv_sides_share_the_interior(capsys):
+    # on 70 intervals node 7 is 7 * (1/70) = 0.09999999999999999 from
+    # the left end: the interior is counted in nodes, so both sides
+    # compare mirrored nodes and their errors differ by rounding alone
+    # (6.9e-14); a node on one side only moved the error by 5.7e-3
+    errors = []
+    for flags in (["--alpha", "1.5"], ["--side", "right", "--beta", "1.5"]):
+        main(["deriv", "--grid", "0,1,70", "--function", "x", "--format", "csv", *flags])
+        rows = _csv_rows(capsys.readouterr().out)
+        error = next(row for row in rows if row["quantity"] == "max_interior_error")
+        errors.append(float(error["numeric"]))
+    floor = roundoff_floor(FractionalOrder(1.5), TimeGrid(0.0, 1.0, 70), 1.0)
+    assert abs(errors[1] - errors[0]) <= floor
 
 
 @settings(
@@ -606,6 +621,28 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ret = main(["example1", "--config", str(config)])
     assert ret == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("example1", "alpha = x", "--alpha must be a number, got 'x'"),
+        ("sweep", "steps = 2.5", "--steps must be an integer, got '2.5'"),
+        ("deriv", "grid = 0,1,1e3", "--grid count must be an integer, got '1e3'"),
+        ("verify", "format = xml", "--format must be one of table, csv, json, got 'xml'"),
+        ("deriv", "tol.kernel_order = x", "--tol kernel_order must be a number, got 'x'"),
+    ],
+)
+def test_config_value_that_does_not_parse_names_its_line(
+    command, line, message, tmp_path, capsys
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+    ret = main([command, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert ret == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:2: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracwkb.errors import GammaPoleError, NonFiniteInputError
+from fracwkb.errors import NonFiniteInputError
 from fracwkb.fracops import (
     _fft_length,
     FractionalOrder,
     SampledFunction,
     TimeGrid,
-    gamma,
     gl_weights,
-    interior_mask,
+    interior,
     left_rl_derivative,
     right_rl_derivative,
     rl_derivative_block,
@@ -23,51 +22,6 @@ from fracwkb.fracops import (
 )
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import observed_order_record, power_kernel_check
-
-
-# ---------------------------------------------------------------- gamma
-
-def test_gamma_against_libm():
-    xs = np.linspace(0.1, 50.0, 2497)
-    for x in xs:
-        expected = math.gamma(x)
-        assert abs(gamma(float(x)) - expected) <= 1e-12 * abs(expected)
-
-
-def test_gamma_half_against_quadrature():
-    # Gauss-Hermite weights integrate exp(-u**2) exactly, and the full
-    # integral equals gamma(1/2); an oracle independent of libm's gamma.
-    _, weights = np.polynomial.hermite.hermgauss(64)
-    assert abs(gamma(0.5) - weights.sum()) < 1e-13
-
-
-def test_gamma_small_integers():
-    assert abs(gamma(1.0) - 1.0) < 1e-14
-    assert abs(gamma(5.0) - 24.0) < 1e-12 * 24.0
-
-
-def test_gamma_recurrence():
-    for x in (0.3, 1.7, 6.4, 23.9):
-        assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * abs(gamma(x + 1.0))
-
-
-def test_gamma_negative_non_integer():
-    for x in (-0.5, -2.5, -6.3):
-        expected = math.gamma(x)
-        assert abs(gamma(x) - expected) <= 1e-11 * abs(expected)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(GammaPoleError):
-            gamma(x)
-
-
-def test_gamma_non_finite():
-    with pytest.raises(NonFiniteInputError):
-        gamma(math.inf)
-    with pytest.raises(NonFiniteInputError):
-        gamma(math.nan)
 
 
 # ----------------------------------------------------------- gl_weights
@@ -281,8 +235,8 @@ def _interior_error(k: int, alpha: float, count: int) -> float:
     numeric = left_rl_derivative(_power_samples(grid, k), order)
     nodes = grid.nodes()
     oracle = np.array([rl_power_rule(k, order, x) for x in nodes])
-    mask = interior_mask(grid)
-    return float(np.max(np.abs(numeric[mask] - oracle[mask])))
+    inner = interior(grid)
+    return float(np.max(np.abs(numeric[inner] - oracle[inner])))
 
 
 def test_left_derivative_linear_half_order():
@@ -420,7 +374,7 @@ def test_fft_sum_matches_direct_sum(order, side, count, exponent):
         direct = _direct_gl_sum(samples[::-1], order.value, grid.step)[::-1]
     # every node: a short FFT length would alias the endpoint region
     difference = np.max(np.abs(fast - direct))
-    discretization = np.max(np.abs(direct - oracle)[interior_mask(grid)])
+    discretization = np.max(np.abs(direct - oracle)[interior(grid)])
     floor = roundoff_floor(order, grid, 1.0)
     assert difference <= max(1e-2 * discretization, 16.0 * floor)
 
@@ -518,7 +472,7 @@ def test_shifted_stencil_is_meerschaert_tadjeran(order, side, count, exponent):
         shifted[i] = np.dot(g[: taps.size], taps)
     shifted *= grid.step**-order.value
     difference = np.max(np.abs(fast - shifted))
-    discretization = np.max(np.abs(shifted - oracle)[interior_mask(grid)])
+    discretization = np.max(np.abs(shifted - oracle)[interior(grid)])
     floor = roundoff_floor(order, grid, 1.0)
     assert difference <= max(1e-2 * discretization, 16.0 * floor)
 
@@ -748,33 +702,20 @@ def test_exact_stencils_never_fail_observed_order_on_shifted_grids(stencil, side
     assert _passes(record), (error, fine_error, record.numeric)
 
 
-# -------------------------------------------------------- interior_mask
+# -------------------------------------------------------- interior
 
 def test_interior_mask_margins():
-    # dyadic grid so the margin comparisons are exact
-    grid = TimeGrid(0.0, 1.0, 8)
-    mask = interior_mask(grid)
-    npt.assert_array_equal(mask, [False] + [True] * 7 + [False])
+    # nodes 1..7 of 0..8 are at least 1/10 of the width from both ends
+    assert interior(TimeGrid(0.0, 1.0, 8)) == slice(1, 8)
+    assert interior(TimeGrid(0.0, 1.0, 70)) == slice(7, 64)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    endpoints=st.one_of(
-        st.tuples(st.floats(-100.0, 100.0), st.floats(1e-12, 200.0)).map(
-            lambda aw: (aw[0], aw[0] + aw[1])
-        ),
-        # a few ulps wide near 1e16, where the nodes collapse onto a and b
-        st.tuples(st.floats(1e16, 1.01e16), st.integers(1, 8)).map(
-            lambda an: (an[0], an[0] + an[1] * math.ulp(an[0]))
-        ),
-    ),
-    count=st.integers(2, 5000),
-)
-@example(endpoints=(0.0, 1.0), count=2)
-@example(endpoints=(1e16, 1e16 + 2.0), count=5000)
-def test_interior_mask_is_one_nonempty_run(endpoints, count):
-    # the kernel's interior error reads the interior as one slice
-    mask = interior_mask(TimeGrid(*endpoints, count))
-    nodes = np.flatnonzero(mask)
-    assert nodes.size > 0
-    assert mask[nodes[0] : nodes[-1] + 1].all()
+def test_interior_mask_is_one_nonempty_run():
+    # exactly the nodes j with count <= 10 j <= 9 count: the interior
+    # reads only the count, so every count the kernel checks is covered
+    for count in range(2, 5001):
+        nodes = interior(TimeGrid(0.0, 1.0, count))
+        start, stop = nodes.start, nodes.stop
+        assert nodes.step is None and 0 < start < stop <= count
+        assert 10 * start >= count and 10 * (stop - 1) <= 9 * count
+        assert 10 * (start - 1) < count and 10 * stop > 9 * count

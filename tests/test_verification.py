@@ -18,7 +18,7 @@ from fracwkb.fracops import (
     FractionalOrder,
     SampledFunction,
     TimeGrid,
-    interior_mask,
+    interior,
     left_rl_derivative,
     rl_power_rule,
 )
@@ -155,8 +155,8 @@ def _kernel_errors_reference():
             offsets = grid.nodes() - grid.a
             numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order)
             oracle = rl_power_rule(k, order, offsets)
-            mask = interior_mask(grid)
-            errors[k, alpha][count] = np.max(np.abs(numeric[mask] - oracle[mask]))
+            inner = interior(grid)
+            errors[k, alpha][count] = np.max(np.abs(numeric[inner] - oracle[inner]))
     return errors
 
 
@@ -164,7 +164,7 @@ def test_integer_reduction_errors_equal_the_per_case_loop():
     # the integer reduction's per-case loop: one order-1 derivative and
     # one interior error per polynomial
     grid = TimeGrid(*verification._DOMAIN, verification._KERNEL_COUNT)
-    nodes, mask = grid.nodes(), interior_mask(grid)
+    nodes, inner = grid.nodes(), interior(grid)
     cases = {
         "x": (nodes, np.ones_like(nodes)),
         "x^2": (nodes**2, 2.0 * nodes),
@@ -175,7 +175,7 @@ def test_integer_reduction_errors_equal_the_per_case_loop():
     assert list(errors) == list(cases)
     for name, (values, oracle) in cases.items():
         numeric = left_rl_derivative(SampledFunction(grid, values), FractionalOrder(1.0))
-        error = np.max(np.abs(numeric[mask] - oracle[mask]))
+        error = np.max(np.abs(numeric[inner] - oracle[inner]))
         assert type(errors[name]) is np.float64
         assert np.float64(errors[name]).view(np.int64) == error.view(np.int64)
 
@@ -189,3 +189,12 @@ def test_kernel_errors_equal_the_per_case_loop():
         for count, error in per_count.items():
             assert type(errors[case][count]) is np.float64
             assert np.float64(errors[case][count]).view(np.int64) == error.view(np.int64)
+
+
+def test_interior_error_is_finite_on_a_few_ulps_wide_grid():
+    # the nodes of a 2-interval grid a few ulps wide round onto the
+    # endpoints; the interior is the middle node alone, so the error
+    # never reads the endpoint where the order-1.5 derivative diverges
+    grid = TimeGrid(1.0, 1.0000000000000004, 2)
+    error = verification.power_kernel_check(grid, [1], [FractionalOrder(1.5)])[2]
+    assert np.isfinite(error).all()

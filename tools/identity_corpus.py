@@ -30,9 +30,11 @@ grids; the other side's order; a bad order with --tol bogus=1; W slopes
 that overflow or turn imaginary and momentum products that leave the
 float range; known tolerances set in and out of range; malformed --tol
 entries and config lines; numbers that do not parse in --grid and
---values; every sweep-range error; flags before the subcommand or of
-another one; deriv grids and sweeps whose row counts land at the edges
-of a piece of rendered output, in every format; and --out.
+--values, and config values their flag would not parse; a grid with a
+node at a tenth of its width; every sweep-range error; flags before the
+subcommand or of another one; deriv grids and sweeps whose row counts
+land at the edges of a piece of rendered output, in every format; and
+--out.
 """
 
 from __future__ import annotations
@@ -128,6 +130,10 @@ def corpus() -> list[tuple[list[str], str | None]]:
         order_flag = "--alpha" if side == "left" else "--beta"
         add("deriv", "--side", side, "--function", function, f"{order_flag}={order}",
             f"--grid={grid}", "--format", rng.choice(FORMATS))
+    # node 7 of 70 is 0.09999999999999999 from the left end, a tenth of
+    # the width: both sides' interiors hold it
+    for side in ("left", "right"):
+        add("deriv", "--side", side, "--grid", "0,1,70", "--function", "x", "--format", "csv")
     for grid in ("0,1e-320,100000", "0,1e-320,1500", "-1e308,1e308,4", "0,1e200,64", "0,1",
                  "1,0,8", "0,1,1"):
         add("deriv", "--function", "x3", f"--grid={grid}")
@@ -181,6 +187,11 @@ def corpus() -> list[tuple[list[str], str | None]]:
         add("example1", config=text)
     add("deriv", config="tol.kernel_order = 0.5\ngrid = 0,1,64\n")
     add("verify", config="tol.imag_part = 1e-30\nformat = csv\n")
+    # config values their flag would not parse
+    for text in ("alpha = x\n", "format = xml\n"):
+        add("example1", config=text)
+    add("deriv", config="tol.kernel_order = x\n")
+    add("sweep", config="param = e1\nfrom = 0\nto = 1\nsteps = 2.5\n")
 
     # every sweep-range error
     for flags in (("--param", "e1", "--from", "0", "--to", "1"),
