@@ -66,7 +66,12 @@ class FractionalOrder(NamedTuple("FractionalOrder", [("value", float)])):
 
 
 class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int)])):
-    """Uniform grid of count + 1 nodes x_j = a + j * step on [a, b]."""
+    """Uniform grid of count + 1 nodes x_j = a + j * step on [a, b].
+
+    The nodes must be strictly increasing: a grid whose step is so small
+    against the float spacing at its endpoints that two nodes round onto
+    each other is rejected.
+    """
 
     __slots__ = ()
 
@@ -82,6 +87,13 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
         if not 0.0 < self.step < math.inf:
             raise ValueError(
                 f"grid step (b - a) / count must be positive and finite, got {self.step!r}"
+            )
+        nodes = self.nodes()
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError(
+                f"grid nodes must be strictly increasing, but with step {self.step!r}"
+                f" and a float spacing of {math.ulp(max(abs(a), abs(b)))!r} at the"
+                " endpoints some round onto each other"
             )
         return self
 

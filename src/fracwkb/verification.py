@@ -18,9 +18,11 @@ across versions, while NumPy (NEP 19) promises no cross-version stream
 for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
 scalar uniform draw would take, in the same stream order, and is one
-checked wkb.evaluate_models batch.  The kernel oracle differentiates
-every power at every order in one block call per grid, and the integer
-reduction its four polynomials in one more.
+checked wkb.evaluate_models batch.  The eigen grid is one more: each
+case at each point and each step-halving evaluation is a plain member
+row of those 13 fields.  The kernel oracle differentiates every power
+at every order in one block call per grid, and the integer reduction
+its four polynomials in one more.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .fracops import (
     rl_power_rule,
     roundoff_floor,
 )
-from .hamilton_jacobi import EnergyPartition, TransformedPoint
-from .mechanics import FamilyColumns, LagrangianSpec, example1, example2
+from .hamilton_jacobi import EnergyPartition
+from .mechanics import FamilyColumns, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
 from .wkb import FD_STEP, SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_models
 
@@ -255,16 +257,6 @@ def check_integer_reduction(tolerances: Mapping[str, float]) -> list[ReportRecor
     ]
 
 
-def _member_row(
-    spec: LagrangianSpec, energies: EnergyPartition, point: TransformedPoint
-) -> tuple[float, ...]:
-    """A member's 13 fields in draw order."""
-    return (
-        spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v, spec.alpha.value,
-        spec.beta.value, energies.e1, energies.e2, point.u1, point.u2, point.t, point.q,
-    )
-
-
 def _draw_columns(
     seed: int,
     ranges: Sequence[tuple[float, float]],
@@ -323,16 +315,18 @@ def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
 
 @functools.cache
 def _eigen_measurements() -> dict[str, list]:
-    """Momentum/energy estimates for both examples.
+    """Momentum/energy estimates for both examples, from one checked batch.
 
     Returns lists of (quantity, analytic, real, imag) estimates plus the
-    step-halving residual ratios, each evaluated as one batch.  No model
-    quantity reads the orders, so one set serves every order.  Analytic
-    targets are hand-expanded per example rather than routed through the
-    family formulas.
+    step-halving residual ratios.  Each evaluation is a member row, the
+    13 fields of a random draw; the halving rows carry their own steps.
+    No model quantity reads the orders, so one set serves every order.
+    Analytic targets are hand-expanded per example rather than routed
+    through the family formulas.
     """
-    ex1, ex2 = example1(), example2()
-    # (label, analytic, estimate column, spec, e1, e2, q), each case
+    # each example's first 7 member fields: coefficients, then orders
+    ex1, ex2 = ((*s[:5], s.alpha.value, s.beta.value) for s in (example1(), example2()))
+    # (label, analytic, estimate column, family, e1, e2, q), each case
     # evaluated at every point
     momentum = []
     for e in _ENERGIES:
@@ -341,46 +335,39 @@ def _eigen_measurements() -> dict[str, list]:
             (f"example1.p_alpha[e1={e:g}]", root, "p_alpha", ex1, e, 1.0, 0.0),
             (f"example1.p_beta[e2={e:g}]", root, "p_beta", ex1, 1.0, e, 0.0),
             (f"example2.p_beta[e2={e:g}]", root + 1.0, "p_beta", ex2, 1.0, e, 1.0),
-        ]
-        momentum += [
-            (
-                f"example2.p_alpha[e1={e:g} q={q:g}]", math.sqrt(q * q + 2.0 * e) + 1.0,
-                "p_alpha", ex2, e, 1.0, q,
-            )
-            for q in _QS
+            *(
+                (f"example2.p_alpha[e1={e:g} q={q:g}]", math.sqrt(q * q + 2.0 * e) + 1.0,
+                 "p_alpha", ex2, e, 1.0, q)
+                for q in _QS
+            ),
         ]
     energy = [
-        (f"{name}.energy[e1={e1:g} e2={e2:g} q={q:g}", e1 + e2, "energy", spec, e1, e2, q)
-        for name, spec, qs in (("example1", ex1, (0.0,)), ("example2", ex2, _QS))
+        (f"{name}.energy[e1={e1:g} e2={e2:g} q={q:g}", e1 + e2, "energy", family, e1, e2, q)
+        for name, family, qs in (("example1", ex1, (0.0,)), ("example2", ex2, _QS))
         for e1, e2, q in product(_ENERGIES, _ENERGIES, qs)
     ]
-
-    def at_points(cases, suffix):
-        for label, analytic, column, spec, e1, e2, q in cases:
-            for i, point in enumerate(_EVAL_POINTS):
-                member = _member_row(spec, EnergyPartition(e1, e2), TransformedPoint(*point, q))
-                yield label + suffix.format(i), analytic, column, member
-
     # the energy labels close their bracket after the point index
-    rows = [*at_points(momentum, "[pt={}]"), *at_points(energy, " pt={}]")]
-    columns = _evaluate_rows(np.array([row[3] for row in rows]), FD_STEP, _HBAR)._asdict()
-    columns = {name: column.tolist() for name, column in columns.items()}
+    cases = [
+        (label + suffix.format(i), analytic, column, (*family, e1, e2, *point, q))
+        for group, suffix in ((momentum, "[pt={}]"), (energy, " pt={}]"))
+        for label, analytic, column, family, e1, e2, q in group
+        for i, point in enumerate(_EVAL_POINTS)
+    ]
+    # the energy residual |estimate - (e1 + e2)| at e1 = e2 = e, q = 1
+    # and one point, at a step and at half of it
+    e, steps = 1.0, (_RATIO_STEP, _RATIO_STEP / 2.0)
+    halving = [(*family, e, e, *SAMPLE_POINT, 1.0) for family in (ex1, ex2) for _ in steps]
+    h = np.array([FD_STEP] * len(cases) + [*steps, *steps])
+    rows = np.array([row for *_, row in cases] + halving)
+    batch = _evaluate_rows(rows, h, _HBAR)
+    columns = {name: x.tolist() for name, x in batch._asdict().items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
-        for i, (quantity, analytic, column, _) in enumerate(rows)
+        for i, (quantity, analytic, column, _) in enumerate(cases)
     ]
     split = len(momentum) * len(_EVAL_POINTS)
-
-    # the energy residual |estimate - total| at one point, at a step and
-    # at half of it
-    energies = EnergyPartition(1.0, 1.0)
-    ratio_point = TransformedPoint(*SAMPLE_POINT, 1.0)
-    steps = (_RATIO_STEP, _RATIO_STEP / 2.0)
-    members = [_member_row(spec, energies, ratio_point) for spec in (ex1, ex2) for _ in steps]
-    ratio_columns = _evaluate_rows(np.array(members), np.tile(steps, 2), _HBAR)
-    residuals = np.hypot(
-        ratio_columns.energy - energies.total, ratio_columns.energy_imag
-    ).tolist()
+    halved = slice(len(cases), None)
+    residuals = np.hypot(batch.energy[halved] - 2.0 * e, batch.energy_imag[halved]).tolist()
     ratios = [
         (f"{name}.energy_ratio", coarse / fine)
         for name, coarse, fine in zip(("example1", "example2"), residuals[::2], residuals[1::2])

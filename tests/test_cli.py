@@ -217,6 +217,24 @@ def test_degenerate_grid_step_is_usage_error(grid, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "grid", ["1e16,1.0000000000000004e16,2", "-1.0000000000000004e16,-1e16,2"]
+)
+def test_collapsing_refinement_grid_is_usage_error(grid, capsys):
+    # each step is one float spacing, and the 4N refinement's a quarter
+    # of one, so refined nodes round onto each other: exit 2 naming the
+    # refinement grid, not an order of -inf in a FAIL record
+    assert main(["deriv", f"--grid={grid}", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    a, b, _ = (float(x) for x in grid.split(","))
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: 4x refinement grid {a!r},{b!r},8: grid nodes must be strictly increasing,"
+        " but with step 0.5 and a float spacing of 2.0 at the endpoints some round onto"
+        " each other\n"
+    )
+
+
 def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
     # the 4N grid's step underflows although the given grid's does not:
     # deriv names the refinement grid and runs no kernel

@@ -117,6 +117,11 @@ def test_grid_validation():
         TimeGrid(0.0, 1e-320, 100000)
     with pytest.raises(ValueError, match="step"):
         TimeGrid(-1e308, 1e308, 4)
+    # a quarter of a float spacing per step: nodes round onto each other
+    with pytest.raises(ValueError, match=r"with step 0\.5 and a float spacing of 2\.0 "):
+        TimeGrid(1e16, 1.0000000000000004e16, 8)
+    # one spacing per step keeps every node
+    TimeGrid(1.0, 1.0000000000000004, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,6 +136,34 @@ def test_grid_nodes_lie_in_the_interval(a, width, count):
     nodes = grid.nodes()
     assert nodes[0] == grid.a and nodes[-1] <= grid.b
     assert np.all(np.diff(nodes) >= 0.0)
+
+
+def _spacings_above(x, units):
+    for _ in range(units):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
+    count=st.integers(2, 64),
+    # float spacings per step: nodes collapse below one, and the last
+    # ones can far above it when the step is subnormal
+    per_step=st.one_of(st.floats(0.25, 2.0), st.floats(2.0, 32.0)),
+)
+@example(a=1e16, count=8, per_step=0.25)  # deriv's refinement of a 2-spacing grid
+@example(a=-1.0000000000000004e16, count=8, per_step=0.25)
+@example(a=0.0, count=7, per_step=1.5)  # a subnormal width
+@example(a=-5e-324, count=3, per_step=0.5)
+@example(a=0.0, count=45, per_step=16.625)  # the step rounds up from 16.6 to 17 spacings
+def test_accepted_grids_have_strictly_increasing_nodes(a, count, per_step):
+    b = _spacings_above(a, max(1, round(per_step * count)))
+    try:
+        grid = TimeGrid(a, b, count)
+    except ValueError:
+        return
+    assert np.all(np.diff(grid.nodes()) > 0.0)
 
 
 # ------------------------------------------------------ SampledFunction

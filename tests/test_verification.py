@@ -88,8 +88,9 @@ _SUITES = {
 
 
 def _bits(members):
-    rows = np.array([verification._member_row(*member) for member in members])
-    return rows.view(np.int64)
+    # each member's 13 fields in draw order, as bit patterns
+    rows = [(*spec[:5], spec.alpha.value, spec.beta.value, *e, *p) for spec, e, p in members]
+    return np.array(rows).view(np.int64)
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,6 +140,30 @@ def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
     verification._hj_max_residual.cache_clear()
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {errors[first]}\n"
+
+
+def test_verify_evaluates_its_models_in_three_batches(monkeypatch, capsys):
+    # one evaluate_models call each for the HJ draws, the eigen grid with
+    # its step-halving rows, and the probability draws
+    rows = []
+    evaluate = verification.evaluate_models
+
+    def counted(family, *columns):
+        rows.append(np.size(family.c_alpha))
+        return evaluate(family, *columns)
+
+    monkeypatch.setattr(verification, "evaluate_models", counted)
+    for memo in (
+        verification._hj_max_residual, verification._eigen_measurements,
+        verification._probability_max_deviation,
+    ):
+        memo.cache_clear()
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    # a row per estimate, and two per step-halving ratio
+    data = verification._eigen_measurements()
+    eigen = len(data["momentum"]) + len(data["energy"]) + 2 * len(data["ratios"])
+    assert rows == [verification._HJ_DRAWS, eigen, verification._PROB_DRAWS]
 
 
 def _kernel_errors_reference():
