@@ -23,8 +23,8 @@ than an error.
 
 rl_derivative_block is the one function every kernel call goes
 through.  It takes a grid, a block of sample rows on it and several
-orders: the block is transformed once, each order's weights once, and
-each order's product is inverted for all rows together.
+orders, and makes one pass over the whole block per order; the block
+is transformed once, on the first order that is not an integer.
 left_rl_derivative and right_rl_derivative are its one-row, one-order
 case on a SampledFunction; each of SampledFunction and
 rl_derivative_block checks its samples' shape and finiteness.
@@ -70,7 +70,12 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
 
     The nodes must be strictly increasing: a grid whose step is so small
     against the float spacing at its endpoints that two nodes round onto
-    each other is rejected.
+    each other is rejected.  They must also end at b: a grid whose last
+    node a + count * step, before it is clamped to b, misses b by more
+    than half a step is rejected.  Over normal floats that node misses b
+    by about two float spacings at most, so a step of 4 or more spacings
+    passes; a subnormal step rounds to whole spacings and can miss by
+    many steps.
     """
 
     __slots__ = ()
@@ -94,6 +99,12 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
                 f"grid nodes must be strictly increasing, but with step {self.step!r}"
                 f" and a float spacing of {math.ulp(max(abs(a), abs(b)))!r} at the"
                 " endpoints some round onto each other"
+            )
+        last = a + self.step * self.count
+        if 2.0 * abs(last - b) > self.step:
+            raise ValueError(
+                f"grid nodes must end at b={b!r}, but with step {self.step!r} the last"
+                f" node a + count * step is {last!r}, more than half a step from b"
             )
         return self
 
@@ -218,7 +229,8 @@ def rl_derivative_block(
 
     samples holds rows of grid.count + 1 finite values.  Returns an
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
-    the side's derivative of row r at order orders[i].
+    the side's derivative of row r at order orders[i], each order taking
+    one pass over the whole block.
     """
     rows = [np.asarray(row, dtype=float) for row in samples]
     if not rows or any(row.shape != (grid.count + 1,) for row in rows):
@@ -234,34 +246,26 @@ def rl_derivative_block(
     # Shift the stencil one node inward for orders above one; the last
     # node, past which the shift would index, keeps the unshifted sum.
     top = grid.count
-    values = [order.value for order in orders]
-    out = np.empty((len(values), *block.shape))
-    fft_orders = [i for i, order in enumerate(values) if not float(order).is_integer()]
+    out = np.empty((len(orders), *block.shape))
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
     size = _fft_length(2 * top + 1)
+    spectrum = None
     with np.errstate(over="ignore", invalid="ignore"):
-        if fft_orders:
-            block_spectrum = np.fft.rfft(block, size)
-        for i, (result, order) in enumerate(zip(out, values)):
+        for result, order in zip(out, (order.value for order in orders)):
             shift = 1 if order > 1.0 else 0
-            if i in fft_orders:
-                # the last order's product overwrites the block spectrum,
-                # so a one-order call holds two spectra, as a 1-D one did
-                spectrum = np.multiply(
-                    np.fft.rfft(gl_weights(order, top + shift), size),
-                    block_spectrum,
-                    out=block_spectrum if i == fft_orders[-1] else None,
-                )
-                full = np.fft.irfft(spectrum, size)
-            else:
+            if float(order).is_integer():
                 # leave out the exact zeros past the binomial row: O(N), not O(N**2)
                 weights = gl_weights(order, min(int(order), top + shift))
-                full = (_binomial_sums(weights, row) for row in block)
-            for row, sums in zip(result, full):
-                row[:] = sums[shift : top + 1 + shift]
-                row[top] = sums[top]
+                sums = np.array([_binomial_sums(weights, row) for row in block])
+            else:
+                if spectrum is None:
+                    spectrum = np.fft.rfft(block, size)
+                weights = gl_weights(order, top + shift)
+                sums = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
+            result[:, :top] = sums[:, shift : top + shift]
+            result[:, top] = sums[:, top]
             result *= np.float64(grid.step) ** -order
     return out if side == "left" else out[..., ::-1]
 

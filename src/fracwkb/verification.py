@@ -193,16 +193,13 @@ def observed_order_record(
 
 
 @functools.cache
-def _kernel_errors() -> dict[tuple[int, float], dict[int, np.float64]]:
+def _kernel_errors() -> dict[int, np.ndarray]:
+    # per grid count, the max interior errors of shape (orders, exponents)
     a, b = _DOMAIN
     orders = [FractionalOrder(alpha) for alpha in _ORDERS]
-    errors = {
+    return {
         count: power_kernel_check(TimeGrid(a, b, count), _EXPONENTS, orders)[2]
         for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS})
-    }
-    return {
-        (k, alpha): {count: per_grid[i, j] for count, per_grid in errors.items()}
-        for (j, k), (i, alpha) in product(enumerate(_EXPONENTS), enumerate(_ORDERS))
     }
 
 
@@ -215,18 +212,19 @@ def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     records = []
     a, b = _DOMAIN
     coarse, fine = (TimeGrid(a, b, count) for count in _ORDER_COUNTS)
-    for (k, alpha), per_count in _kernel_errors().items():
+    errors = _kernel_errors()
+    for (j, k), (i, alpha) in product(enumerate(_EXPONENTS), enumerate(_ORDERS)):
         tag = f"[k={k} alpha={alpha:g}]"
         records.append(
             ReportRecord(
-                f"kernel_error{tag}", 0.0, per_count[_KERNEL_COUNT],
+                f"kernel_error{tag}", 0.0, errors[_KERNEL_COUNT][i, j],
                 tolerances["kernel_max_error"],
             )
         )
         records.append(
             observed_order_record(
                 f"kernel_order{tag}", k, FractionalOrder(alpha),
-                (coarse, per_count[coarse.count]), (fine, per_count[fine.count]),
+                (coarse, errors[coarse.count][i, j]), (fine, errors[fine.count][i, j]),
                 tolerances["kernel_order"],
             )
         )

@@ -201,20 +201,44 @@ def test_overflowing_samples_are_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("grid", ["0,1e-320,100000", "0,1e-320,1500", "-1e308,1e308,4"])
+_STEP_NOT_FINITE = "error: grid step (b - a) / count must be positive and finite, got "
+_ENDS_SHORT = (
+    "error: grid nodes must end at b=1e-320, but with step 5e-324 the last node"
+    " a + count * step is 7.41e-321, more than half a step from b\n"
+)
+_REFINED_STEP_UNDERFLOWS = (
+    "error: 4x refinement grid 0.0,1e-320,4048: grid step (b - a) / count must be"
+    " positive and finite, got 0.0\n"
+)
+_DEGENERATE_GRIDS = {
+    "0,1e-320,100000": _STEP_NOT_FINITE,
+    # 2024 float spacings over 500 steps round to 4 a step, ending 6
+    # steps short of b, and over 1500 to 1, ending 524 short
+    "0,1e-320,500": (
+        "error: grid nodes must end at b=1e-320, but with step 2e-323 the last node"
+        " a + count * step is 9.88e-321, more than half a step from b\n"
+    ),
+    "0,1e-320,1500": _ENDS_SHORT,
+    "0,1e-320,1012": _REFINED_STEP_UNDERFLOWS,
+    "-1e308,1e308,4": _STEP_NOT_FINITE,
+}
+
+
+@pytest.mark.parametrize("grid", list(_DEGENERATE_GRIDS))
 def test_degenerate_grid_step_is_usage_error(grid, capsys):
     # a step that underflows to 0, on the grid itself or on its 4N
-    # refinement, or a width that overflows to inf: exit 2 naming the
-    # step, without a warning or a traceback
+    # refinement, a subnormal step that rounds to whole float spacings
+    # and ends short of b, or a width that overflows to inf: exit 2 with
+    # one line naming the step, no output, and no warning or traceback
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ret = main(["deriv", f"--grid={grid}"])
     assert ret == 2
     assert not caught
-    err = capsys.readouterr().err
-    refined = "4x refinement grid 0.0,1e-320,6000: " if grid == "0,1e-320,1500" else ""
-    assert err.startswith(f"error: {refined}grid step (b - a) / count must be positive and finite")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(_DEGENERATE_GRIDS[grid])
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -236,8 +260,9 @@ def test_collapsing_refinement_grid_is_usage_error(grid, capsys):
 
 
 def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
-    # the 4N grid's step underflows although the given grid's does not:
-    # deriv names the refinement grid and runs no kernel
+    # 0,1e-320,1012 steps exactly 2 spacings, and its 4N grid's half a
+    # spacing underflows: deriv names the refinement grid and runs no
+    # kernel.  0,1e-320,1500 is rejected on its own grid.
     calls = []
 
     def counted(*args):
@@ -245,11 +270,10 @@ def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
         return verification.power_kernel_check(*args)
 
     monkeypatch.setattr(cli, "power_kernel_check", counted)
+    assert main(["deriv", "--grid", "0,1e-320,1012"]) == 2
+    assert capsys.readouterr().err == _REFINED_STEP_UNDERFLOWS
     assert main(["deriv", "--grid", "0,1e-320,1500"]) == 2
-    assert capsys.readouterr().err == (
-        "error: 4x refinement grid 0.0,1e-320,6000: grid step (b - a) / count must be"
-        " positive and finite, got 0.0\n"
-    )
+    assert capsys.readouterr().err == _ENDS_SHORT
     assert calls == []
     main(["deriv", "--grid", "0,1,64"])
     capsys.readouterr()

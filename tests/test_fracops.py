@@ -122,6 +122,15 @@ def test_grid_validation():
         TimeGrid(1e16, 1.0000000000000004e16, 8)
     # one spacing per step keeps every node
     TimeGrid(1.0, 1.0000000000000004, 2)
+    # subnormal steps round to whole spacings: 2024 / 500 spacings to 4,
+    # ending 6 steps short of b, and 2024 / 1500 to 1, ending 524 short
+    with pytest.raises(ValueError, match=(
+        r"^grid nodes must end at b=1e-320, but with step 2e-323 the last node"
+        r" a \+ count \* step is 9\.88e-321, more than half a step from b$"
+    )):
+        TimeGrid(0.0, 1e-320, 500)
+    with pytest.raises(ValueError, match=r"step 5e-324 the last node .* is 7\.41e-321,"):
+        TimeGrid(0.0, 1e-320, 1500)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,7 +172,9 @@ def test_accepted_grids_have_strictly_increasing_nodes(a, count, per_step):
         grid = TimeGrid(a, b, count)
     except ValueError:
         return
-    assert np.all(np.diff(grid.nodes()) > 0.0)
+    nodes = grid.nodes()
+    assert np.all(np.diff(nodes) > 0.0)
+    assert 2.0 * (grid.b - nodes[-1]) <= grid.step
 
 
 # ------------------------------------------------------ SampledFunction
@@ -638,6 +649,9 @@ _POWERS_OF_TWO = [2**n for n in range(1, 14)]
 )
 @example(rows=3, orders=[0.25, 0.5, 0.75, 1.5], count=8192, side="left", seed=0)
 @example(rows=1, orders=[1, 0.5, 2, 1.5, 3], count=4096, side="right", seed=1)
+# an integer order whose binomials overflow, between FFT orders in one
+# multi-row block
+@example(rows=3, orders=[0.5, 2000, 1.5], count=4096, side="right", seed=2)
 def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
     # every (order, row) slice of one block call is, bit for bit, the
     # one-function, one-order operator, and that is the one-row sum the

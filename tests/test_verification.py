@@ -172,16 +172,16 @@ def _kernel_errors_reference():
     a, b = verification._DOMAIN
     counts = sorted({verification._KERNEL_COUNT, *verification._ORDER_COUNTS})
     errors = {}
-    for k, alpha in product(verification._EXPONENTS, verification._ORDERS):
-        order = FractionalOrder(alpha)
-        errors[k, alpha] = {}
-        for count in counts:
-            grid = TimeGrid(a, b, count)
-            offsets = grid.nodes() - grid.a
+    for count in counts:
+        grid = TimeGrid(a, b, count)
+        offsets, inner = grid.nodes() - grid.a, interior(grid)
+        for (j, k), (i, alpha) in product(
+            enumerate(verification._EXPONENTS), enumerate(verification._ORDERS)
+        ):
+            order = FractionalOrder(alpha)
             numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order)
             oracle = rl_power_rule(k, order, offsets)
-            inner = interior(grid)
-            errors[k, alpha][count] = np.max(np.abs(numeric[inner] - oracle[inner]))
+            errors[count, i, j] = np.max(np.abs(numeric[inner] - oracle[inner]))
     return errors
 
 
@@ -208,12 +208,12 @@ def test_integer_reduction_errors_equal_the_per_case_loop():
 def test_kernel_errors_equal_the_per_case_loop():
     errors = verification._kernel_errors()
     reference = _kernel_errors_reference()
-    assert list(errors) == list(reference)
-    for case, per_count in reference.items():
-        assert list(errors[case]) == list(per_count)
-        for count, error in per_count.items():
-            assert type(errors[case][count]) is np.float64
-            assert np.float64(errors[case][count]).view(np.int64) == error.view(np.int64)
+    shape = (len(verification._ORDERS), len(verification._EXPONENTS))
+    assert list(errors) == sorted({count for count, _, _ in reference})
+    assert all(per_grid.shape == shape for per_grid in errors.values())
+    for (count, i, j), error in reference.items():
+        assert type(errors[count][i, j]) is np.float64
+        assert errors[count][i, j].view(np.int64) == error.view(np.int64)
 
 
 def test_interior_error_is_finite_on_a_few_ulps_wide_grid():

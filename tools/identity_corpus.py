@@ -26,8 +26,9 @@ nan, inf, 1e308 and 1e-300, with and without zero energies, from a flag,
 a --config line and a sweep value; sweeps with --tol bogus=1 and
 --hbar=0; deriv on both sides for every built-in function over orders
 0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals; degenerate
-grids, and grids whose refined nodes collapse; the other side's order; a
-bad order with --tol bogus=1; W slopes that overflow or turn imaginary
+grids, grids that end short of b, and grids whose refined nodes collapse
+or whose refined step underflows; the other side's order; a bad order
+with --tol bogus=1; W slopes that overflow or turn imaginary
 and momentum products that leave the float range; known tolerances set
 in and out of range; malformed --tol entries and config lines; numbers
 that do not parse in --grid and --values, and config values their flag
@@ -137,6 +138,11 @@ def corpus() -> list[tuple[list[str], str | None]]:
     for grid in ("0,1e-320,100000", "0,1e-320,1500", "-1e308,1e308,4", "0,1e200,64", "0,1",
                  "1,0,8", "0,1,1"):
         add("deriv", "--function", "x3", f"--grid={grid}")
+    # a subnormal step that rounds to 4 spacings and ends 6 steps short of
+    # b, and one of exactly 2 spacings whose 4N refinement's step underflows
+    for side in ("left", "right"):
+        add("deriv", "--side", side, "--grid=0,1e-320,500")
+    add("deriv", "--grid=0,1e-320,1012")
     # a step of one float spacing, whose 4N refinement's nodes collapse
     for grid in ("1e16,1.0000000000000004e16,2", "-1.0000000000000004e16,-1e16,2"):
         add("deriv", f"--grid={grid}", "--format", "csv")
