@@ -24,7 +24,6 @@ from .errors import (
 )
 from .fracops import (
     FractionalOrder,
-    SampledFunction,
     TimeGrid,
     gl_weights,
     interior,
@@ -73,7 +72,6 @@ __all__ = [
     "StepTooLargeError",
     "ZeroEnergyError",
     "FractionalOrder",
-    "SampledFunction",
     "TimeGrid",
     "gl_weights",
     "interior",

@@ -6,7 +6,9 @@ step**(-order).  For orders above one the stencil is shifted by one node
 toward the interior, which keeps the scheme first-order accurate up to
 the boundary instead of losing order there.  The closed-form power rule,
 on the standard library's gamma, is included so every kernel result can
-be checked against an analytic value.
+be checked against an analytic value; roundoff_floor bounds what
+rounding alone adds, and interior(grid) gives the nodes, at least a
+tenth of the width from both endpoints, over which errors are measured.
 
 The order alone picks the sum.  An integer order n convolves with its
 n + 1 signed binomial weights (np.convolve, O(N)): the weights past
@@ -16,24 +18,30 @@ binomials overflow and the samples do not change sign, each sum past
 the first infinite weight is nan, and is not summed.  Any other order
 is a real FFT product in O(N log N), the convolution quadrature of
 Lubich (SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth
-length (2**a * 3**b * 5**c) of at least 2N + 1; against a long-double
-sum its error on power functions measured below roundoff_floor.
-Overflow, for huge samples or orders, gives non-finite values rather
-than an error.
+length (2**a * 3**b * 5**c) of at least 2N + 1, about half the next
+power of two on power-of-two grids; against a long-double sum its error
+on power functions measured below roundoff_floor.  Overflow, for huge
+samples or orders, gives non-finite values rather than an error.
 
 rl_derivative_block is the one function every kernel call goes
 through.  It takes a grid, a block of sample rows on it and several
-orders, and makes one pass over the whole block per order; the block
-is transformed once, on the first order that is not an integer.
-left_rl_derivative and right_rl_derivative are its one-row, one-order
-case on a SampledFunction; each of SampledFunction and
-rl_derivative_block checks its samples' shape and finiteness.
+orders, and makes one pass over the whole block per order: an integer
+order stacks every row's binomial sums, and any other order multiplies
+its weights' spectrum by the block's, which is taken once, on the first
+such order.  Each row must hold count + 1 finite samples, else it
+raises ValueError or NonFiniteInputError.  rl_derivative is the same
+block call with Lubich's endpoint term for rows where f(a) != 0, whose
+singular part the plain sum resolves badly.  left_rl_derivative and
+right_rl_derivative are its one-row, one-order case: they take a grid
+and its count + 1 samples and return count + 1 values, non-finite
+where the derivative diverges.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import compress
 from math import gamma
 from typing import NamedTuple, Sequence
 
@@ -44,10 +52,10 @@ from .errors import NonFiniteInputError
 __all__ = [
     "FractionalOrder",
     "TimeGrid",
-    "SampledFunction",
     "gl_weights",
     "left_rl_derivative",
     "right_rl_derivative",
+    "rl_derivative",
     "rl_derivative_block",
     "rl_power_rule",
     "roundoff_floor",
@@ -75,7 +83,12 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
     than half a step is rejected.  Over normal floats that node misses b
     by about two float spacings at most, so a step of 4 or more spacings
     passes; a subnormal step rounds to whole spacings and can miss by
-    many steps.
+    many steps.  A step (b - a) / count that underflows to 0 or
+    overflows to inf is rejected first.  So TimeGrid(1e16,
+    1.0000000000000004e16, 8), a quarter of a spacing per step, is
+    rejected, as is TimeGrid(0.0, 1e-320, 500), which steps 4 spacings
+    and ends 6 steps short.  deriv builds its 4N refinement grid too, so
+    `deriv --grid=1e16,1.0000000000000004e16,2` exits 2.
     """
 
     __slots__ = ()
@@ -115,29 +128,6 @@ class TimeGrid(NamedTuple("TimeGrid", [("a", float), ("b", float), ("count", int
     def nodes(self) -> np.ndarray:
         # a + step * j can round past b at j = count; clamp it back
         return np.minimum(self.a + self.step * np.arange(self.count + 1), self.b)
-
-
-class SampledFunction(NamedTuple("SampledFunction", [("grid", TimeGrid), ("values", np.ndarray)])):
-    """Finite function samples aligned with a TimeGrid: the operators' input.
-
-    The values are a read-only copy.  It holds an array, so it compares
-    and hashes by identity.
-    """
-
-    __slots__ = ()
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    def __new__(cls, grid: TimeGrid, values: np.ndarray) -> SampledFunction:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.count + 1,):
-            raise ValueError(f"expected {grid.count + 1} samples, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteInputError("samples contain NaN or infinity")
-        values = values.copy()
-        values.setflags(write=False)
-        return super().__new__(cls, grid, values)
 
 
 def gl_weights(order: float, count: int) -> np.ndarray:
@@ -221,6 +211,17 @@ def _binomial_sums(weights: np.ndarray, row: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _sample_block(grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    # the one check of every sample row: count + 1 finite values each
+    rows = [np.asarray(row, dtype=float) for row in samples]
+    if not rows or any(row.shape != (grid.count + 1,) for row in rows):
+        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
+    block = np.array(rows)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("samples contain NaN or infinity")
+    return block
+
+
 def rl_derivative_block(
     grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
     orders: Sequence[FractionalOrder], side: str = "left",
@@ -230,14 +231,10 @@ def rl_derivative_block(
     samples holds rows of grid.count + 1 finite values.  Returns an
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
     the side's derivative of row r at order orders[i], each order taking
-    one pass over the whole block.
+    one pass over the whole block.  This is the plain Grunwald-Letnikov
+    sum; rl_derivative adds the endpoint term for f(a) != 0.
     """
-    rows = [np.asarray(row, dtype=float) for row in samples]
-    if not rows or any(row.shape != (grid.count + 1,) for row in rows):
-        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
-    block = np.array(rows)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteInputError("samples contain NaN or infinity")
+    block = _sample_block(grid, samples)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if side == "right":
@@ -270,23 +267,71 @@ def rl_derivative_block(
     return out if side == "left" else out[..., ::-1]
 
 
-def left_rl_derivative(f: SampledFunction, order: FractionalOrder) -> np.ndarray:
+def rl_derivative(
+    grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
+    orders: Sequence[FractionalOrder], side: str = "left",
+) -> np.ndarray:
+    """rl_derivative_block with the endpoint term of rows where f(a) != 0.
+
+    The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
+    which the Grunwald-Letnikov sum resolves badly far into the interior
+    (Lubich, SIAM J. Math. Anal. 1986).  So at a non-integer order a row
+    with f(a) != 0 is summed as f - f(a), and f(a) times the closed form
+    rl_power_rule(0, order, offsets) is added back: a constant is exact,
+    and the sum is first order again.  At the starting node, where the
+    closed form is infinite, f(a) times the sum's own value for 1 is
+    added instead, so the node keeps the plain sum up to its rounding.
+    The right side is the mirror image, with f(b), and takes the left
+    side's offsets in mirror order, so the two sides agree exactly under
+    reflection.  Integer orders, rows with f(a) = 0 and rows whose
+    f - f(a) overflows keep the plain sum bit for bit.  A one-order call
+    transforms the block once, as rl_derivative_block does.
+    """
+    block = _sample_block(grid, samples)
+    end = 0 if side == "left" else -1
+    start = block[:, end].copy()
+    rows = np.flatnonzero(start)
+    with np.errstate(over="ignore"):
+        shifted = block[rows] - start[rows, None]
+    finite = np.all(np.isfinite(shifted), axis=1)
+    rows, shifted = rows[finite], shifted[finite]
+    fractional = np.array([not float(order.value).is_integer() for order in orders])
+    if not (rows.size and fractional.any()):
+        return rl_derivative_block(grid, block, orders, side)
+    out = np.empty((len(orders), *block.shape))
+    if not fractional.all():
+        integer = list(compress(orders, ~fractional))
+        out[~fractional] = rl_derivative_block(grid, block, integer, side)
+    block[rows] = shifted
+    out[fractional] = rl_derivative_block(grid, block, list(compress(orders, fractional)), side)
+    offsets = grid.nodes() - grid.a  # the left side's, mirrored for the right side
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(fractional):
+            order = orders[i].value
+            term = rl_power_rule(0, orders[i], offsets)
+            # the sum of 1 at the starting node: w_0, plus w_1 on the shifted stencil
+            term[0] = (1.0 if order < 1.0 else 1.0 - order) * np.float64(grid.step) ** -order
+            out[i, rows] += start[rows, None] * term[:: 1 if side == "left" else -1]
+    return out
+
+
+def left_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrder) -> np.ndarray:
     """Derivative from the left endpoint: count + 1 values, one per node.
 
     Non-finite where the derivative diverges.  First-order accurate away
     from the left endpoint; near it the true derivative of a generic
     function diverges, so interior(grid) leaves it out when measuring error.
     """
-    return rl_derivative_block(f.grid, [f.values], [order], "left")[0, 0]
+    return rl_derivative(grid, [values], [order], "left")[0, 0]
 
 
-def right_rl_derivative(f: SampledFunction, order: FractionalOrder) -> np.ndarray:
+def right_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrder) -> np.ndarray:
     """Derivative from the right endpoint: count + 1 values, one per node.
 
     The mirror image of the left operator, so the two sides agree
     exactly under reflection of the samples.
     """
-    return rl_derivative_block(f.grid, [f.values], [order], "right")[0, 0]
+    return rl_derivative(grid, [values], [order], "right")[0, 0]
 
 
 def rl_power_rule(

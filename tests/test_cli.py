@@ -665,6 +665,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# the model's order\nalpha 1.5\n", encoding="utf-8")
+    assert main(["example1", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}:2: expected KEY = VALUE, got 'alpha 1.5'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, line, message",
     [
@@ -762,6 +771,49 @@ def test_sweep_missing_values(capsys):
     capsys.readouterr()
     assert main(["sweep", "--param", "e1", "--from", "0", "--to", "1"]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+def test_sweep_of_zero_steps_is_usage_error(capsys):
+    argv = ["sweep", "--param", "e1", "--from", "0", "--to", "1", "--steps", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --steps must be >= 1\n"
+    assert captured.out == ""
+
+
+def test_sweep_of_one_step_is_one_row_at_from(capsys):
+    argv = ["sweep", "--param", "e1", "--from", "0.5", "--to", "1", "--steps", "1"]
+    assert main([*argv, "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = _csv_rows(captured.out)
+    assert [row["quantity"] for row in rows] == list(cli._MODEL_RECORDS)
+    assert {row["e1"] for row in rows} == {"0.5"}
+
+
+def test_sweep_without_param_is_usage_error(capsys):
+    assert main(["sweep", "--values", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: sweep parameter must be one of ('alpha', 'beta', 'e1', 'e2', 'q', 'fd_step')\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_negative_or_nan_tolerance_is_usage_error(value, shown, capsys):
+    assert main(["verify", "--tol", f"kernel_max_error={value}"]) == 2
+    captured = capsys.readouterr()
+    message = f"tolerance kernel_max_error must be finite and >= 0, got {shown}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_step_whose_square_underflows_is_usage_error(capsys):
+    assert main(["example1", "--fd-step", "1e-170"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: step 1e-170 is too small: its square underflows to 0\n"
+    assert captured.out == ""
 
 
 def test_sweep_fd_step_exposes_stencil_error(capsys):

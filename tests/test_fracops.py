@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +11,12 @@ from fracwkb.errors import NonFiniteInputError
 from fracwkb.fracops import (
     _fft_length,
     FractionalOrder,
-    SampledFunction,
     TimeGrid,
     gl_weights,
     interior,
     left_rl_derivative,
     right_rl_derivative,
+    rl_derivative,
     rl_derivative_block,
     rl_power_rule,
     roundoff_floor,
@@ -177,35 +178,33 @@ def test_accepted_grids_have_strictly_increasing_nodes(a, count, per_step):
     assert 2.0 * (grid.b - nodes[-1]) <= grid.step
 
 
-# ------------------------------------------------------ SampledFunction
+# ------------------------------------------- the operators' sample checks
 
-def test_sampled_function_shape_check():
+@pytest.mark.parametrize(
+    "derivative", [left_rl_derivative, right_rl_derivative], ids=["left", "right"]
+)
+def test_operators_check_sample_shape(derivative):
     grid = TimeGrid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        SampledFunction(grid, np.zeros(4))
+    with pytest.raises(ValueError, match="^need one or more rows of 5 samples each$"):
+        derivative(grid, np.zeros(4), FractionalOrder(0.5))
 
 
-def test_sampled_function_rejects_non_finite():
+@pytest.mark.parametrize(
+    "derivative", [left_rl_derivative, right_rl_derivative], ids=["left", "right"]
+)
+def test_operators_reject_non_finite(derivative):
     grid = TimeGrid(0.0, 1.0, 4)
-    with pytest.raises(NonFiniteInputError):
-        SampledFunction(grid, [0.0, 1.0, math.nan, 3.0, 4.0])
-
-
-def test_sampled_function_values_read_only():
-    grid = TimeGrid(0.0, 1.0, 4)
-    f = SampledFunction(grid, np.zeros(5))
-    with pytest.raises(ValueError):
-        f.values[0] = 1.0
+    with pytest.raises(NonFiniteInputError, match="^samples contain NaN or infinity$"):
+        derivative(grid, [0.0, 1.0, math.nan, 3.0, 4.0], FractionalOrder(0.5))
 
 
 def test_divergent_mask_flags_overflow():
     # huge finite samples overflow once scaled by step**(-order)
     grid = TimeGrid(0.0, 1.0, 8)
-    f = SampledFunction(grid, np.full(9, 1e308))
-    d = left_rl_derivative(f, FractionalOrder(0.5))
+    d = left_rl_derivative(grid, np.full(9, 1e308), FractionalOrder(0.5))
     assert (~np.isfinite(d)).any()
     with pytest.raises(NonFiniteInputError):
-        left_rl_derivative(SampledFunction(grid, d), FractionalOrder(0.5))
+        left_rl_derivative(grid, d, FractionalOrder(0.5))
 
 
 # -------------------------------------------------------- rl_power_rule
@@ -269,14 +268,14 @@ def test_power_rule_array_edge_cases():
 
 # --------------------------------------------------- left_rl_derivative
 
-def _power_samples(grid: TimeGrid, k: int) -> SampledFunction:
-    return SampledFunction(grid, (grid.nodes() - grid.a) ** k)
+def _power_samples(grid: TimeGrid, k: int) -> np.ndarray:
+    return (grid.nodes() - grid.a) ** k
 
 
 def _interior_error(k: int, alpha: float, count: int) -> float:
     grid = TimeGrid(0.0, 1.0, count)
     order = FractionalOrder(alpha)
-    numeric = left_rl_derivative(_power_samples(grid, k), order)
+    numeric = left_rl_derivative(grid, _power_samples(grid, k), order)
     nodes = grid.nodes()
     oracle = np.array([rl_power_rule(k, order, x) for x in nodes])
     inner = interior(grid)
@@ -293,7 +292,7 @@ def test_left_derivative_above_one():
 
 def test_left_derivative_order_one_is_backward_difference():
     grid = TimeGrid(0.0, 1.0, 256)
-    numeric = left_rl_derivative(_power_samples(grid, 1), FractionalOrder(1.0))
+    numeric = left_rl_derivative(grid, _power_samples(grid, 1), FractionalOrder(1.0))
     npt.assert_allclose(numeric[1:], np.ones(256), rtol=0, atol=1e-12)
 
 
@@ -301,7 +300,7 @@ def test_left_derivative_order_two_exact_on_parabola():
     # shifted stencil reduces to the central second difference, which
     # is exact for x**2 away from the first node
     grid = TimeGrid(0.0, 1.0, 128)
-    numeric = left_rl_derivative(_power_samples(grid, 2), FractionalOrder(2.0))
+    numeric = left_rl_derivative(grid, _power_samples(grid, 2), FractionalOrder(2.0))
     npt.assert_allclose(numeric[1:], np.full(128, 2.0), rtol=0, atol=1e-8)
 
 
@@ -315,12 +314,11 @@ def test_left_derivative_convergence_order():
 def test_left_derivative_linearity():
     rng = np.random.default_rng(42)
     grid = TimeGrid(0.0, 1.0, 256)
-    f = SampledFunction(grid, rng.standard_normal(257))
-    g = SampledFunction(grid, rng.standard_normal(257))
-    combo = SampledFunction(grid, 2.5 * f.values + g.values)
+    f = rng.standard_normal(257)
+    g = rng.standard_normal(257)
     order = FractionalOrder(0.7)
-    lhs = left_rl_derivative(combo, order)
-    rhs = 2.5 * left_rl_derivative(f, order) + left_rl_derivative(g, order)
+    lhs = left_rl_derivative(grid, 2.5 * f + g, order)
+    rhs = 2.5 * left_rl_derivative(grid, f, order) + left_rl_derivative(grid, g, order)
     npt.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-9)
 
 
@@ -344,7 +342,7 @@ def test_derivatives_are_linear(order, side, count, scale, exponents, seed):
     derivative = left_rl_derivative if side == "left" else right_rl_derivative
 
     def d(values):
-        return derivative(SampledFunction(grid, values), order)
+        return derivative(grid, values, order)
 
     difference = np.max(np.abs(d(scale * f + g) - (scale * d(f) + d(g))))
     magnitude = abs(scale) * np.max(np.abs(f)) + np.max(np.abs(g))
@@ -359,8 +357,8 @@ def test_right_is_mirror_of_left():
     for count in (200, 2048):
         grid = TimeGrid(0.0, 1.0, count)
         values = rng.standard_normal(count + 1)
-        mirrored = left_rl_derivative(SampledFunction(grid, values[::-1]), order)[::-1]
-        direct = right_rl_derivative(SampledFunction(grid, values), order)
+        mirrored = left_rl_derivative(grid, values[::-1], order)[::-1]
+        direct = right_rl_derivative(grid, values, order)
         npt.assert_array_equal(direct, mirrored)
 
 
@@ -368,13 +366,13 @@ def test_right_derivative_of_linear():
     # the mirrored backward difference is exact for linear samples, so
     # every node except the clamped endpoint x = b gives exactly -1
     grid = TimeGrid(0.0, 1.0, 512)
-    numeric = right_rl_derivative(SampledFunction(grid, grid.nodes()), FractionalOrder(1.0))
+    numeric = right_rl_derivative(grid, grid.nodes(), FractionalOrder(1.0))
     npt.assert_allclose(numeric[:-1], -np.ones(512), rtol=0, atol=1e-12)
 
 
 def test_right_derivative_of_constant_half_order():
     grid = TimeGrid(0.0, 1.0, 4096)
-    numeric = right_rl_derivative(SampledFunction(grid, np.ones(4097)), FractionalOrder(0.5))
+    numeric = right_rl_derivative(grid, np.ones(4097), FractionalOrder(0.5))
     oracle = rl_power_rule(0, FractionalOrder(0.5), 1.0)
     assert abs(numeric[0] - oracle) < 1e-3
     # at x = b the true derivative diverges; the sample stays finite but large
@@ -445,7 +443,7 @@ def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
     if side == "right":
         expected = expected[::-1]
     derivative = left_rl_derivative if side == "left" else right_rl_derivative
-    numeric = derivative(SampledFunction(grid, samples.astype(float)), FractionalOrder(order))
+    numeric = derivative(grid, samples.astype(float), FractionalOrder(order))
     npt.assert_array_equal(numeric, expected)
 
 
@@ -612,6 +610,41 @@ def test_weights_compose_orders(orders, count):
     assert np.all(difference <= 2.0 * np.finfo(float).eps * scale)
 
 
+# The right operator is the left one's adjoint: R's rows are L's columns
+# on both stencils, and the rows that each clamps at its far endpoint
+# meet only samples that are zero there (Agrawal, J. Math. Anal. Appl.
+# 2002, for the continuous identity behind the fractional Euler-Lagrange
+# equations).  So for f and u that vanish at both ends, <f, L u> =
+# <R f, u> in exact arithmetic, at every order and grid size.
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.floats(0.0, 3.0, exclude_min=True) | st.sampled_from([1.0, 2.0, 3.0]),
+    count=st.integers(2, 4096),
+    exponents=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(order=0.5, count=65536, exponents=(0, 0), seed=0)
+@example(order=1.5, count=65536, exponents=(2, -2), seed=1)
+@example(order=2.75, count=65536, exponents=(0, 3), seed=2)
+@example(order=1.0, count=65536, exponents=(0, 0), seed=3)
+@example(order=3.0, count=16384, exponents=(1, 0), seed=4)
+def test_right_operator_is_the_left_ones_adjoint(order, count, exponents, seed):
+    # Each inner product rounds like eps sum|f| max|L u|, about one floor
+    # of u times sum|f|; 15,000 seeded draws (orders in (0, 3] with
+    # integers and near-integers, N 2-65,536) measured at most 0.56 of
+    # that, and the bound is 2
+    grid = TimeGrid(0.0, 1.0, count)
+    rng = np.random.default_rng(seed)
+    f, u = (10.0**e * rng.standard_normal(count + 1) for e in exponents)
+    f[[0, -1]] = u[[0, -1]] = 0.0
+    order = FractionalOrder(order)
+    left_u = rl_derivative_block(grid, [u], [order], "left")[0, 0]
+    right_f = rl_derivative_block(grid, [f], [order], "right")[0, 0]
+    difference = abs(np.dot(f, left_u) - np.dot(right_f, u))
+    bound = 2.0 * np.sum(np.abs(f)) * roundoff_floor(order, grid, np.max(np.abs(u)))
+    assert difference <= bound
+
+
 # --------------------------------------------------- rl_derivative_block
 
 def _one_row_sum(values, order, step):
@@ -654,28 +687,29 @@ _POWERS_OF_TWO = [2**n for n in range(1, 14)]
 @example(rows=3, orders=[0.5, 2000, 1.5], count=4096, side="right", seed=2)
 def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
     # every (order, row) slice of one block call is, bit for bit, the
-    # one-function, one-order operator, and that is the one-row sum the
-    # operators ran before they were batched
+    # one-row sum the operators ran before they were batched; and every
+    # slice of one rl_derivative call, which adds the endpoint term to
+    # the block's sums, is the one-function, one-order operator
     grid = TimeGrid(0.0, 1.0, count)
     rng = np.random.default_rng(seed)
     functions = [
-        SampledFunction(grid, rng.standard_normal(count + 1) * 10.0 ** rng.integers(-3, 4))
-        for _ in range(rows)
+        rng.standard_normal(count + 1) * 10.0 ** rng.integers(-3, 4) for _ in range(rows)
     ]
     orders = [FractionalOrder(float(order)) for order in orders]
-    block = rl_derivative_block(grid, [f.values for f in functions], orders, side)
-    assert block.shape == (len(orders), rows, count + 1)
+    block = rl_derivative_block(grid, functions, orders, side)
+    corrected = rl_derivative(grid, functions, orders, side)
+    assert block.shape == corrected.shape == (len(orders), rows, count + 1)
     derivative = left_rl_derivative if side == "left" else right_rl_derivative
     for i, order in enumerate(orders):
         for r, f in enumerate(functions):
-            single = derivative(f, order)
+            single = derivative(grid, f, order)
             assert isinstance(single, np.ndarray)
-            values = f.values if side == "left" else f.values[::-1]
+            values = f if side == "left" else f[::-1]
             reference = _one_row_sum(values, order.value, grid.step)
             if side == "right":
                 reference = reference[::-1]
-            assert np.array_equal(block[i, r].view(np.int64), single.view(np.int64))
-            assert np.array_equal(single.view(np.int64), reference.view(np.int64))
+            assert np.array_equal(block[i, r].view(np.int64), reference.view(np.int64))
+            assert np.array_equal(corrected[i, r].view(np.int64), single.view(np.int64))
 
 
 def test_block_rejects_bad_rows_and_sides():
@@ -690,6 +724,68 @@ def test_block_rejects_bad_rows_and_sides():
         rl_derivative_block(grid, [np.ones(9), np.append(np.ones(8), math.inf)], [order])
     with pytest.raises(ValueError, match="side"):
         rl_derivative_block(grid, [np.ones(9)], [order], "up")
+
+
+# -------------------------------------------------------- rl_derivative
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_constants_are_exact_at_non_integer_orders(side):
+    # f - f(a) of a constant is 0, so the endpoint term is its whole
+    # derivative: the interior error is rounding of the offsets at most
+    for count, order in product([1024, 4096], [0.5, 1.3, 1.5, 1.9]):
+        grid, order = TimeGrid(0.0, 1.0, count), FractionalOrder(order)
+        error = power_kernel_check(grid, [0], [order], side)[2][0, 0]
+        assert error <= roundoff_floor(order, grid, 1.0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_endpoint_term_keeps_first_order_from_a_nonzero_start(side):
+    # (1 + x)**2 at order 1.5: the plain sum's error falls as h too, but
+    # is about 27x larger (9.22e-2 against 3.45e-3 at N 1024, 5.90e-3
+    # against 2.18e-4 at N 16384); with the term it falls about 4x per 4x
+    # refinement
+    order = FractionalOrder(1.5)
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    plain, corrected = [], []
+    for count in (1024, 4096, 16384):
+        grid = TimeGrid(0.0, 1.0, count)
+        offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
+        samples = (1.0 + offsets) ** 2
+        # (1 + y)**2 = 1 + 2 y + y**2
+        oracle = sum(c * rl_power_rule(k, order, offsets) for k, c in enumerate((1.0, 2.0, 1.0)))
+        inner = interior(grid)
+        for errors, numeric in (
+            (plain, rl_derivative_block(grid, [samples], [order], side)[0, 0]),
+            (corrected, derivative(grid, samples, order)),
+        ):
+            errors.append(np.max(np.abs(numeric[inner] - oracle[inner])))
+    assert all(3.6 <= coarse / fine <= 4.4 for coarse, fine in zip(corrected, corrected[1:]))
+    assert all(fixed < error / 20.0 for error, fixed in zip(plain, corrected))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_endpoint_term_leaves_the_plain_sum(side):
+    # bit for bit the plain sum: rows that start at 0 or -0, integer
+    # orders, and a row whose f - f(a) overflows.  At the starting node,
+    # where the closed form is infinite, D[f - f(a)] + f(a) D[1] is the
+    # plain sum in exact arithmetic, and within one floor in floats.
+    grid = TimeGrid(0.0, 1.0, 64)
+    rows = np.random.default_rng(3).standard_normal((4, 65))
+    rows[0, [0, -1]] = 0.0
+    rows[1, [0, -1]] = -0.0
+    rows[3] = np.where(np.arange(65) % 3, 1e308, -1e308)
+    orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    plain = rl_derivative_block(grid, rows, orders, side)
+    corrected = rl_derivative(grid, rows, orders, side)
+    bits, plain_bits = corrected.view(np.int64), plain.view(np.int64)
+    npt.assert_array_equal(bits[:, [0, 1, 3]], plain_bits[:, [0, 1, 3]])
+    npt.assert_array_equal(bits[[1, 3]], plain_bits[[1, 3]])
+    start, others = (0, slice(1, None)) if side == "left" else (-1, slice(0, -1))
+    for i in (0, 2, 4):
+        floor = roundoff_floor(orders[i], grid, np.max(np.abs(rows[2])))
+        assert abs(corrected[i, 2, start] - plain[i, 2, start]) <= floor
+        # the one row the term applies to moves at every other node
+        assert np.all(bits[i, 2, others] != plain_bits[i, 2, others])
 
 
 def _passes(record) -> bool:

@@ -5,7 +5,6 @@ import pytest
 
 from fracwkb.fracops import (
     FractionalOrder,
-    SampledFunction,
     TimeGrid,
     left_rl_derivative,
     rl_power_rule,
@@ -168,10 +167,10 @@ def test_momenta_from_sampled_velocity():
     # node matches c * (closed-form derivative) + l within kernel error
     grid = TimeGrid(0.0, 1.0, 2048)
     order = FractionalOrder(1.25)
-    q_samples = SampledFunction(grid, grid.nodes() ** 2)
-    d_alpha_q = left_rl_derivative(q_samples, order)
+    q_samples = grid.nodes() ** 2
+    d_alpha_q = left_rl_derivative(grid, q_samples, order)
     node = 1536  # x = 0.75
-    state = KinematicState(q_samples.values[node], d_alpha_q[node], 0.0)
+    state = KinematicState(q_samples[node], d_alpha_q[node], 0.0)
     momenta = canonical_momenta(example2(1.25, 1.25), state)
     expected = 1.0 * rl_power_rule(2, order, 0.75) + 1.0
     assert abs(momenta.p_alpha - expected) < 2e-3

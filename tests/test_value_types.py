@@ -1,12 +1,10 @@
 """The contract of fracwkb's value types, whatever builds their classes.
 
-Each of the twelve immutable value types is checked on one valid
+Each of the eleven immutable value types is checked on one valid
 instance: a field cannot be assigned, the repr is `Name(field=value,
-...)`, and equal fields give equal instances with equal hashes.
-SampledFunction holds an array, so it compares by identity, and its
-repr is only checked up to the array.  The drift guard keeps the
-import free of the `dataclasses` module, whose classes generate and
-exec their methods at import.
+...)`, and equal fields give equal instances with equal hashes.  The
+drift guard keeps the import free of the `dataclasses` module, whose
+classes generate and exec their methods at import.
 """
 
 import subprocess
@@ -15,7 +13,7 @@ import sys
 import pytest
 
 from fracwkb import cli, wkb
-from fracwkb.fracops import FractionalOrder, SampledFunction, TimeGrid
+from fracwkb.fracops import FractionalOrder, TimeGrid
 from fracwkb.hamilton_jacobi import (
     EnergyPartition,
     PointColumns,
@@ -91,21 +89,6 @@ def test_value_type_is_immutable_with_field_repr_and_equality(name):
             hash(instance)
     else:
         assert hash(twin) == hash(instance)
-
-
-def test_sampled_function_compares_by_identity():
-    grid = TimeGrid(0.0, 1.0, 4)
-    sampled = SampledFunction(grid, [0.0, 1.0, 2.0, 3.0, 4.0])
-    twin = SampledFunction(grid=grid, values=[0.0, 1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(AttributeError):
-        sampled.values = twin.values
-    assert sampled == sampled and not sampled != sampled
-    assert sampled != twin and not sampled == twin
-    assert hash(sampled) == object.__hash__(sampled) != hash(twin)
-    assert not sampled.values.flags.writeable
-    assert repr(sampled) == (
-        "SampledFunction(grid=TimeGrid(a=0.0, b=1.0, count=4), values=array([0., 1., 2., 3., 4.]))"
-    )
 
 
 def test_defaults_are_unchanged():

@@ -16,7 +16,6 @@ from fracwkb import verification
 from fracwkb.cli import main
 from fracwkb.fracops import (
     FractionalOrder,
-    SampledFunction,
     TimeGrid,
     interior,
     left_rl_derivative,
@@ -179,7 +178,7 @@ def _kernel_errors_reference():
             enumerate(verification._EXPONENTS), enumerate(verification._ORDERS)
         ):
             order = FractionalOrder(alpha)
-            numeric = left_rl_derivative(SampledFunction(grid, offsets**k), order)
+            numeric = left_rl_derivative(grid, offsets**k, order)
             oracle = rl_power_rule(k, order, offsets)
             errors[count, i, j] = np.max(np.abs(numeric[inner] - oracle[inner]))
     return errors
@@ -199,7 +198,7 @@ def test_integer_reduction_errors_equal_the_per_case_loop():
     errors = verification._integer_reduction_errors()
     assert list(errors) == list(cases)
     for name, (values, oracle) in cases.items():
-        numeric = left_rl_derivative(SampledFunction(grid, values), FractionalOrder(1.0))
+        numeric = left_rl_derivative(grid, values, FractionalOrder(1.0))
         error = np.max(np.abs(numeric[inner] - oracle[inner]))
         assert type(errors[name]) is np.float64
         assert np.float64(errors[name]).view(np.int64) == error.view(np.int64)

@@ -33,6 +33,13 @@ def _wave(spec, e1, e2, hbar=1.0):
     return build_wavefunction(separate(spec, EnergyPartition(e1, e2)), hbar)
 
 
+def test_hamiltonian_rejects_a_step_whose_square_underflows():
+    # the step passes the phase guard, but the second difference divides by h * h
+    wf = _wave(example1(), 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^step 1e-170 is too small: its square underflows to 0$"):
+        apply_hamiltonian(wf, _POINT, 1e-170)
+
+
 def test_value_at_origin_is_one():
     # unit momenta: prefactor 1, zero phase
     wf = _wave(example1(), 0.5, 0.5)
