@@ -23,15 +23,16 @@ power of two on power-of-two grids; against a long-double sum its error
 on power functions measured below roundoff_floor.  Overflow, for huge
 samples or orders, gives non-finite values rather than an error.
 
-rl_derivative_block is the one function every kernel call goes
-through.  It takes a grid, a block of sample rows on it and several
-orders, and makes one pass over the whole block per order: an integer
-order stacks every row's binomial sums, and any other order multiplies
-its weights' spectrum by the block's, which is taken once, on the first
-such order.  Each row must hold count + 1 finite samples, else it
-raises ValueError or NonFiniteInputError.  rl_derivative is the same
-block call with Lubich's endpoint term for rows where f(a) != 0, whose
-singular part the plain sum resolves badly.  left_rl_derivative and
+rl_derivative is the one function every kernel call goes through.  It
+takes a grid, a block of sample rows on it and several orders, checks
+the samples once (each row must hold count + 1 finite values, else it
+raises ValueError or NonFiniteInputError) and works the right side as
+the mirror image of the left.  Its plain sum makes one pass over the
+whole block per order: an integer order stacks every row's binomial
+sums, and any other order multiplies its weights' spectrum by the
+block's, which is taken once, on the first such order.  It adds
+Lubich's endpoint term for rows where f(a) != 0, whose singular part
+the plain sum resolves badly.  left_rl_derivative and
 right_rl_derivative are its one-row, one-order case: they take a grid
 and its count + 1 samples and return count + 1 values, non-finite
 where the derivative diverges.
@@ -56,7 +57,6 @@ __all__ = [
     "left_rl_derivative",
     "right_rl_derivative",
     "rl_derivative",
-    "rl_derivative_block",
     "rl_power_rule",
     "roundoff_floor",
     "interior",
@@ -211,35 +211,9 @@ def _binomial_sums(weights: np.ndarray, row: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _sample_block(grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    # the one check of every sample row: count + 1 finite values each
-    rows = [np.asarray(row, dtype=float) for row in samples]
-    if not rows or any(row.shape != (grid.count + 1,) for row in rows):
-        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
-    block = np.array(rows)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteInputError("samples contain NaN or infinity")
-    return block
-
-
-def rl_derivative_block(
-    grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
-    orders: Sequence[FractionalOrder], side: str = "left",
-) -> np.ndarray:
-    """Derivatives of several sample rows on one grid, for several orders.
-
-    samples holds rows of grid.count + 1 finite values.  Returns an
-    array of shape (len(orders), rows, count + 1) whose [i, r] row is
-    the side's derivative of row r at order orders[i], each order taking
-    one pass over the whole block.  This is the plain Grunwald-Letnikov
-    sum; rl_derivative adds the endpoint term for f(a) != 0.
-    """
-    block = _sample_block(grid, samples)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "right":
-        # the mirror image of the left sum
-        block = block[:, ::-1]
+def _gl_sums(grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder]) -> np.ndarray:
+    # the plain left-side Grunwald-Letnikov sums of a checked block, of
+    # shape (len(orders), rows, count + 1), one whole-block pass per order.
     # Shift the stencil one node inward for orders above one; the last
     # node, past which the shift would index, keeps the unshifted sum.
     top = grid.count
@@ -264,14 +238,20 @@ def rl_derivative_block(
             result[:, :top] = sums[:, shift : top + shift]
             result[:, top] = sums[:, top]
             result *= np.float64(grid.step) ** -order
-    return out if side == "left" else out[..., ::-1]
+    return out
 
 
 def rl_derivative(
     grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
     orders: Sequence[FractionalOrder], side: str = "left",
 ) -> np.ndarray:
-    """rl_derivative_block with the endpoint term of rows where f(a) != 0.
+    """Derivatives of several sample rows on one grid, for several orders.
+
+    samples holds rows of grid.count + 1 finite values.  Returns an
+    array of shape (len(orders), rows, count + 1) whose [i, r] row is
+    the side's derivative of row r at order orders[i]: the plain
+    Grunwald-Letnikov sum, each order taking one pass over the whole
+    block, plus the endpoint term of rows where f(a) != 0.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
     which the Grunwald-Letnikov sum resolves badly far into the interior
@@ -281,38 +261,44 @@ def rl_derivative(
     and the sum is first order again.  At the starting node, where the
     closed form is infinite, f(a) times the sum's own value for 1 is
     added instead, so the node keeps the plain sum up to its rounding.
-    The right side is the mirror image, with f(b), and takes the left
-    side's offsets in mirror order, so the two sides agree exactly under
-    reflection.  Integer orders, rows with f(a) = 0 and rows whose
-    f - f(a) overflows keep the plain sum bit for bit.  A one-order call
-    transforms the block once, as rl_derivative_block does.
+    The right side is the mirror image, with f(b), so the two sides
+    agree exactly under reflection.  Integer orders, rows with f(a) = 0
+    and rows whose f - f(a) overflows keep the plain sum bit for bit.
     """
-    block = _sample_block(grid, samples)
-    end = 0 if side == "left" else -1
-    start = block[:, end].copy()
+    values = [np.asarray(row, dtype=float) for row in samples]
+    if not values or any(row.shape != (grid.count + 1,) for row in values):
+        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
+    block = np.array(values)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("samples contain NaN or infinity")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "right":
+        # the mirror image of the left derivative
+        block = block[:, ::-1]
+    start = block[:, 0].copy()
     rows = np.flatnonzero(start)
     with np.errstate(over="ignore"):
         shifted = block[rows] - start[rows, None]
     finite = np.all(np.isfinite(shifted), axis=1)
     rows, shifted = rows[finite], shifted[finite]
     fractional = np.array([not float(order.value).is_integer() for order in orders])
-    if not (rows.size and fractional.any()):
-        return rl_derivative_block(grid, block, orders, side)
     out = np.empty((len(orders), *block.shape))
     if not fractional.all():
-        integer = list(compress(orders, ~fractional))
-        out[~fractional] = rl_derivative_block(grid, block, integer, side)
-    block[rows] = shifted
-    out[fractional] = rl_derivative_block(grid, block, list(compress(orders, fractional)), side)
-    offsets = grid.nodes() - grid.a  # the left side's, mirrored for the right side
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in np.flatnonzero(fractional):
-            order = orders[i].value
-            term = rl_power_rule(0, orders[i], offsets)
-            # the sum of 1 at the starting node: w_0, plus w_1 on the shifted stencil
-            term[0] = (1.0 if order < 1.0 else 1.0 - order) * np.float64(grid.step) ** -order
-            out[i, rows] += start[rows, None] * term[:: 1 if side == "left" else -1]
-    return out
+        out[~fractional] = _gl_sums(grid, block, list(compress(orders, ~fractional)))
+    if fractional.any():
+        block[rows] = shifted
+        out[fractional] = _gl_sums(grid, block, list(compress(orders, fractional)))
+    if rows.size:
+        offsets = grid.nodes() - grid.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in np.flatnonzero(fractional):
+                order = orders[i].value
+                term = rl_power_rule(0, orders[i], offsets)
+                # the sum of 1 at the starting node: w_0, plus w_1 on the shifted stencil
+                term[0] = (1.0 if order < 1.0 else 1.0 - order) * np.float64(grid.step) ** -order
+                out[i, rows] += start[rows, None] * term
+    return out if side == "left" else out[..., ::-1]
 
 
 def left_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrder) -> np.ndarray:

@@ -4,8 +4,9 @@ A check returns ReportRecords, one checked quantity each: a plain row
 of name, analytic target, numeric value and tolerance.  The formatters
 take one RecordBatch: rows held as columns (names in a list; analytic,
 numeric and tolerance values in float arrays; an optional leading sweep
-column).  The batch is the only thing that judges a row: it checks the
-names, and computes each residual and pass.  render formats each
+column); RecordBatch.from_records wraps a list of ReportRecords.  The
+batch is the only thing that judges a row: it checks that the names are
+CSV-safe, and computes each residual and pass.  render formats each
 distinct value of a column (by bit pattern) once, keeps per column only
 those distinct texts and each row's index into them, and yields the
 text in pieces of at most CHUNK_ROWS rows, so a caller that writes each

@@ -18,9 +18,13 @@ across versions, while NumPy (NEP 19) promises no cross-version stream
 for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
 scalar uniform draw would take, in the same stream order, and is one
-checked wkb.evaluate_models batch.  The eigen grid is one more: each
-case at each point and each step-halving evaluation is a plain member
-row of those 13 fields.  The kernel oracle differentiates every power
+checked wkb.evaluate_models batch, so a member the scalar path rejects
+stops verify with that path's error.  The eigen grid is one more: each
+of its 176 cases (a case at a point) and 4 step-halving evaluations is
+a plain member row of those 13 fields, and the step-halving rows carry
+their own steps in the batch's per-row step column.  So a verify run
+makes three evaluate_models calls: the HJ draws, the eigen grid and the
+probability draws.  The kernel oracle differentiates every power
 at every order in one block call per grid, and the integer reduction
 its four polynomials in one more.
 """
@@ -40,7 +44,6 @@ from .fracops import (
     TimeGrid,
     interior,
     rl_derivative,
-    rl_derivative_block,
     rl_power_rule,
     roundoff_floor,
 )
@@ -149,7 +152,7 @@ def power_kernel_check(
     between them, of shape (orders, exponents).
     """
     offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
-    # an overflowing sample is inf, which rl_derivative_block rejects
+    # an overflowing sample is inf, which rl_derivative rejects
     with np.errstate(over="ignore"):
         samples = [offsets**k for k in exponents]
     numeric = rl_derivative(grid, samples, orders, side)
@@ -244,7 +247,7 @@ def _integer_reduction_errors() -> dict[str, float]:
         "x^3-2x^2+x": (nodes**3 - 2.0 * nodes**2 + nodes, 3.0 * nodes**2 - 4.0 * nodes + 1.0),
     }
     samples, oracles = zip(*cases.values())
-    numeric = rl_derivative_block(grid, samples, [FractionalOrder(1.0)])[0]
+    numeric = rl_derivative(grid, samples, [FractionalOrder(1.0)])[0]
     return dict(zip(cases, _max_interior_error(numeric, np.array(oracles), grid)))
 
 

@@ -10,9 +10,17 @@ operators (hbar/i) d/du, and of the Hamiltonian assembled from them.
 The operators are realized as central differences and return their
 eigenvalue estimates, which carry an O(h**2) stencil error.
 
-evaluate_models computes every model quantity of a batch of members as
-float columns: the operators below also act on a whole batch of wave
-fields and points at once, on complex128 arrays.  evaluate_model is the
+probability_density gives the probability law |psi|**2 =
+1/(p_alpha p_beta), and classical_limit_check the reduction to ordinary
+mechanics at orders one.
+
+evaluate_models is the one batched model evaluator, behind example1,
+example2, sweep and the model checks of verify.  From a
+mechanics.FamilyColumns of coefficients and orders and arrays of
+energies, points, steps and hbar, it computes every model quantity as
+float columns (ModelColumns): the operators below also act on a whole
+batch of wave fields and points at once, and return a complex128 array
+of estimates instead of one complex number.  evaluate_model is the
 scalar path for one member, the reference the batch reproduces.  Both
 paths compute psi with numpy's complex arithmetic and every square as a
 product, so they agree bit for bit.  evaluate_models is also where a

@@ -83,7 +83,9 @@ def test_library_records_cover_each_demo_and_the_quickstart():
     root = _TOOL.parents[1]
     records = tool.library_records(root)
     demos = [f"demos/{path.name}" for path in sorted((root / "demos").glob("*.py"))]
-    assert [r["library"] for r in records] == [*demos, "README.md quickstart"]
+    assert [r["library"] for r in records] == [
+        *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative"
+    ]
     for entry in records:
         assert entry["exit"] == 0 and entry["warnings"] == [] and entry["out_sha256"] is None
         assert entry["stdout_sha256"] != hashlib.sha256(b"").hexdigest()

@@ -165,6 +165,28 @@ def test_verify_evaluates_its_models_in_three_batches(monkeypatch, capsys):
     assert rows == [verification._HJ_DRAWS, eigen, verification._PROB_DRAWS]
 
 
+def test_every_kernel_call_goes_through_rl_derivative(monkeypatch, capsys):
+    # verify's kernel oracle makes one block call per grid and the integer
+    # reduction one more; deriv one on its grid and one on the 4x refinement
+    counts = []
+    derivative = verification.rl_derivative
+
+    def counted(grid, *args):
+        counts.append(grid.count)
+        return derivative(grid, *args)
+
+    monkeypatch.setattr(verification, "rl_derivative", counted)
+    verification._kernel_errors.cache_clear()
+    verification._integer_reduction_errors.cache_clear()
+    assert main(["verify"]) == 0
+    assert counts == [1024, 4096, 8192, verification._KERNEL_COUNT]
+    counts.clear()
+    # exit 1: the default x at order 1.5 fails its error record at N 64
+    assert main(["deriv", "--grid", "0,1,64"]) == 1
+    capsys.readouterr()
+    assert counts == [64, 256]
+
+
 def _kernel_errors_reference():
     # the kernel oracle's per-case loop: one derivative, one power rule
     # and one interior error per (power, order, grid)

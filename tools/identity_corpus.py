@@ -8,7 +8,9 @@ writes --out the sha256 of the file it wrote.  It then runs each
 demos/*.py script and the python block under "Library quickstart" in
 README.md in-process, as tests/test_demos.py runs them, and records the
 same for each: the demos and the quickstart call the library API that
-the argvs reach only through the CLI.
+the argvs reach only through the CLI.  A last record hashes the result
+of fracwkb.fracops.rl_derivative on a block of several rows, which no
+argv passes it.
 
     python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
@@ -277,11 +279,32 @@ def _run_block(code) -> int:
     return 0
 
 
+def _run_kernel_block() -> int:
+    # rows that start (on either side) at 0, at -0.0 and away from 0, and
+    # one whose f - f(a) overflows, at integer and other orders mixed
+    from fracwkb.fracops import FractionalOrder, TimeGrid, rl_derivative
+
+    rng = random.Random(SEED)
+    orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5, 2000.0)]
+    for count, side in itertools.product((64, 4096), ("left", "right")):
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(count + 1)] for _ in range(3)]
+        rows[0][0] = rows[0][-1] = 0.0
+        rows[1][0] = rows[1][-1] = -0.0
+        rows.append([1e308 if j % 3 else -1e308 for j in range(count + 1)])
+        result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, orders, side)
+        print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
+    return 0
+
+
 def library_records(root: Path) -> list[dict]:
-    """The records of each demos/*.py script under root, then of the quickstart.
+    """The records of each demos/*.py script under root, of the quickstart,
+    and of the block kernel entry.
 
     A demo runs as `python demos/NAME.py` would run it; the quickstart is
-    the python block under "Library quickstart" in root's README.md.
+    the python block under "Library quickstart" in root's README.md.  The
+    kernel record prints the sha256 of fracwkb.fracops.rl_derivative's
+    result on several rows at several orders, the path a block of rows
+    takes that no argv reaches.
     """
     runs = [
         (f"demos/{path.name}", functools.partial(_run_demo, path))
@@ -292,12 +315,13 @@ def library_records(root: Path) -> list[dict]:
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     code = compile(block, "README.md quickstart", "exec")
     runs.append(("README.md quickstart", functools.partial(_run_block, code)))
+    runs.append(("fracwkb.fracops.rl_derivative", _run_kernel_block))
     return [{"library": label, **_capture(run), "out_sha256": None} for label, run in runs]
 
 
 def run_tree(src: Path) -> list[dict]:
     """The records of the fracwkb package under src, in corpus order, then
-    those of the demos and the quickstart next to src."""
+    its library records."""
     sys.path.insert(0, str(src))
     from fracwkb.cli import main
 
