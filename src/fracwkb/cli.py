@@ -38,7 +38,7 @@ import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid
 from .mechanics import FamilyColumns, example1, example2
-from .reporting import INFORMATIONAL, RecordBatch, ReportRecord, render
+from .reporting import FLOAT_SPEC, INFORMATIONAL, RecordBatch, ReportRecord, render
 from .verification import (
     DEFAULT_TOLERANCES,
     observed_order_record,
@@ -120,7 +120,7 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
         ),
     ]
     return RecordBatch(
-        [f"D[x={x:.17g}]" for x in grid.nodes().tolist()] + [r.quantity for r in summary],
+        [f"D[x={x:{FLOAT_SPEC}}]" for x in grid.nodes().tolist()] + [r.quantity for r in summary],
         np.append(oracle, [r.analytic for r in summary]),
         np.append(numeric, [r.numeric for r in summary]),
         np.append(np.full(oracle.size, INFORMATIONAL), [r.tolerance for r in summary]),

@@ -17,16 +17,16 @@ Twister: Python documents that random() keeps its sequence for a seed
 across versions, while NumPy (NEP 19) promises no cross-version stream
 for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
-scalar uniform draw would take, in the same stream order, and is one
-checked wkb.evaluate_models batch, so a member the scalar path rejects
-stops verify with that path's error.  The eigen grid is one more: each
-of its 176 cases (a case at a point) and 4 step-halving evaluations is
-a plain member row of those 13 fields, and the step-halving rows carry
-their own steps in the batch's per-row step column.  So a verify run
-makes three evaluate_models calls: the HJ draws, the eigen grid and the
-probability draws.  The kernel oracle differentiates every power
-at every order in one block call per grid, and the integer reduction
-its four polynomials in one more.
+scalar uniform draw would take, in the same stream order.  Every model
+row verify checks is a plain member row of those 13 fields: the 1,000
+HJ draws, then the eigen grid's 176 cases (a case at a point) and 4
+step-halving evaluations, then the 100 probability draws.  So a verify
+run makes one evaluate_models call, a checked batch whose per-row step
+column carries the step-halving steps: a member the scalar path rejects
+stops verify with that path's error, the first such member in the order
+the checks run.  The kernel oracle differentiates every power at every
+order in one block call per grid, and the integer reduction its four
+polynomials in one more.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .fracops import (
 from .hamilton_jacobi import EnergyPartition
 from .mechanics import FamilyColumns, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import FD_STEP, SAMPLE_POINT, ModelColumns, classical_limit_check, evaluate_models
+from .wkb import FD_STEP, SAMPLE_POINT, classical_limit_check, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -293,39 +293,20 @@ def _w1_real(block: np.ndarray) -> np.ndarray:
     return v * q * q + 2.0 * e1 >= 0.0
 
 
-def _evaluate_rows(
-    rows: np.ndarray, h: float | np.ndarray, hbar: float | np.ndarray
-) -> ModelColumns:
-    """evaluate_models of members given as rows of their 13 fields in draw order."""
-    return evaluate_models(FamilyColumns(*rows.T[:7]), *rows.T[7:], h, hbar)
-
-
 @functools.cache
-def _hj_max_residual() -> float:
-    rows = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
-    return float(np.max(np.abs(_evaluate_rows(rows, FD_STEP, _HBAR).hj_residual)))
+def _model_measurements() -> dict:
+    """Every model measurement verify checks, from one checked batch.
 
-
-def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
-    """Separation identity H(dS/du, q) + dS/dt = 0 across random members."""
-    return [
-        ReportRecord(
-            f"hj_residual[n={_HJ_DRAWS}]", 0.0, _hj_max_residual(), tolerances["hj_residual"]
-        )
-    ]
-
-
-@functools.cache
-def _eigen_measurements() -> dict[str, list]:
-    """Momentum/energy estimates for both examples, from one checked batch.
-
-    Returns lists of (quantity, analytic, real, imag) estimates plus the
-    step-halving residual ratios.  Each evaluation is a member row, the
-    13 fields of a random draw; the halving rows carry their own steps.
-    No model quantity reads the orders, so one set serves every order.
-    Analytic targets are hand-expanded per example rather than routed
-    through the family formulas.
+    The rows are the HJ draws, the eigen grid and the probability draws,
+    in the order the checks run (see the module docstring).  Returns the
+    max HJ residual, lists of (quantity, analytic, real, imag) momentum
+    and energy estimates, the step-halving residual ratios and the max
+    probability deviation.  No model quantity reads the orders, so one
+    eigen grid serves every order.  Analytic targets are hand-expanded
+    per example rather than routed through the family formulas.
     """
+    hj = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
+    probability = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
     # each example's first 7 member fields: coefficients, then orders
     ex1, ex2 = ((*s[:5], s.alpha.value, s.beta.value) for s in (example1(), example2()))
     # (label, analytic, estimate column, family, e1, e2, q), each case
@@ -359,22 +340,36 @@ def _eigen_measurements() -> dict[str, list]:
     # and one point, at a step and at half of it
     e, steps = 1.0, (_RATIO_STEP, _RATIO_STEP / 2.0)
     halving = [(*family, e, e, *SAMPLE_POINT, 1.0) for family in (ex1, ex2) for _ in steps]
-    h = np.array([FD_STEP] * len(cases) + [*steps, *steps])
-    rows = np.array([row for *_, row in cases] + halving)
-    batch = _evaluate_rows(rows, h, _HBAR)
-    columns = {name: x.tolist() for name, x in batch._asdict().items()}
+    rows = np.concatenate([hj, [row for *_, row in cases], halving, probability])
+    h = np.full(len(rows), FD_STEP)
+    eigen = slice(len(hj), len(rows) - len(probability))
+    halved = slice(eigen.start + len(cases), eigen.stop)
+    h[halved] = [*steps, *steps]
+    batch = evaluate_models(FamilyColumns(*rows.T[:7]), *rows.T[7:], h, _HBAR)
+    columns = {name: x[eigen].tolist() for name, x in batch._asdict().items()}
     estimates = [
         (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
         for i, (quantity, analytic, column, _) in enumerate(cases)
     ]
     split = len(momentum) * len(_EVAL_POINTS)
-    halved = slice(len(cases), None)
     residuals = np.hypot(batch.energy[halved] - 2.0 * e, batch.energy_imag[halved]).tolist()
     ratios = [
         (f"{name}.energy_ratio", coarse / fine)
         for name, coarse, fine in zip(("example1", "example2"), residuals[::2], residuals[1::2])
     ]
-    return {"momentum": estimates[:split], "energy": estimates[split:], "ratios": ratios}
+    return {
+        "hj_residual": float(np.max(np.abs(batch.hj_residual[: len(hj)]))),
+        "momentum": estimates[:split],
+        "energy": estimates[split:],
+        "ratios": ratios,
+        "probability": float(np.max(np.abs(batch.probability[eigen.stop :] - 1.0))),
+    }
+
+
+def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+    """Separation identity H(dS/du, q) + dS/dt = 0 across random members."""
+    residual, tol = _model_measurements()["hj_residual"], tolerances["hj_residual"]
+    return [ReportRecord(f"hj_residual[n={_HJ_DRAWS}]", 0.0, residual, tol)]
 
 
 def check_momentum_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -382,14 +377,14 @@ def check_momentum_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRe
     tol = tolerances["momentum_eigenvalue"]
     return [
         ReportRecord(quantity, analytic, real, tol)
-        for quantity, analytic, real, _ in _eigen_measurements()["momentum"]
+        for quantity, analytic, real, _ in _model_measurements()["momentum"]
     ]
 
 
 def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Hamiltonian eigenvalues against the partition total, plus the
     step-halving O(h**2) ratio."""
-    data = _eigen_measurements()
+    data = _model_measurements()
     records = [
         ReportRecord(quantity, analytic, real, tolerances["energy_eigenvalue"])
         for quantity, analytic, real, _ in data["energy"]
@@ -401,20 +396,10 @@ def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportReco
     return records
 
 
-@functools.cache
-def _probability_max_deviation() -> float:
-    rows = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
-    return float(np.max(np.abs(_evaluate_rows(rows, FD_STEP, _HBAR).probability - 1.0)))
-
-
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """|psi|**2 * p_alpha * p_beta = 1 across random members and points."""
-    return [
-        ReportRecord(
-            f"probability_law[n={_PROB_DRAWS}]", 0.0, _probability_max_deviation(),
-            tolerances["probability"],
-        )
-    ]
+    deviation, tol = _model_measurements()["probability"], tolerances["probability"]
+    return [ReportRecord(f"probability_law[n={_PROB_DRAWS}]", 0.0, deviation, tol)]
 
 
 def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -434,7 +419,7 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
 
 def check_imaginary_parts(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     """Imaginary parts of every eigenvalue estimate stay below budget."""
-    data = _eigen_measurements()
+    data = _model_measurements()
     worst = float(np.max(np.abs([imag for *_, imag in data["momentum"] + data["energy"]])))
     return [ReportRecord("imag_part_max", 0.0, worst, tolerances["imag_part"])]
 

@@ -932,11 +932,7 @@ def test_model_batches_rerun_no_good_row(monkeypatch, capsys):
         argv += ["--steps", "2000", "--format", "csv", *(custom if model == "custom" else [])]
         assert main(argv) == 0
     assert callers == []
-    for memo in (
-        verification._hj_max_residual, verification._eigen_measurements,
-        verification._probability_max_deviation,
-    ):
-        memo.cache_clear()
+    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 0
     capsys.readouterr()
     assert callers == ["classical_limit_check"] * 2
@@ -1020,11 +1016,11 @@ def test_verify_corrupted_tolerance_fails(capsys):
 def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
     # a nan imaginary part anywhere, not only in the first slot, fails
     # imag_part_max
-    data = verification._eigen_measurements()
+    data = verification._model_measurements()
     estimates = list(data[kind])
     quantity, analytic, real, _ = estimates[slot]
     estimates[slot] = (quantity, analytic, real, math.nan)
-    monkeypatch.setattr(verification, "_eigen_measurements", lambda: {**data, kind: estimates})
+    monkeypatch.setattr(verification, "_model_measurements", lambda: {**data, kind: estimates})
     records = verification.check_imaginary_parts(verification.resolve_tolerances())
     batch = RecordBatch.from_records(records)
     assert math.isnan(batch.numeric[0])

@@ -136,14 +136,39 @@ def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
 
     monkeypatch.setattr(verification, "FD_STEP", step)
     # a raising call caches nothing, so the memo is clean afterwards too
-    verification._hj_max_residual.cache_clear()
+    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {errors[first]}\n"
 
 
-def test_verify_evaluates_its_models_in_three_batches(monkeypatch, capsys):
-    # one evaluate_models call each for the HJ draws, the eigen grid with
-    # its step-halving rows, and the probability draws
+def test_rejected_probability_draw_stops_verify_with_its_scalar_error(monkeypatch, capsys):
+    # Negative e1 shares in the probability draws, the last suite, with
+    # the HJ and eigen rows valid: verify must stop with the scalar error
+    # of the first bad probability member in draw order, which names its
+    # energies.
+    ranges = list(verification._PROB_RANGES)
+    ranges[7] = (-1.0, 4.0)
+    rows = verification._draw_columns(verification._PROB_SEED, ranges, verification._PROB_DRAWS)
+    errors = {}
+    for i, row in enumerate(rows.tolist()):
+        try:
+            spec = LagrangianSpec(*row[:5], FractionalOrder(row[5]), FractionalOrder(row[6]))
+            energies, point = EnergyPartition(*row[7:9]), TransformedPoint(*row[9:13])
+            evaluate_model(spec, energies, point, verification.FD_STEP)
+        except ValueError as exc:
+            errors[i] = str(exc)
+    first = min(errors)
+    assert first > 0 and len(errors) > 1
+
+    monkeypatch.setattr(verification, "_PROB_RANGES", tuple(ranges))
+    verification._model_measurements.cache_clear()
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == f"error: {errors[first]}\n"
+
+
+def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
+    # one evaluate_models call for the HJ draws, the eigen grid with its
+    # step-halving rows, and the probability draws
     rows = []
     evaluate = verification.evaluate_models
 
@@ -152,17 +177,13 @@ def test_verify_evaluates_its_models_in_three_batches(monkeypatch, capsys):
         return evaluate(family, *columns)
 
     monkeypatch.setattr(verification, "evaluate_models", counted)
-    for memo in (
-        verification._hj_max_residual, verification._eigen_measurements,
-        verification._probability_max_deviation,
-    ):
-        memo.cache_clear()
+    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 0
     capsys.readouterr()
     # a row per estimate, and two per step-halving ratio
-    data = verification._eigen_measurements()
+    data = verification._model_measurements()
     eigen = len(data["momentum"]) + len(data["energy"]) + 2 * len(data["ratios"])
-    assert rows == [verification._HJ_DRAWS, eigen, verification._PROB_DRAWS]
+    assert rows == [verification._HJ_DRAWS + eigen + verification._PROB_DRAWS] == [1280]
 
 
 def test_every_kernel_call_goes_through_rl_derivative(monkeypatch, capsys):
