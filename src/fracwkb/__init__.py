@@ -13,99 +13,24 @@ Layers, bottom up:
   batched evaluator of every model quantity
 - verification: the oracle suite behind `fracwkb verify`
 - cli: command-line front end
+
+The package re-exports the `__all__` of errors, fracops,
+hamilton_jacobi, mechanics, reporting and wkb, in that order, and adds
+only `__version__`.  verification and cli are imported as modules
+(`from fracwkb import verification`).
 """
 
-from .errors import (
-    ForbiddenRegionError,
-    NonFiniteInputError,
-    NonpositiveMomentumError,
-    StepTooLargeError,
-    ZeroEnergyError,
-)
-from .fracops import (
-    FractionalOrder,
-    TimeGrid,
-    gl_weights,
-    interior,
-    left_rl_derivative,
-    right_rl_derivative,
-    rl_power_rule,
-)
-from .hamilton_jacobi import (
-    EnergyPartition,
-    PrincipalFunction,
-    TransformedPoint,
-    evaluate_S,
-    hj_residual,
-    lambda_constants,
-    momenta_from_S,
-    separate,
-)
-from .mechanics import (
-    HamiltonRHS,
-    KinematicState,
-    LagrangianSpec,
-    Momenta,
-    canonical_momenta,
-    example1,
-    example2,
-    hamilton_rhs,
-    legendre_transform,
-)
-from .reporting import RecordBatch, ReportRecord, format_csv, format_json, format_table
-from .wkb import (
-    WaveField,
-    apply_hamiltonian,
-    apply_momentum,
-    build_wavefunction,
-    classical_limit_check,
-    evaluate_models,
-    probability_density,
-)
+from . import errors, fracops, hamilton_jacobi, mechanics, reporting, wkb
+from .errors import *
+from .fracops import *
+from .hamilton_jacobi import *
+from .mechanics import *
+from .reporting import *
+from .wkb import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ForbiddenRegionError",
-    "NonFiniteInputError",
-    "NonpositiveMomentumError",
-    "StepTooLargeError",
-    "ZeroEnergyError",
-    "FractionalOrder",
-    "TimeGrid",
-    "gl_weights",
-    "interior",
-    "left_rl_derivative",
-    "right_rl_derivative",
-    "rl_power_rule",
-    "EnergyPartition",
-    "PrincipalFunction",
-    "TransformedPoint",
-    "evaluate_S",
-    "hj_residual",
-    "lambda_constants",
-    "momenta_from_S",
-    "separate",
-    "HamiltonRHS",
-    "KinematicState",
-    "LagrangianSpec",
-    "Momenta",
-    "canonical_momenta",
-    "example1",
-    "example2",
-    "hamilton_rhs",
-    "legendre_transform",
-    "RecordBatch",
-    "ReportRecord",
-    "format_csv",
-    "format_json",
-    "format_table",
-    "WaveField",
-    "apply_hamiltonian",
-    "apply_momentum",
-    "build_wavefunction",
-    "classical_limit_check",
-    "evaluate_models",
-    "probability_density",
-    "__version__",
+    *errors.__all__, *fracops.__all__, *hamilton_jacobi.__all__,
+    *mechanics.__all__, *reporting.__all__, *wkb.__all__, "__version__",
 ]

@@ -12,10 +12,11 @@ Subcommands:
 Exit code 0 means every emitted record passed its tolerance; 1 means at
 least one failed (the failures are echoed on stderr); 2 means the
 invocation itself was invalid (a setting so large that a float
-overflows included); a reader that closes stdout or stderr changes none
-of them.  Output is byte-deterministic for a fixed configuration.  Each
-subcommand takes only the flags it reads, and a --config file holds
-those same flags as KEY = VALUE lines.
+overflows, or that an array cannot be allocated, included); a reader
+that closes stdout or stderr changes none of them.  Output is
+byte-deterministic for a fixed configuration.  Each subcommand takes
+only the flags it reads, and a --config file holds those same flags as
+KEY = VALUE lines.
 
 argparse checks the choices; RunConfig checks nothing.  A model
 setting, from a flag, a config line or a sweep value, is checked where
@@ -447,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _emit(cmd_verify(config), config)
         return _emit(cmd_example(config, config.model, args.param, _sweep_values(args)), config)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         _write(sys.stderr, [f"error: {exc}\n"])
         return 2
 

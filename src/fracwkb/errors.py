@@ -4,6 +4,14 @@ Every class subclasses ValueError so callers who do not care about the
 distinction can catch a single built-in type.
 """
 
+__all__ = [
+    "ForbiddenRegionError",
+    "NonFiniteInputError",
+    "NonpositiveMomentumError",
+    "StepTooLargeError",
+    "ZeroEnergyError",
+]
+
 
 class NonFiniteInputError(ValueError):
     """An input sample contains NaN or infinity."""

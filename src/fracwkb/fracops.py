@@ -282,13 +282,11 @@ def rl_derivative(
         shifted = block[rows] - start[rows, None]
     finite = np.all(np.isfinite(shifted), axis=1)
     rows, shifted = rows[finite], shifted[finite]
-    fractional = np.array([not float(order.value).is_integer() for order in orders])
+    fractional = np.array([not float(order.value).is_integer() for order in orders], dtype=bool)
     out = np.empty((len(orders), *block.shape))
-    if not fractional.all():
-        out[~fractional] = _gl_sums(grid, block, list(compress(orders, ~fractional)))
-    if fractional.any():
-        block[rows] = shifted
-        out[fractional] = _gl_sums(grid, block, list(compress(orders, fractional)))
+    out[~fractional] = _gl_sums(grid, block, list(compress(orders, ~fractional)))
+    block[rows] = shifted
+    out[fractional] = _gl_sums(grid, block, list(compress(orders, fractional)))
     if rows.size:
         offsets = grid.nodes() - grid.a
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,11 +1,31 @@
-"""Shared test plumbing: acceptance-criteria summary lines.
+"""Shared test plumbing: acceptance-criteria summary lines and a random
+family member.
 
 test_acceptance appends one line per criterion; they are echoed in the
 terminal summary so a plain `pytest -v` run shows the pass/fail status
-of every criterion even when all tests pass.
+of every criterion even when all tests pass.  test_mechanics and
+test_hamilton_jacobi draw their family members with random_spec.
 """
 
 acceptance_lines: list[str] = []
+
+
+def random_spec(rng):
+    """A family member drawn from rng: seven uniform draws, in field order."""
+    # imported on call: pytest loads this file before perfbench's tests
+    # put src/ on sys.path, when both are collected without PYTHONPATH
+    from fracwkb.fracops import FractionalOrder
+    from fracwkb.mechanics import LagrangianSpec
+
+    return LagrangianSpec(
+        c_alpha=rng.uniform(0.2, 5.0),
+        c_beta=rng.uniform(0.2, 5.0),
+        l_alpha=rng.uniform(-2.0, 2.0),
+        l_beta=rng.uniform(-2.0, 2.0),
+        v=rng.uniform(-1.0, 2.0),
+        alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
+        beta=FractionalOrder(rng.uniform(1.0, 2.0)),
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

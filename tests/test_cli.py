@@ -280,6 +280,21 @@ def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_unallocatable_grid_is_usage_error(monkeypatch, capsys):
+    # a grid too large to allocate (say 0,1,100000000000) exits 2 with a
+    # message, not a traceback with exit 1.  The nodes' MemoryError is
+    # raised by a stand-in on a small grid: a real attempt could succeed
+    # under overcommit and exhaust the machine.
+    def unallocatable(self):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(TimeGrid, "nodes", unallocatable)
+    assert main(["deriv", "--grid", "0,1,64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
+
+
 def test_overflowing_model_setting_is_usage_error(capsys):
     # q**2 or a W slope overflows a float: exit 2 with a message naming
     # the overflowing quantity and the settings that enter it, not a

@@ -920,13 +920,13 @@ def test_exact_stencils_never_fail_observed_order_on_shifted_grids(stencil, side
 
 # -------------------------------------------------------- interior
 
-def test_interior_mask_margins():
+def test_interior_margins():
     # nodes 1..7 of 0..8 are at least 1/10 of the width from both ends
     assert interior(TimeGrid(0.0, 1.0, 8)) == slice(1, 8)
     assert interior(TimeGrid(0.0, 1.0, 70)) == slice(7, 64)
 
 
-def test_interior_mask_is_one_nonempty_run():
+def test_interior_is_one_nonempty_run():
     # exactly the nodes j with count <= 10 j <= 9 count: the interior
     # reads only the count, so every count the kernel checks is covered
     for count in range(2, 5001):

@@ -17,17 +17,7 @@ from fracwkb.hamilton_jacobi import (
 from fracwkb.mechanics import LagrangianSpec, example1, example2
 from fracwkb.fracops import FractionalOrder
 
-
-def _random_spec(rng) -> LagrangianSpec:
-    return LagrangianSpec(
-        c_alpha=rng.uniform(0.2, 5.0),
-        c_beta=rng.uniform(0.2, 5.0),
-        l_alpha=rng.uniform(-2.0, 2.0),
-        l_beta=rng.uniform(-2.0, 2.0),
-        v=rng.uniform(-1.0, 2.0),
-        alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
-        beta=FractionalOrder(rng.uniform(1.0, 2.0)),
-    )
+from conftest import random_spec
 
 
 def test_energy_partition():
@@ -88,7 +78,7 @@ def test_slopes_match_finite_differences():
     rng = np.random.default_rng(21)
     h = 1e-5
     for _ in range(50):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         energies = EnergyPartition(rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0))
         pf = separate(spec, energies)
         q = rng.uniform(-2.0, 2.0)
@@ -121,7 +111,7 @@ def test_lambda_constants_match_finite_differences():
     rng = np.random.default_rng(22)
     h = 1e-6
     for _ in range(50):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         energies = EnergyPartition(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0))
         q = rng.uniform(-2.0, 2.0)
         if spec.v * q * q + 2.0 * (energies.e1 - h) <= 0.0:
@@ -197,7 +187,7 @@ def test_hj_residual_property():
     rng = np.random.default_rng(23)
     checked = 0
     while checked < 300:
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         energies = EnergyPartition(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0))
         q = rng.uniform(-2.0, 2.0)
         if spec.v * q * q + 2.0 * energies.e1 < 0.0:

@@ -7,6 +7,7 @@ the two-tree comparison.
 
 import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from fracwkb import reporting
@@ -59,6 +60,23 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
     assert (slope["exit"], slope["stderr"]) == (
         2, "error: W2 slope must be finite, got inf at c_beta = 1.0, l_beta = 1.0, e2 = 1e+308\n"
     )
+
+
+def test_a_crashing_run_is_recorded_not_raised():
+    # a main that prints, then raises: the run is one record whose exit
+    # is "traceback" and whose stderr ends with the exception's line
+    tool = _load_tool()
+
+    def crashing(argv):
+        print("partial")
+        print("warned", file=sys.stderr)
+        raise KeyError(argv[0])
+
+    entry = tool.record(crashing, ["verify"])
+    assert entry == {
+        "stdout_sha256": hashlib.sha256(b"partial\n").hexdigest(), "out_sha256": None,
+        "stderr": "warned\nKeyError: 'verify'\n", "exit": "traceback", "warnings": [],
+    }
 
 
 def test_chunk_edge_runs_land_on_the_edges(capsys):

@@ -20,17 +20,7 @@ from fracwkb.mechanics import (
     legendre_transform,
 )
 
-
-def _random_spec(rng) -> LagrangianSpec:
-    return LagrangianSpec(
-        c_alpha=rng.uniform(0.2, 5.0),
-        c_beta=rng.uniform(0.2, 5.0),
-        l_alpha=rng.uniform(-2.0, 2.0),
-        l_beta=rng.uniform(-2.0, 2.0),
-        v=rng.uniform(-1.0, 2.0),
-        alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
-        beta=FractionalOrder(rng.uniform(1.0, 2.0)),
-    )
+from conftest import random_spec
 
 
 def test_presets():
@@ -84,7 +74,7 @@ def test_hamilton_rhs_values():
 def test_momenta_velocity_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         state = KinematicState(
             rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
         )
@@ -98,7 +88,7 @@ def test_legendre_consistency():
     # H = p . velocity - L whenever p comes from the same state
     rng = np.random.default_rng(12)
     for _ in range(200):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         state = KinematicState(
             rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
         )
@@ -116,7 +106,7 @@ def test_hamilton_rhs_matches_finite_differences():
     rng = np.random.default_rng(13)
     h = 1e-5
     for _ in range(50):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         momenta = Momenta(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         q = rng.uniform(-2.0, 2.0)
         rhs = hamilton_rhs(spec, momenta, q)

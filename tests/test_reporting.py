@@ -77,7 +77,7 @@ def test_informational_rows_always_pass():
     assert batch.passed.tolist() == [True, True]
 
 
-def test_format_float_17_digits():
+def test_format_csv_17_digits():
     # every float is rendered with 17 significant digits
     batch = _batch(ReportRecord("x", 1.0 / 3.0, 1e-12, math.inf), ReportRecord("y", 2.0, 2.0, 1.0))
     rows = [line.split(",") for line in format_csv(batch).splitlines()[2:]]

@@ -3,14 +3,15 @@
 A refactor of fracwkb is shown correct by byte-identical output.  This
 script runs one fixed, seeded list of argvs in-process through
 fracwkb.cli.main and records, for each argv, the sha256 of stdout, the
-stderr text, the exit code and the warnings raised, and for an argv that
-writes --out the sha256 of the file it wrote.  It then runs each
-demos/*.py script and the python block under "Library quickstart" in
-README.md in-process, as tests/test_demos.py runs them, and records the
-same for each: the demos and the quickstart call the library API that
-the argvs reach only through the CLI.  A last record hashes the result
-of fracwkb.fracops.rl_derivative on a block of several rows, which no
-argv passes it.
+stderr text, the exit code ("traceback" for a run that raises) and the
+warnings raised, and for an argv that writes --out the sha256 of the
+file it wrote.  It then runs each demos/*.py script and the python
+block under "Library quickstart" in README.md in-process, as
+tests/test_demos.py runs them, and records the same for each: the demos
+and the quickstart call the library API that the argvs reach only
+through the CLI.  A last record hashes the result of
+fracwkb.fracops.rl_derivative on a block of several rows, which no argv
+passes it.
 
     python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
@@ -233,7 +234,13 @@ def corpus() -> list[tuple[list[str], str | None]]:
 
 
 def _capture(run) -> dict:
-    """Call run(); its stdout hash, stderr, exit code and warnings."""
+    """Call run(); its stdout hash, stderr, exit code and warnings.
+
+    A run that raises is recorded, not propagated: its exit is
+    "traceback" and its stderr ends with the exception's "Type: message"
+    line, so one crashing argv shows up as one differing run.  The
+    traceback itself is left out: its file paths differ between trees.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
         out
@@ -243,6 +250,9 @@ def _capture(run) -> dict:
             code = run()
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:
+            code = "traceback"
+            err.write(f"{type(exc).__name__}: {exc}\n")
     return {
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr": err.getvalue(),
