@@ -382,25 +382,28 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep = sub.add_parser(
         "sweep", parents=[model, output], help="repeat model records over a parameter range"
     )
-    p_sweep.add_argument("--param", choices=_SWEEP_PARAMS)
+    p_sweep.add_argument("--param", choices=_SWEEP_PARAMS, help="model setting to sweep")
     p_sweep.add_argument("--values", help="comma-separated explicit sweep values")
     p_sweep.add_argument("--from", dest="sweep_from", type=float, help="linear range start")
     p_sweep.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
     p_sweep.add_argument("--steps", type=int, help="number of linear range steps")
-    p_sweep.add_argument("--model", choices=("example1", "example2", "custom"))
-    p_sweep.add_argument("--c-alpha", dest="c_alpha", type=float)
-    p_sweep.add_argument("--c-beta", dest="c_beta", type=float)
-    p_sweep.add_argument("--l-alpha", dest="l_alpha", type=float)
-    p_sweep.add_argument("--l-beta", dest="l_beta", type=float)
-    p_sweep.add_argument("--v", type=float)
+    p_sweep.add_argument(
+        "--model", choices=("example1", "example2", "custom"), help="model (default example1)"
+    )
+    for name in ("c_alpha", "c_beta", "l_alpha", "l_beta", "v"):
+        default, flag = RunConfig._field_defaults[name], "--" + name.replace("_", "-")
+        p_sweep.add_argument(flag, type=float, help=f"custom model's {name} (default {default:g})")
     return parser, sub.choices
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
+    linear = (args.sweep_from, args.sweep_to, args.steps)
     if args.values is not None:
+        if linear != (None, None, None):
+            raise ValueError("sweep needs --values or --from/--to/--steps, not both")
         values = [_number(float, x, "--values entry") for x in args.values.split(",") if x.strip()]
-    elif args.sweep_from is not None or args.sweep_to is not None or args.steps is not None:
-        if args.sweep_from is None or args.sweep_to is None or args.steps is None:
+    elif linear != (None, None, None):
+        if None in linear:
             raise ValueError("linear sweep needs --from, --to and --steps together")
         if args.steps < 1:
             raise ValueError("--steps must be >= 1")

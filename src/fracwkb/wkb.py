@@ -23,9 +23,9 @@ batch of wave fields and points at once, and return a complex128 array
 of estimates instead of one complex number.  evaluate_model is the
 scalar path for one member, the reference the batch reproduces.  Both
 paths compute psi with numpy's complex arithmetic and every square as a
-product, so they agree bit for bit.  evaluate_models is also where a
-batch is checked: it reruns each row the scalar path may reject down
-evaluate_model, so a bad member raises the scalar error.
+product, so they agree bit for bit; wave means both slopes positive.
+evaluate_models also checks a batch: one rule flags each row the scalar
+path may reject, which reruns down evaluate_model to raise its error.
 
 A note on roundoff: the second-difference stencil divides by h**2 and
 therefore amplifies the representation error of the phase, which is
@@ -232,9 +232,9 @@ class ModelColumns(NamedTuple):
     functions return; p_alpha, p_beta and energy, each with its
     imaginary part, are the apply_momentum and apply_hamiltonian
     eigenvalue estimates; probability is |psi|**2 * p_alpha * p_beta.
-    Row i equals evaluate_model of that row's member bit for bit.  The
-    seven wave-field columns are nan where wave is False, since psi
-    needs both momenta positive.
+    Row i equals evaluate_model of that row's member bit for bit.  wave
+    is True where both slopes are positive, since psi needs both momenta
+    positive; the seven wave-field columns are nan where it is False.
     """
 
     w1_slope: np.ndarray
@@ -309,11 +309,12 @@ def evaluate_models(
     built per row.  Row i equals evaluate_model of that row's member,
     point and step bit for bit.
 
-    The batch checks its rows as the scalar path does.  Each row on
-    which that path may raise, or whose orders are not finite and at
-    least 1, is rebuilt as a member from Python floats and run down
-    evaluate_model, in row order, so the first bad row raises the error
-    a member-by-member run would stop at.
+    A row is flagged where the scalar path may raise: c <= 0, e < 0,
+    h or hbar <= 0, an order below 1, h, hbar, an order, a slope, S or
+    the HJ residual not finite (a non-finite input makes a slope or S
+    so), or, where wave (both slopes positive) holds, a step past the
+    phase guard or a wave-field value not finite.  Flagged rows rerun
+    down evaluate_model in row order, so the first raises its error.
     """
     inputs = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (*family, e1, e2, u1, u2, t, q, h, hbar))
@@ -340,22 +341,16 @@ def evaluate_models(
         estimates = [part for r in results for part in (r.real, r.imag)]
         probability = probability_density(wf, points) * w1 * w2
 
-        finite = np.isfinite([c_alpha, c_beta, l_alpha, l_beta, v, e1, e2, u1, u2, t, q])
-        accepted = (
-            finite.all(axis=0) & (c_alpha > 0.0) & (c_beta > 0.0) & (e1 >= 0.0) & (e2 >= 0.0)
-            & np.isfinite([w1, w2, S, residual]).all(axis=0)
-        )
-        stepped = np.isfinite(h) & (h > 0.0) & np.isfinite(hbar) & (hbar > 0.0)
-        ordered = (alpha >= 1.0) & (alpha < math.inf) & (beta >= 1.0) & (beta < math.inf)
-        wave = accepted & (w1 > 0.0) & (w2 > 0.0)
-        # _check_step's guard, then every wave-field value finite
-        stable = (
-            ~(h * np.abs(w1) / hbar > _PHASE_GUARD)
-            & ~(h * np.abs(w2) / hbar > _PHASE_GUARD)
-            & np.isfinite([*estimates, probability]).all(axis=0)
+        wave = (w1 > 0.0) & (w2 > 0.0)
+        flagged = ~(
+            (c_alpha > 0.0) & (c_beta > 0.0) & (e1 >= 0.0) & (e2 >= 0.0) & (h > 0.0)
+            & (hbar > 0.0) & (alpha >= 1.0) & (beta >= 1.0)
+            & np.isfinite([h, hbar, alpha, beta, w1, w2, S, residual]).all(axis=0)
+        ) | wave & (
+            (h * np.abs(w1) / hbar > _PHASE_GUARD) | (h * np.abs(w2) / hbar > _PHASE_GUARD)
+            | ~np.isfinite([*estimates, probability]).all(axis=0)
         )
     wave_columns = [np.where(wave, x, math.nan) for x in (*estimates, probability)]
-    flagged = ~(accepted & stepped & ordered) | (wave & ~stable)
     # each flagged row as Python floats, whose reprs the scalar messages
     # show, built in the order a member-by-member run builds it
     for row in zip(*(field[flagged].tolist() for field in fields)):

@@ -422,8 +422,9 @@ def test_flag_before_subcommand_is_usage_error(argv, capsys):
 
 def test_deriv_huge_integer_order_output_is_pinned(capsys):
     # the binomial row of order 1e9 overflows past its first weights, and
-    # the full O(N**2) sum runs over the infinite rest of the row; every
-    # byte of the report is pinned, so a cap on that row must not move it
+    # fracops._binomial_sums convolves only up to the second infinite one,
+    # leaving nan beyond it; every byte of the report is pinned, so the
+    # pinned bytes guard that cap
     ret = main(["deriv", "--alpha", "1e9", "--grid", "0,1,16384", "--format", "csv"])
     captured = capsys.readouterr()
     assert ret == 1
@@ -804,6 +805,29 @@ def test_sweep_of_one_step_is_one_row_at_from(capsys):
     rows = _csv_rows(captured.out)
     assert [row["quantity"] for row in rows] == list(cli._MODEL_RECORDS)
     assert {row["e1"] for row in rows} == {"0.5"}
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--values", "1.5", "--from", "1", "--to", "2", "--steps", "3"], None),
+        (["--values", "1.5", "--steps", "0"], None),
+        (["--values", "1.5"], "from = 1\n"),
+        (["--from", "1", "--to", "2", "--steps", "3"], "values = 1.5\n"),
+    ],
+)
+def test_sweep_of_values_and_a_range_is_usage_error(flags, config, tmp_path, capsys):
+    # --values and --from/--to/--steps are two value sources; neither is
+    # dropped for the other, from a flag or a config line
+    argv = ["sweep", "--param", "alpha", *flags]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sweep needs --values or --from/--to/--steps, not both\n"
+    assert captured.out == ""
 
 
 def test_sweep_without_param_is_usage_error(capsys):

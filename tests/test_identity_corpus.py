@@ -35,6 +35,7 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
         ["deriv", "--alpha", "inf", "--tol", "bogus=1"],
         ["example2", "--e2", "1e308"],
         ["sweep", "--param", "e1", "--values", ","],
+        ["sweep", "--param", "alpha", "--values", "1.5", "--steps", "0"],
         ["--alpha", "3", "verify"],
         ["verify", "--out", tool.OUT],
     ):
@@ -102,7 +103,8 @@ def test_library_records_cover_each_demo_and_the_quickstart():
     records = tool.library_records(root)
     demos = [f"demos/{path.name}" for path in sorted((root / "demos").glob("*.py"))]
     assert [r["library"] for r in records] == [
-        *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative"
+        *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative",
+        "fracwkb.wkb.evaluate_models",
     ]
     for entry in records:
         assert entry["exit"] == 0 and entry["warnings"] == [] and entry["out_sha256"] is None

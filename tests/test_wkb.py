@@ -310,10 +310,35 @@ def test_batch_equals_scalar_path(members):
         return
     columns = _batch(accepted)
     for i, reference in enumerate(references):
-        for name in ModelColumns._fields[:-1]:
-            got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
-            assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), name
-        assert columns.wave[i] == reference.wave
+        _assert_row_is(columns, i, reference)
+
+
+def _assert_row_is(columns, i, reference):
+    for name in ModelColumns._fields[:-1]:
+        got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
+        assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), name
+    assert columns.wave[i] == reference.wave
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(1e308, -0.015, 0.0), 1e-4, 1.0),
+        (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(0.02, -0.015, 1e308), 1e-4, 1.0),
+        # e1 + e2 overflows under finite slopes, as sweep can make it
+        (
+            LagrangianSpec(1.0, 0.25, 0.0, 0.0, 0.0, FractionalOrder(1.5), FractionalOrder(1.5)),
+            EnergyPartition(8e307, 1.7e308), TransformedPoint(0.02, -0.015, 0.005), 1e-4, 1e300,
+        ),
+    ],
+)
+def test_batch_wave_is_the_scalar_wave_where_S_overflows(member):
+    # the scalar path accepts a member whose S overflows and reads wave
+    # from the slopes alone, both positive here; the batch row must say so
+    # too, with every column equal bit for bit and nan where the scalar is
+    reference = evaluate_model(*member)
+    assert math.isinf(reference.S) and reference.wave
+    _assert_row_is(_batch([member]), 0, reference)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,9 +9,11 @@ file it wrote.  It then runs each demos/*.py script and the python
 block under "Library quickstart" in README.md in-process, as
 tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
-through the CLI.  A last record hashes the result of
-fracwkb.fracops.rl_derivative on a block of several rows, which no argv
-passes it.
+through the CLI.  Two last records hash the result of
+fracwkb.fracops.rl_derivative on a block of several rows, and every
+column of fracwkb.wkb.evaluate_models on a block of rows at points no
+argv reaches (SAMPLE_POINT is fixed), with the errors of a few rows it
+rejects.
 
     python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
@@ -31,14 +33,16 @@ a --config line and a sweep value; sweeps with --tol bogus=1 and
 0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals; degenerate
 grids, grids that end short of b, and grids whose refined nodes collapse
 or whose refined step underflows; the other side's order; a bad order
-with --tol bogus=1; W slopes that overflow or turn imaginary
-and momentum products that leave the float range; known tolerances set
-in and out of range; malformed --tol entries and config lines; numbers
-that do not parse in --grid and --values, and config values their flag
+with --tol bogus=1; W slopes that overflow or turn imaginary,
+momentum products that leave the float range, and an energy total that
+overflows under finite slopes; known tolerances set in and out of
+range; malformed --tol entries and config lines; numbers that do not
+parse in --grid and --values, and config values their flag
 would not parse; a grid with a node at a tenth of its width; every
-sweep-range error; flags before the subcommand or of another one; deriv
-grids and sweeps whose row counts land at the edges of a piece of
-rendered output, in every format; and --out.
+sweep-range error, --values with a range flag included; flags before
+the subcommand or of another one; deriv grids and sweeps whose row
+counts land at the edges of a piece of rendered output, in every
+format; and --out.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import runpy
@@ -173,6 +178,10 @@ def corpus() -> list[tuple[list[str], str | None]]:
                          ("--l-alpha", "1e-200", "--l-beta", "1e-200"),
                          ("--l-alpha", "1e308", "--l-beta", "1e308", "--hbar", "1e308")):
         add(*custom, *coefficients, "--e1", "0", "--e2", "0", "--param", "q", "--values", "0")
+    # both slopes finite and positive and the phase step small, but e1 + e2
+    # overflows, so S and the HJ residual are not finite
+    add(*custom, "--c-beta", "0.25", "--e2", "1.7e308", "--hbar", "1e300", "--param", "e1",
+        "--values", "8e307")
 
     # known tolerances, in and out of range, and malformed entries
     for command, name in (("verify", "imag_part"), ("example1", "probability"),
@@ -207,8 +216,12 @@ def corpus() -> list[tuple[list[str], str | None]]:
     for flags in (("--param", "e1", "--from", "0", "--to", "1"),
                   ("--param", "e1", "--from", "0", "--to", "1", "--steps", "0"),
                   ("--param", "e1"), ("--values", "1"), ("--param", "e1", "--values", ","),
-                  ("--param", "e1", "--steps", "3")):
+                  ("--param", "e1", "--steps", "3"),
+                  ("--param", "alpha", "--values", "1.5", "--from", "1", "--to", "2",
+                   "--steps", "3"),
+                  ("--param", "alpha", "--values", "1.5", "--steps", "0")):
         add("sweep", *flags)
+    add("sweep", "--param", "alpha", "--values", "1.5", config="from = 1\n")
 
     # flags before the subcommand or of another subcommand
     for argv in (("--alpha", "3", "verify"), ("--format=csv", "verify"),
@@ -304,15 +317,58 @@ def _run_kernel_block() -> int:
     return 0
 
 
+def _run_model_block() -> int:
+    # accepted rows at points from signed zeros to +-1e308, many of whose
+    # S overflows, then one call each for rows the scalar path rejects
+    import numpy as np
+    from fracwkb.mechanics import FamilyColumns
+    from fracwkb.wkb import evaluate_models
+
+    rng = random.Random(SEED)
+    huge = (0.0, -0.0, 1.0, 1e154, 1e300, -1e300, 1e308, -1e308)
+
+    def column(lo: float, hi: float, special: tuple[float, ...] = (0.0, -0.0)) -> list[float]:
+        # half the rows drawn from special, the rest uniform in [lo, hi]
+        return [rng.choice(special) if rng.random() < 0.5 else rng.uniform(lo, hi)
+                for _ in range(256)]
+
+    family = FamilyColumns(
+        column(0.5, 2.0, (1.0,)), column(0.5, 2.0, (1.0,)), column(-1.0, 1.0),
+        column(-1.0, 1.0), column(0.0, 2.0), 1.5, column(1.0, 3.0, (1.0,)),
+    )
+    columns = evaluate_models(
+        family, column(0.0, 4.0), column(0.0, 4.0), column(-0.05, 0.05, huge),
+        column(-0.05, 0.05, huge), column(-0.05, 0.05, huge), column(-2.0, 2.0), 1e-4,
+        column(0.5, 2.0, (1.0,)),
+    )
+    for name, values in zip(columns._fields, columns):
+        print(name, hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest())
+    names = (*FamilyColumns._fields, "e1", "e2", "u1", "u2", "t", "q", "h", "hbar")
+    good = (1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.0, 1.0, 0.02, -0.015, 0.0, 0.0, 1e-4, 1.0)
+    for bad, value in (("c_alpha", 0.0), ("beta", 0.5), ("e1", -1.0), ("u1", math.inf),
+                       ("q", 1e200), ("h", 0.05), ("hbar", 0.0)):
+        row = [value if name == bad else x for name, x in zip(names, good)]
+        try:
+            evaluate_models(FamilyColumns(*row[:7]), *row[7:])
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{bad} = {value!r}: {type(exc).__name__}: {exc}")
+        else:
+            print(f"{bad} = {value!r}: accepted")
+    return 0
+
+
 def library_records(root: Path) -> list[dict]:
     """The records of each demos/*.py script under root, of the quickstart,
-    and of the block kernel entry.
+    of the block kernel entry and of the model batch.
 
     A demo runs as `python demos/NAME.py` would run it; the quickstart is
     the python block under "Library quickstart" in root's README.md.  The
     kernel record prints the sha256 of fracwkb.fracops.rl_derivative's
     result on several rows at several orders, the path a block of rows
-    takes that no argv reaches.
+    takes that no argv reaches.  The model record prints the sha256 of
+    each fracwkb.wkb.evaluate_models column, wave included, on accepted
+    rows whose points run from signed zeros to +-1e308, and the error of
+    each of a few rejected rows.
     """
     runs = [
         (f"demos/{path.name}", functools.partial(_run_demo, path))
@@ -324,6 +380,7 @@ def library_records(root: Path) -> list[dict]:
     code = compile(block, "README.md quickstart", "exec")
     runs.append(("README.md quickstart", functools.partial(_run_block, code)))
     runs.append(("fracwkb.fracops.rl_derivative", _run_kernel_block))
+    runs.append(("fracwkb.wkb.evaluate_models", _run_model_block))
     return [{"library": label, **_capture(run), "out_sha256": None} for label, run in runs]
 
 
