@@ -11,9 +11,9 @@ Subcommands:
 
 Exit code 0 means every emitted record passed its tolerance; 1 means at
 least one failed (the failures are echoed on stderr); 2 means the
-invocation itself was invalid (a setting so large that a float
-overflows, or that an array cannot be allocated, included); a reader
-that closes stdout or stderr changes none of them.  Output is
+invocation itself was invalid (a setting that overflows the kernel or
+the model, or for which an array cannot be allocated, included); a
+reader that closes stdout or stderr changes none of them.  Output is
 byte-deterministic for a fixed configuration.  Each subcommand takes
 only the flags it reads, and a --config file holds those same flags as
 KEY = VALUE lines.
@@ -99,19 +99,31 @@ def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
     the data, including divergent endpoints, without gating the exit
     code.  The pass/fail content lives in the max_interior_error and
     observed_order records; observed_order is informational too when
-    the fine grid's error is within twice its roundoff floor.
+    the fine grid's error is within twice its roundoff floor.  An order
+    that overflows on the grid, or else on its 4x refinement, exits 2.
     """
     exponent = _TEST_FUNCTIONS[function]
     tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
     order = FractionalOrder(config.alpha if side == "left" else config.beta)
     grid = config.grid
+    refined = f"4x refinement grid {grid.a!r},{grid.b!r},{4 * grid.count}"
     try:
         fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
     except ValueError as exc:
-        refined = f"{grid.a!r},{grid.b!r},{4 * grid.count}"
-        raise ValueError(f"4x refinement grid {refined}: {exc}") from None
-    numeric, oracle, error = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
-    fine_error = power_kernel_check(fine_grid, [exponent], [order], side)[2][0, 0]
+        raise ValueError(f"{refined}: {exc}") from None
+    checks = []
+    for on, label in ((grid, f"grid {grid.a!r},{grid.b!r},{grid.count}"), (fine_grid, refined)):
+        try:
+            checks.append([a[0, 0] for a in power_kernel_check(on, [exponent], [order], side)])
+            numeric, _, error = checks[-1]
+            for name, values in (("derivative", numeric), ("max interior error", error)):
+                if not np.all(np.isfinite(values)):
+                    raise OverflowError(
+                        f"order {order.value!r} overflows a float: its {name} is not finite"
+                    )
+        except OverflowError as exc:
+            raise ValueError(f"{label}: {exc}") from None
+    (numeric, oracle, error), (_, _, fine_error) = checks
 
     summary = [
         ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"]),

@@ -13,15 +13,14 @@ tenth of the width from both endpoints, over which errors are measured.
 The order alone picks the sum.  An integer order n convolves with its
 n + 1 signed binomial weights (np.convolve, O(N)): the weights past
 them are exact zeros, the sum is exact wherever an exact result exists,
-and an FFT would spread roundoff over every node.  Where a huge order's
-binomials overflow and the samples do not change sign, each sum past
-the first infinite weight is nan, and is not summed.  Any other order
-is a real FFT product in O(N log N), the convolution quadrature of
-Lubich (SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth
-length (2**a * 3**b * 5**c) of at least 2N + 1, about half the next
-power of two on power-of-two grids; against a long-double sum its error
-on power functions measured below roundoff_floor.  Overflow, for huge
-samples or orders, gives non-finite values rather than an error.
+and an FFT would spread roundoff over every node.  Any other order is a
+real FFT product in O(N log N), the convolution quadrature of Lubich
+(SIAM J. Math. Anal. 1986), zero-padded to the smallest 5-smooth length
+(2**a * 3**b * 5**c) of at least 2N + 1, about half the next power of
+two on power-of-two grids; against a long-double sum its error on power
+functions measured below roundoff_floor.  An order whose weights or
+step**-order overflow raises OverflowError before any sum, in O(N);
+finite weights whose sums overflow give +-inf or nan.
 
 rl_derivative is the one function every kernel call goes through.  It
 takes a grid, a block of sample rows on it and several orders, checks
@@ -186,31 +185,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _binomial_sums(weights: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """np.convolve(weights, row) up to index len(row), bit for bit but for nan signs.
-
-    A huge integer order's binomials overflow: from the first infinite
-    weight to the end of the row every weight is infinite, with signs
-    alternating.  If no two neighbouring samples have opposite signs,
-    each sum past that weight holds two neighbouring infinite terms that
-    are nan or of opposite signs, so it is nan in any order of summation.
-    The row is then convolved only up to that weight: O(N), not O(N**2).
-    """
-    infinite = np.isinf(weights)
-    cap = int(infinite.argmax()) + 2  # up to the second infinite weight
-    if (
-        not infinite[cap - 2 :].all()
-        or not cap <= len(row) <= len(weights)
-        or np.any(np.sign(row[:-1]) * np.sign(row[1:]) < 0.0)
-    ):
-        return np.convolve(weights, row)[: len(row) + 1]
-    sums = np.full(len(row) + 1, math.nan)
-    # equal lengths keep each sum below the cap the same dot product as in
-    # the whole convolution, over the same terms in the same order
-    sums[: cap - 1] = np.convolve(weights[:cap], row[:cap])[: cap - 1]
-    return sums
-
-
 def _gl_sums(grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder]) -> np.ndarray:
     # the plain left-side Grunwald-Letnikov sums of a checked block, of
     # shape (len(orders), rows, count + 1), one whole-block pass per order.
@@ -218,26 +192,33 @@ def _gl_sums(grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder
     # node, past which the shift would index, keeps the unshifted sum.
     top = grid.count
     out = np.empty((len(orders), *block.shape))
+    # every order's weights and scale, checked before any sum; an integer
+    # order leaves out the exact zeros past its binomial row: O(N), not O(N**2)
+    stencils = []
+    for order in (order.value for order in orders):
+        shift = 1 if order > 1.0 else 0
+        count = min(int(order), top + shift) if float(order).is_integer() else top + shift
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, scale = gl_weights(order, count), np.float64(grid.step) ** -order
+        if not (np.all(np.isfinite(weights)) and np.isfinite(scale)):
+            raise OverflowError(f"order {order!r} at step {grid.step!r} overflows a float")
+        stencils.append((order, shift, weights, scale))
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
     size = _fft_length(2 * top + 1)
     spectrum = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for result, order in zip(out, (order.value for order in orders)):
-            shift = 1 if order > 1.0 else 0
+        for result, (order, shift, weights, scale) in zip(out, stencils):
             if float(order).is_integer():
-                # leave out the exact zeros past the binomial row: O(N), not O(N**2)
-                weights = gl_weights(order, min(int(order), top + shift))
-                sums = np.array([_binomial_sums(weights, row) for row in block])
+                sums = np.array([np.convolve(weights, row)[: top + 2] for row in block])
             else:
                 if spectrum is None:
                     spectrum = np.fft.rfft(block, size)
-                weights = gl_weights(order, top + shift)
                 sums = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
             result[:, :top] = sums[:, shift : top + shift]
             result[:, top] = sums[:, top]
-            result *= np.float64(grid.step) ** -order
+            result *= scale
     return out
 
 
@@ -251,7 +232,8 @@ def rl_derivative(
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
     the side's derivative of row r at order orders[i]: the plain
     Grunwald-Letnikov sum, each order taking one pass over the whole
-    block, plus the endpoint term of rows where f(a) != 0.
+    block, plus the endpoint term of rows where f(a) != 0.  An order
+    whose weights or step**-order overflow raises OverflowError.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
     which the Grunwald-Letnikov sum resolves badly far into the interior

@@ -131,8 +131,8 @@ def _max_interior_error(
 ) -> np.ndarray | np.float64:
     # over the last axis, so a block of rows gives one error per row
     nodes = interior(grid)
-    # infinite values on both sides (huge orders) give a nan error
-    with np.errstate(invalid="ignore"):
+    # an order whose sums or power rule overflow gives an inf or nan error
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.max(np.abs(numeric[..., nodes] - oracle[..., nodes]), axis=-1)
 
 
@@ -173,11 +173,12 @@ def observed_order_record(
     """Observed convergence order of power_kernel_check errors.
 
     coarse and fine are (grid, max interior error) pairs.  When the fine
-    error is at or below twice its roundoff floor, which counts the
+    error is not above twice its roundoff floor, which counts the
     rounding of the samples and of their offsets, at least half of it
     may be rounding, so the ratio carries no convergence order: the
     record is informational with a nan value, and the max-error records
-    still gate.
+    still gate.  A nan floor, where the weights' sum overflows and
+    step**-order underflows, counts as an infinite one.
     """
     (coarse_grid, coarse_error), (fine_grid, fine_error) = coarse, fine
     width, reach = fine_grid.b - fine_grid.a, max(abs(fine_grid.a), abs(fine_grid.b))
@@ -185,12 +186,10 @@ def observed_order_record(
     # as large as reach, carried through the power (none for a constant)
     rounding = exponent * width ** (exponent - 1) * reach if exponent else 0.0
     magnitude = width**exponent + rounding
-    if fine_error <= 2.0 * roundoff_floor(order, fine_grid, magnitude):
+    if not fine_error > 2.0 * roundoff_floor(order, fine_grid, magnitude):
         return ReportRecord(quantity, 1.0, math.nan, INFORMATIONAL)
-    # errors infinite on both grids (huge orders) give a nan order, and
-    # an exact coarse result against a rounded fine one an order of -inf
-    with np.errstate(invalid="ignore"):
-        ratio = np.float64(coarse_error) / fine_error
+    # an exact coarse result against a rounded fine one gives an order of -inf
+    ratio = np.float64(coarse_error) / fine_error
     log_ratio = -math.inf if ratio == 0.0 else math.log(ratio)
     observed = log_ratio / math.log(fine_grid.count / coarse_grid.count)
     return ReportRecord(quantity, 1.0, observed, tolerance)

@@ -263,8 +263,8 @@ def evaluate_model(
     Raises where those functions raise, and warns nowhere.  h and hbar
     must be finite and positive for every member, as evaluate_models
     checks them, even one whose zero energy leaves no wave field to
-    difference.  The fields are floats, the wave-field ones nan unless
-    both momenta are positive.
+    difference, and S and the HJ residual must be finite.  The fields are
+    floats, the wave-field ones nan unless both momenta are positive.
     """
     _require_positive("step", h)
     _require_positive("hbar", hbar)
@@ -272,6 +272,12 @@ def evaluate_model(
     w1, w2 = pf.w1_slope(point.q), pf.w2_slope
     S = evaluate_S(pf, point)
     residual = hj_residual(pf, point)
+    for name, value in (("S", S), ("HJ residual", residual)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{name} must be finite, got {value!r} at e1 + e2 = {energies.total!r},"
+                f" u1 = {point.u1!r}, u2 = {point.u2!r}, t = {point.t!r}"
+            )
     wave = w1 > 0.0 and w2 > 0.0
     p_alpha = p_beta = energy = complex(math.nan, math.nan)
     probability = math.nan

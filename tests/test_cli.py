@@ -296,11 +296,14 @@ def test_unallocatable_grid_is_usage_error(monkeypatch, capsys):
 
 
 def test_overflowing_model_setting_is_usage_error(capsys):
-    # q**2 or a W slope overflows a float: exit 2 with a message naming
+    # q**2, a W slope or S overflows a float: exit 2 with a message naming
     # the overflowing quantity and the settings that enter it, not a
-    # traceback
+    # traceback or a warning
     w1 = "W1 slope must be finite, got inf at c_alpha = {}, l_alpha = {}, v = {}, q = {}, e1 = {}"
     w2 = "W2 slope must be finite, got inf at c_beta = {}, l_beta = {}, e2 = {}"
+    # both slopes finite and positive, but e1 + e2 overflows, and S with it
+    total = ["sweep", "--model", "custom", "--c-beta", "0.25", "--e2", "1.7e308", "--hbar",
+             "1e300", "--param", "e1", "--values", "8e307"]
     for argv, message in (
         (["example1", "--q", "1e308"], "q**2 overflows a float at q = 1e+308"),
         (
@@ -315,8 +318,12 @@ def test_overflowing_model_setting_is_usage_error(capsys):
             w1.format(1e308, 0.0, 0.0, 0.0, 1.0),
         ),
         (["example2", "--e2", "1e308"], w2.format(1.0, 1.0, 1e308)),
+        (total, "S must be finite, got -inf at e1 + e2 = inf, u1 = 0.02, u2 = -0.015, t = 0.005"),
     ):
-        assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n"), argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ret = main(argv)
+        assert (ret, capsys.readouterr().err, caught) == (2, f"error: {message}\n", []), argv
 
 
 @pytest.mark.parametrize(
@@ -421,22 +428,19 @@ def test_flag_before_subcommand_is_usage_error(argv, capsys):
 
 
 def test_deriv_huge_integer_order_output_is_pinned(capsys):
-    # the binomial row of order 1e9 overflows past its first weights, and
-    # fracops._binomial_sums convolves only up to the second infinite one,
-    # leaving nan beyond it; every byte of the report is pinned, so the
-    # pinned bytes guard that cap
+    # the binomial row of order 1e9 overflows past its first weights.  The
+    # run used to exit 1, with stdout sha256
+    # 16334923f301cb936851546737e8bd05f1540df348771d89672b56b222f15773 and
+    # nan max_interior_error and observed_order FAILs; the kernel now
+    # rejects the row before any sum, so it exits 2 with one message and
+    # no output
     ret = main(["deriv", "--alpha", "1e9", "--grid", "0,1,16384", "--format", "csv"])
     captured = capsys.readouterr()
-    assert ret == 1
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "16334923f301cb936851546737e8bd05f1540df348771d89672b56b222f15773"
-    )
+    assert ret == 2
+    assert captured.out == ""
     assert captured.err == (
-        "failing records:\n"
-        "quantity            analytic  numeric  residual  tolerance            pass\n"
-        "------------------  --------  -------  --------  -------------------  -----\n"
-        "max_interior_error         0      nan       nan                0.001  false\n"
-        "observed_order             1      nan       nan  0.20000000000000001  false\n"
+        "error: grid 0.0,1.0,16384: order 1000000000.0 at step 6.103515625e-05 overflows"
+        " a float\n"
     )
 
 
@@ -577,30 +581,67 @@ def test_unknown_tolerance_name(capsys):
     assert "unknown tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+_REFINED = "4x refinement grid 0.0,1.0,256: order "
+
+# deriv argvs whose order overflows, and the message each exits 2 with
+_HUGE_ORDERS = [
+    (
         ["deriv", "--alpha", "2000", "--grid", "0,1,4096"],
+        "grid 0.0,1.0,4096: order 2000.0 at step 0.000244140625 overflows a float",
+    ),
+    (
         ["deriv", "--alpha", "300.5", "--grid", "0,1,64"],
+        "grid 0.0,1.0,64: order 300.5 at step 0.015625 overflows a float",
+    ),
+    (
         ["deriv", "--alpha", "1e20", "--grid", "0,1,10"],
-    ],
+        "grid 0.0,1.0,10: order 1e+20 at step 0.1 overflows a float",
+    ),
+    # weights and scale finite on both grids, but the power rule
+    # overflows in the interior
+    (
+        ["deriv", "--alpha", "126.5", "--grid", "0,1,64"],
+        "grid 0.0,1.0,64: order 126.5 overflows a float: its max interior error is not"
+        " finite",
+    ),
+    # the sums overflow on the grid itself, before its refinement's scale
+    (
+        ["deriv", "--alpha", "150", "--grid", "0,1,64"],
+        "grid 0.0,1.0,64: order 150.0 overflows a float: its derivative is not finite",
+    ),
+    # the grid's values are finite: its refinement's scale, then its
+    # sums, overflow
+    (
+        ["deriv", "--alpha", "150", "--grid", "0,1,64", "--function", "x3"],
+        _REFINED + "150.0 at step 0.00390625 overflows a float",
+    ),
+    (
+        ["deriv", "--side", "right", "--beta", "120.5", "--grid", "0,1,64", "--function",
+         "x3"],
+        _REFINED + "120.5 overflows a float: its derivative is not finite",
+    ),
+    # on the refinement, where the sums overflow, some finite values
+    # also differ from the power rule by more than a float holds
+    (
+        ["deriv", "--alpha", "120.3", "--grid", "0,1,64", "--function", "x3"],
+        _REFINED + "120.3 overflows a float: its derivative is not finite",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _HUGE_ORDERS, ids=[f"argv{i}" for i in range(len(_HUGE_ORDERS))]
 )
-def test_deriv_huge_order_fails_without_traceback(argv, capsys):
-    # weights, step**-order and the power rule overflow here; the values
-    # turn non-finite and the summary records fail instead of raising
+def test_deriv_huge_order_fails_without_traceback(argv, message, capsys):
+    # an order that overflows the kernel's weights or scale, the sums or
+    # the power rule exits 2 with one message naming the order and the
+    # grid, with no output and no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ret = main(argv + ["--format", "csv"])
     captured = capsys.readouterr()
-    assert ret == 1
+    assert (ret, captured.out, captured.err) == (2, "", f"error: {message}\n")
     assert not caught
-    summary = {
-        row["quantity"]: row for row in _csv_rows(captured.out)
-        if not row["quantity"].startswith("D[x=")
-    }
-    assert summary["max_interior_error"]["pass"] == "false"
-    assert summary["max_interior_error"]["numeric"] in ("inf", "nan")
-    assert "max_interior_error" in captured.err
 
 
 def test_deriv_unknown_tolerance_name(capsys):
@@ -1154,8 +1195,8 @@ _, _COMMANDS = _make_parser()
 # draw runs in milliseconds.
 _NUMBERS = ["0.5", "1.5", "2", "3", "1", "0", "-1", "1e308", "inf", "nan", "abc", ""]
 _VOCABULARY = {
-    "--alpha": _NUMBERS + ["1e20", "300.5"],
-    "--beta": _NUMBERS + ["1e20"],
+    "--alpha": _NUMBERS + ["1e20", "300.5", "126.5", "150"],
+    "--beta": _NUMBERS + ["1e20", "126.5", "150"],
     "--e1": _NUMBERS,
     "--e2": _NUMBERS,
     "--q": _NUMBERS,

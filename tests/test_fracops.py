@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -459,19 +460,19 @@ def test_integer_orders_keep_exact_direct_sum(order, side, count, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    order=st.sampled_from([2000.0, 1e9, 1e20, 1e200]),
+    order=st.sampled_from([2000.0, 1e9, 1e20, 1e200, 300.5]),
     side=st.sampled_from(["left", "right"]),
     count=st.integers(2, 600),
     kind=st.sampled_from(["power", "negative", "signed", "alternating", "signed_zeros"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_huge_integer_orders_equal_the_whole_binomial_sum(order, side, count, kind, seed):
-    # Past its first infinite weight a huge order's binomial row is not
-    # summed where the sums are nan whatever their order; every node must
-    # still equal the sum over the whole row, bit for bit or nan where it
-    # is nan.  A unit step leaves the sums unscaled, so their finite
-    # values show too; rows that change sign keep the whole sum.
-    grid = TimeGrid(0.0, float(count), count)
+def test_huge_orders_raise_before_any_sum(order, side, count, kind, seed):
+    # At a step of 1/16, step**-order overflows at every one of these
+    # orders, and the binomial rows of the three largest overflow once
+    # they hold a few dozen weights: the kernel raises, naming the order
+    # and the step, before it convolves or transforms a row, so a huge
+    # integer order costs O(N) to reject whatever the samples
+    grid = TimeGrid(0.0, count / 16.0, count)
     rng = np.random.default_rng(seed)
     nodes = np.arange(count + 1.0)
     samples = {
@@ -481,16 +482,28 @@ def test_huge_integer_orders_equal_the_whole_binomial_sum(order, side, count, ki
         "alternating": (-1.0) ** nodes,
         "signed_zeros": np.where(rng.random(count + 1) < 0.3, -0.0, -rng.random(count + 1)),
     }[kind]
-    numeric = rl_derivative(grid, [samples], [FractionalOrder(order)], side)[0, 0]
-    values = samples if side == "left" else samples[::-1]
-    full = np.convolve(gl_weights(order, min(int(order), count + 1)), values)
-    expected = full[1 : count + 2].copy()
-    expected[count] = full[count]  # the clamped endpoint drops the shift
-    if side == "right":
-        expected = expected[::-1]
-    nan = np.isnan(expected)
-    npt.assert_array_equal(np.isnan(numeric), nan)
-    npt.assert_array_equal(numeric[~nan].view(np.int64), expected[~nan].view(np.int64))
+    sums = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((np, "convolve"), (np.fft, "rfft")):
+            original = getattr(module, name)
+            patch.setattr(module, name, lambda *a, f=original, **k: sums.append(a) or f(*a, **k))
+        message = f"^order {re.escape(repr(order))} at step 0\\.0625 overflows a float$"
+        with pytest.raises(OverflowError, match=message):
+            rl_derivative(grid, [samples], [FractionalOrder(order)], side)
+    assert not sums
+
+
+def test_kernel_rejects_overflowing_weights_or_scale():
+    # at a unit step only the weights can overflow: order 1e9's binomial
+    # row does; order 300.5's does not, and its sums of samples up to
+    # 6.4e301, which start at 0, turn non-finite without an error
+    grid, ones = TimeGrid(0.0, 64.0, 64), np.ones(65)
+    with pytest.raises(OverflowError, match="^order 1000000000.0 at step 1.0 overflows a float$"):
+        rl_derivative(grid, [ones], [FractionalOrder(1e9)])
+    values = rl_derivative(grid, [grid.nodes() * 1e300], [FractionalOrder(300.5)])[0, 0]
+    assert not np.any(np.isfinite(values))
+    with pytest.raises(OverflowError, match="^order 300.5 at step 0.015625 overflows a float$"):
+        rl_derivative(TimeGrid(0.0, 1.0, 64), [ones], [FractionalOrder(300.5)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -748,7 +761,7 @@ _POWERS_OF_TWO = [2**n for n in range(1, 14)]
 @example(rows=3, orders=[0.25, 0.5, 0.75, 1.5], count=8192, side="left", seed=0)
 @example(rows=1, orders=[1, 0.5, 2, 1.5, 3], count=4096, side="right", seed=1)
 # an integer order whose binomials overflow, between FFT orders in one
-# multi-row block
+# multi-row block: the block raises, as each one-row call at that order does
 @example(rows=3, orders=[0.5, 2000, 1.5], count=4096, side="right", seed=2)
 def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
     # every (order, row) slice of the plain sums of a block is, bit for
@@ -761,10 +774,20 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
         rng.standard_normal(count + 1) * 10.0 ** rng.integers(-3, 4) for _ in range(rows)
     ]
     orders = [FractionalOrder(float(order)) for order in orders]
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    if FractionalOrder(2000.0) in orders:
+        message = re.escape(f"order 2000.0 at step {grid.step!r} overflows a float")
+        for call in (
+            lambda: _plain_sums(grid, functions, orders, side),
+            lambda: rl_derivative(grid, functions, orders, side),
+            *(lambda f=f: derivative(grid, f, FractionalOrder(2000.0)) for f in functions),
+        ):
+            with pytest.raises(OverflowError, match=f"^{message}$"):
+                call()
+        return
     block = _plain_sums(grid, functions, orders, side)
     corrected = rl_derivative(grid, functions, orders, side)
     assert block.shape == corrected.shape == (len(orders), rows, count + 1)
-    derivative = left_rl_derivative if side == "left" else right_rl_derivative
     for i, order in enumerate(orders):
         for r, f in enumerate(functions):
             single = derivative(grid, f, order)

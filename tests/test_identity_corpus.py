@@ -97,7 +97,7 @@ def test_chunk_edge_runs_land_on_the_edges(capsys):
     assert counts == [rows for rows in tool.EDGE_ROWS for _ in range(2)]
 
 
-def test_library_records_cover_each_demo_and_the_quickstart():
+def test_library_records_cover_each_demo_and_the_quickstart(capsys):
     tool = _load_tool()
     root = _TOOL.parents[1]
     records = tool.library_records(root)
@@ -109,3 +109,16 @@ def test_library_records_cover_each_demo_and_the_quickstart():
     for entry in records:
         assert entry["exit"] == 0 and entry["warnings"] == [] and entry["out_sha256"] is None
         assert entry["stdout_sha256"] != hashlib.sha256(b"").hexdigest()
+    # the kernel record ends with one error per overflowing order, and the
+    # model record rejects, one call each, the rows whose S overflows
+    tool._run_kernel_block()
+    kernel = capsys.readouterr().out.splitlines()
+    assert kernel[-3:] == [
+        f"{order}: OverflowError: order {order} at step 0.000244140625 overflows a float"
+        for order in ("2000.0", "1000000000.0", "300.5")
+    ]
+    tool._run_model_block()
+    model = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("row ") and ": ValueError: S must be finite" in line
+               for line in model)
+    assert not any(line.endswith(": accepted") for line in model)

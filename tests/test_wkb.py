@@ -320,25 +320,42 @@ def _assert_row_is(columns, i, reference):
     assert columns.wave[i] == reference.wave
 
 
+_S_AT = "S must be finite, got {} at e1 + e2 = {}, u1 = {}, u2 = -0.015, t = {}"
+
+
 @pytest.mark.parametrize(
-    "member",
+    "member, message",
     [
-        (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(1e308, -0.015, 0.0), 1e-4, 1.0),
-        (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(0.02, -0.015, 1e308), 1e-4, 1.0),
+        (
+            (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(1e308, -0.015, 0.0), 1e-4,
+             1.0),
+            _S_AT.format("inf", 2.0, 1e308, 0.0),
+        ),
+        (
+            (example2(), EnergyPartition(1.0, 1.0), TransformedPoint(0.02, -0.015, 1e308), 1e-4,
+             1.0),
+            _S_AT.format("-inf", 2.0, 0.02, 1e308),
+        ),
         # e1 + e2 overflows under finite slopes, as sweep can make it
         (
-            LagrangianSpec(1.0, 0.25, 0.0, 0.0, 0.0, FractionalOrder(1.5), FractionalOrder(1.5)),
-            EnergyPartition(8e307, 1.7e308), TransformedPoint(0.02, -0.015, 0.005), 1e-4, 1e300,
+            (
+                LagrangianSpec(1.0, 0.25, 0.0, 0.0, 0.0, FractionalOrder(1.5),
+                               FractionalOrder(1.5)),
+                EnergyPartition(8e307, 1.7e308), TransformedPoint(0.02, -0.015, 0.005), 1e-4,
+                1e300,
+            ),
+            _S_AT.format("-inf", "inf", 0.02, 0.005),
         ),
     ],
+    ids=["member0", "member1", "member2"],
 )
-def test_batch_wave_is_the_scalar_wave_where_S_overflows(member):
-    # the scalar path accepts a member whose S overflows and reads wave
-    # from the slopes alone, both positive here; the batch row must say so
-    # too, with every column equal bit for bit and nan where the scalar is
-    reference = evaluate_model(*member)
-    assert math.isinf(reference.S) and reference.wave
-    _assert_row_is(_batch([member]), 0, reference)
+def test_batch_wave_is_the_scalar_wave_where_S_overflows(member, message):
+    # both slopes are finite and positive, but S overflows: the scalar
+    # path rejects the member, naming S and the settings behind it, and
+    # the batch, which flags the row and reruns it, raises the same error
+    for evaluate in (evaluate_model, lambda *row: _batch([row])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(*member)
 
 
 @settings(max_examples=40, deadline=None)

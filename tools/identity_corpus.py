@@ -10,10 +10,11 @@ block under "Library quickstart" in README.md in-process, as
 tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
 through the CLI.  Two last records hash the result of
-fracwkb.fracops.rl_derivative on a block of several rows, and every
+fracwkb.fracops.rl_derivative on a block of several rows, with the
+error of each order whose weights or step**-order overflow, and every
 column of fracwkb.wkb.evaluate_models on a block of rows at points no
-argv reaches (SAMPLE_POINT is fixed), with the errors of a few rows it
-rejects.
+argv reaches (SAMPLE_POINT is fixed), with the error of each row it
+rejects, one call each.
 
     python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
@@ -30,19 +31,20 @@ model flag, and each sweep parameter of each model, at 1, 0.5, 0, -1,
 nan, inf, 1e308 and 1e-300, with and without zero energies, from a flag,
 a --config line and a sweep value; sweeps with --tol bogus=1 and
 --hbar=0; deriv on both sides for every built-in function over orders
-0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals; degenerate
-grids, grids that end short of b, and grids whose refined nodes collapse
-or whose refined step underflows; the other side's order; a bad order
-with --tol bogus=1; W slopes that overflow or turn imaginary,
-momentum products that leave the float range, and an energy total that
-overflows under finite slopes; known tolerances set in and out of
-range; malformed --tol entries and config lines; numbers that do not
-parse in --grid and --values, and config values their flag
-would not parse; a grid with a node at a tenth of its width; every
-sweep-range error, --values with a range flag included; flags before
-the subcommand or of another one; deriv grids and sweeps whose row
-counts land at the edges of a piece of rendered output, in every
-format; and --out.
+0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals, and over
+orders 126.5 and 150 on 0,1,64, whose sums, power rule or refined
+step**-order overflow; degenerate grids, grids that end short of b, and
+grids whose refined nodes collapse or whose refined step underflows; the
+other side's order; a bad order with --tol bogus=1; W slopes that
+overflow or turn imaginary, momentum products that leave the float
+range, and an energy total that overflows under finite slopes; known
+tolerances set in and out of range; malformed --tol entries and config
+lines; numbers that do not parse in --grid and --values, and config
+values their flag would not parse; a grid with a node at a tenth of its
+width; every sweep-range error, --values with a range flag included;
+flags before the subcommand or of another one; deriv grids and sweeps
+whose row counts land at the edges of a piece of rendered output, in
+every format; and --out.
 """
 
 from __future__ import annotations
@@ -137,6 +139,15 @@ def corpus() -> list[tuple[list[str], str | None]]:
         order_flag = "--alpha" if side == "left" else "--beta"
         add("deriv", "--side", side, "--function", function, f"{order_flag}={order}",
             f"--grid={grid}", "--format", rng.choice(FORMATS))
+    # orders whose weights and step**-order stay finite on 0,1,64 but
+    # whose sums or power rule overflow there, or whose step**-order
+    # overflows only on the 4x refinement
+    for side, function, order in itertools.product(
+        ("left", "right"), ("const", "x", "x2", "x3"), ("126.5", "150")
+    ):
+        order_flag = "--alpha" if side == "left" else "--beta"
+        add("deriv", "--side", side, "--function", function, f"{order_flag}={order}",
+            "--grid=0,1,64", "--format", "csv")
     # node 7 of 70 is 0.09999999999999999 from the left end, a tenth of
     # the width: both sides' interiors hold it
     for side in ("left", "right"):
@@ -302,11 +313,12 @@ def _run_block(code) -> int:
 
 def _run_kernel_block() -> int:
     # rows that start (on either side) at 0, at -0.0 and away from 0, and
-    # one whose f - f(a) overflows, at integer and other orders mixed
+    # one whose f - f(a) overflows, at integer and other orders mixed;
+    # then the error of each order whose weights or step**-order overflow
     from fracwkb.fracops import FractionalOrder, TimeGrid, rl_derivative
 
     rng = random.Random(SEED)
-    orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5, 2000.0)]
+    orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
     for count, side in itertools.product((64, 4096), ("left", "right")):
         rows = [[rng.uniform(-1.0, 1.0) for _ in range(count + 1)] for _ in range(3)]
         rows[0][0] = rows[0][-1] = 0.0
@@ -314,15 +326,23 @@ def _run_kernel_block() -> int:
         rows.append([1e308 if j % 3 else -1e308 for j in range(count + 1)])
         result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, orders, side)
         print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
+    for order in (2000.0, 1e9, 300.5):
+        try:
+            rl_derivative(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{order!r}: {type(exc).__name__}: {exc}")
+        else:
+            print(f"{order!r}: accepted")
     return 0
 
 
 def _run_model_block() -> int:
-    # accepted rows at points from signed zeros to +-1e308, many of whose
-    # S overflows, then one call each for rows the scalar path rejects
+    # rows at points from signed zeros to +-1e308: the column hashes of
+    # those the scalar path accepts, then one call each for those it
+    # rejects, many of whose S overflows, and for a few other bad rows
     import numpy as np
     from fracwkb.mechanics import FamilyColumns
-    from fracwkb.wkb import evaluate_models
+    from fracwkb.wkb import ModelColumns, evaluate_models
 
     rng = random.Random(SEED)
     huge = (0.0, -0.0, 1.0, 1e154, 1e300, -1e300, 1e308, -1e308)
@@ -332,17 +352,29 @@ def _run_model_block() -> int:
         return [rng.choice(special) if rng.random() < 0.5 else rng.uniform(lo, hi)
                 for _ in range(256)]
 
-    family = FamilyColumns(
+    def evaluate(rows) -> ModelColumns:
+        fields = np.array(rows).T
+        return evaluate_models(FamilyColumns(*fields[:7]), *fields[7:])
+
+    rows = np.column_stack(np.broadcast_arrays(
         column(0.5, 2.0, (1.0,)), column(0.5, 2.0, (1.0,)), column(-1.0, 1.0),
         column(-1.0, 1.0), column(0.0, 2.0), 1.5, column(1.0, 3.0, (1.0,)),
-    )
-    columns = evaluate_models(
-        family, column(0.0, 4.0), column(0.0, 4.0), column(-0.05, 0.05, huge),
+        column(0.0, 4.0), column(0.0, 4.0), column(-0.05, 0.05, huge),
         column(-0.05, 0.05, huge), column(-0.05, 0.05, huge), column(-2.0, 2.0), 1e-4,
         column(0.5, 2.0, (1.0,)),
-    )
+    ))
+    accepted, rejected = [], []
+    for i, row in enumerate(rows):
+        try:
+            evaluate([row])
+            accepted.append(row)
+        except (ValueError, ArithmeticError) as exc:
+            rejected.append(f"row {i}: {type(exc).__name__}: {exc}")
+    columns = evaluate(accepted)
     for name, values in zip(columns._fields, columns):
         print(name, hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest())
+    for line in rejected:
+        print(line)
     names = (*FamilyColumns._fields, "e1", "e2", "u1", "u2", "t", "q", "h", "hbar")
     good = (1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.0, 1.0, 0.02, -0.015, 0.0, 0.0, 1e-4, 1.0)
     for bad, value in (("c_alpha", 0.0), ("beta", 0.5), ("e1", -1.0), ("u1", math.inf),
@@ -366,9 +398,11 @@ def library_records(root: Path) -> list[dict]:
     kernel record prints the sha256 of fracwkb.fracops.rl_derivative's
     result on several rows at several orders, the path a block of rows
     takes that no argv reaches.  The model record prints the sha256 of
-    each fracwkb.wkb.evaluate_models column, wave included, on accepted
-    rows whose points run from signed zeros to +-1e308, and the error of
-    each of a few rejected rows.
+    each fracwkb.wkb.evaluate_models column, wave included, on the
+    accepted rows of a block whose points run from signed zeros to
+    +-1e308, then the error of each rejected row, one call each.  The
+    kernel record also prints the error of each order whose weights or
+    step**-order overflow.
     """
     runs = [
         (f"demos/{path.name}", functools.partial(_run_demo, path))
