@@ -335,12 +335,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _help(text: str, name: str) -> str:
+    # text, then field name's RunConfig default: numbers in %g, a grid as a,b,count
+    value = RunConfig._field_defaults[name]
+    shown = value if isinstance(value, str) else ",".join(f"{x:g}" for x in np.atleast_1d(value))
+    return f"{text} (default {shown})"
+
+
 def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subcommand parsers; each dest names a RunConfig field."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
         "--format", dest="output_format", choices=("table", "csv", "json"),
-        help="output format (default table)",
+        help=_help("output format", "output_format"),
     )
     output.add_argument(
         "--out", dest="output_path", metavar="PATH",
@@ -358,15 +365,15 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
 
     orders = argparse.ArgumentParser(add_help=False)
-    orders.add_argument("--alpha", type=float, help="left derivative order (default 1.5)")
-    orders.add_argument("--beta", type=float, help="right derivative order (default 1.5)")
+    orders.add_argument("--alpha", type=float, help=_help("left derivative order", "alpha"))
+    orders.add_argument("--beta", type=float, help=_help("right derivative order", "beta"))
 
     model = argparse.ArgumentParser(add_help=False, parents=[orders])
-    model.add_argument("--e1", type=float, help="first energy share (default 1)")
-    model.add_argument("--e2", type=float, help="second energy share (default 1)")
-    model.add_argument("--q", type=float, help="frozen coordinate (default 0)")
-    model.add_argument("--hbar", type=float, help="action scale (default 1)")
-    model.add_argument("--fd-step", type=float, dest="fd_step", help="stencil step (default 1e-4)")
+    model.add_argument("--e1", type=float, help=_help("first energy share", "e1"))
+    model.add_argument("--e2", type=float, help=_help("second energy share", "e2"))
+    model.add_argument("--q", type=float, help=_help("frozen coordinate", "q"))
+    model.add_argument("--hbar", type=float, help=_help("action scale", "hbar"))
+    model.add_argument("--fd-step", type=float, help=_help("stencil step", "fd_step"))
 
     parser = argparse.ArgumentParser(
         prog="fracwkb",
@@ -377,7 +384,7 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_deriv = sub.add_parser(
         "deriv", parents=[orders, output], help="one-sided derivative of a test function"
     )
-    p_deriv.add_argument("--grid", help="grid as a,b,count (default 0,1,1024)")
+    p_deriv.add_argument("--grid", help=_help("grid as a,b,count", "grid"))
     p_deriv.add_argument(
         "--function",
         choices=sorted(_TEST_FUNCTIONS),
@@ -400,11 +407,11 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
     p_sweep.add_argument("--steps", type=int, help="number of linear range steps")
     p_sweep.add_argument(
-        "--model", choices=("example1", "example2", "custom"), help="model (default example1)"
+        "--model", choices=("example1", "example2", "custom"), help=_help("model", "model")
     )
     for name in ("c_alpha", "c_beta", "l_alpha", "l_beta", "v"):
-        default, flag = RunConfig._field_defaults[name], "--" + name.replace("_", "-")
-        p_sweep.add_argument(flag, type=float, help=f"custom model's {name} (default {default:g})")
+        flag = "--" + name.replace("_", "-")
+        p_sweep.add_argument(flag, type=float, help=_help(f"custom model's {name}", name))
     return parser, sub.choices
 
 

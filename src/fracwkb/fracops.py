@@ -19,19 +19,18 @@ real FFT product in O(N log N), the convolution quadrature of Lubich
 (2**a * 3**b * 5**c) of at least 2N + 1, about half the next power of
 two on power-of-two grids; against a long-double sum its error on power
 functions measured below roundoff_floor.  An order whose weights or
-step**-order overflow raises OverflowError before any sum, in O(N);
-finite weights whose sums overflow give +-inf or nan.
+step**-order overflow raises OverflowError before its block sums any
+order, in O(N); finite weights whose sums overflow give +-inf or nan.
 
 rl_derivative is the one function every kernel call goes through.  It
 takes a grid, a block of sample rows on it and several orders, checks
 the samples once (each row must hold count + 1 finite values, else it
 raises ValueError or NonFiniteInputError) and works the right side as
-the mirror image of the left.  Its plain sum makes one pass over the
-whole block per order: an integer order stacks every row's binomial
-sums, and any other order multiplies its weights' spectrum by the
-block's, which is taken once, on the first such order.  It adds
-Lubich's endpoint term for rows where f(a) != 0, whose singular part
-the plain sum resolves badly.  left_rl_derivative and
+the mirror image of the left.  It makes one pass over the whole block
+per order: an integer order stacks every row's binomial sums, and any
+other order multiplies its weights' spectrum by the block's, taken
+once, then adds Lubich's endpoint term for rows where f(a) != 0, whose
+singular part the plain sum resolves badly.  left_rl_derivative and
 right_rl_derivative are its one-row, one-order case: they take a grid
 and its count + 1 samples and return count + 1 values, non-finite
 where the derivative diverges.
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress
 from math import gamma
 from typing import NamedTuple, Sequence
 
@@ -185,40 +183,56 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _gl_sums(grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder]) -> np.ndarray:
-    # the plain left-side Grunwald-Letnikov sums of a checked block, of
-    # shape (len(orders), rows, count + 1), one whole-block pass per order.
-    # Shift the stencil one node inward for orders above one; the last
-    # node, past which the shift would index, keeps the unshifted sum.
+def _gl_sums(
+    grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder], start: np.ndarray
+) -> np.ndarray:
+    # the left-side derivatives of a checked block, of shape (len(orders),
+    # rows, count + 1), one whole-block pass per order: an integer order
+    # sums the block, any other order sums block - start and adds start's
+    # endpoint term (see rl_derivative).  Shift the stencil one node inward
+    # for orders above one; the last node, past which the shift would
+    # index, keeps the unshifted sum.
     top = grid.count
     out = np.empty((len(orders), *block.shape))
     # every order's weights and scale, checked before any sum; an integer
     # order leaves out the exact zeros past its binomial row: O(N), not O(N**2)
     stencils = []
-    for order in (order.value for order in orders):
-        shift = 1 if order > 1.0 else 0
-        count = min(int(order), top + shift) if float(order).is_integer() else top + shift
+    for order in orders:
+        shift, integer = (1 if order.value > 1.0 else 0), float(order.value).is_integer()
+        count = min(int(order.value), top + shift) if integer else top + shift
         with np.errstate(over="ignore", invalid="ignore"):
-            weights, scale = gl_weights(order, count), np.float64(grid.step) ** -order
+            weights, scale = gl_weights(order.value, count), np.float64(grid.step) ** -order.value
         if not (np.all(np.isfinite(weights)) and np.isfinite(scale)):
-            raise OverflowError(f"order {order!r} at step {grid.step!r} overflows a float")
-        stencils.append((order, shift, weights, scale))
+            raise OverflowError(f"order {order.value!r} at step {grid.step!r} overflows a float")
+        stencils.append((order, integer, shift, weights, scale))
+    rows, shifted = np.flatnonzero(start), block
+    if rows.size:
+        with np.errstate(over="ignore"):
+            difference = block[rows] - start[rows, None]
+        finite = np.all(np.isfinite(difference), axis=1)
+        rows, shifted, offsets = rows[finite], block.copy(), grid.nodes() - grid.a
+        shifted[rows] = difference[finite]
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
     size = _fft_length(2 * top + 1)
     spectrum = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for result, (order, shift, weights, scale) in zip(out, stencils):
-            if float(order).is_integer():
+        for result, (order, integer, shift, weights, scale) in zip(out, stencils):
+            if integer:
                 sums = np.array([np.convolve(weights, row)[: top + 2] for row in block])
             else:
                 if spectrum is None:
-                    spectrum = np.fft.rfft(block, size)
+                    spectrum = np.fft.rfft(shifted, size)
                 sums = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
             result[:, :top] = sums[:, shift : top + shift]
             result[:, top] = sums[:, top]
             result *= scale
+            if rows.size and not integer:
+                term = rl_power_rule(0, order, offsets)
+                # at the starting node, the sum of 1 on this order's stencil
+                term[0] = weights[: shift + 1].sum() * scale
+                result[rows] += start[rows, None] * term
     return out
 
 
@@ -230,10 +244,10 @@ def rl_derivative(
 
     samples holds rows of grid.count + 1 finite values.  Returns an
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
-    the side's derivative of row r at order orders[i]: the plain
-    Grunwald-Letnikov sum, each order taking one pass over the whole
-    block, plus the endpoint term of rows where f(a) != 0.  An order
-    whose weights or step**-order overflow raises OverflowError.
+    the side's derivative of row r at order orders[i]: the
+    Grunwald-Letnikov sum plus the endpoint term of rows where f(a) != 0,
+    one pass over the whole block per order.  If any order's weights or
+    step**-order overflow, it raises OverflowError before any sum.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
     which the Grunwald-Letnikov sum resolves badly far into the interior
@@ -258,26 +272,7 @@ def rl_derivative(
     if side == "right":
         # the mirror image of the left derivative
         block = block[:, ::-1]
-    start = block[:, 0].copy()
-    rows = np.flatnonzero(start)
-    with np.errstate(over="ignore"):
-        shifted = block[rows] - start[rows, None]
-    finite = np.all(np.isfinite(shifted), axis=1)
-    rows, shifted = rows[finite], shifted[finite]
-    fractional = np.array([not float(order.value).is_integer() for order in orders], dtype=bool)
-    out = np.empty((len(orders), *block.shape))
-    out[~fractional] = _gl_sums(grid, block, list(compress(orders, ~fractional)))
-    block[rows] = shifted
-    out[fractional] = _gl_sums(grid, block, list(compress(orders, fractional)))
-    if rows.size:
-        offsets = grid.nodes() - grid.a
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in np.flatnonzero(fractional):
-                order = orders[i].value
-                term = rl_power_rule(0, orders[i], offsets)
-                # the sum of 1 at the starting node: w_0, plus w_1 on the shifted stencil
-                term[0] = (1.0 if order < 1.0 else 1.0 - order) * np.float64(grid.step) ** -order
-                out[i, rows] += start[rows, None] * term
+    out = _gl_sums(grid, block, orders, block[:, 0])
     return out if side == "left" else out[..., ::-1]
 
 
@@ -340,10 +335,10 @@ def roundoff_floor(order: FractionalOrder, grid: TimeGrid, magnitude: float) -> 
     """Interior error the kernel can pick up from rounding alone.
 
     eps * magnitude * sum|weights| * step**(-order) for samples bounded
-    by magnitude in absolute value.  The weights sum runs over one more
-    weight than the unshifted stencil uses, so the floor covers both
-    stencils.  An error at or below it means the kernel is exact to
-    working precision.
+    by magnitude in absolute value.  The weights sum runs over count + 2
+    weights, the most the stencil shift in _gl_sums reads, so the floor
+    covers either stencil.  An error at or below it means the kernel is
+    exact to working precision.
     """
     weight_sum = _abs_weight_sum(order.value, grid.count + 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -101,12 +101,9 @@ class RecordBatch:
         self.passed = np.isinf(self.tolerance) | (self.residual <= self.tolerance)
 
     @classmethod
-    def from_records(
-        cls, records: Sequence[ReportRecord], sweep: tuple[str, Sequence[float]] | None = None
-    ) -> RecordBatch:
+    def from_records(cls, records: Sequence[ReportRecord]) -> RecordBatch:
         # zip(*rows) gives no columns at all for zero rows
-        columns = zip(*records) if records else ((),) * 4
-        return cls(*columns, sweep)
+        return cls(*(zip(*records) if records else ((),) * 4))
 
     def __len__(self) -> int:
         return len(self.quantities)

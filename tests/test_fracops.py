@@ -387,9 +387,10 @@ def _plain_sums(grid, samples, orders, side):
     # the plain Grunwald-Letnikov sum without the endpoint term: the
     # kernel's left-side core, on the mirror image for the right side
     block = np.array(samples, dtype=float)
+    zeros = np.zeros(len(block))
     if side == "left":
-        return _gl_sums(grid, block, orders)
-    return _gl_sums(grid, block[:, ::-1], orders)[..., ::-1]
+        return _gl_sums(grid, block, orders, zeros)
+    return _gl_sums(grid, block[:, ::-1], orders, zeros)[..., ::-1]
 
 
 def _direct_gl_sum(values, order, step):
@@ -471,7 +472,9 @@ def test_huge_orders_raise_before_any_sum(order, side, count, kind, seed):
     # orders, and the binomial rows of the three largest overflow once
     # they hold a few dozen weights: the kernel raises, naming the order
     # and the step, before it convolves or transforms a row, so a huge
-    # integer order costs O(N) to reject whatever the samples
+    # integer order costs O(N) to reject whatever the samples.  The order
+    # comes last in a block after a finite integer and a finite
+    # non-integer order, whose sums must not run either
     grid = TimeGrid(0.0, count / 16.0, count)
     rng = np.random.default_rng(seed)
     nodes = np.arange(count + 1.0)
@@ -482,6 +485,7 @@ def test_huge_orders_raise_before_any_sum(order, side, count, kind, seed):
         "alternating": (-1.0) ** nodes,
         "signed_zeros": np.where(rng.random(count + 1) < 0.3, -0.0, -rng.random(count + 1)),
     }[kind]
+    orders = [FractionalOrder(1.0), FractionalOrder(0.5), FractionalOrder(order)]
     sums = []
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((np, "convolve"), (np.fft, "rfft")):
@@ -489,7 +493,7 @@ def test_huge_orders_raise_before_any_sum(order, side, count, kind, seed):
             patch.setattr(module, name, lambda *a, f=original, **k: sums.append(a) or f(*a, **k))
         message = f"^order {re.escape(repr(order))} at step 0\\.0625 overflows a float$"
         with pytest.raises(OverflowError, match=message):
-            rl_derivative(grid, [samples], [FractionalOrder(order)], side)
+            rl_derivative(grid, [samples], orders, side)
     assert not sums
 
 

@@ -18,7 +18,8 @@ from fracwkb.reporting import (
 
 
 def _batch(*records, sweep=None):
-    return RecordBatch.from_records(records, sweep)
+    # zip(*rows) gives no columns at all for zero rows
+    return RecordBatch(*(zip(*records) if records else ((),) * 4), sweep)
 
 
 def test_record_residual_and_pass():
@@ -293,7 +294,7 @@ def _rows(count):
 @example((_rows(3), None), 1)
 def test_batch_matches_per_row_records(records_and_sweep, chunk):
     records, sweep = records_and_sweep
-    batch = RecordBatch.from_records(records, sweep)
+    batch = _batch(*records, sweep=sweep)
     assert len(batch) == len(records)
     np.testing.assert_array_equal(batch.residual, [_residual(r) for r in records])
     assert batch.passed.tolist() == [_passes(r) for r in records]
@@ -366,7 +367,7 @@ def test_repeated_columns_match_per_cell_format(records_and_sweep, chunk):
     # every cell of a long column drawn from a few values is the
     # .17g text of its own value, whatever its bit pattern
     records, sweep = records_and_sweep
-    batch = RecordBatch.from_records(records, sweep)
+    batch = _batch(*records, sweep=sweep)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reporting, "CHUNK_ROWS", chunk)
         assert format_csv(batch) == _reference_csv(records, sweep)
