@@ -15,6 +15,12 @@ the Hamiltonian returns e1 + e2 identically; hj_residual measures how
 far floating point falls from that identity.  Differentiating S with
 respect to each energy share gives the separation constants lambda1 and
 lambda2, the coordinates conjugate to the partition.
+
+Like mechanics.legendre_transform, the slopes, momenta_from_S,
+evaluate_S and hj_residual (not lambda_constants) take floats, checked,
+or columns (FamilyColumns, EnergyColumns, PointColumns), unchecked: the
+same expression element by element, nan or inf where a float call
+raises, under the caller's numpy errstate.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ForbiddenRegionError, ZeroEnergyError
-from .mechanics import LagrangianSpec, Momenta, legendre_transform
+from .mechanics import LagrangianSpec, Momenta, MomentumColumns, legendre_transform
 
 __all__ = [
     "EnergyPartition",
@@ -39,7 +45,18 @@ __all__ = [
 ]
 
 
-class EnergyPartition(NamedTuple("EnergyPartition", [("e1", float), ("e2", float)])):
+class EnergyColumns(NamedTuple):
+    """Energy shares of many members: EnergyPartition's unchecked batch counterpart."""
+
+    e1: np.ndarray
+    e2: np.ndarray
+
+    @property
+    def total(self) -> float | np.ndarray:
+        return self.e1 + self.e2
+
+
+class EnergyPartition(EnergyColumns):
     """Split of the conserved energy between the two separated sectors."""
 
     __slots__ = ()
@@ -50,10 +67,6 @@ class EnergyPartition(NamedTuple("EnergyPartition", [("e1", float), ("e2", float
         if e1 < 0.0 or e2 < 0.0:
             raise ValueError(f"energy shares must be >= 0, got {e1!r}, {e2!r}")
         return super().__new__(cls, e1, e2)
-
-    @property
-    def total(self) -> float:
-        return self.e1 + self.e2
 
 
 class PointColumns(NamedTuple):
@@ -78,7 +91,7 @@ class TransformedPoint(PointColumns):
 
 
 class PrincipalFunction(NamedTuple):
-    """Separated principal function for one spec and energy partition."""
+    """Separated principal function for one spec and energy partition, or columns."""
 
     spec: LagrangianSpec
     energies: EnergyPartition
@@ -88,6 +101,8 @@ class PrincipalFunction(NamedTuple):
 
     def w1_slope(self, q: float) -> float:
         radicand = self.w1_radicand(q)
+        if np.ndim(radicand):
+            return self.spec.l_alpha + np.sqrt(radicand)
         if radicand < 0.0:
             raise ForbiddenRegionError(
                 f"W1 slope imaginary at q={q!r}: radicand {radicand!r} < 0"
@@ -104,7 +119,10 @@ class PrincipalFunction(NamedTuple):
     @property
     def w2_slope(self) -> float:
         spec, e2 = self.spec, self.energies.e2
-        slope = spec.l_beta + math.sqrt(2.0 * spec.c_beta * e2)
+        radicand = 2.0 * spec.c_beta * e2
+        if np.ndim(radicand):
+            return spec.l_beta + np.sqrt(radicand)
+        slope = spec.l_beta + math.sqrt(radicand)
         if not math.isfinite(slope):
             raise ValueError(
                 f"W2 slope must be finite, got {slope!r} at c_beta = {spec.c_beta!r},"
@@ -132,8 +150,9 @@ def evaluate_S(pf: PrincipalFunction, point: TransformedPoint) -> float:
 
 
 def momenta_from_S(pf: PrincipalFunction, point: TransformedPoint) -> Momenta:
-    """Momenta dS/du1, dS/du2: by construction these are the W slopes."""
-    return Momenta(pf.w1_slope(point.q), pf.w2_slope)
+    """Momenta dS/du1, dS/du2, by construction the W slopes; columns if either is."""
+    slopes = pf.w1_slope(point.q), pf.w2_slope
+    return (MomentumColumns if any(map(np.ndim, slopes)) else Momenta)(*slopes)
 
 
 def lambda_constants(pf: PrincipalFunction, point: TransformedPoint) -> tuple[float, float]:

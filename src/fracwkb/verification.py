@@ -47,7 +47,7 @@ from .fracops import (
     rl_power_rule,
     roundoff_floor,
 )
-from .hamilton_jacobi import EnergyPartition
+from .hamilton_jacobi import EnergyColumns, EnergyPartition, PrincipalFunction
 from .mechanics import FamilyColumns, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
 from .wkb import FD_STEP, SAMPLE_POINT, classical_limit_check, evaluate_models
@@ -286,10 +286,9 @@ def _draw_columns(
 
 
 def _w1_real(block: np.ndarray) -> np.ndarray:
-    """Rows whose W1 radicand is not negative: v * q * q + 2 * e1 >= 0,
-    the product form of PrincipalFunction.w1_radicand."""
-    v, e1, q = block[:, 4], block[:, 7], block[:, 12]
-    return v * q * q + 2.0 * e1 >= 0.0
+    """Rows of member fields whose W1 radicand is not negative."""
+    pf = PrincipalFunction(FamilyColumns(*block.T[:7]), EnergyColumns(*block.T[7:9]))
+    return pf.w1_radicand(block[:, 12]) >= 0.0
 
 
 @functools.cache

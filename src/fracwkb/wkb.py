@@ -18,12 +18,13 @@ evaluate_models is the one batched model evaluator, behind example1,
 example2, sweep and the model checks of verify.  From a
 mechanics.FamilyColumns of coefficients and orders and arrays of
 energies, points, steps and hbar, it computes every model quantity as
-float columns (ModelColumns): the operators below also act on a whole
-batch of wave fields and points at once, and return a complex128 array
-of estimates instead of one complex number.  evaluate_model is the
-scalar path for one member, the reference the batch reproduces.  Both
-paths compute psi with numpy's complex arithmetic and every square as a
-product, so they agree bit for bit; wave means both slopes positive.
+float columns (ModelColumns) with the functions below and
+hamilton_jacobi's, called once on the whole batch.  As there, they take
+floats, checked, or columns, unchecked (nan or inf where a float call
+raises): a WaveField whose hbar is an array is a column field, whose
+operator estimates are complex128 arrays, no step checked.
+evaluate_model is the scalar path for one member, the reference the
+batch reproduces bit for bit; wave means both slopes positive.
 evaluate_models also checks a batch: one rule flags each row the scalar
 path may reject, which reruns down evaluate_model to raise its error.
 
@@ -44,6 +45,7 @@ import numpy as np
 
 from .errors import NonpositiveMomentumError, StepTooLargeError
 from .hamilton_jacobi import (
+    EnergyColumns,
     EnergyPartition,
     PointColumns,
     PrincipalFunction,
@@ -53,12 +55,7 @@ from .hamilton_jacobi import (
     momenta_from_S,
     separate,
 )
-from .mechanics import (
-    FamilyColumns,
-    LagrangianSpec,
-    MomentumColumns,
-    legendre_transform,
-)
+from .mechanics import FamilyColumns, LagrangianSpec
 from .fracops import FractionalOrder, gl_weights
 from .reporting import ReportRecord
 
@@ -100,17 +97,20 @@ class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", flo
     __slots__ = ()
 
     def __new__(cls, pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
-        _require_positive("hbar", hbar)
+        if not np.ndim(hbar):
+            _require_positive("hbar", hbar)
         return super().__new__(cls, pf, hbar)
 
     def prefactor(self, point: TransformedPoint) -> float:
         momenta = momenta_from_S(self.pf, point)
+        product = momenta.p_alpha * momenta.p_beta
+        if np.ndim(product):
+            return 1.0 / np.sqrt(product)
         if momenta.p_alpha <= 0.0 or momenta.p_beta <= 0.0:
             raise NonpositiveMomentumError(
                 f"prefactor undefined: momenta ({momenta.p_alpha!r}, {momenta.p_beta!r})"
                 " must both be positive"
             )
-        product = momenta.p_alpha * momenta.p_beta
         if not 0.0 < product < math.inf or 1.0 / product == math.inf:
             raise ValueError(
                 f"prefactor undefined: momentum product p_alpha * p_beta = {product!r}"
@@ -120,23 +120,6 @@ class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", flo
 
     def value(self, point: TransformedPoint) -> complex:
         return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
-
-
-class _WaveColumns(NamedTuple):
-    """psi of many members: WaveField's batch counterpart, unchecked.
-
-    momenta are the W slopes and total the energy e1 + e2 of each row.
-    """
-
-    spec: FamilyColumns
-    momenta: MomentumColumns
-    total: np.ndarray
-    hbar: np.ndarray
-
-    def value(self, point: PointColumns) -> np.ndarray:
-        p_alpha, p_beta = self.momenta
-        S = p_alpha * point.u1 + p_beta * point.u2 - self.total * point.t
-        return (1.0 / np.sqrt(p_alpha * p_beta)) * np.exp(1j * (S / self.hbar))
 
 
 def build_wavefunction(pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
@@ -165,13 +148,13 @@ def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float)
     """Central-difference momentum (hbar/i) d/du applied to psi.
 
     Returns the eigenvalue estimate (hbar/i) psi' / psi for the chosen
-    axis, the slope momentum up to O(h**2).  On the batch field and
-    points of evaluate_models it acts on every row at once and checks no
-    step; the estimate is then a complex128 array.
+    axis, the slope momentum up to O(h**2).  On a column field (hbar an
+    array) it acts on every row at once and checks no step; the estimate
+    is then a complex128 array.
     """
     if which not in ("alpha", "beta"):
         raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
-    if not isinstance(wf, _WaveColumns):
+    if not np.ndim(wf.hbar):
         momenta = momenta_from_S(wf.pf, point)
         _check_step(h, momenta.p_alpha if which == "alpha" else momenta.p_beta, wf.hbar)
     psi_plus = wf.value(_shift(point, which, h))
@@ -189,13 +172,11 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> compl
     multiplies psi directly.  Returns the eigenvalue estimate H psi / psi,
     the total energy of the partition up to O(h**2).  The coefficients
     come from the spec psi was built from, so operator and state always
-    describe the same system.  Batch input is taken as apply_momentum
+    describe the same system.  A column field is taken as apply_momentum
     takes it.
     """
-    if isinstance(wf, _WaveColumns):
-        spec = wf.spec
-    else:
-        spec = wf.pf.spec
+    spec = wf.pf.spec
+    if not np.ndim(wf.hbar):
         momenta = momenta_from_S(wf.pf, point)
         _check_step(h, momenta.p_alpha, wf.hbar)
         _check_step(h, momenta.p_beta, wf.hbar)
@@ -310,10 +291,10 @@ def evaluate_models(
     family holds the coefficients and orders of LagrangianSpec as
     floats, e1 and e2 the energy shares, (u1, u2, t, q) the points, h
     the stencil steps and hbar the action scales; all broadcast to one
-    1-D shape.  The operators and the probability are the functions
-    above, called once on the whole batch; no point or wave field is
-    built per row.  Row i equals evaluate_model of that row's member,
-    point and step bit for bit.
+    1-D shape.  Every quantity comes from the functions evaluate_model
+    calls, called once on the whole batch as columns; no point or wave
+    field is built per row.  Row i equals evaluate_model of that row's
+    member, point and step bit for bit.
 
     A row is flagged where the scalar path may raise: c <= 0, e < 0,
     h or hbar <= 0, an order below 1, h, hbar, an order, a slope, S or
@@ -328,17 +309,13 @@ def evaluate_models(
     fields = [np.ravel(x) for x in inputs]
     c_alpha, c_beta, l_alpha, l_beta, v, alpha, beta, e1, e2, u1, u2, t, q, h, hbar = fields
     with np.errstate(all="ignore"):
-        # PrincipalFunction's slopes and evaluate_S, elementwise
-        w1 = l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1))
-        w2 = l_beta + np.sqrt(2.0 * c_beta * e2)
-        total = e1 + e2
-        S = w1 * u1 + w2 * u2 - total * t
-        family = FamilyColumns(c_alpha, c_beta, l_alpha, l_beta, v, alpha, beta)
-        momenta = MomentumColumns(w1, w2)
-        residual = legendre_transform(family, momenta, q) - total
-
-        wf = _WaveColumns(family, momenta, total, hbar)
+        pf = PrincipalFunction(FamilyColumns(*fields[:7]), EnergyColumns(e1, e2))
         points = PointColumns(u1, u2, t, q)
+        w1, w2 = momenta_from_S(pf, points)
+        S = evaluate_S(pf, points)
+        residual = hj_residual(pf, points)
+
+        wf = WaveField(pf, hbar)
         results = (
             apply_momentum(wf, "alpha", points, h),
             apply_momentum(wf, "beta", points, h),

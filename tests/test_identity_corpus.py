@@ -10,7 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from fracwkb import reporting
+from fracwkb import cli, reporting
 from fracwkb.cli import main
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_corpus.py"
@@ -61,6 +61,25 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
     assert (slope["exit"], slope["stderr"]) == (
         2, "error: W2 slope must be finite, got inf at c_beta = 1.0, l_beta = 1.0, e2 = 1e+308\n"
     )
+
+
+def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
+    # --help of the top level and of every subcommand: 1,469 argvs in
+    # all, and 1,477 runs with the 8 library records.  argparse wraps help
+    # at the terminal width, which record pins whatever COLUMNS says.
+    tool = _load_tool()
+    runs = tool.corpus()
+    assert len(runs) == 1469
+    argvs = [argv for argv, _ in runs]
+    _, subcommands = cli._make_parser()
+    for command in ([], *([name] for name in subcommands)):
+        assert [*command, "--help"] in argvs
+    entries = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        entries.append(tool.record(main, ["sweep", "--help"]))
+    assert entries[0] == entries[1]
+    assert entries[0]["exit"] == 0 and entries[0]["stderr"] == ""
 
 
 def test_a_crashing_run_is_recorded_not_raised():

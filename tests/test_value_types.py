@@ -1,6 +1,6 @@
 """The contract of fracwkb's value types, whatever builds their classes.
 
-Each of the eleven immutable value types is checked on one valid
+Each of the twelve immutable value types is checked on one valid
 instance: a field cannot be assigned, the repr is `Name(field=value,
 ...)`, and equal fields give equal instances with equal hashes.  The
 drift guard keeps the import free of the `dataclasses` module, whose
@@ -15,6 +15,7 @@ import pytest
 from fracwkb import cli, wkb
 from fracwkb.fracops import FractionalOrder, TimeGrid
 from fracwkb.hamilton_jacobi import (
+    EnergyColumns,
     EnergyPartition,
     PointColumns,
     PrincipalFunction,
@@ -62,6 +63,9 @@ _CASES = {
     "Momenta": (lambda: Momenta(2.0, 0.5), "p_beta", "Momenta(p_alpha=2.0, p_beta=0.5)"),
     "WaveField": (
         lambda: wkb.WaveField(_pf(), hbar=2.0), "hbar", f"WaveField(pf={_PF_REPR}, hbar=2.0)"
+    ),
+    "EnergyColumns": (
+        lambda: EnergyColumns(2.0, 0.5), "e2", "EnergyColumns(e1=2.0, e2=0.5)"
     ),
     "PointColumns": (
         lambda: PointColumns(0.02, -0.015, 0.005, 1.0), "t",

@@ -9,13 +9,24 @@ from hypothesis import strategies as st
 
 from fracwkb.errors import ForbiddenRegionError, NonpositiveMomentumError, StepTooLargeError
 from fracwkb.fracops import FractionalOrder
-from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint, hj_residual, separate
-from fracwkb.mechanics import FamilyColumns, LagrangianSpec, example1, example2
+from fracwkb.hamilton_jacobi import (
+    EnergyColumns,
+    EnergyPartition,
+    PointColumns,
+    PrincipalFunction,
+    TransformedPoint,
+    evaluate_S,
+    hj_residual,
+    momenta_from_S,
+    separate,
+)
+from fracwkb.mechanics import FamilyColumns, LagrangianSpec, MomentumColumns, example1, example2
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import DEFAULT_TOLERANCES
 from fracwkb.wkb import (
     FD_STEP,
     ModelColumns,
+    WaveField,
     apply_hamiltonian,
     apply_momentum,
     build_wavefunction,
@@ -266,13 +277,14 @@ def _member(draw, small_point=True):
     return spec, energies, point, step, hbar
 
 
+def _family(specs) -> FamilyColumns:
+    return FamilyColumns(*np.array([[*s[:5], s.alpha.value, s.beta.value] for s in specs]).T)
+
+
 def _batch(members) -> ModelColumns:
     specs, energies, points, steps, hbars = zip(*members)
-    family = FamilyColumns(
-        *np.array([[*s[:5], s.alpha.value, s.beta.value] for s in specs]).T
-    )
     return evaluate_models(
-        family, [e.e1 for e in energies], [e.e2 for e in energies],
+        _family(specs), [e.e1 for e in energies], [e.e2 for e in energies],
         [p.u1 for p in points], [p.u2 for p in points], [p.t for p in points],
         [p.q for p in points], steps, hbars,
     )
@@ -313,10 +325,54 @@ def test_batch_equals_scalar_path(members):
         _assert_row_is(columns, i, reference)
 
 
+def _same_bits(got, want) -> bool:
+    got, want = np.float64(got), np.float64(want)
+    return got.tobytes() == want.tobytes() or bool(np.isnan(got) and np.isnan(want))
+
+
+def _parts(psi):
+    return psi.real, psi.imag
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_member() | _member(small_point=False), min_size=1, max_size=30))
+def test_model_functions_on_columns_equal_the_float_calls(members):
+    # The same functions on columns (FamilyColumns, EnergyColumns,
+    # PointColumns, an hbar array) give, row by row, the float call's
+    # value bit for bit wherever the float call returns one, and raise
+    # nothing on the rows where it raises.
+    specs, energies, points, _, hbars = zip(*members)
+    pf = PrincipalFunction(_family(specs), EnergyColumns(*np.array(energies).T))
+    batch = PointColumns(*np.array(points).T)
+    with np.errstate(all="ignore"):
+        columns = {
+            "momenta": momenta_from_S(pf, batch),
+            "S": [evaluate_S(pf, batch)],
+            "residual": [hj_residual(pf, batch)],
+            "psi": _parts(WaveField(pf, np.array(hbars)).value(batch)),
+        }
+    assert type(columns["momenta"]) is MomentumColumns
+    for i, (spec, energy, point, _, hbar) in enumerate(members):
+        row_pf = PrincipalFunction(spec, energy)
+        calls = {
+            "momenta": lambda: momenta_from_S(row_pf, point),
+            "S": lambda: [evaluate_S(row_pf, point)],
+            "residual": lambda: [hj_residual(row_pf, point)],
+            "psi": lambda: _parts(WaveField(row_pf, hbar).value(point)),
+        }
+        for name, call in calls.items():
+            try:
+                with np.errstate(all="ignore"):
+                    values = call()
+            except (ValueError, ArithmeticError):
+                continue
+            for column, value in zip(columns[name], values, strict=True):
+                assert _same_bits(column[i], value), name
+
+
 def _assert_row_is(columns, i, reference):
     for name in ModelColumns._fields[:-1]:
-        got, want = np.float64(getattr(columns, name)[i]), np.float64(getattr(reference, name))
-        assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), name
+        assert _same_bits(getattr(columns, name)[i], getattr(reference, name)), name
     assert columns.wave[i] == reference.wave
 
 

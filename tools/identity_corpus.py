@@ -44,7 +44,8 @@ values their flag would not parse; a grid with a node at a tenth of its
 width; every sweep-range error, --values with a range flag included;
 flags before the subcommand or of another one; deriv grids and sweeps
 whose row counts land at the edges of a piece of rendered output, in
-every format; and --out.
+every format; --help of the top level and of each subcommand; and
+--out.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ import tarfile
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 20261018
 SHOWN = 10  # differences printed in full
+WIDTH = "80"  # the terminal width argparse wraps help and usage text at
 
 FORMATS = ("table", "csv", "json")
 VALUES = ("1", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-300")
@@ -248,6 +251,10 @@ def corpus() -> list[tuple[list[str], str | None]]:
     for argv, fmt in itertools.product(chunk_edges, FORMATS):
         add(*argv, "--format", fmt)
 
+    # help text, whose wrapping reads COLUMNS (pinned by record)
+    for command in ((), ("verify",), ("example1",), ("example2",), ("sweep",), ("deriv",)):
+        add(*command, "--help")
+
     # --out: the written file's hash is recorded
     for argv in (("verify",), ("example2", "--format", "csv"), ("example1", "--e1", "-1"),
                  ("deriv", "--grid", "0,1,64", "--format", "json"),
@@ -289,9 +296,12 @@ def record(main, argv: list[str]) -> dict:
     """Run one argv through main; its stdout hash, stderr, exit code and warnings.
 
     For an argv with --out PATH it also hashes the file written there, or
-    gives None when none was, and then removes the file.
+    gives None when none was, and then removes the file.  argparse wraps
+    help and usage text at the terminal width, so main runs with COLUMNS
+    set to WIDTH.
     """
-    entry = _capture(lambda: main(argv))
+    with mock.patch.dict(os.environ, COLUMNS=WIDTH):
+        entry = _capture(lambda: main(argv))
     out_sha256 = None
     if "--out" in argv:
         written = Path(argv[argv.index("--out") + 1])
