@@ -21,10 +21,12 @@ energies, points, steps and hbar, it computes every model quantity as
 float columns (ModelColumns) with the functions below and
 hamilton_jacobi's, called once on the whole batch.  As there, they take
 floats, checked, or columns, unchecked (nan or inf where a float call
-raises): a WaveField whose hbar is an array is a column field, whose
-operator estimates are complex128 arrays, no step checked.
-evaluate_model is the scalar path for one member, the reference the
-batch reproduces bit for bit; wave means both slopes positive.
+raises).  An operator call is a column call, no step checked, where
+momenta_from_S returns columns or hbar is an array.  The operators and
+the batch read one five-point stencil: psi at the point and one step
+either side along each axis.  evaluate_model is the scalar path for one
+member through the operators, the reference the batch reproduces bit
+for bit; wave means both slopes positive.
 evaluate_models also checks a batch: one rule flags each row the scalar
 path may reject, which reruns down evaluate_model to raise its error.
 
@@ -55,7 +57,7 @@ from .hamilton_jacobi import (
     momenta_from_S,
     separate,
 )
-from .mechanics import FamilyColumns, LagrangianSpec
+from .mechanics import FamilyColumns, LagrangianSpec, Momenta
 from .fracops import FractionalOrder, gl_weights
 from .reporting import ReportRecord
 
@@ -91,6 +93,23 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _prefactor(momenta: Momenta) -> float:
+    product = momenta.p_alpha * momenta.p_beta
+    if np.ndim(product):
+        return 1.0 / np.sqrt(product)
+    if momenta.p_alpha <= 0.0 or momenta.p_beta <= 0.0:
+        raise NonpositiveMomentumError(
+            f"prefactor undefined: momenta ({momenta.p_alpha!r}, {momenta.p_beta!r})"
+            " must both be positive"
+        )
+    if not 0.0 < product < math.inf or 1.0 / product == math.inf:
+        raise ValueError(
+            f"prefactor undefined: momentum product p_alpha * p_beta = {product!r}"
+            " underflows or overflows a float"
+        )
+    return 1.0 / math.sqrt(product)
+
+
 class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", float)])):
     """Immutable wave function psi = prefactor * exp(i S / hbar)."""
 
@@ -102,21 +121,7 @@ class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", flo
         return super().__new__(cls, pf, hbar)
 
     def prefactor(self, point: TransformedPoint) -> float:
-        momenta = momenta_from_S(self.pf, point)
-        product = momenta.p_alpha * momenta.p_beta
-        if np.ndim(product):
-            return 1.0 / np.sqrt(product)
-        if momenta.p_alpha <= 0.0 or momenta.p_beta <= 0.0:
-            raise NonpositiveMomentumError(
-                f"prefactor undefined: momenta ({momenta.p_alpha!r}, {momenta.p_beta!r})"
-                " must both be positive"
-            )
-        if not 0.0 < product < math.inf or 1.0 / product == math.inf:
-            raise ValueError(
-                f"prefactor undefined: momentum product p_alpha * p_beta = {product!r}"
-                " underflows or overflows a float"
-            )
-        return 1.0 / math.sqrt(product)
+        return _prefactor(momenta_from_S(self.pf, point))
 
     def value(self, point: TransformedPoint) -> complex:
         return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
@@ -127,9 +132,13 @@ def build_wavefunction(pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
     return WaveField(pf, hbar)
 
 
+def _past_guard(h: float, momentum: float, hbar: float) -> bool:
+    return h * abs(momentum) / hbar > _PHASE_GUARD
+
+
 def _check_step(h: float, momentum: float, hbar: float) -> None:
     _require_positive("step", h)
-    if h * abs(momentum) / hbar > _PHASE_GUARD:
+    if _past_guard(h, momentum, hbar):
         raise StepTooLargeError(
             f"step {h!r} advances the phase by more than {_PHASE_GUARD} rad"
             f" at momentum {momentum!r}; refine the step"
@@ -144,23 +153,51 @@ def _shift(point: TransformedPoint, which: str, delta: float) -> TransformedPoin
     return type(point)(u1, u2 + delta, t, q)
 
 
+def _stencil(wf: WaveField, point: TransformedPoint, h: float, axes: tuple[str, ...]) -> list:
+    """(hbar/i) psi' / psi for each axis and, given ("alpha", "beta"), H psi / psi.
+
+    A float call first checks each axis's step and, given both axes, that
+    h**2 is not 0 and psi's prefactor, whose error so beats a shifted
+    point's (under evaluate_model, apply_momentum has raised it already);
+    a column call checks nothing.  psi is then evaluated one step h either
+    side along each axis, plus side first, and last at the point.
+    """
+    momenta, hbar = momenta_from_S(wf.pf, point), wf.hbar
+    if isinstance(momenta, Momenta) and not np.ndim(hbar):
+        for which in axes:
+            _check_step(h, momenta.p_alpha if which == "alpha" else momenta.p_beta, hbar)
+        if len(axes) == 2:
+            if h * h == 0.0:  # the second difference divides by it
+                raise ValueError(f"step {h!r} is too small: its square underflows to 0")
+            _prefactor(momenta)
+    sides = [[wf.value(_shift(point, which, step)) for step in (h, -h)] for which in axes]
+    psi_0 = wf.value(point)
+    firsts = [hbar * (plus - minus) / (2.0 * h * 1j) for plus, minus in sides]
+    estimates = [first / psi_0 for first in firsts]
+    if len(axes) == 2:
+        spec = wf.pf.spec
+
+        def branch(i: int, coeff: float, linear: float) -> complex:
+            p_squared = -(hbar * hbar) * (sides[i][0] - 2.0 * psi_0 + sides[i][1]) / (h * h)
+            return (p_squared - 2.0 * linear * firsts[i] + linear * linear * psi_0) / (2.0 * coeff)
+
+        raw = branch(0, spec.c_alpha, spec.l_alpha) + branch(1, spec.c_beta, spec.l_beta)
+        estimates.append((raw - 0.5 * spec.v * (point.q * point.q) * psi_0) / psi_0)
+    return estimates
+
+
 def apply_momentum(wf: WaveField, which: str, point: TransformedPoint, h: float) -> complex:
     """Central-difference momentum (hbar/i) d/du applied to psi.
 
     Returns the eigenvalue estimate (hbar/i) psi' / psi for the chosen
-    axis, the slope momentum up to O(h**2).  On a column field (hbar an
-    array) it acts on every row at once and checks no step; the estimate
-    is then a complex128 array.
+    axis, the slope momentum up to O(h**2).  A float call checks that
+    axis's step only.  A column call (pf or point columns, or hbar an
+    array) acts on every row at once and checks no step; the estimate is
+    then a complex128 array.
     """
     if which not in ("alpha", "beta"):
         raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
-    if not np.ndim(wf.hbar):
-        momenta = momenta_from_S(wf.pf, point)
-        _check_step(h, momenta.p_alpha if which == "alpha" else momenta.p_beta, wf.hbar)
-    psi_plus = wf.value(_shift(point, which, h))
-    psi_minus = wf.value(_shift(point, which, -h))
-    raw = wf.hbar * (psi_plus - psi_minus) / (2.0 * h * 1j)
-    return raw / wf.value(point)
+    return _stencil(wf, point, h, (which,))[0]
 
 
 def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> complex:
@@ -172,32 +209,11 @@ def apply_hamiltonian(wf: WaveField, point: TransformedPoint, h: float) -> compl
     multiplies psi directly.  Returns the eigenvalue estimate H psi / psi,
     the total energy of the partition up to O(h**2).  The coefficients
     come from the spec psi was built from, so operator and state always
-    describe the same system.  A column field is taken as apply_momentum
-    takes it.
+    describe the same system.  A float call checks the alpha and beta
+    steps, that h**2 is not 0 and psi's prefactor, in that order; a
+    column call is taken as apply_momentum takes it.
     """
-    spec = wf.pf.spec
-    if not np.ndim(wf.hbar):
-        momenta = momenta_from_S(wf.pf, point)
-        _check_step(h, momenta.p_alpha, wf.hbar)
-        _check_step(h, momenta.p_beta, wf.hbar)
-        if h * h == 0.0:  # the second difference divides by it
-            raise ValueError(f"step {h!r} is too small: its square underflows to 0")
-    psi_0 = wf.value(point)
-    hbar = wf.hbar
-
-    def branch(which: str, coeff: float, linear: float) -> complex:
-        psi_plus = wf.value(_shift(point, which, h))
-        psi_minus = wf.value(_shift(point, which, -h))
-        p_squared = -(hbar * hbar) * (psi_plus - 2.0 * psi_0 + psi_minus) / (h * h)
-        p_linear = hbar * (psi_plus - psi_minus) / (2.0 * h * 1j)
-        return (p_squared - 2.0 * linear * p_linear + linear * linear * psi_0) / (2.0 * coeff)
-
-    raw = (
-        branch("alpha", spec.c_alpha, spec.l_alpha)
-        + branch("beta", spec.c_beta, spec.l_beta)
-        - 0.5 * spec.v * (point.q * point.q) * psi_0
-    )
-    return raw / psi_0
+    return _stencil(wf, point, h, ("alpha", "beta"))[2]
 
 
 def probability_density(wf: WaveField, point: TransformedPoint) -> float:
@@ -316,11 +332,7 @@ def evaluate_models(
         residual = hj_residual(pf, points)
 
         wf = WaveField(pf, hbar)
-        results = (
-            apply_momentum(wf, "alpha", points, h),
-            apply_momentum(wf, "beta", points, h),
-            apply_hamiltonian(wf, points, h),
-        )
+        results = _stencil(wf, points, h, ("alpha", "beta"))
         estimates = [part for r in results for part in (r.real, r.imag)]
         probability = probability_density(wf, points) * w1 * w2
 
@@ -330,7 +342,7 @@ def evaluate_models(
             & (hbar > 0.0) & (alpha >= 1.0) & (beta >= 1.0)
             & np.isfinite([h, hbar, alpha, beta, w1, w2, S, residual]).all(axis=0)
         ) | wave & (
-            (h * np.abs(w1) / hbar > _PHASE_GUARD) | (h * np.abs(w2) / hbar > _PHASE_GUARD)
+            _past_guard(h, w1, hbar) | _past_guard(h, w2, hbar)
             | ~np.isfinite([*estimates, probability]).all(axis=0)
         )
     wave_columns = [np.where(wave, x, math.nan) for x in (*estimates, probability)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwkb import wkb
 from fracwkb.errors import ForbiddenRegionError, NonpositiveMomentumError, StepTooLargeError
 from fracwkb.fracops import FractionalOrder
 from fracwkb.hamilton_jacobi import (
@@ -25,6 +26,7 @@ from fracwkb.reporting import RecordBatch
 from fracwkb.verification import DEFAULT_TOLERANCES
 from fracwkb.wkb import (
     FD_STEP,
+    SAMPLE_POINT,
     ModelColumns,
     WaveField,
     apply_hamiltonian,
@@ -126,6 +128,37 @@ def test_step_guards():
         apply_momentum(wf, "alpha", _POINT, 0.0)
     with pytest.raises(ValueError):
         apply_momentum(wf, "alpha", _POINT, -1e-4)
+
+
+def test_float_operators_check_their_own_steps_first():
+    point = TransformedPoint(*SAMPLE_POINT, 0.0)
+    # momenta 1 and 4: the beta step alone is past the phase guard
+    wf = _wave(example1(), 0.5, 8.0)
+    assert abs(apply_momentum(wf, "alpha", point, 0.03) - 1.0) <= 1e-3
+    with pytest.raises(StepTooLargeError, match=r" at momentum 4\.0; "):
+        apply_hamiltonian(wf, point, 0.03)
+    # momenta 1e-313 and 1e4: the momentum product underflows, and the
+    # beta step is past the guard; apply_momentum checks the alpha step
+    # only, so psi's prefactor raises
+    spec = LagrangianSpec(1.0, 1.0, 1e-313, 1e4, 0.0, FractionalOrder(1.5), FractionalOrder(1.5))
+    wf = _wave(spec, 0.0, 0.0)
+    with pytest.raises(StepTooLargeError, match=r" at momentum 10000\.0; "):
+        apply_hamiltonian(wf, point, 1e-4)
+    with pytest.raises(ValueError, match=r"^prefactor undefined: momentum product "):
+        apply_momentum(wf, "alpha", point, 1e-4)
+
+
+def test_a_shifted_point_off_the_float_range_and_an_undefined_prefactor():
+    # the steps pass the guard, the momentum product underflows to 0 and
+    # u1 + h overflows: apply_momentum builds the shifted point first,
+    # apply_hamiltonian checks psi's prefactor first
+    spec = LagrangianSpec(1.0, 1.0, 1e-300, 1e-300, 0.0, FractionalOrder(1.5), FractionalOrder(1.5))
+    wf = _wave(spec, 0.0, 0.0)
+    point = TransformedPoint(1.7976931348623157e308, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^u1 must be finite$"):
+        apply_momentum(wf, "alpha", point, 5e298)
+    with pytest.raises(ValueError, match=r"^prefactor undefined: momentum product .* = 0\.0 "):
+        apply_hamiltonian(wf, point, 5e298)
 
 
 def test_probability_values():
@@ -368,6 +401,58 @@ def test_model_functions_on_columns_equal_the_float_calls(members):
                 continue
             for column, value in zip(columns[name], values, strict=True):
                 assert _same_bits(column[i], value), name
+
+    # The operators and the probability law take a column call wherever
+    # exactly one of pf, point and hbar is columns, the other two the
+    # floats of one fixed valid member, at one step that passes the
+    # phase guard on some rows only.
+    operators = {
+        "p_alpha": lambda wf, point, h: _parts(apply_momentum(wf, "alpha", point, h)),
+        "p_beta": lambda wf, point, h: _parts(apply_momentum(wf, "beta", point, h)),
+        "energy": lambda wf, point, h: _parts(apply_hamiltonian(wf, point, h)),
+        "probability": lambda wf, point, h: [probability_density(wf, point)],
+    }
+    shared = (separate(example2(), EnergyPartition(1.0, 0.5)), _POINT, 1.0)
+    step = 0.02
+    for k, column_arg in enumerate((pf, batch, np.array(hbars))):
+        args = [*shared[:k], column_arg, *shared[k + 1:]]
+        with np.errstate(all="ignore"):
+            wf = WaveField(args[0], args[2])
+            columns = {name: op(wf, args[1], step) for name, op in operators.items()}
+        for i, (spec, energy, point, _, hbar) in enumerate(members):
+            row = [*shared[:k], (PrincipalFunction(spec, energy), point, hbar)[k], *shared[k + 1:]]
+            for name, op in operators.items():
+                try:
+                    with np.errstate(all="ignore"):
+                        values = op(WaveField(row[0], row[2]), row[1], step)
+                except (ValueError, ArithmeticError):
+                    continue
+                for column, value in zip(columns[name], values, strict=True):
+                    assert _same_bits(column[i], value), (name, k)
+
+
+def test_a_batch_evaluates_psi_on_one_five_point_stencil(monkeypatch):
+    # evaluate_models evaluates psi once at each of the five stencil
+    # points and once for the probability law; evaluate_model, the
+    # scalar reference, goes through the public operators instead
+    calls = []
+    for name in ("apply_momentum", "apply_hamiltonian"):
+        monkeypatch.setattr(wkb, name, _counted(getattr(wkb, name), name, calls))
+    monkeypatch.setattr(WaveField, "value", _counted(WaveField.value, "value", calls))
+    member = (example2(), EnergyPartition(1.0, 0.5), _POINT, 1e-4, 1.0)
+    _batch([member] * 3)
+    assert calls == ["value"] * 6
+    calls.clear()
+    evaluate_model(*member)
+    assert [c for c in calls if c != "value"] == ["apply_momentum"] * 2 + ["apply_hamiltonian"]
+
+
+def _counted(fn, name, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def _assert_row_is(columns, i, reference):

@@ -37,7 +37,8 @@ step**-order overflow; degenerate grids, grids that end short of b, and
 grids whose refined nodes collapse or whose refined step underflows; the
 other side's order; a bad order with --tol bogus=1; W slopes that
 overflow or turn imaginary, momentum products that leave the float
-range, and an energy total that overflows under finite slopes; known
+range, alone or with a step check that would fail after theirs, and an
+energy total that overflows under finite slopes; known
 tolerances set in and out of range; malformed --tol entries and config
 lines; numbers that do not parse in --grid and --values, and config
 values their flag would not parse; a grid with a node at a tenth of its
@@ -191,6 +192,11 @@ def corpus() -> list[tuple[list[str], str | None]]:
     for coefficients in (("--l-alpha", "1", "--l-beta", "1e-313"),
                          ("--l-alpha", "1e-200", "--l-beta", "1e-200"),
                          ("--l-alpha", "1e308", "--l-beta", "1e308", "--hbar", "1e308")):
+        add(*custom, *coefficients, "--e1", "0", "--e2", "0", "--param", "q", "--values", "0")
+    # the momentum product underflows and a later check fails too, the
+    # h**2 underflow or the beta phase guard: the product is reported
+    for coefficients in (("--l-alpha", "1e-160", "--l-beta", "1e-160", "--fd-step", "1e-300"),
+                         ("--l-alpha", "1e-313", "--l-beta", "1e4")):
         add(*custom, *coefficients, "--e1", "0", "--e2", "0", "--param", "q", "--values", "0")
     # both slopes finite and positive and the phase step small, but e1 + e2
     # overflows, so S and the HJ residual are not finite
