@@ -16,6 +16,7 @@ from fracwkb import (
     ForbiddenRegionError,
     FractionalOrder,
     LagrangianSpec,
+    PrincipalFunction,
     TransformedPoint,
     evaluate_S,
     example1,
@@ -23,7 +24,6 @@ from fracwkb import (
     hj_residual,
     lambda_constants,
     momenta_from_S,
-    separate,
 )
 
 energies = EnergyPartition(2.0, 0.5)
@@ -32,14 +32,14 @@ print()
 
 print("== slopes are momenta ==")
 for name, spec in (("example1", example1()), ("example2", example2())):
-    pf = separate(spec, energies)
+    pf = PrincipalFunction(spec, energies)
     for q in (0.0, 1.0):
         p = momenta_from_S(pf, TransformedPoint(0.0, 0.0, 0.0, q))
         print(f"{name} q={q}: p_alpha={p.p_alpha:.6f} p_beta={p.p_beta:.6f}")
 print()
 
 print("== S along a ray ==")
-pf = separate(example2(), EnergyPartition(2.0, 0.5))
+pf = PrincipalFunction(example2(), EnergyPartition(2.0, 0.5))
 for s in (0.0, 0.5, 1.0):
     point = TransformedPoint(u1=s, u2=s, t=s, q=1.0)
     print(f"s={s:3.1f}: S={evaluate_S(pf, point):+.6f}")
@@ -63,12 +63,12 @@ for _ in range(200):
         rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0),
         rng.uniform(-2.0, 2.0),
     )
-    worst = max(worst, abs(hj_residual(separate(spec, part), point)))
+    worst = max(worst, abs(hj_residual(PrincipalFunction(spec, part), point)))
 print(f"max |H(q, dS) - E| over 200 random members: {worst:.2e}")
 print()
 
 print("== conserved constants ==")
-pf = separate(example1(), EnergyPartition(2.0, 2.0))
+pf = PrincipalFunction(example1(), EnergyPartition(2.0, 2.0))
 lam1, lam2 = lambda_constants(pf, TransformedPoint(2.0, 6.0, 0.0))
 print(f"lambda1 = dW1/dE1 = {lam1}")
 print(f"lambda2 = dW2/dE2 = {lam2}")
@@ -77,7 +77,7 @@ print()
 print("== forbidden region ==")
 # attractive potential, low energy: the radicand under W1' goes negative
 spec = LagrangianSpec(1.0, 1.0, 0.0, 0.0, -1.0, FractionalOrder(1.5), FractionalOrder(1.5))
-pf = separate(spec, EnergyPartition(0.1, 1.0))
+pf = PrincipalFunction(spec, EnergyPartition(0.1, 1.0))
 print(f"w1_slope at q=0: {pf.w1_slope(0.0):.6f}")
 try:
     pf.w1_slope(2.0)

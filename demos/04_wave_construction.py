@@ -12,17 +12,17 @@ Run:  python3 demos/04_wave_construction.py
 
 from fracwkb import (
     EnergyPartition,
+    PrincipalFunction,
     RecordBatch,
     TransformedPoint,
+    WaveField,
     apply_hamiltonian,
     apply_momentum,
-    build_wavefunction,
     classical_limit_check,
     example1,
     example2,
     momenta_from_S,
     probability_density,
-    separate,
 )
 from fracwkb.verification import DEFAULT_TOLERANCES
 
@@ -33,8 +33,8 @@ h = 1e-4
 
 print("== momentum eigenvalues ==")
 for name, spec in (("example1", example1()), ("example2", example2())):
-    pf = separate(spec, EnergyPartition(2.0, 0.5))
-    wf = build_wavefunction(pf)
+    pf = PrincipalFunction(spec, EnergyPartition(2.0, 0.5))
+    wf = WaveField(pf)
     p = momenta_from_S(pf, point)
     for which, target in (("alpha", p.p_alpha), ("beta", p.p_beta)):
         est = apply_momentum(wf, which, point, h)
@@ -46,8 +46,8 @@ print()
 
 print("== energy eigenvalues ==")
 for name, spec in (("example1", example1()), ("example2", example2())):
-    pf = separate(spec, EnergyPartition(2.0, 0.5))
-    wf = build_wavefunction(pf)
+    pf = PrincipalFunction(spec, EnergyPartition(2.0, 0.5))
+    wf = WaveField(pf)
     est = apply_hamiltonian(wf, point, h)
     target = pf.energies.total
     print(
@@ -57,8 +57,8 @@ for name, spec in (("example1", example1()), ("example2", example2())):
 print()
 
 print("== stencil error shrinks as h**2 ==")
-pf = separate(example1(), EnergyPartition(2.0, 2.0))
-wf = build_wavefunction(pf)
+pf = PrincipalFunction(example1(), EnergyPartition(2.0, 2.0))
+wf = WaveField(pf)
 wide = TransformedPoint(0.4, 0.3, 0.1)
 for step in (2e-2, 1e-2, 5e-3):
     r = abs(apply_hamiltonian(wf, wide, step) - pf.energies.total)
@@ -67,8 +67,8 @@ print()
 
 print("== probability law ==")
 for e1, e2 in ((0.5, 0.5), (2.0, 2.0), (2.0, 0.5)):
-    pf = separate(example1(), EnergyPartition(e1, e2))
-    wf = build_wavefunction(pf)
+    pf = PrincipalFunction(example1(), EnergyPartition(e1, e2))
+    wf = WaveField(pf)
     rho = probability_density(wf, point)
     p = momenta_from_S(pf, point)
     print(

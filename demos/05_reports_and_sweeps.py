@@ -13,7 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from fracwkb import RecordBatch, ReportRecord, format_csv, format_json, format_table
+from fracwkb import RecordBatch, ReportRecord, render
 from fracwkb.cli import main
 
 print("== hand-built records, three renderings ==")
@@ -24,9 +24,9 @@ rows = RecordBatch.from_records(
         ReportRecord("divergent_node", math.inf, 64.0, math.inf),
     ]
 )
-print(format_table(rows))
-print(format_csv(rows))
-print(format_json(rows))
+print("".join(render(rows, "table")))
+print("".join(render(rows, "csv")))
+print("".join(render(rows, "json")))
 
 print("== model records: fracwkb example2 --q 1 ==")
 ret = main(["example2", "--q", "1"])

@@ -16,6 +16,9 @@ far floating point falls from that identity.  Differentiating S with
 respect to each energy share gives the separation constants lambda1 and
 lambda2, the coordinates conjugate to the partition.
 
+PrincipalFunction(spec, energies) holds S; separate is another name for
+it.
+
 Like mechanics.legendre_transform, the slopes, momenta_from_S,
 evaluate_S and hj_residual (not lambda_constants) take floats, checked,
 or columns (FamilyColumns, EnergyColumns, PointColumns), unchecked: the
@@ -91,7 +94,11 @@ class TransformedPoint(PointColumns):
 
 
 class PrincipalFunction(NamedTuple):
-    """Separated principal function for one spec and energy partition, or columns."""
+    """Separated principal function for one spec and energy partition, or columns.
+
+    Building one always succeeds; a negative W1 radicand (possible when
+    v < 0) is reported at evaluation, per point.
+    """
 
     spec: LagrangianSpec
     energies: EnergyPartition
@@ -131,13 +138,7 @@ class PrincipalFunction(NamedTuple):
         return slope
 
 
-def separate(spec: LagrangianSpec, energies: EnergyPartition) -> PrincipalFunction:
-    """Build the separated principal function for this spec and partition.
-
-    Always succeeds for valid inputs; a negative W1 radicand (possible
-    when v < 0) is reported at evaluation time, per point.
-    """
-    return PrincipalFunction(spec, energies)
+separate = PrincipalFunction
 
 
 def evaluate_S(pf: PrincipalFunction, point: TransformedPoint) -> float:

@@ -4,7 +4,8 @@ The wave field is amplitude times phase,
 
     psi = exp(i S / hbar) / sqrt(p_alpha * p_beta)
 
-evaluated on the transformed coordinates (u1, u2).  Because S is linear
+evaluated on the transformed coordinates (u1, u2): WaveField(pf, hbar),
+for which build_wavefunction is another name.  Because S is linear
 in u1 and u2 at frozen q, psi is an exact eigenfunction of the momentum
 operators (hbar/i) d/du, and of the Hamiltonian assembled from them.
 The operators are realized as central differences and return their
@@ -55,7 +56,6 @@ from .hamilton_jacobi import (
     evaluate_S,
     hj_residual,
     momenta_from_S,
-    separate,
 )
 from .mechanics import FamilyColumns, LagrangianSpec, Momenta
 from .fracops import FractionalOrder, gl_weights
@@ -111,7 +111,7 @@ def _prefactor(momenta: Momenta) -> float:
 
 
 class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", float)])):
-    """Immutable wave function psi = prefactor * exp(i S / hbar)."""
+    """Immutable wave function psi = exp(i S / hbar) / sqrt(p_alpha * p_beta) of pf."""
 
     __slots__ = ()
 
@@ -120,16 +120,12 @@ class WaveField(NamedTuple("WaveField", [("pf", PrincipalFunction), ("hbar", flo
             _require_positive("hbar", hbar)
         return super().__new__(cls, pf, hbar)
 
-    def prefactor(self, point: TransformedPoint) -> float:
-        return _prefactor(momenta_from_S(self.pf, point))
-
     def value(self, point: TransformedPoint) -> complex:
-        return self.prefactor(point) * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
+        prefactor = _prefactor(momenta_from_S(self.pf, point))
+        return prefactor * np.exp(1j * (evaluate_S(self.pf, point) / self.hbar))
 
 
-def build_wavefunction(pf: PrincipalFunction, hbar: float = 1.0) -> WaveField:
-    """Wave field for the given principal function and action scale."""
-    return WaveField(pf, hbar)
+build_wavefunction = WaveField
 
 
 def _past_guard(h: float, momentum: float, hbar: float) -> bool:
@@ -265,7 +261,7 @@ def evaluate_model(
     """
     _require_positive("step", h)
     _require_positive("hbar", hbar)
-    pf = separate(spec, energies)
+    pf = PrincipalFunction(spec, energies)
     w1, w2 = pf.w1_slope(point.q), pf.w2_slope
     S = evaluate_S(pf, point)
     residual = hj_residual(pf, point)
@@ -279,7 +275,7 @@ def evaluate_model(
     p_alpha = p_beta = energy = complex(math.nan, math.nan)
     probability = math.nan
     if wave:
-        wf = build_wavefunction(pf, hbar)
+        wf = WaveField(pf, hbar)
         with np.errstate(all="ignore"):  # as in evaluate_models: overflow is inf, not a warning
             p_alpha = apply_momentum(wf, "alpha", point, h)
             p_beta = apply_momentum(wf, "beta", point, h)
@@ -395,7 +391,7 @@ def classical_limit_check(
     stencil_error = abs(stencil[0] - 1.0) + float(abs(stencil[1:]).max())
     records.append(ReportRecord("order0_identity", 0.0, stencil_error, structure_tol))
 
-    pf = separate(spec, energies)
+    pf = PrincipalFunction(spec, energies)
     for q, t in ((1.0, 0.0), (0.6, 0.25)):
         classical = (p1_classical(q) + p2_classical) * q - energies.total * t
         value = evaluate_S(pf, TransformedPoint(q, q, t, q))

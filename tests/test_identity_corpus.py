@@ -65,7 +65,7 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
     # --help of the top level and of every subcommand: 1,471 argvs in
-    # all, and 1,479 runs with the 8 library records.  argparse wraps help
+    # all, and 1,480 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
@@ -123,7 +123,7 @@ def test_library_records_cover_each_demo_and_the_quickstart(capsys):
     demos = [f"demos/{path.name}" for path in sorted((root / "demos").glob("*.py"))]
     assert [r["library"] for r in records] == [
         *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative",
-        "fracwkb.wkb.evaluate_models",
+        "fracwkb.wkb.evaluate_models", "fracwkb package names",
     ]
     for entry in records:
         assert entry["exit"] == 0 and entry["warnings"] == [] and entry["out_sha256"] is None

@@ -30,3 +30,10 @@ def test_star_import_binds_exactly_all():
     exec("from fracwkb import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(fracwkb.__all__)
+
+
+def test_build_wavefunction_and_separate_are_the_classes():
+    # one way to build each object: the older names are the classes themselves
+    assert wkb.build_wavefunction is wkb.WaveField
+    assert hamilton_jacobi.separate is hamilton_jacobi.PrincipalFunction
+    assert not hasattr(wkb.WaveField, "prefactor")

@@ -9,12 +9,14 @@ file it wrote.  It then runs each demos/*.py script and the python
 block under "Library quickstart" in README.md in-process, as
 tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
-through the CLI.  Two last records hash the result of
+through the CLI.  Three last records hash the result of
 fracwkb.fracops.rl_derivative on a block of several rows, with the
-error of each order whose weights or step**-order overflow, and every
+error of each order whose weights or step**-order overflow; every
 column of fracwkb.wkb.evaluate_models on a block of rows at points no
 argv reaches (SAMPLE_POINT is fixed), with the error of each row it
-rejects, one call each.
+rejects, one call each; and what fracwkb.separate,
+fracwkb.build_wavefunction and the three fracwkb.format_* functions
+return, names no demo or quickstart calls.
 
     python3 tools/identity_corpus.py               # one JSON record per run
     python3 tools/identity_corpus.py --against REV
@@ -405,9 +407,31 @@ def _run_model_block() -> int:
     return 0
 
 
+def _run_names_block() -> int:
+    # each name through the package, on one member and on a batch with a
+    # sweep column
+    import fracwkb
+
+    pf = fracwkb.separate(fracwkb.example2(), fracwkb.EnergyPartition(2.0, 0.5))
+    wf = fracwkb.build_wavefunction(pf, 0.5)
+    point = fracwkb.TransformedPoint(0.02, -0.015, 0.005, 1.0)
+    built = repr((pf, wf, wf.value(point), fracwkb.apply_hamiltonian(wf, point, 1e-4)))
+    print("separate, build_wavefunction", hashlib.sha256(built.encode()).hexdigest())
+    records = [
+        fracwkb.ReportRecord("p_alpha", 2.0, 2.0 + 1.3e-8, 1e-6),
+        fracwkb.ReportRecord("energy", 2.5, math.nan, 1e-6),
+        fracwkb.ReportRecord("divergent_node", math.inf, 64.0, math.inf),
+    ]
+    batch = fracwkb.RecordBatch(*zip(*records), ("e1", [0.5, -0.0, 1e308]))
+    for name in ("format_table", "format_csv", "format_json"):
+        text = getattr(fracwkb, name)(batch)
+        print(name, hashlib.sha256(text.encode()).hexdigest())
+    return 0
+
+
 def library_records(root: Path) -> list[dict]:
     """The records of each demos/*.py script under root, of the quickstart,
-    of the block kernel entry and of the model batch.
+    of the block kernel entry, of the model batch and of the package names.
 
     A demo runs as `python demos/NAME.py` would run it; the quickstart is
     the python block under "Library quickstart" in root's README.md.  The
@@ -418,7 +442,10 @@ def library_records(root: Path) -> list[dict]:
     accepted rows of a block whose points run from signed zeros to
     +-1e308, then the error of each rejected row, one call each.  The
     kernel record also prints the error of each order whose weights or
-    step**-order overflow.
+    step**-order overflow.  The names record prints the sha256 of what
+    fracwkb.separate, fracwkb.build_wavefunction and the three
+    fracwkb.format_* functions return, names the demos and the quickstart
+    do not call.
     """
     runs = [
         (f"demos/{path.name}", functools.partial(_run_demo, path))
@@ -431,6 +458,7 @@ def library_records(root: Path) -> list[dict]:
     runs.append(("README.md quickstart", functools.partial(_run_block, code)))
     runs.append(("fracwkb.fracops.rl_derivative", _run_kernel_block))
     runs.append(("fracwkb.wkb.evaluate_models", _run_model_block))
+    runs.append(("fracwkb package names", _run_names_block))
     return [{"library": label, **_capture(run), "out_sha256": None} for label, run in runs]
 
 
