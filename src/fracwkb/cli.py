@@ -148,19 +148,12 @@ def _coefficients(config: RunConfig, model: str) -> tuple[float, ...]:
     return spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v
 
 
-def _closed_form_slopes(model: str, coefficients, e1, e2, q) -> tuple[np.ndarray, np.ndarray]:
-    # Hand-expanded per model.  The custom model's expansion takes another
-    # rounding route than the family's l + sqrt(c (v q q + 2 e)): the
-    # product is distributed and sqrt(2 c e2) split in two.
-    if model == "example1":
-        return np.sqrt(2.0 * e1), np.sqrt(2.0 * e2)
-    if model == "example2":
-        return np.sqrt(q * q + 2.0 * e1) + 1.0, np.sqrt(2.0 * e2) + 1.0
+def _closed_form_slopes(coefficients, e1, e2, q) -> tuple[np.ndarray, np.ndarray]:
+    # The family's slopes, written out by hand in the family's order of
+    # operations: a correct family matches them bit for bit, and a change
+    # to the family's formula still fails its record.
     c_alpha, c_beta, l_alpha, l_beta, v = coefficients
-    return (
-        l_alpha + np.sqrt(c_alpha * v * q * q + 2.0 * c_alpha * e1),
-        l_beta + np.sqrt(2.0 * c_beta) * np.sqrt(e2),
-    )
+    return l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1)), l_beta + np.sqrt(2.0 * c_beta * e2)
 
 
 # Model record names, which are also ModelColumns fields, and their
@@ -206,7 +199,7 @@ def cmd_example(
     )
 
     with np.errstate(all="ignore"):
-        w1, w2 = _closed_form_slopes(model, coefficients, e1, e2, q)
+        w1, w2 = _closed_form_slopes(coefficients, e1, e2, q)
         S = w1 * u1 + w2 * u2 - (e1 + e2) * t
     zero, one = np.zeros_like(w1), np.ones_like(w1)
     analytic = [w1, w2, S, zero, w1, zero, w2, zero, e1 + e2, zero, one]

@@ -366,7 +366,8 @@ def classical_limit_check(
 
     - order0_identity: the order-0 difference stencil is the identity
     - S_reduction: S at u1 = u2 = q against a hand-written classical
-      principal function with independently expanded momenta
+      principal function, its momenta expanded in the family's order of
+      operations
     - p_alpha / p_beta / energy: difference-operator eigenvalues against
       the classical predictions (emitted only where both momenta are
       positive, since the amplitude needs 1/sqrt(p))
@@ -377,11 +378,7 @@ def classical_limit_check(
         raise ValueError("classical limit check requires alpha = beta = 1")
 
     def p1_classical(q: float) -> float:
-        # distributed product, a deliberately different rounding route
-        # from the family slope's c*(v*q*q + 2*e1)
-        return spec.l_alpha + math.sqrt(
-            spec.c_alpha * spec.v * q * q + 2.0 * spec.c_alpha * energies.e1
-        )
+        return spec.l_alpha + math.sqrt(spec.c_alpha * (spec.v * q * q + 2.0 * energies.e1))
 
     p2_classical = spec.l_beta + math.sqrt(2.0 * spec.c_beta * energies.e2)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracwkb import cli, reporting, verification, wkb
@@ -493,9 +493,11 @@ _SWEEP_SHA256 = {
     ("example2", "csv"): "f1831007956e5ad5f1ba96b6342f57d6d5ac51fa7d282b275f34872bb4b8d7ef",
     ("example2", "table"): "3f9b21334f36f94d59fd0e365fde5989d7b839bf78c103117ab21e52cd818602",
     ("example2", "json"): "37daa23746947678733fea9ec0ffd2a9a58795c52ff4cf41a88062dc3e2417ed",
-    ("custom", "csv"): "9959cf9fdb8754eb68cfaecd59b87d5ac9455f00581f81ea74537bbcd1fdcb4f",
-    ("custom", "table"): "c25f27c81bdc3c28779ab7952b074aec49637902a6945a7f7a3e348acfebeb4c",
-    ("custom", "json"): "efd4c795561e320db865c9a409e75b8f3319bee49d9b4650f2f32db5e1920b57",
+    # custom's default coefficients are example1's, and every model's
+    # closed forms are one expansion, so the two reports are the same
+    ("custom", "csv"): "d8879d4919c9c9da9e83273abad6dceca60bb3ca2eb6fd115139c5a4b98681f6",
+    ("custom", "table"): "0db0e90989a3c7903fc1e6bc4dcffc28c127e7d3aef7c1a3a14cc00d94429479",
+    ("custom", "json"): "342ef14649008964125ab9c24d20006f5c2d1b7888461d069d4c291d4a762ec7",
 }
 
 
@@ -924,9 +926,12 @@ def test_sweep_custom_model(capsys):
     assert float(w1["analytic"]) == math.sqrt(2.0 * (1.0 * 0.25 + 2.0))
 
 
+_CLOSED_FORMS = ("w1_slope", "w2_slope", "S")
+
+
 def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys):
-    # the custom analytic slopes are expanded apart from the family, so a
-    # family slope that drifts by 1e-9 fails its record
+    # the closed forms are written apart from the family's code, so a
+    # family slope or S that drifts by 1e-9 fails its own records
     argv = [
         "sweep", "--param", "q", "--values", "0.5,1", "--model", "custom",
         "--c-alpha", "2", "--v", "0.5", "--l-alpha", "0.25", "--format", "csv",
@@ -934,15 +939,63 @@ def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys
     assert main(argv) == 0
     capsys.readouterr()
     evaluate = cli.evaluate_models
+    for field in _CLOSED_FORMS:
 
-    def drifted(*args):
-        columns = evaluate(*args)
-        return columns._replace(w1_slope=columns.w1_slope + 1e-9)
+        def drifted(*args, field=field):
+            columns = evaluate(*args)
+            return columns._replace(**{field: getattr(columns, field) + 1e-9})
 
-    monkeypatch.setattr(cli, "evaluate_models", drifted)
-    assert main(argv) == 1
-    rows = _csv_rows(capsys.readouterr().out)
-    assert [row["quantity"] for row in rows if row["pass"] == "false"] == ["w1_slope"] * 2
+        monkeypatch.setattr(cli, "evaluate_models", drifted)
+        assert main(argv) == 1
+        rows = _csv_rows(capsys.readouterr().out)
+        assert [row["quantity"] for row in rows if row["pass"] == "false"] == [field] * 2
+
+
+def _closed_form_rows(text):
+    return [row for row in _csv_rows(text) if row["quantity"] in _CLOSED_FORMS]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # W2 about 14,142, where one ulp is 1.8e-12
+        ["--param", "e2", "--values", "1e8"],
+        # W1 about 9,965
+        ["--c-alpha", "1.5", "--v", "0.7", "--q", "1", "--param", "e1", "--values", "3.31e7"],
+    ],
+)
+def test_no_closed_form_record_fails_on_rounding(capsys, flags):
+    # a correct family matches its closed forms exactly, however large
+    # the slopes; the exit code is not asserted, since the eigenvalue
+    # records at step 1e-8 fail on the phase's own rounding
+    main(["sweep", "--model", "custom", *flags, "--fd-step", "1e-8", "--format", "csv"])
+    rows = _closed_form_rows(capsys.readouterr().out)
+    assert [row["quantity"] for row in rows] == list(_CLOSED_FORMS)
+    assert all(row["residual"] == "0" and row["pass"] == "true" for row in rows)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    values=st.tuples(
+        *[st.floats(1e-3, 1e3)] * 2, *[st.floats(-1e3, 1e3)] * 3, *[st.floats(0.0, 1e9)] * 2
+    ),
+    q=st.floats(-1e3, 1e3),
+)
+def test_closed_form_residuals_are_exactly_zero(capsys, values, q):
+    # on every row the scalar path accepts; the large hbar keeps the
+    # phase guard from rejecting the large slopes
+    flags = ["--c-alpha", "--c-beta", "--l-alpha", "--l-beta", "--v", "--e1", "--e2"]
+    ret = main([
+        "sweep", "--model", "custom", *(f"{flag}={x!r}" for flag, x in zip(flags, values)),
+        "--hbar=1e6", "--param", "q", f"--values={q!r}", "--format", "csv",
+    ])
+    captured = capsys.readouterr()
+    assume(ret != 2)
+    rows = _closed_form_rows(captured.out)
+    assert [row["quantity"] for row in rows] == list(_CLOSED_FORMS)
+    assert all(row["residual"] == "0" for row in rows), rows
 
 
 def test_sweep_row_without_wave_field_keeps_four_records(capsys):

@@ -204,6 +204,11 @@ def corpus() -> list[tuple[list[str], str | None]]:
     # overflows, so S and the HJ residual are not finite
     add(*custom, "--c-beta", "0.25", "--e2", "1.7e308", "--hbar", "1e300", "--param", "e1",
         "--values", "8e307")
+    # slopes past 8,192, where one ulp exceeds the closed_form tolerance:
+    # W2 about 14,142 and W1 about 9,965
+    add(*custom, "--param", "e2", "--values", "1e8", "--fd-step", "1e-8", "--format", "csv")
+    add(*custom, "--c-alpha", "1.5", "--v", "0.7", "--q", "1", "--param", "e1",
+        "--values", "3.31e7", "--fd-step", "1e-8", "--format", "csv")
 
     # known tolerances, in and out of range, and malformed entries
     for command, name in (("verify", "imag_part"), ("example1", "probability"),
