@@ -47,7 +47,7 @@ from .verification import (
     resolve_tolerances,
     run_checks,
 )
-from .wkb import FD_STEP, SAMPLE_POINT, evaluate_models
+from .wkb import FD_STEP, SAMPLE_POINT, _closed_form_slopes, evaluate_models
 
 __all__ = ["RunConfig", "main"]
 
@@ -146,14 +146,6 @@ def _coefficients(config: RunConfig, model: str) -> tuple[float, ...]:
         return config.c_alpha, config.c_beta, config.l_alpha, config.l_beta, config.v
     spec = example1() if model == "example1" else example2()
     return spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v
-
-
-def _closed_form_slopes(coefficients, e1, e2, q) -> tuple[np.ndarray, np.ndarray]:
-    # The family's slopes, written out by hand in the family's order of
-    # operations: a correct family matches them bit for bit, and a change
-    # to the family's formula still fails its record.
-    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
-    return l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1)), l_beta + np.sqrt(2.0 * c_beta * e2)
 
 
 # Model record names, which are also ModelColumns fields, and their

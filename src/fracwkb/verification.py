@@ -19,14 +19,14 @@ for Generator methods.  Each random suite is drawn as one block of
 columns, one per member field, holding the doubles a member-by-member
 scalar uniform draw would take, in the same stream order.  Every model
 row verify checks is a plain member row of those 13 fields: the 1,000
-HJ draws, then the eigen grid's 176 cases (a case at a point) and 4
-step-halving evaluations, then the 100 probability draws.  So a verify
-run makes one evaluate_models call, a checked batch whose per-row step
-column carries the step-halving steps: a member the scalar path rejects
-stops verify with that path's error, the first such member in the order
-the checks run.  The kernel oracle differentiates every power at every
-order in one block call per grid, and the integer reduction its four
-polynomials in one more.
+HJ draws, then the eigen grid's 176 cases (a case at a point), then the
+100 probability draws.  So a verify run makes one evaluate_models call,
+a checked batch at step FD_STEP: a member the scalar path rejects stops
+verify with that path's error, the first such member in the order the
+checks run.  The eigen targets come from the one hand expansion of the
+slopes.  The kernel oracle differentiates every power at every order in
+one block call per grid, and the integer reduction its four polynomials
+in one more.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .fracops import (
 from .hamilton_jacobi import EnergyColumns, EnergyPartition, PrincipalFunction
 from .mechanics import FamilyColumns, example1, example2
 from .reporting import INFORMATIONAL, ReportRecord
-from .wkb import FD_STEP, SAMPLE_POINT, classical_limit_check, evaluate_models
+from .wkb import FD_STEP, SAMPLE_POINT, _closed_form_slopes, classical_limit_check, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -74,7 +74,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "hj_residual": 1e-12,
     "momentum_eigenvalue": 1e-6,
     "energy_eigenvalue": 1e-6,
-    "energy_ratio": 1.0,
     "probability": 1e-14,
     "imag_part": 1e-8,
 }
@@ -86,7 +85,6 @@ _KERNEL_COUNT = 4096
 _ORDER_COUNTS = (1024, 8192)
 _ENERGIES = (0.5, 1.0, 2.0, 8.0)
 _QS = (0.0, 1.0, 2.0)
-_RATIO_STEP = 1e-2
 _HBAR = 1.0
 
 # Evaluation points for the eigen-checks: the origin (phase exactly
@@ -298,70 +296,87 @@ def _model_measurements() -> dict:
     The rows are the HJ draws, the eigen grid and the probability draws,
     in the order the checks run (see the module docstring).  Returns the
     max HJ residual, lists of (quantity, analytic, real, imag) momentum
-    and energy estimates, the step-halving residual ratios and the max
+    and energy estimates, each quantity's largest gap to the stencil's
+    discrete eigenvalues with its rounding budget, and the max
     probability deviation.  No model quantity reads the orders, so one
-    eigen grid serves every order.  Analytic targets are hand-expanded
-    per example rather than routed through the family formulas.
+    eigen grid serves every order.  Both targets come from the one hand
+    expansion of the slopes, not from the family formulas.
     """
     hj = _draw_columns(_HJ_SEED, _HJ_RANGES, _HJ_DRAWS, _w1_real)
     probability = _draw_columns(_PROB_SEED, _PROB_RANGES, _PROB_DRAWS)
     # each example's first 7 member fields: coefficients, then orders
     ex1, ex2 = ((*s[:5], s.alpha.value, s.beta.value) for s in (example1(), example2()))
-    # (label, analytic, estimate column, family, e1, e2, q), each case
-    # evaluated at every point
+    # (label, estimate column, family, e1, e2, q), each case at every point
     momentum = []
     for e in _ENERGIES:
-        root = math.sqrt(2.0 * e)
         momentum += [
-            (f"example1.p_alpha[e1={e:g}]", root, "p_alpha", ex1, e, 1.0, 0.0),
-            (f"example1.p_beta[e2={e:g}]", root, "p_beta", ex1, 1.0, e, 0.0),
-            (f"example2.p_beta[e2={e:g}]", root + 1.0, "p_beta", ex2, 1.0, e, 1.0),
-            *(
-                (f"example2.p_alpha[e1={e:g} q={q:g}]", math.sqrt(q * q + 2.0 * e) + 1.0,
-                 "p_alpha", ex2, e, 1.0, q)
-                for q in _QS
-            ),
+            (f"example1.p_alpha[e1={e:g}]", "p_alpha", ex1, e, 1.0, 0.0),
+            (f"example1.p_beta[e2={e:g}]", "p_beta", ex1, 1.0, e, 0.0),
+            (f"example2.p_beta[e2={e:g}]", "p_beta", ex2, 1.0, e, 1.0),
+            *((f"example2.p_alpha[e1={e:g} q={q:g}]", "p_alpha", ex2, e, 1.0, q) for q in _QS),
         ]
     energy = [
-        (f"{name}.energy[e1={e1:g} e2={e2:g} q={q:g}", e1 + e2, "energy", family, e1, e2, q)
+        (f"{name}.energy[e1={e1:g} e2={e2:g} q={q:g}", "energy", family, e1, e2, q)
         for name, family, qs in (("example1", ex1, (0.0,)), ("example2", ex2, _QS))
         for e1, e2, q in product(_ENERGIES, _ENERGIES, qs)
     ]
     # the energy labels close their bracket after the point index
     cases = [
-        (label + suffix.format(i), analytic, column, (*family, e1, e2, *point, q))
+        (label + suffix.format(i), column, (*family, e1, e2, *point, q))
         for group, suffix in ((momentum, "[pt={}]"), (energy, " pt={}]"))
-        for label, analytic, column, family, e1, e2, q in group
+        for label, column, family, e1, e2, q in group
         for i, point in enumerate(_EVAL_POINTS)
     ]
-    # the energy residual |estimate - (e1 + e2)| at e1 = e2 = e, q = 1
-    # and one point, at a step and at half of it
-    e, steps = 1.0, (_RATIO_STEP, _RATIO_STEP / 2.0)
-    halving = [(*family, e, e, *SAMPLE_POINT, 1.0) for family in (ex1, ex2) for _ in steps]
-    rows = np.concatenate([hj, [row for *_, row in cases], halving, probability])
-    h = np.full(len(rows), FD_STEP)
-    eigen = slice(len(hj), len(rows) - len(probability))
-    halved = slice(eigen.start + len(cases), eigen.stop)
-    h[halved] = [*steps, *steps]
-    batch = evaluate_models(FamilyColumns(*rows.T[:7]), *rows.T[7:], h, _HBAR)
-    columns = {name: x[eigen].tolist() for name, x in batch._asdict().items()}
-    estimates = [
-        (quantity, analytic, columns[column][i], columns[f"{column}_imag"][i])
-        for i, (quantity, analytic, column, _) in enumerate(cases)
-    ]
+    grid = np.array([row for *_, row in cases])
+    rows = np.concatenate([hj, grid, probability])
+    batch = evaluate_models(FamilyColumns(*rows.T[:7]), *rows.T[7:], FD_STEP, _HBAR)
+    eigen = slice(len(hj), len(hj) + len(cases))
+    c, l, v, (e1, e2, u1, u2, t, q) = grid.T[0:2], grid.T[2:4], grid.T[4], grid.T[7:]
+    slopes = np.array(_closed_form_slopes(grid.T[:5], e1, e2, q))
+    # psi is a plane wave in (u1, u2), psi(u +- h) = psi(u) exp(+-i theta)
+    # with theta = W h / hbar, so the central differences have the exact
+    # eigenvalues p and k (Lele's modified wavenumber), which the energy
+    # expands into each branch's (P - l)**2 / (2c) as the stencil does
+    theta = slopes * FD_STEP / _HBAR
+    p = _HBAR * np.sin(theta) / FD_STEP
+    k = (2.0 * _HBAR / FD_STEP) ** 2 * np.sin(theta / 2.0) ** 2
+    discrete_energy = ((k - 2.0 * l * p + l * l) / (2.0 * c)).sum(axis=0) - v * q * q / 2.0
+    # each case's estimate, imaginary part and two targets, from its column
+    names = ("p_alpha", "p_beta", "energy")
+    which, columns = [names.index(column) for _, column, _ in cases], batch._asdict()
+    real = np.choose(which, [columns[name][eigen] for name in names])
+    imag = np.choose(which, [columns[f"{name}_imag"][eigen] for name in names])
+    continuous = np.choose(which, [*slopes, e1 + e2])
+    gaps = np.abs(real - np.choose(which, [*p, discrete_energy]))
+    # The rounding budget of a row.  Each psi value is off by at most
+    # u (1 + 3 M / hbar) of itself, u = 2**-53: one rounding of the value
+    # and three of its phase, S's sum (at most M = |W1 u1| + |W2 u2| +
+    # |(e1 + e2) t|), the shifted coordinate u +- h and exp.  A first
+    # difference takes two values over 2 h / hbar; each branch's second
+    # difference four over (h / hbar)**2, halved by its 1 / (2c).
+    magnitude = np.abs(slopes[0] * u1) + np.abs(slopes[1] * u2) + np.abs((e1 + e2) * t)
+    budget = 2.0**-53 * (1.0 + 3.0 * magnitude / _HBAR) * _HBAR / FD_STEP
     split = len(momentum) * len(_EVAL_POINTS)
-    residuals = np.hypot(batch.energy[halved] - 2.0 * e, batch.energy_imag[halved]).tolist()
-    ratios = [
-        (f"{name}.energy_ratio", coarse / fine)
-        for name, coarse, fine in zip(("example1", "example2"), residuals[::2], residuals[1::2])
-    ]
+    budget[split:] *= 2.0 * _HBAR / FD_STEP * (1.0 / c[:, split:]).sum(axis=0)
+    labels = [quantity for quantity, *_ in cases]
+    estimates = list(zip(labels, continuous.tolist(), real.tolist(), imag.tolist()))
     return {
         "hj_residual": float(np.max(np.abs(batch.hj_residual[: len(hj)]))),
         "momentum": estimates[:split],
         "energy": estimates[split:],
-        "ratios": ratios,
+        "momentum_discrete": (gaps[:split].max(), budget[:split].max()),
+        "energy_discrete": (gaps[split:].max(), budget[split:].max()),
         "probability": float(np.max(np.abs(batch.probability[eigen.stop :] - 1.0))),
     }
+
+
+def _eigen_records(name: str, tolerance: float) -> list[ReportRecord]:
+    # each estimate against its continuous target, then the largest gap
+    # to the discrete ones against the largest rounding budget
+    data = _model_measurements()
+    records = [ReportRecord(quantity, *values, tolerance) for quantity, *values, _ in data[name]]
+    gap, budget = data[f"{name}_discrete"]
+    return records + [ReportRecord(f"{name}_discrete[n={len(records)}]", 0.0, gap, budget)]
 
 
 def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
@@ -371,27 +386,15 @@ def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
 
 
 def check_momentum_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
-    """Difference-operator momentum eigenvalues against the closed forms."""
-    tol = tolerances["momentum_eigenvalue"]
-    return [
-        ReportRecord(quantity, analytic, real, tol)
-        for quantity, analytic, real, _ in _model_measurements()["momentum"]
-    ]
+    """Difference-operator momentum eigenvalues against the closed forms and
+    the stencil's discrete eigenvalue."""
+    return _eigen_records("momentum", tolerances["momentum_eigenvalue"])
 
 
 def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
-    """Hamiltonian eigenvalues against the partition total, plus the
-    step-halving O(h**2) ratio."""
-    data = _model_measurements()
-    records = [
-        ReportRecord(quantity, analytic, real, tolerances["energy_eigenvalue"])
-        for quantity, analytic, real, _ in data["energy"]
-    ]
-    records.extend(
-        ReportRecord(quantity, 4.0, ratio, tolerances["energy_ratio"])
-        for quantity, ratio in data["ratios"]
-    )
-    return records
+    """Hamiltonian eigenvalues against the partition total and the
+    stencil's discrete eigenvalue."""
+    return _eigen_records("energy", tolerances["energy_eigenvalue"])
 
 
 def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:

@@ -351,6 +351,14 @@ def evaluate_models(
     return ModelColumns(w1, w2, S, residual, *wave_columns, wave)
 
 
+def _closed_form_slopes(coefficients, e1, e2, q) -> tuple[np.ndarray, np.ndarray]:
+    # The family's slopes, written out by hand in the family's order of
+    # operations: a correct family matches them bit for bit, and a change
+    # to the family's formula still fails its record.
+    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
+    return l_alpha + np.sqrt(c_alpha * (v * q * q + 2.0 * e1)), l_beta + np.sqrt(2.0 * c_beta * e2)
+
+
 def classical_limit_check(
     spec: LagrangianSpec, energies: EnergyPartition, tolerances: Mapping[str, float]
 ) -> list[ReportRecord]:
@@ -377,11 +385,6 @@ def classical_limit_check(
     if spec.alpha.value != 1.0 or spec.beta.value != 1.0:
         raise ValueError("classical limit check requires alpha = beta = 1")
 
-    def p1_classical(q: float) -> float:
-        return spec.l_alpha + math.sqrt(spec.c_alpha * (spec.v * q * q + 2.0 * energies.e1))
-
-    p2_classical = spec.l_beta + math.sqrt(2.0 * spec.c_beta * energies.e2)
-
     structure_tol = tolerances["hj_residual"]
     records = []
     stencil = gl_weights(0.0, 16)
@@ -390,20 +393,21 @@ def classical_limit_check(
 
     pf = PrincipalFunction(spec, energies)
     for q, t in ((1.0, 0.0), (0.6, 0.25)):
-        classical = (p1_classical(q) + p2_classical) * q - energies.total * t
         value = evaluate_S(pf, TransformedPoint(q, q, t, q))
+        p1, p2 = _closed_form_slopes(spec[:5], energies.e1, energies.e2, q)
+        classical = (p1 + p2) * q - energies.total * t
         records.append(
             ReportRecord(f"S_reduction[q={q:g} t={t:g}]", classical, value, structure_tol)
         )
 
     point = TransformedPoint(*SAMPLE_POINT, 0.02)
-    p1 = p1_classical(point.q)
-    if p1 > 0.0 and p2_classical > 0.0:
+    p1, p2 = _closed_form_slopes(spec[:5], energies.e1, energies.e2, point.q)
+    if p1 > 0.0 and p2 > 0.0:
         model = evaluate_model(spec, energies, point, FD_STEP)
         momentum_tol = tolerances["momentum_eigenvalue"]
         records += [
             ReportRecord("p_alpha", p1, model.p_alpha, momentum_tol),
-            ReportRecord("p_beta", p2_classical, model.p_beta, momentum_tol),
+            ReportRecord("p_beta", p2, model.p_beta, momentum_tol),
             ReportRecord("energy", energies.total, model.energy, tolerances["energy_eigenvalue"]),
         ]
     return records

@@ -57,13 +57,14 @@ def test_criterion_3_hj_residual():
 
 def test_criterion_4_momentum_eigenvalues():
     # model 1: sqrt(2 E) for E in {0.5, 1, 2, 8}; model 2 includes
-    # sqrt(q**2 + 2 E1) + 1 for q in {0, 1, 2}; all within 1e-6
+    # sqrt(q**2 + 2 E1) + 1 for q in {0, 1, 2}; all within 1e-6, plus
+    # the stencil's discrete eigenvalue to rounding
     _gate(4, "momentum eigenvalues", check_momentum_eigenvalues(_TOLERANCES))
 
 
 def test_criterion_5_energy_eigenvalues():
     # Hpsi/psi = E1 + E2 within 1e-6 over the same grid, q != 0
-    # exercised, plus the ~4x residual drop when the step halves
+    # exercised, plus the stencil's discrete eigenvalue to rounding
     _gate(5, "energy eigenvalues", check_energy_eigenvalues(_TOLERANCES))
 
 

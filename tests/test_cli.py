@@ -515,12 +515,12 @@ def test_sweep_output_is_pinned(capsys):
     assert digests == _SWEEP_SHA256
 
 
-# sha256 of verify's stdout, taken when psi's arithmetic became numpy's
-# on both the scalar and the batch path
+# sha256 of verify's stdout, taken when the discrete-eigenvalue records
+# replaced the step-halving energy ratios
 _VERIFY_SHA256 = {
-    "csv": "d26f6740f4014755d2a22565b8f8eadfc5a579abd5b1501ab54ef3113fd67eff",
-    "table": "1c9b2f03fd6f5b75d737afaea8fa0595829000df3d28139decbcddb5d25e3722",
-    "json": "256634916c00133fb9838839bfe2f9d2505be9281a9c2e88c0be843dfcaf540b",
+    "csv": "b9cabe66bf904d658043b3cafc970d2b446b6625115b2a6a5679a7568b2da682",
+    "table": "f318574df40c9bf6abaed70d4c7b301f171270a91ce92744f22c1c0a3ceab979",
+    "json": "ed68f9ab1cffe135c4120584910b64acaa18f8e5f3044e78604635678133f391",
 }
 
 

@@ -9,10 +9,11 @@ import random
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracwkb import verification
+from fracwkb import verification, wkb
 from fracwkb.cli import main
 from fracwkb.fracops import (
     FractionalOrder,
@@ -167,8 +168,8 @@ def test_rejected_probability_draw_stops_verify_with_its_scalar_error(monkeypatc
 
 
 def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
-    # one evaluate_models call for the HJ draws, the eigen grid with its
-    # step-halving rows, and the probability draws
+    # one evaluate_models call for the HJ draws, the eigen grid and the
+    # probability draws
     rows = []
     evaluate = verification.evaluate_models
 
@@ -180,10 +181,42 @@ def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
     verification._model_measurements.cache_clear()
     assert main(["verify"]) == 0
     capsys.readouterr()
-    # a row per estimate, and two per step-halving ratio
+    # a row per estimate
     data = verification._model_measurements()
-    eigen = len(data["momentum"]) + len(data["energy"]) + 2 * len(data["ratios"])
-    assert rows == [verification._HJ_DRAWS + eigen + verification._PROB_DRAWS] == [1280]
+    eigen = len(data["momentum"]) + len(data["energy"])
+    assert rows == [verification._HJ_DRAWS + eigen + verification._PROB_DRAWS] == [1276]
+
+
+@pytest.mark.parametrize(
+    "scaled, scale, failing",
+    [
+        ("alpha", 1.0 + 1e-9, "momentum_discrete[n=48]"),
+        ("beta", 1.0 + 1e-9, "momentum_discrete[n=48]"),
+        ("energy", 1.0 + 1e-8, "energy_discrete[n=128]"),
+    ],
+)
+def test_verify_fails_a_stencil_defect_below_the_truncation(
+    monkeypatch, capsys, request, scaled, scale, failing
+):
+    # one stencil estimate scaled by 1 + 1e-9 (a momentum) or 1 + 1e-8
+    # (the energy) stays well inside the 1e-6 of its continuous records;
+    # only the discrete record, which holds the estimate to rounding, and
+    # its classical copy fail
+    stencil = wkb._stencil
+
+    def defective(wf, point, h, axes):
+        estimates = stencil(wf, point, h, axes)
+        names = [*axes, "energy"]
+        return [x * scale if name == scaled else x for name, x in zip(names, estimates)]
+
+    monkeypatch.setattr(wkb, "_stencil", defective)
+    verification._model_measurements.cache_clear()
+    request.addfinalizer(verification._model_measurements.cache_clear)
+    assert main(["verify", "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert {line.split(",")[0] for line in lines if line.endswith(",false")} == {
+        failing, f"classical.{failing}"
+    }
 
 
 def test_every_kernel_call_goes_through_rl_derivative(monkeypatch, capsys):

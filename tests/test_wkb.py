@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracwkb import wkb
@@ -116,6 +116,57 @@ def test_stencil_error_is_second_order():
     # the partition total e1 + e2
     coarse, fine = (abs(apply_hamiltonian(wf, point, h) - 4.0) for h in (2e-2, 1e-2))
     assert 3.6 <= coarse / fine <= 4.4
+
+
+@st.composite
+def _plane_wave(draw):
+    """A member with positive energies, at a point anywhere on the draws'
+    ranges; its phase S / hbar reaches tens of radians."""
+    spec = LagrangianSpec(
+        draw(_floats(0.2, 5.0)), draw(_floats(0.2, 5.0)), draw(_floats(-2.0, 2.0)),
+        draw(_floats(-2.0, 2.0)), draw(_floats(-1.0, 2.0)),
+        FractionalOrder(1.5), FractionalOrder(1.5),
+    )
+    energies = EnergyPartition(draw(_floats(0.1, 4.0)), draw(_floats(0.1, 4.0)))
+    u1, u2, t = (draw(_floats(-3.0, 3.0)) for _ in range(3))
+    return spec, energies, TransformedPoint(u1, u2, t, draw(_floats(-2.0, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(member=_plane_wave())
+def test_stencil_sits_within_rounding_of_its_discrete_eigenvalues(member):
+    # psi is a plane wave in (u1, u2): with theta = W h / hbar, the first
+    # difference's exact eigenvalue is hbar sin(theta) / h and the second's
+    # (2 hbar / h)**2 sin(theta / 2)**2.  The scalar operators and the
+    # batch columns sit within the row's rounding budget: per psi value
+    # u (1 + 3 M / hbar), M the summed magnitude of S's three terms, times hbar / h
+    # for a momentum and 2 (hbar / h)**2 (1 / c_alpha + 1 / c_beta) for
+    # the energy.
+    spec, energies, point = member
+    h, hbar = FD_STEP, 1.0
+    wf = WaveField(PrincipalFunction(spec, energies), hbar)
+    try:
+        scalar = [
+            apply_momentum(wf, "alpha", point, h), apply_momentum(wf, "beta", point, h),
+            apply_hamiltonian(wf, point, h),
+        ]
+    except ValueError:  # a negative W1 radicand or a momentum not positive
+        assume(False)
+    w1, w2 = momenta_from_S(wf.pf, point)
+    momenta = [hbar * math.sin(w * h / hbar) / h for w in (w1, w2)]
+    squares = [(2.0 * hbar / h) ** 2 * math.sin(w * h / hbar / 2.0) ** 2 for w in (w1, w2)]
+    branches = zip(squares, momenta, (spec.l_alpha, spec.l_beta), (spec.c_alpha, spec.c_beta))
+    energy = sum((k - 2.0 * l * p + l * l) / (2.0 * c) for k, p, l, c in branches)
+    energy -= spec.v * point.q * point.q / 2.0
+    magnitude = abs(w1 * point.u1) + abs(w2 * point.u2) + abs(energies.total * point.t)
+    per_value = 2.0**-53 * (1.0 + 3.0 * magnitude / hbar)
+    budgets = [per_value * hbar / h] * 2
+    budgets.append(2.0 * per_value * (hbar / h) ** 2 * (1.0 / spec.c_alpha + 1.0 / spec.c_beta))
+    columns = evaluate_models(_family([spec]), *energies, *point, h, hbar)
+    batch = [columns.p_alpha[0], columns.p_beta[0], columns.energy[0]]
+    for estimate, row, target, budget in zip(scalar, batch, [*momenta, energy], budgets):
+        assert abs(estimate.real - target) <= budget
+        assert abs(row - target) <= budget
 
 
 def test_step_guards():

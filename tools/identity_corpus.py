@@ -41,8 +41,8 @@ other side's order; a bad order with --tol bogus=1; W slopes that
 overflow or turn imaginary, momentum products that leave the float
 range, alone or with a step check that would fail after theirs, and an
 energy total that overflows under finite slopes; known
-tolerances set in and out of range; malformed --tol entries and config
-lines; numbers that do not parse in --grid and --values, and config
+tolerances set in and out of range, and one verify no longer knows;
+malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
 values their flag would not parse; a grid with a node at a tenth of its
 width; every sweep-range error, --values with a range flag included;
 flags before the subcommand or of another one; deriv grids and sweeps
@@ -218,6 +218,8 @@ def corpus() -> list[tuple[list[str], str | None]]:
             add(command, *sweep, "--tol", f"{name}={value}")
     for entry in ("probability", "=1", "probability=", "probability=x"):
         add("example1", "--tol", entry)
+    # a tolerance verify once had, whose records the discrete ones replaced
+    add("verify", "--tol", "energy_ratio=1")
     # numbers that do not parse, in --grid and --values
     for grid in ("0,1,1e3", "a,1,4"):
         add("deriv", "--grid", grid)
