@@ -166,6 +166,35 @@ _MODEL_RECORDS = {
 }
 
 
+def _hj_rounding_floor(coefficients, w1, w2, e1, e2, q) -> np.ndarray:
+    """4 u M, u = 2**-53: what rounding alone can leave in hj_residual.
+
+    The residual sums k**2 / (2c) over both branches, k = W - l, then
+    subtracts v q**2 / 2 and e1 + e2.  W carries its own rounding, about
+    u |W| from its last addition, into W - l, and the square doubles it:
+    a branch's term is off by about u |k| (|k| + 2 |W|) / (2c).  Every
+    other rounding, the radicand's included, is u of a term or of a
+    partial sum, each at most M = the branches' |k| (|k| + 2 |W|) / (2c)
+    + |v| q**2 / 2 + e1 + e2, and 4 covers those few: over 2,000,000
+    drawn members (c up to 1e3, |l| up to 1e7, e1 and e2 up to 1e9)
+    |residual| stayed under 2.6 u M.  w1 and w2 are the family's own
+    slopes.  Each term takes its 4u before a product that M itself could
+    overflow in, and each |k| (|k| + 2 |W|) is two products, so k = 0
+    gives 0 even where 2 |W| would overflow.
+    """
+    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
+    u4 = 4.0 * 2.0**-53
+    k1, k2 = np.abs(w1 - l_alpha), np.abs(w2 - l_beta)
+    s1, s2 = u4 * k1, u4 * k2
+    return (
+        (s1 * k1 + 2.0 * s1 * np.abs(w1)) / (2.0 * c_alpha)
+        + (s2 * k2 + 2.0 * s2 * np.abs(w2)) / (2.0 * c_beta)
+        + u4 * (0.5 * np.abs(v) * (q * q))
+        + u4 * e1
+        + u4 * e2
+    )
+
+
 def cmd_example(
     config: RunConfig, model: str, param: str | None = None, values: Sequence[float] = ()
 ) -> RecordBatch:
@@ -174,7 +203,9 @@ def cmd_example(
     One row for config, or one per value with param set to it, all
     evaluated in one batch.  Wave-field records are emitted only where
     both slope momenta are positive; zero-energy rows still report
-    slopes, S and the HJ residual.  The rows are validated where they
+    slopes, S and the HJ residual.  An HJ residual row's tolerance is at
+    least its rounding floor, _hj_rounding_floor, whether the tolerance
+    came from the table or from --tol.  The rows are validated where they
     are evaluated, by evaluate_models: a bad setting raises the scalar
     path's error, whether it came from a flag or a sweep value.
     """
@@ -193,8 +224,11 @@ def cmd_example(
     with np.errstate(all="ignore"):
         w1, w2 = _closed_form_slopes(coefficients, e1, e2, q)
         S = w1 * u1 + w2 * u2 - (e1 + e2) * t
+        floor = _hj_rounding_floor(coefficients, columns.w1_slope, columns.w2_slope, e1, e2, q)
     zero, one = np.zeros_like(w1), np.ones_like(w1)
     analytic = [w1, w2, S, zero, w1, zero, w2, zero, e1 + e2, zero, one]
+    tolerance = np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], (len(w1), 1))
+    tolerance[:, 3] = np.maximum(tolerance[:, 3], floor)  # the hj_residual column
     kept = np.ones((len(w1), len(_MODEL_RECORDS)), dtype=bool)
     kept[:, 4:] = columns.wave[:, None]
     sweep = None if param is None else (param, np.repeat(values, kept.sum(axis=1)))
@@ -203,7 +237,7 @@ def cmd_example(
         list(compress(list(_MODEL_RECORDS) * len(w1), kept.tolist())),
         np.column_stack(analytic).ravel()[kept],
         np.column_stack([getattr(columns, name) for name in _MODEL_RECORDS]).ravel()[kept],
-        np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], len(w1))[kept],
+        tolerance.ravel()[kept],
         sweep,
     )
 

@@ -14,9 +14,12 @@ piece as it comes never holds the whole output.  format_table,
 format_csv and format_json join the same pieces into one text.
 
 All floats are rendered with 17 significant digits so a fixed
-configuration always produces byte-identical output.  JSON cannot carry
-infinities, so non-finite values appear there as the strings "inf",
-"-inf" or "nan"; CSV and tables print them directly.
+configuration always produces byte-identical output, and a value's text
+is the same in every format.  JSON's rule sits in one place, where a
+column is added: each text gets its column's quoted name as key, every
+quantity name is quoted, and so are the texts of non-finite floats, since
+JSON has no infinities: they appear as the strings "inf", "-inf" or
+"nan".  CSV and tables print every text as it is.
 """
 
 from __future__ import annotations
@@ -126,19 +129,19 @@ FLOAT_SPEC = ".17g"
 # with 1024, 45 MB with 4096 and 47 MB with the whole text in one piece.
 CHUNK_ROWS = 1024
 
+# what FLOAT_SPEC gives a non-finite float (every nan prints "nan",
+# whatever its sign or payload); JSON has no such numbers
+_NON_FINITE = frozenset({"inf", "-inf", "nan"})
+
 # a column's distinct texts (an object array) and each row's index into them
 _Columns = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _distinct_floats(values: np.ndarray, as_json: bool) -> tuple[list[str], np.ndarray]:
+def _distinct_floats(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The text of each distinct bit pattern, so -0.0 and 0.0 keep their own
-    text, and each row's index into those texts; as_json gives JSON values."""
+    text, and each row's index into those texts."""
     bits, rows = np.unique(values.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    texts = list(map(float.__format__, floats, repeat(FLOAT_SPEC)))
-    if as_json:
-        texts = [text if math.isfinite(x) else json.dumps(text) for x, text in zip(floats, texts)]
-    return texts, rows
+    return list(map(float.__format__, bits.view(np.float64).tolist(), repeat(FLOAT_SPEC))), rows
 
 
 def _distinct_names(names: list[str]) -> tuple[list[str], np.ndarray]:
@@ -154,27 +157,28 @@ def _distinct_names(names: list[str]) -> tuple[list[str], np.ndarray]:
 
 def _columns(batch: RecordBatch, as_json: bool, justify: bool) -> tuple[list[str], _Columns]:
     """Header and one column per field; as_json gives JSON "key": value
-    pairs, and justify pads each heading and text to its column's width, the
-    texts of the first column to the left and the others to the right."""
+    pairs, each name and non-finite text quoted, and justify pads each
+    heading and text to its column's width, the texts of the first column
+    to the left and the others to the right."""
     header: list[str] = []
     columns: _Columns = []
 
-    def add(heading: str, texts: list[str], rows: np.ndarray) -> None:
+    def add(heading: str, texts: list[str], rows: np.ndarray, quote_all: bool = False) -> None:
         if justify:
             width = max([len(heading), *map(len, texts)])
             heading = heading.ljust(width)
             texts = list(map(str.rjust if columns else str.ljust, texts, repeat(width)))
         elif as_json:
-            texts = list(map(f"{json.dumps(heading)}: ".__add__, texts))
+            key = f"{json.dumps(heading)}: "
+            texts = [key + (json.dumps(t) if quote_all or t in _NON_FINITE else t) for t in texts]
         header.append(heading)
         columns.append((np.array(texts, dtype=object), rows))
 
     if batch.sweep is not None:
-        add(batch.sweep[0], *_distinct_floats(batch.sweep[1], as_json))
-    names, rows = _distinct_names(batch.quantities)
-    add("quantity", list(map(json.dumps, names)) if as_json else names, rows)
+        add(batch.sweep[0], *_distinct_floats(batch.sweep[1]))
+    add("quantity", *_distinct_names(batch.quantities), quote_all=True)
     for field in ("analytic", "numeric", "residual", "tolerance"):
-        add(field, *_distinct_floats(getattr(batch, field), as_json))
+        add(field, *_distinct_floats(getattr(batch, field)))
     flags, passed = np.unique(batch.passed, return_inverse=True)
     add("pass", [("false", "true")[f] for f in flags.tolist()], passed)
     return header, columns

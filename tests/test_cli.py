@@ -998,6 +998,77 @@ def test_closed_form_residuals_are_exactly_zero(capsys, values, q):
     assert all(row["residual"] == "0" for row in rows), rows
 
 
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0**x)
+
+
+def _either_sign(magnitudes):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda pair: pair[0] * pair[1])
+
+
+# --model custom with c log-uniform in [1e-3, 1e3], |l| in [1e-3, 1e7]
+# and |v| in [1e-3, 1e3]
+_CUSTOM_FLAGS = st.tuples(
+    *[_log_uniform(1e-3, 1e3)] * 2,
+    *[_either_sign(_log_uniform(1e-3, 1e7))] * 2,
+    _either_sign(_log_uniform(1e-3, 1e3)),
+).map(
+    lambda values: [
+        "--model", "custom",
+        *map("--{}={!r}".format, ("c-alpha", "c-beta", "l-alpha", "l-beta", "v"), values),
+    ]
+)
+
+
+def _hj_rows(text):
+    return [row for row in _csv_rows(text) if row["quantity"] == "hj_residual"]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    model=_CUSTOM_FLAGS,
+    e1=_log_uniform(1e-6, 1e9),
+    e2=_log_uniform(1e-6, 1e9),
+    q=st.floats(-1e3, 1e3),
+    hbar=st.just(1e6),
+)
+# one ulp of e1 + e2 is 1.16e-10 here, past the 1e-10 tolerance
+@example(model=["--model", "example1"], e1=1e6, e2=1.0, q=0.0, hbar=1e4)
+def test_no_hj_residual_record_fails_on_rounding(capsys, model, e1, e2, q, hbar):
+    # a correctly rounded residual passes, however large the energy; the
+    # exit code is not asserted, since the eigenvalue records fail on the
+    # phase's own rounding at such slopes.  The large hbar keeps the
+    # phase guard from rejecting slopes up to about 1e7
+    ret = main([
+        "sweep", *model, f"--e2={e2!r}", f"--q={q!r}", f"--hbar={hbar!r}",
+        "--param", "e1", f"--values={e1!r}", "--format", "csv",
+    ])
+    captured = capsys.readouterr()
+    assume(ret != 2)
+    (row,) = _hj_rows(captured.out)
+    assert row["pass"] == "true", row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["example1"], ["sweep", "--param", "e1", "--values", "1e6", "--hbar", "1e4"]],
+    ids=["e_1", "e_1e6"],
+)
+def test_hj_rounding_floor_hides_no_drift(argv, monkeypatch, capsys):
+    # a residual off by 1e-9 of the energy fails at e1 + e2 = 2, under the
+    # 1e-10 tolerance, and at about 1e6, under the rounding floor
+    residual = wkb.hj_residual
+
+    def drifted(pf, point):
+        return residual(pf, point) + 1e-9 * pf.energies.total
+
+    monkeypatch.setattr(wkb, "hj_residual", drifted)
+    main([*argv, "--format", "csv"])
+    assert [row["pass"] for row in _hj_rows(capsys.readouterr().out)] == ["false"]
+
+
 def test_sweep_row_without_wave_field_keeps_four_records(capsys):
     ret = main(["sweep", "--param", "e1", "--values", "1,0,2", "--format", "csv"])
     rows = _csv_rows(capsys.readouterr().out)
@@ -1121,7 +1192,7 @@ def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch,
     assert main(["sweep", "--param", "e1", "--values", ",", "--out", str(target)]) == 2
 
     # a failure while rendering comes before the file is opened
-    def fail(values, as_json):
+    def fail(values):
         raise ValueError("cannot render")
 
     monkeypatch.setattr(reporting, "_distinct_floats", fail)

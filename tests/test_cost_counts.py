@@ -29,7 +29,7 @@ _COUNTS = {
         "sweep", "--model", "custom", "--param", "e2",
         "--from", "0", "--to", "3", "--steps", "50", "--format", "json",
     ): {
-        "cli": 64, "hamilton_jacobi": 73, "mechanics": 1, "reporting": 34,
+        "cli": 65, "hamilton_jacobi": 73, "mechanics": 1, "reporting": 36,
         "verification": 1, "wkb": 65,
     },
 }

@@ -261,6 +261,10 @@ def _records_and_sweep(draw):
     return records, (draw(st.sampled_from(["e1", "q", "fd_step", "%s"])), values)
 
 
+# a nan with a payload and the sign bit: a bit pattern of its own that
+# still prints "nan"
+_PAYLOAD_NAN = float(np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0])
+
 # Rows per rendered piece: the module's own, and sizes small enough
 # that a few rows cross piece boundaries.
 _CHUNKS = st.sampled_from([1, 2, 3, reporting.CHUNK_ROWS])
@@ -283,6 +287,20 @@ def _rows(count):
         ("q", [-0.0, 0.0, 0.0]),
     ),
     2,
+)
+# names that read as JSON's non-finite texts or its true, which JSON
+# quotes as names, beside the non-finite floats it quotes as values
+@example(
+    (
+        [
+            ReportRecord("inf", math.inf, -math.inf, INFORMATIONAL),
+            ReportRecord("-inf", -math.inf, 1.0, 0.5),
+            ReportRecord("nan", _PAYLOAD_NAN, math.nan, 0.0),
+            ReportRecord("true", 1.0, 1.0, 0.0),
+        ],
+        ("e1", [-0.0, math.inf, -0.0, math.inf]),
+    ),
+    3,
 )
 # 0, 1, k * chunk and k * chunk + 1 rows
 @example(([], None), 2)
@@ -311,9 +329,6 @@ def test_batch_matches_per_row_records(records_and_sweep, chunk):
 
 # ------------------------------------------- long columns of repeats
 
-# a nan with a payload and the sign bit: a bit pattern of its own that
-# still prints "nan"
-_PAYLOAD_NAN = float(np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0])
 _REPEATED_POOL = [
     0.0, -0.0, math.nan, -math.nan, _PAYLOAD_NAN, math.inf, -math.inf,
     5e-324, -2.5e-310, 2.2250738585072014e-308, 1.0, 1.0 / 3.0, -1e-12,

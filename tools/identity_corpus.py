@@ -40,7 +40,8 @@ grids whose refined nodes collapse or whose refined step underflows; the
 other side's order; a bad order with --tol bogus=1; W slopes that
 overflow or turn imaginary, momentum products that leave the float
 range, alone or with a step check that would fail after theirs, and an
-energy total that overflows under finite slopes; known
+energy total that overflows under finite slopes; an energy past 1e6,
+whose HJ residual sits under its rounding floor; known
 tolerances set in and out of range, and one verify no longer knows;
 malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
 values their flag would not parse; a grid with a node at a tenth of its
@@ -209,6 +210,10 @@ def corpus() -> list[tuple[list[str], str | None]]:
     add(*custom, "--param", "e2", "--values", "1e8", "--fd-step", "1e-8", "--format", "csv")
     add(*custom, "--c-alpha", "1.5", "--v", "0.7", "--q", "1", "--param", "e1",
         "--values", "3.31e7", "--fd-step", "1e-8", "--format", "csv")
+    # e1 + e2 past 1e6, where one ulp of the energy exceeds the 1e-10
+    # hj_residual tolerance and the residual sits under its rounding floor
+    add("sweep", "--model", "example1", "--param", "e1", "--values", "1e6", "--hbar", "1e4",
+        "--format", "csv")
 
     # known tolerances, in and out of range, and malformed entries
     for command, name in (("verify", "imag_part"), ("example1", "probability"),
