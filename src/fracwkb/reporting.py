@@ -8,10 +8,12 @@ column); RecordBatch.from_records wraps a list of ReportRecords.  The
 batch is the only thing that judges a row: it checks that the names are
 CSV-safe, and computes each residual and pass.  render formats each
 distinct value of a column (by bit pattern) once, keeps per column only
-those distinct texts and each row's index into them, and yields the
-text in pieces of at most CHUNK_ROWS rows, so a caller that writes each
-piece as it comes never holds the whole output.  format_table,
-format_csv and format_json join the same pieces into one text.
+those distinct texts and, per row, one code of the narrowest unsigned
+type that indexes them (one or two bytes unless a column holds more than
+65,536 distinct texts), and yields the text in pieces of at most
+CHUNK_ROWS rows, so a caller that writes each piece as it comes never
+holds the whole output.  format_table, format_csv and format_json join
+the same pieces into one text.
 
 All floats are rendered with 17 significant digits so a fixed
 configuration always produces byte-identical output, and a value's text
@@ -124,16 +126,20 @@ class RecordBatch:
 # 17 significant digits, enough to round-trip any double
 FLOAT_SPEC = ".17g"
 
-# Rows per piece of rendered text.  On a 2-core Xeon, a 2,000-step JSON
-# sweep (22,000 rows) peaked at 41 MB RSS with 256 rows a piece, 42 MB
-# with 1024, 45 MB with 4096 and 47 MB with the whole text in one piece.
+# Rows per piece of rendered text; a row holds one narrow code per
+# column until its piece is joined.  On a 2-core Xeon (Python 3.11,
+# numpy 2.4), a fresh interpreter running one 2,000-step JSON sweep
+# (22,011 rows) to --out /dev/null peaked (ru_maxrss, median of 5) at
+# 36.2 MB RSS with 256 rows a piece, 36.5 MB with 1024, 38.9 MB with
+# 4096 and 49.7 MB with the whole text in one piece.
 CHUNK_ROWS = 1024
 
 # what FLOAT_SPEC gives a non-finite float (every nan prints "nan",
 # whatever its sign or payload); JSON has no such numbers
 _NON_FINITE = frozenset({"inf", "-inf", "nan"})
 
-# a column's distinct texts (an object array) and each row's index into them
+# a column's distinct texts (an object array) and each row's code, an
+# index into them
 _Columns = list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -155,24 +161,25 @@ def _distinct_names(names: list[str]) -> tuple[list[str], np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
-def _columns(batch: RecordBatch, as_json: bool, justify: bool) -> tuple[list[str], _Columns]:
-    """Header and one column per field; as_json gives JSON "key": value
-    pairs, each name and non-finite text quoted, and justify pads each
+def _columns(batch: RecordBatch, output_format: str) -> tuple[list[str], _Columns]:
+    """Header and one column per field; "json" gives JSON "key": value
+    pairs, each name and non-finite text quoted, and "table" pads each
     heading and text to its column's width, the texts of the first column
     to the left and the others to the right."""
     header: list[str] = []
     columns: _Columns = []
 
     def add(heading: str, texts: list[str], rows: np.ndarray, quote_all: bool = False) -> None:
-        if justify:
+        if output_format == "table":
             width = max([len(heading), *map(len, texts)])
             heading = heading.ljust(width)
             texts = list(map(str.rjust if columns else str.ljust, texts, repeat(width)))
-        elif as_json:
+        elif output_format == "json":
             key = f"{json.dumps(heading)}: "
             texts = [key + (json.dumps(t) if quote_all or t in _NON_FINITE else t) for t in texts]
         header.append(heading)
-        columns.append((np.array(texts, dtype=object), rows))
+        codes = rows.astype(np.min_scalar_type(len(texts)))
+        columns.append((np.array(texts, dtype=object), codes))
 
     if batch.sweep is not None:
         add(batch.sweep[0], *_distinct_floats(batch.sweep[1]))
@@ -191,10 +198,15 @@ def _lines(columns: _Columns, sep: str) -> Iterator[list[str]]:
         yield list(map(sep.join, zip(*cells)))
 
 
+# Each piece below is built by one join, so its text is not copied again
+# to add its ends.
+
+
 def _text_pieces(top: list[str], columns: _Columns, sep: str) -> Iterator[str]:
-    yield "\n".join(top) + "\n"
+    yield "\n".join([*top, ""])
     for lines in _lines(columns, sep):
-        yield "\n".join(lines) + "\n"
+        lines.append("")
+        yield "\n".join(lines)
 
 
 def _json_pieces(columns: _Columns) -> Iterator[str]:
@@ -202,7 +214,9 @@ def _json_pieces(columns: _Columns) -> Iterator[str]:
     opening = f'  {{"schema_version": {json.dumps(SCHEMA_VERSION)}, '
     before = "[\n"
     for lines in _lines(columns, ", "):
-        yield before + opening + ("},\n" + opening).join(lines) + "}"
+        lines[0] = before + opening + lines[0]
+        lines[-1] += "}"
+        yield ("},\n" + opening).join(lines)
         before = ",\n"
     yield "[]\n" if before == "[\n" else "\n]\n"
 
@@ -214,18 +228,16 @@ def render(batch: RecordBatch, output_format: str) -> Iterator[str]:
     Each column's distinct texts are formatted before this returns; a
     piece's rows are joined only when the piece is asked for.
     """
-    header, columns = _columns(
-        batch, as_json=output_format == "json", justify=output_format == "table"
-    )
+    if output_format not in ("table", "csv", "json"):
+        raise ValueError(f"output format must be table, csv or json, got {output_format!r}")
+    header, columns = _columns(batch, output_format)
     if output_format == "json":
         return _json_pieces(columns)
     if output_format == "table":
         top = ["  ".join(header).rstrip(), "  ".join("-" * len(h) for h in header)]
         return _text_pieces(top, columns, "  ")
-    if output_format == "csv":
-        top = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-        return _text_pieces(top, columns, ",")
-    raise ValueError(f"output format must be table, csv or json, got {output_format!r}")
+    top = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
+    return _text_pieces(top, columns, ",")
 
 
 def format_table(batch: RecordBatch) -> str:

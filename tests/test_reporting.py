@@ -145,7 +145,12 @@ def test_json_sweep_key_and_empty():
     assert json.loads(format_json(_batch())) == []
 
 
-def test_render_rejects_an_unknown_format():
+def test_render_rejects_an_unknown_format(monkeypatch):
+    # the format is checked before any float of the batch is formatted
+    def fail(values):
+        raise AssertionError("formatted a float before checking the format")
+
+    monkeypatch.setattr(reporting, "_distinct_floats", fail)
     with pytest.raises(ValueError, match="got 'xml'"):
         reporting.render(_batch(ReportRecord("q", 1.0, 1.0, 1e-3)), "xml")
 
@@ -386,5 +391,26 @@ def test_repeated_columns_match_per_cell_format(records_and_sweep, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reporting, "CHUNK_ROWS", chunk)
         assert format_csv(batch) == _reference_csv(records, sweep)
+        assert format_table(batch) == _reference_table(records, sweep)
+        assert format_json(batch) == _reference_json(records, sweep)
+
+
+# ------------------------------------------------- code widths
+
+# each count of distinct values on both sides of the uint8, uint16 and
+# uint32 code widths; the three past 257 are checked as csv only, whose
+# reference is the cheapest to build at 65,536 rows
+@pytest.mark.parametrize("distinct", [255, 256, 257, 65_535, 65_536, 65_537])
+def test_every_code_width_renders_each_row(distinct):
+    records = [ReportRecord(f"q{i % 3}", i / 7, 0.5, 0.25 + i % 2) for i in range(distinct)]
+    sweep = ("e1", [i * 0.125 for i in range(distinct)])
+    batch = _batch(*records, sweep=sweep)
+    header, columns = reporting._columns(batch, "csv")
+    for heading, (texts, codes) in zip(header, columns):
+        assert codes.dtype == np.min_scalar_type(len(texts)), heading
+    for heading in ("e1", "analytic"):
+        assert len(columns[header.index(heading)][0]) == distinct
+    assert format_csv(batch) == _reference_csv(records, sweep)
+    if distinct <= 257:
         assert format_table(batch) == _reference_table(records, sweep)
         assert format_json(batch) == _reference_json(records, sweep)

@@ -48,8 +48,9 @@ values their flag would not parse; a grid with a node at a tenth of its
 width; every sweep-range error, --values with a range flag included;
 flags before the subcommand or of another one; deriv grids and sweeps
 whose row counts land at the edges of a piece of rendered output, in
-every format; --help of the top level and of each subcommand; and
---out.
+every format; a deriv whose float columns hold more than 65,536 distinct
+values, past the 16-bit row codes of rendering; --help of the top level
+and of each subcommand; and --out.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def corpus() -> list[tuple[list[str], str | None]]:
     ]
     for argv, fmt in itertools.product(chunk_edges, FORMATS):
         add(*argv, "--format", fmt)
+    # 65,539 rows whose float columns hold 65,538-65,539 distinct texts,
+    # so each row's code into them is 32-bit
+    add("deriv", "--function", "x", "--alpha", "0.5", "--grid", "0,1,65536", "--format", "csv")
 
     # help text, whose wrapping reads COLUMNS (pinned by record)
     for command in ((), ("verify",), ("example1",), ("example2",), ("sweep",), ("deriv",)):
