@@ -29,8 +29,10 @@ raises ValueError or NonFiniteInputError) and works the right side as
 the mirror image of the left.  It makes one pass over the whole block
 per order: an integer order stacks every row's binomial sums, and any
 other order multiplies its weights' spectrum by the block's, taken
-once, then adds Lubich's endpoint term for rows where f(a) != 0, whose
-singular part the plain sum resolves badly.  left_rl_derivative and
+once, and takes the inverse transform one row at a time, so only one
+row's product and sums are alive beside the block's spectrum; then it
+adds Lubich's endpoint term for rows where f(a) != 0, whose singular
+part the plain sum resolves badly.  left_rl_derivative and
 right_rl_derivative are its one-row, one-order case: they take a grid
 and its count + 1 samples and return count + 1 values, non-finite
 where the derivative diverges.
@@ -221,12 +223,23 @@ def _gl_sums(
         for result, (order, integer, shift, weights, scale) in zip(out, stencils):
             if integer:
                 sums = np.array([np.convolve(weights, row)[: top + 2] for row in block])
+                result[:, :top] = sums[:, shift : top + shift]
+                result[:, top] = sums[:, top]
             else:
                 if spectrum is None:
                     spectrum = np.fft.rfft(shifted, size)
-                sums = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
-            result[:, :top] = sums[:, shift : top + shift]
-            result[:, top] = sums[:, top]
+                weights_spectrum = np.fft.rfft(weights, size)
+                # one forward transform for the block; the product and the
+                # inverse transform go one row at a time, straight into its
+                # row, so only one row's of each is alive beside the
+                # spectrum.  A lone row's product overwrites the weights'
+                # spectrum, which nothing reads after it
+                product = weights_spectrum if len(block) == 1 else np.empty_like(weights_spectrum)
+                for line, row_spectrum in zip(result, spectrum):
+                    np.multiply(weights_spectrum, row_spectrum, out=product)
+                    sums = np.fft.irfft(product, size)
+                    line[:top] = sums[shift : top + shift]
+                    line[top] = sums[top]
             result *= scale
             if rows.size and not integer:
                 term = rl_power_rule(0, order, offsets)

@@ -147,7 +147,9 @@ def power_kernel_check(
     and differentiates them at every order in one block call.  Returns
     the numeric derivatives and the closed-form oracles at every node,
     of shape (orders, exponents, count + 1), and the max interior error
-    between them, of shape (orders, exponents).
+    between them, of shape (orders, exponents).  Each (order, exponent)
+    row's error is taken as soon as its oracle row is filled, so one
+    row's difference is alive at a time, not the whole block's.
     """
     offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
     # an overflowing sample is inf, which rl_derivative rejects
@@ -155,9 +157,11 @@ def power_kernel_check(
         samples = [offsets**k for k in exponents]
     numeric = rl_derivative(grid, samples, orders, side)
     oracle = np.empty_like(numeric)
+    error = np.empty(numeric.shape[:2])
     for (i, order), (j, k) in product(enumerate(orders), enumerate(exponents)):
         oracle[i, j] = rl_power_rule(k, order, offsets)
-    return numeric, oracle, _max_interior_error(numeric, oracle, grid)
+        error[i, j] = _max_interior_error(numeric[i, j], oracle[i, j], grid)
+    return numeric, oracle, error
 
 
 def observed_order_record(

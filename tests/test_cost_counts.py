@@ -22,8 +22,8 @@ _SRC = Path(fracwkb.__file__).parent
 # calls of the functions defined under src/fracwkb, summed per module
 _COUNTS = {
     ("verify", "--format", "csv"): {
-        "cli": 52, "fracops": 203, "hamilton_jacobi": 394, "mechanics": 83,
-        "reporting": 27, "verification": 90, "wkb": 217,
+        "cli": 52, "fracops": 236, "hamilton_jacobi": 394, "mechanics": 83,
+        "reporting": 27, "verification": 123, "wkb": 217,
     },
     (
         "sweep", "--model", "custom", "--param", "e2",

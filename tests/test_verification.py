@@ -2,10 +2,12 @@
 
 The random suites are drawn as column blocks and held to the scalar
 draw loop; the kernel oracle's block calls are held to one kernel call
-per (power, order, grid) case.
+per (power, order, grid) case, and the kernel check's traced memory to
+one row of transforms in flight.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracwkb import verification, wkb
+from fracwkb import fracops, verification, wkb
 from fracwkb.cli import main
 from fracwkb.fracops import (
     FractionalOrder,
@@ -298,3 +300,39 @@ def test_interior_error_is_finite_on_a_few_ulps_wide_grid():
     grid = TimeGrid(1.0, 1.0000000000000004, 2)
     error = verification.power_kernel_check(grid, [1], [FractionalOrder(1.5)])[2]
     assert np.isfinite(error).all()
+
+
+@pytest.mark.parametrize(
+    "count, alphas, powers",
+    [
+        # verify's largest block: 4 orders by 3 powers on 8,192 intervals
+        (8192, (0.25, 0.5, 0.75, 1.5), (1, 2, 3)),
+        # deriv's lone row on the 4x refinement of a 16,384-interval grid
+        (65536, (0.5,), (2,)),
+    ],
+    ids=["verify_block", "deriv_lone_row"],
+)
+def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, powers):
+    grid = TimeGrid(0.0, 1.0, count)
+    orders = [FractionalOrder(alpha) for alpha in alphas]
+    # a warm-up call, so numpy's FFT plans are built before measuring
+    verification.power_kernel_check(grid, powers, orders)
+    tracemalloc.start()
+    try:
+        numeric, oracle, error = verification.power_kernel_check(grid, powers, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, nodes, size = len(powers), grid.count + 1, fracops._fft_length(2 * grid.count + 1)
+    row_spectrum = (size // 2 + 1) * 16
+    # the derivative and oracle blocks, the block's spectrum, and one
+    # row's product and inverse transform
+    held = 2 * len(orders) * rows * nodes * 8 + (rows + 1) * row_spectrum + size * 8
+    # slack: the samples, the block rl_derivative stacks from them, the
+    # offsets and one order's weights.  A whole block's product and
+    # transform, a whole block's interior difference, or a lone row's
+    # product beside its weights' spectrum crosses this bound
+    assert peak <= held + (2 * rows + 2) * nodes * 8
+    whole = verification._max_interior_error(numeric, oracle, grid)
+    assert error.shape == whole.shape == (len(orders), rows)
+    assert np.array_equal(error.view(np.int64), whole.view(np.int64))
