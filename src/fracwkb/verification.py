@@ -175,12 +175,10 @@ def observed_order_record(
     """Observed convergence order of power_kernel_check errors.
 
     coarse and fine are (grid, max interior error) pairs.  When the fine
-    error is not above twice its roundoff floor, which counts the
-    rounding of the samples and of their offsets, at least half of it
-    may be rounding, so the ratio carries no convergence order: the
-    record is informational with a nan value, and the max-error records
-    still gate.  A nan floor, where the weights' sum overflows and
-    step**-order underflows, counts as an infinite one.
+    error is not above twice its roundoff floor, which counts the rounding
+    of the samples and of their offsets, at least half of it may be
+    rounding, so the ratio carries no convergence order: the record is
+    informational with a nan value, and the max-error records still gate.
     """
     (coarse_grid, coarse_error), (fine_grid, fine_error) = coarse, fine
     width, reach = fine_grid.b - fine_grid.a, max(abs(fine_grid.a), abs(fine_grid.b))
@@ -197,7 +195,6 @@ def observed_order_record(
     return ReportRecord(quantity, 1.0, observed, tolerance)
 
 
-@functools.cache
 def _kernel_errors() -> dict[int, np.ndarray]:
     # per grid count, the max interior errors of shape (orders, exponents)
     a, b = _DOMAIN
@@ -236,7 +233,6 @@ def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
     return records
 
 
-@functools.cache
 def _integer_reduction_errors() -> dict[str, float]:
     a, b = _DOMAIN
     grid = TimeGrid(a, b, _KERNEL_COUNT)

@@ -232,8 +232,6 @@ def test_every_kernel_call_goes_through_rl_derivative(monkeypatch, capsys):
         return derivative(grid, *args)
 
     monkeypatch.setattr(verification, "rl_derivative", counted)
-    verification._kernel_errors.cache_clear()
-    verification._integer_reduction_errors.cache_clear()
     assert main(["verify"]) == 0
     assert counts == [1024, 4096, 8192, verification._KERNEL_COUNT]
     counts.clear()

@@ -35,7 +35,9 @@ a --config line and a sweep value; sweeps with --tol bogus=1 and
 --hbar=0; deriv on both sides for every built-in function over orders
 0.3-3, 300.5, 2000 and 1e9 on grids of 64-4096 intervals, and over
 orders 126.5 and 150 on 0,1,64, whose sums, power rule or refined
-step**-order overflow; degenerate grids, grids that end short of b, and
+step**-order overflow, and order 1024 on 0,65536,256, whose refined
+weights' absolute sum overflows where the refined step**-order
+underflows; degenerate grids, grids that end short of b, and
 grids whose refined nodes collapse or whose refined step underflows; the
 other side's order; a bad order with --tol bogus=1; W slopes that
 overflow or turn imaginary, momentum products that leave the float
@@ -156,6 +158,10 @@ def corpus() -> list[tuple[list[str], str | None]]:
         order_flag = "--alpha" if side == "left" else "--beta"
         add("deriv", "--side", side, "--function", function, f"{order_flag}={order}",
             "--grid=0,1,64", "--format", "csv")
+    # order 1024, whose weights' absolute sum on the 4x refinement, a whole
+    # binomial row, overflows where that grid's step**-order underflows
+    for flags in (("--alpha", "1024"), ("--side", "right", "--beta", "1024")):
+        add("deriv", "--grid", "0,65536,256", *flags, "--function", "const")
     # node 7 of 70 is 0.09999999999999999 from the left end, a tenth of
     # the width: both sides' interiors hold it
     for side in ("left", "right"):
