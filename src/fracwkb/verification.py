@@ -1,9 +1,10 @@
 """Verification suite: kernel oracles, eigen-checks, randomized sweeps.
 
 Each check_* function returns ReportRecords for one family of claims;
-run_checks executes all of them with a named-tolerance table.  The CLI
-verify subcommand and the acceptance tests share this module, so a
-passing `fracwkb verify` and a passing test run certify the same facts.
+run_checks executes all of them with a named-tolerance table and the
+run's model measurements.  The CLI verify subcommand and the acceptance
+tests share this module, so a passing `fracwkb verify` and a passing
+test run certify the same facts.
 
 Eigenvalue checks evaluate at fixed points with |S/hbar| well below one
 radian.  The estimates are point-independent up to stencil error, and
@@ -20,18 +21,18 @@ columns, one per member field, holding the doubles a member-by-member
 scalar uniform draw would take, in the same stream order.  Every model
 row verify checks is a plain member row of those 13 fields: the 1,000
 HJ draws, then the eigen grid's 176 cases (a case at a point), then the
-100 probability draws.  So a verify run makes one evaluate_models call,
-a checked batch at step FD_STEP: a member the scalar path rejects stops
-verify with that path's error, the first such member in the order the
-checks run.  The eigen targets come from the one hand expansion of the
-slopes.  The kernel oracle differentiates every power at every order in
-one block call per grid, and the integer reduction its four polynomials
-in one more.
+100 probability draws.  run_checks makes the one evaluate_models call
+of a verify run, a checked batch at step FD_STEP, before any check runs,
+and hands its measurements to every check: a member the scalar path
+rejects stops verify with that path's error, the first such member in
+that row order.  The eigen targets come from the one hand expansion of
+the slopes.  The kernel oracle differentiates every power at every
+order in one block call per grid, and the integer reduction its four
+polynomials in one more.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from itertools import product
@@ -205,11 +206,12 @@ def _kernel_errors() -> dict[int, np.ndarray]:
     }
 
 
-def check_kernel_oracle(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_kernel_oracle(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Left-derivative kernel against the closed-form power rule.
 
     Per (exponent, order) pair: max interior error on the acceptance
-    grid, and observed convergence order across an 8x refinement.
+    grid, and observed convergence order across an 8x refinement.  The
+    kernel checks read no model measurement.
     """
     records = []
     a, b = _DOMAIN
@@ -248,7 +250,7 @@ def _integer_reduction_errors() -> dict[str, float]:
     return dict(zip(cases, _max_interior_error(numeric, np.array(oracles), grid)))
 
 
-def check_integer_reduction(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_integer_reduction(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Order-1 kernel against the ordinary derivative of polynomials."""
     return [
         ReportRecord(f"integer_reduction[{name}]", 0.0, err, tolerances["kernel_max_error"])
@@ -289,16 +291,17 @@ def _w1_real(block: np.ndarray) -> np.ndarray:
     return pf.w1_radicand(block[:, 12]) >= 0.0
 
 
-@functools.cache
 def _model_measurements() -> dict:
     """Every model measurement verify checks, from one checked batch.
 
     The rows are the HJ draws, the eigen grid and the probability draws,
-    in the order the checks run (see the module docstring).  Returns the
-    max HJ residual, lists of (quantity, analytic, real, imag) momentum
-    and energy estimates, each quantity's largest gap to the stencil's
-    discrete eigenvalues with its rounding budget, and the max
-    probability deviation.  No model quantity reads the orders, so one
+    in the order the checks read them (see the module docstring).  Each
+    call evaluates the batch afresh, so run_checks calls it once per run
+    and hands the result to every check.  Returns the max HJ residual,
+    lists of (quantity, analytic, real, imag) momentum and energy
+    estimates, each quantity's largest gap to the stencil's discrete
+    eigenvalues with its rounding budget, and the max probability
+    deviation.  No model quantity reads the orders, so one
     eigen grid serves every order.  Both targets come from the one hand
     expansion of the slopes, not from the family formulas.
     """
@@ -370,40 +373,41 @@ def _model_measurements() -> dict:
     }
 
 
-def _eigen_records(name: str, tolerance: float) -> list[ReportRecord]:
+def _eigen_records(models: dict, name: str, tolerance: float) -> list[ReportRecord]:
     # each estimate against its continuous target, then the largest gap
     # to the discrete ones against the largest rounding budget
-    data = _model_measurements()
-    records = [ReportRecord(quantity, *values, tolerance) for quantity, *values, _ in data[name]]
-    gap, budget = data[f"{name}_discrete"]
+    records = [ReportRecord(quantity, *values, tolerance) for quantity, *values, _ in models[name]]
+    gap, budget = models[f"{name}_discrete"]
     return records + [ReportRecord(f"{name}_discrete[n={len(records)}]", 0.0, gap, budget)]
 
 
-def check_hj_identity(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_hj_identity(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Separation identity H(dS/du, q) + dS/dt = 0 across random members."""
-    residual, tol = _model_measurements()["hj_residual"], tolerances["hj_residual"]
+    residual, tol = models["hj_residual"], tolerances["hj_residual"]
     return [ReportRecord(f"hj_residual[n={_HJ_DRAWS}]", 0.0, residual, tol)]
 
 
-def check_momentum_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_momentum_eigenvalues(
+    tolerances: Mapping[str, float], models: dict
+) -> list[ReportRecord]:
     """Difference-operator momentum eigenvalues against the closed forms and
     the stencil's discrete eigenvalue."""
-    return _eigen_records("momentum", tolerances["momentum_eigenvalue"])
+    return _eigen_records(models, "momentum", tolerances["momentum_eigenvalue"])
 
 
-def check_energy_eigenvalues(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_energy_eigenvalues(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Hamiltonian eigenvalues against the partition total and the
     stencil's discrete eigenvalue."""
-    return _eigen_records("energy", tolerances["energy_eigenvalue"])
+    return _eigen_records(models, "energy", tolerances["energy_eigenvalue"])
 
 
-def check_probability_law(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_probability_law(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """|psi|**2 * p_alpha * p_beta = 1 across random members and points."""
-    deviation, tol = _model_measurements()["probability"], tolerances["probability"]
+    deviation, tol = models["probability"], tolerances["probability"]
     return [ReportRecord(f"probability_law[n={_PROB_DRAWS}]", 0.0, deviation, tol)]
 
 
-def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_classical_limit(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Order-1 reduction: structural checks plus the full eigen-grid."""
     records = [
         ReportRecord(f"classical.{name}.{r.quantity}", r.analytic, r.numeric, r.tolerance)
@@ -412,20 +416,20 @@ def check_classical_limit(tolerances: Mapping[str, float]) -> list[ReportRecord]
     ]
     # no model quantity reads the orders, so the eigen-grid is that of
     # the fractional checks
-    eigen = check_momentum_eigenvalues(tolerances) + check_energy_eigenvalues(tolerances)
+    eigen = _eigen_records(models, "momentum", tolerances["momentum_eigenvalue"])
+    eigen += _eigen_records(models, "energy", tolerances["energy_eigenvalue"])
     return records + [
         ReportRecord(f"classical.{r.quantity}", r.analytic, r.numeric, r.tolerance) for r in eigen
     ]
 
 
-def check_imaginary_parts(tolerances: Mapping[str, float]) -> list[ReportRecord]:
+def check_imaginary_parts(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Imaginary parts of every eigenvalue estimate stay below budget."""
-    data = _model_measurements()
-    worst = float(np.max(np.abs([imag for *_, imag in data["momentum"] + data["energy"]])))
+    worst = float(np.max(np.abs([imag for *_, imag in models["momentum"] + models["energy"]])))
     return [ReportRecord("imag_part_max", 0.0, worst, tolerances["imag_part"])]
 
 
-CHECKS: Sequence[tuple[str, Callable[[Mapping[str, float]], list[ReportRecord]]]] = (
+CHECKS: Sequence[tuple[str, Callable[[Mapping[str, float], dict], list[ReportRecord]]]] = (
     ("kernel_oracle", check_kernel_oracle),
     ("integer_reduction", check_integer_reduction),
     ("hj_identity", check_hj_identity),
@@ -440,6 +444,10 @@ CHECKS: Sequence[tuple[str, Callable[[Mapping[str, float]], list[ReportRecord]]]
 def run_checks(
     overrides: Mapping[str, float] | None = None,
 ) -> list[tuple[str, list[ReportRecord]]]:
-    """Run every check; returns (check name, records) pairs in order."""
-    table = resolve_tolerances(overrides)
-    return [(name, fn(table)) for name, fn in CHECKS]
+    """Run every check; returns (check name, records) pairs in order.
+
+    The model measurements are taken once, before the first check, and
+    every check is called as fn(tolerances, models).
+    """
+    table, models = resolve_tolerances(overrides), _model_measurements()
+    return [(name, fn(table, models)) for name, fn in CHECKS]

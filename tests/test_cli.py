@@ -1136,7 +1136,6 @@ def test_model_batches_rerun_no_good_row(monkeypatch, capsys):
         argv += ["--steps", "2000", "--format", "csv", *(custom if model == "custom" else [])]
         assert main(argv) == 0
     assert callers == []
-    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 0
     capsys.readouterr()
     assert callers == ["classical_limit_check"] * 2
@@ -1224,11 +1223,13 @@ def test_nan_imaginary_part_fails_verify(kind, slot, monkeypatch, capsys):
     estimates = list(data[kind])
     quantity, analytic, real, _ = estimates[slot]
     estimates[slot] = (quantity, analytic, real, math.nan)
-    monkeypatch.setattr(verification, "_model_measurements", lambda: {**data, kind: estimates})
-    records = verification.check_imaginary_parts(verification.resolve_tolerances())
+    doctored = {**data, kind: estimates}
+    records = verification.check_imaginary_parts(verification.resolve_tolerances(), doctored)
     batch = RecordBatch.from_records(records)
     assert math.isnan(batch.numeric[0])
     assert batch.passed.tolist() == [False]
+    # verify takes its measurements from the module's _model_measurements
+    monkeypatch.setattr(verification, "_model_measurements", lambda: doctored)
     assert main(["verify", "--format", "csv"]) == 1
     assert "imag_part_max" in capsys.readouterr().err
 

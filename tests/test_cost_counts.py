@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fracwkb
-from fracwkb import cli, verification
+from fracwkb import cli
 
 _SRC = Path(fracwkb.__file__).parent
 
@@ -23,7 +23,7 @@ _SRC = Path(fracwkb.__file__).parent
 _COUNTS = {
     ("verify", "--format", "csv"): {
         "cli": 52, "fracops": 228, "hamilton_jacobi": 394, "mechanics": 83,
-        "reporting": 27, "verification": 123, "wkb": 217,
+        "reporting": 27, "verification": 121, "wkb": 217,
     },
     (
         "sweep", "--model", "custom", "--param", "e2",
@@ -36,8 +36,6 @@ _COUNTS = {
 
 
 def _module_calls(argv):
-    # verify's model measurements are cached per process
-    verification._model_measurements.cache_clear()
     profile = cProfile.Profile()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert profile.runcall(cli.main, list(argv)) == 0

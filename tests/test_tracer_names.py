@@ -3,7 +3,8 @@
 The tracer wraps fracwkb's functions by name from outside the program,
 and the tier-1 suite does not collect perfbench's own tests, so a rename
 in a layer would otherwise only show under a traced benchmark run.  The
-tracer is loaded by path and only read: install() is not called.
+tracer is loaded by path and only read: install() is not called, and its
+span wrappers are bound to verification.CHECKS by monkeypatch.
 """
 
 import importlib.util
@@ -34,3 +35,19 @@ def test_tracer_names_exist():
     assert verification.CHECKS
     for check, fn in verification.CHECKS:
         assert isinstance(check, str) and callable(fn)
+
+
+def test_run_checks_goes_through_span_wrapped_checks(monkeypatch):
+    # install() rebinds verification.CHECKS to Tracer.span wrappers, which
+    # forward *args: run_checks must call each once and give the records
+    # of an unwrapped run
+    tracer = _load_tracer()
+    plain = verification.run_checks()
+    recorder = tracer.Tracer()
+    wrapped = tuple(
+        (check, recorder.span(fn, f"verification.{check}")) for check, fn in verification.CHECKS
+    )
+    monkeypatch.setattr(verification, "CHECKS", wrapped)
+    assert verification.run_checks() == plain
+    assert len(tracer.CHECK_NAMES) == 8
+    assert recorder.names == [f"verification.{check}" for check in tracer.CHECK_NAMES]

@@ -138,8 +138,6 @@ def test_rejected_draw_stops_verify_with_the_scalar_error(monkeypatch, capsys):
     assert first > 0 and len(errors) > 1
 
     monkeypatch.setattr(verification, "FD_STEP", step)
-    # a raising call caches nothing, so the memo is clean afterwards too
-    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {errors[first]}\n"
 
@@ -164,14 +162,17 @@ def test_rejected_probability_draw_stops_verify_with_its_scalar_error(monkeypatc
     assert first > 0 and len(errors) > 1
 
     monkeypatch.setattr(verification, "_PROB_RANGES", tuple(ranges))
-    verification._model_measurements.cache_clear()
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {errors[first]}\n"
 
 
 def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
     # one evaluate_models call for the HJ draws, the eigen grid and the
-    # probability draws
+    # probability draws, on every verify run: nothing is kept between runs
+    data = verification._model_measurements()
+    # a row per estimate
+    eigen = len(data["momentum"]) + len(data["energy"])
+    expected = verification._HJ_DRAWS + eigen + verification._PROB_DRAWS
     rows = []
     evaluate = verification.evaluate_models
 
@@ -180,13 +181,10 @@ def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
         return evaluate(family, *columns)
 
     monkeypatch.setattr(verification, "evaluate_models", counted)
-    verification._model_measurements.cache_clear()
+    assert main(["verify"]) == 0
     assert main(["verify"]) == 0
     capsys.readouterr()
-    # a row per estimate
-    data = verification._model_measurements()
-    eigen = len(data["momentum"]) + len(data["energy"])
-    assert rows == [verification._HJ_DRAWS + eigen + verification._PROB_DRAWS] == [1276]
+    assert rows == [expected] * 2 == [1276] * 2
 
 
 @pytest.mark.parametrize(
@@ -198,7 +196,7 @@ def test_verify_evaluates_its_models_in_one_batch(monkeypatch, capsys):
     ],
 )
 def test_verify_fails_a_stencil_defect_below_the_truncation(
-    monkeypatch, capsys, request, scaled, scale, failing
+    monkeypatch, capsys, scaled, scale, failing
 ):
     # one stencil estimate scaled by 1 + 1e-9 (a momentum) or 1 + 1e-8
     # (the energy) stays well inside the 1e-6 of its continuous records;
@@ -212,8 +210,6 @@ def test_verify_fails_a_stencil_defect_below_the_truncation(
         return [x * scale if name == scaled else x for name, x in zip(names, estimates)]
 
     monkeypatch.setattr(wkb, "_stencil", defective)
-    verification._model_measurements.cache_clear()
-    request.addfinalizer(verification._model_measurements.cache_clear)
     assert main(["verify", "--format", "csv"]) == 1
     lines = capsys.readouterr().out.splitlines()[2:]
     assert {line.split(",")[0] for line in lines if line.endswith(",false")} == {
