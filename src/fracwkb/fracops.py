@@ -28,16 +28,15 @@ rl_derivative is the one function every kernel call goes through.  It
 takes a grid, a block of sample rows on it and several orders, checks
 the samples once (each row must hold count + 1 finite values, else it
 raises ValueError or NonFiniteInputError) and works the right side as
-the mirror image of the left.  It makes one pass over the whole block
-per order: an integer order stacks every row's binomial sums, and any
-other order multiplies its weights' spectrum by the block's, taken
-once, and takes the inverse transform one row at a time, so only one
-row's product and sums are alive beside the block's spectrum; then it
-adds Lubich's endpoint term for rows where f(a) != 0, whose singular
-part the plain sum resolves badly.  left_rl_derivative and
-right_rl_derivative are its one-row, one-order case: they take a grid
-and its count + 1 samples and return count + 1 values, non-finite
-where the derivative diverges.
+the mirror image of the left.  Every order sums the block one row at a
+time, so only one row's sums are alive at once: an integer order
+convolves the row with its binomial row, and any other order multiplies
+its weights' spectrum by the row's, from the block's spectrum taken
+once, and takes the inverse transform.  Then it adds Lubich's endpoint
+term for rows where f(a) != 0, whose singular part the plain sum
+resolves badly.  left_rl_derivative and right_rl_derivative are its
+one-row, one-order case: they take a grid and its count + 1 samples and
+return count + 1 values, non-finite where the derivative diverges.
 """
 
 from __future__ import annotations
@@ -190,11 +189,11 @@ def _gl_sums(
     grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder], start: np.ndarray
 ) -> np.ndarray:
     # the left-side derivatives of a checked block, of shape (len(orders),
-    # rows, count + 1), one whole-block pass per order: an integer order
-    # sums the block, any other order sums block - start and adds start's
-    # endpoint term (see rl_derivative).  Shift the stencil one node inward
-    # for orders above one; the last node, past which the shift would
-    # index, keeps the unshifted sum.
+    # rows, count + 1), summed one row at a time for every order: an
+    # integer order sums the block, any other order sums block - start and
+    # adds start's endpoint term (see rl_derivative).  Shift the stencil
+    # one node inward for orders above one; the last node, past which the
+    # shift would index, keeps the unshifted sum.
     top = grid.count
     out = np.empty((len(orders), *block.shape))
     # every order's weights and scale, checked before any sum; an integer
@@ -222,25 +221,23 @@ def _gl_sums(
     spectrum = None
     with np.errstate(over="ignore", invalid="ignore"):
         for result, (order, integer, shift, weights, scale) in zip(out, stencils):
-            if integer:
-                sums = np.array([np.convolve(weights, row)[: top + 2] for row in block])
-                result[:, :top] = sums[:, shift : top + shift]
-                result[:, top] = sums[:, top]
-            else:
+            if not integer:
                 if spectrum is None:
                     spectrum = np.fft.rfft(shifted, size)
                 weights_spectrum = np.fft.rfft(weights, size)
                 # one forward transform for the block; the product and the
-                # inverse transform go one row at a time, straight into its
-                # row, so only one row's of each is alive beside the
-                # spectrum.  A lone row's product overwrites the weights'
-                # spectrum, which nothing reads after it
+                # inverse transform go one row at a time, so only one row's
+                # of each is alive beside the spectrum.  A lone row's
+                # product overwrites the weights' spectrum, which nothing
+                # reads after it
                 product = weights_spectrum if len(block) == 1 else np.empty_like(weights_spectrum)
-                for line, row_spectrum in zip(result, spectrum):
-                    np.multiply(weights_spectrum, row_spectrum, out=product)
-                    sums = np.fft.irfft(product, size)
-                    line[:top] = sums[shift : top + shift]
-                    line[top] = sums[top]
+            for line, row in zip(result, block if integer else spectrum):
+                if integer:
+                    sums = np.convolve(weights, row)
+                else:
+                    sums = np.fft.irfft(np.multiply(weights_spectrum, row, out=product), size)
+                line[:top] = sums[shift : top + shift]
+                line[top] = sums[top]
             result *= scale
             if rows.size and not integer:
                 term = rl_power_rule(0, order, offsets)
@@ -260,7 +257,7 @@ def rl_derivative(
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
     the side's derivative of row r at order orders[i]: the
     Grunwald-Letnikov sum plus the endpoint term of rows where f(a) != 0,
-    one pass over the whole block per order.  If any order's weights or
+    summed one row at a time for every order.  If any order's weights or
     step**-order overflow, it raises OverflowError before any sum.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -769,6 +770,10 @@ _POWERS_OF_TWO = [2**n for n in range(1, 14)]
 # an integer order whose binomials overflow, between FFT orders in one
 # multi-row block: the block raises, as each one-row call at that order does
 @example(rows=3, orders=[0.5, 2000, 1.5], count=4096, side="right", seed=2)
+# integer-only blocks of several rows: every row goes through the one loop
+# and the one shift-and-clamp the FFT orders take
+@example(rows=4, orders=[1, 2, 3], count=4096, side="left", seed=3)
+@example(rows=4, orders=[3, 1, 2], count=1000, side="right", seed=4)
 def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
     # every (order, row) slice of the plain sums of a block is, bit for
     # bit, the one-row sum the operators ran before they were batched; and
@@ -804,6 +809,25 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
                 reference = reference[::-1]
             assert np.array_equal(block[i, r].view(np.int64), reference.view(np.int64))
             assert np.array_equal(corrected[i, r].view(np.int64), single.view(np.int64))
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_integer_block_sums_one_row_at_a_time(order):
+    # 8 rows of powers of x, so f(a) = 0 and no row is shifted.  Beside the
+    # block rl_derivative stacks and the result, an integer order holds one
+    # row's convolution at a time.  Stacking every row's sums before the
+    # shift holds 16 row-sized buffers and crosses the bound
+    grid = TimeGrid(0.0, 1.0, 65536)
+    rows = [grid.nodes() ** k for k in range(1, 9)]
+    row_bytes = 8 * (grid.count + 1)
+    tracemalloc.start()
+    try:
+        result = rl_derivative(grid, rows, [FractionalOrder(order)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (1, len(rows), grid.count + 1)
+    assert peak <= 2 * len(rows) * row_bytes + 4 * row_bytes
 
 
 def test_block_rejects_bad_rows_and_sides():

@@ -353,12 +353,14 @@ def _run_block(code) -> int:
 
 def _run_kernel_block() -> int:
     # rows that start (on either side) at 0, at -0.0 and away from 0, and
-    # one whose f - f(a) overflows, at integer and other orders mixed;
-    # then the error of each order whose weights or step**-order overflow
+    # one whose f - f(a) overflows, at integer and other orders mixed and
+    # at integer orders 1, 2 and 3 alone; then the error of each order
+    # whose weights or step**-order overflow
     from fracwkb.fracops import FractionalOrder, TimeGrid, rl_derivative
 
     rng = random.Random(SEED)
     orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    integers = [FractionalOrder(order) for order in (1.0, 2.0, 3.0)]
     for count, side in itertools.product((64, 4096), ("left", "right")):
         rows = [[rng.uniform(-1.0, 1.0) for _ in range(count + 1)] for _ in range(3)]
         rows[0][0] = rows[0][-1] = 0.0
@@ -366,6 +368,8 @@ def _run_kernel_block() -> int:
         rows.append([1e308 if j % 3 else -1e308 for j in range(count + 1)])
         result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, orders, side)
         print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
+        result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, integers, side)
+        print(count, side, "integer orders", hashlib.sha256(result.tobytes()).hexdigest())
     for order in (2000.0, 1e9, 300.5):
         try:
             rl_derivative(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
@@ -458,10 +462,11 @@ def library_records(root: Path) -> list[dict]:
     A demo runs as `python demos/NAME.py` would run it; the quickstart is
     the python block under "Library quickstart" in root's README.md.  The
     kernel record prints the sha256 of fracwkb.fracops.rl_derivative's
-    result on several rows at several orders, the path a block of rows
-    takes that no argv reaches.  The model record prints the sha256 of
-    each fracwkb.wkb.evaluate_models column, wave included, on the
-    accepted rows of a block whose points run from signed zeros to
+    result on several rows, some with f(a) = 0 and some not, on both
+    sides, at several orders mixed and at integer orders alone: the path a
+    block of rows takes that no argv reaches.  The model record prints the
+    sha256 of each fracwkb.wkb.evaluate_models column, wave included, on
+    the accepted rows of a block whose points run from signed zeros to
     +-1e308, then the error of each rejected row, one call each.  The
     kernel record also prints the error of each order whose weights or
     step**-order overflow.  The names record prints the sha256 of what
