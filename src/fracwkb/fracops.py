@@ -24,26 +24,33 @@ functions measured below roundoff_floor.  An order whose weights or
 step**-order overflow raises OverflowError before its block sums any
 order, in O(N); finite weights whose sums overflow give +-inf or nan.
 
-rl_derivative is the one function every kernel call goes through.  It
+rl_derivative_rows is the one path every kernel call goes through.  It
 takes a grid, a block of sample rows on it and several orders, checks
 the samples once (each row must hold count + 1 finite values, else it
 raises ValueError or NonFiniteInputError) and works the right side as
-the mirror image of the left.  Every order sums the block one row at a
-time, so only one row's sums are alive at once: an integer order
-convolves the row with its binomial row, and any other order multiplies
-its weights' spectrum by the row's, from the block's spectrum taken
-once, and takes the inverse transform.  Then it adds Lubich's endpoint
-term for rows where f(a) != 0, whose singular part the plain sum
-resolves badly.  left_rl_derivative and right_rl_derivative are its
-one-row, one-order case: they take a grid and its count + 1 samples and
-return count + 1 values, non-finite where the derivative diverges.
+the mirror image of the left.  It hands out one derivative row at a
+time, every order in turn and each row within it, as a fresh array of
+count + 1 values, as soon as that row is summed, so only one row's sums
+are alive at once: an integer order convolves the row with its binomial
+row, and any other order multiplies its weights' spectrum by the row's,
+from the block's spectrum taken once by the first such order, and takes
+the inverse transform.  Then it adds Lubich's endpoint term for rows
+where f(a) != 0, whose singular part the plain sum resolves badly; only
+then is the block's f - f(a) built, so an integer-only block copies no
+row.  A caller that keeps what it reads of each row, as the kernel
+checks do, holds no block of derivatives.  rl_derivative stacks those
+rows into one (orders, rows, count + 1) array.  left_rl_derivative and
+right_rl_derivative are its one-row, one-order case: they take a grid
+and its count + 1 samples and return count + 1 values, non-finite where
+the derivative diverges.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from math import gamma, lgamma
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +63,7 @@ __all__ = [
     "left_rl_derivative",
     "right_rl_derivative",
     "rl_derivative",
+    "rl_derivative_rows",
     "rl_power_rule",
     "roundoff_floor",
     "interior",
@@ -185,17 +193,35 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _corrected_spectrum(
+    block: np.ndarray, start: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # a mask of the rows whose sums take Lubich's endpoint term, those
+    # with f(a) != 0 whose f - f(a) is finite, and the spectrum of the
+    # block with f(a) taken off those rows.  The shifted copy is freed
+    # once its spectrum is taken
+    rows, corrected = np.flatnonzero(start), np.zeros(len(block), dtype=bool)
+    if rows.size:
+        with np.errstate(over="ignore"):
+            difference = block[rows] - start[rows, None]
+        finite = np.all(np.isfinite(difference), axis=1)
+        corrected[rows[finite]] = True
+        block = block.copy()
+        block[corrected] = difference[finite]
+    return corrected, np.fft.rfft(block, size)
+
+
 def _gl_sums(
     grid: TimeGrid, block: np.ndarray, orders: Sequence[FractionalOrder], start: np.ndarray
-) -> np.ndarray:
-    # the left-side derivatives of a checked block, of shape (len(orders),
-    # rows, count + 1), summed one row at a time for every order: an
-    # integer order sums the block, any other order sums block - start and
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    # the left-side derivatives of a checked block, yielded as (order
+    # index, row index, row) for every order in turn and every row of it,
+    # each row a fresh array of count + 1 values: an integer order sums
+    # the block row, any other order sums its row of block - start and
     # adds start's endpoint term (see rl_derivative).  Shift the stencil
     # one node inward for orders above one; the last node, past which the
     # shift would index, keeps the unshifted sum.
     top = grid.count
-    out = np.empty((len(orders), *block.shape))
     # every order's weights and scale, checked before any sum; an integer
     # order leaves out the exact zeros past its binomial row: O(N), not O(N**2)
     stencils = []
@@ -207,23 +233,18 @@ def _gl_sums(
         if not (np.all(np.isfinite(weights)) and np.isfinite(scale)):
             raise OverflowError(f"order {order.value!r} at step {grid.step!r} overflows a float")
         stencils.append((order, integer, shift, weights, scale))
-    rows, shifted = np.flatnonzero(start), block
-    if rows.size:
-        with np.errstate(over="ignore"):
-            difference = block[rows] - start[rows, None]
-        finite = np.all(np.isfinite(difference), axis=1)
-        rows, shifted, offsets = rows[finite], block.copy(), grid.nodes() - grid.a
-        shifted[rows] = difference[finite]
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
     size = _fft_length(2 * top + 1)
     spectrum = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for result, (order, integer, shift, weights, scale) in zip(out, stencils):
+    for i, (order, integer, shift, weights, scale) in enumerate(stencils):
+        with np.errstate(over="ignore", invalid="ignore"):
             if not integer:
                 if spectrum is None:
-                    spectrum = np.fft.rfft(shifted, size)
+                    # taken by the first order that reads it: an integer-only
+                    # block shifts no row and takes no transform
+                    corrected, spectrum = _corrected_spectrum(block, start, size)
                 weights_spectrum = np.fft.rfft(weights, size)
                 # one forward transform for the block; the product and the
                 # inverse transform go one row at a time, so only one row's
@@ -231,20 +252,76 @@ def _gl_sums(
                 # product overwrites the weights' spectrum, which nothing
                 # reads after it
                 product = weights_spectrum if len(block) == 1 else np.empty_like(weights_spectrum)
-            for line, row in zip(result, block if integer else spectrum):
-                if integer:
-                    sums = np.convolve(weights, row)
-                else:
-                    sums = np.fft.irfft(np.multiply(weights_spectrum, row, out=product), size)
-                line[:top] = sums[shift : top + shift]
-                line[top] = sums[top]
-            result *= scale
-            if rows.size and not integer:
-                term = rl_power_rule(0, order, offsets)
-                # at the starting node, the sum of 1 on this order's stencil
-                term[0] = weights[: shift + 1].sum() * scale
-                result[rows] += start[rows, None] * term
-    return out
+                if corrected.any():
+                    term = rl_power_rule(0, order, grid.nodes() - grid.a)
+                    # at the starting node, the sum of 1 on this order's stencil
+                    term[0] = weights[: shift + 1].sum() * scale
+        for r, row in enumerate(block if integer else spectrum):
+            # outside errstate, which a suspended yield would leak into the
+            # caller; the sums are made inside the call, so they never
+            # outlive it
+            with np.errstate(over="ignore", invalid="ignore"):
+                line = _clamped(
+                    np.convolve(weights, row) if integer
+                    else np.fft.irfft(np.multiply(weights_spectrum, row, out=product), size),
+                    shift,
+                    top,
+                )
+                line *= scale
+                if not integer and corrected[r]:
+                    line += start[r] * term
+            yield i, r, line
+            # the caller holds the row now: the next one is summed without it
+            del line
+
+
+def _clamped(sums: np.ndarray, shift: int, top: int) -> np.ndarray:
+    # a fresh row of count + 1 values, not a view into the sums: those of
+    # the stencil shifted `shift` nodes inward, and at the last node the
+    # unshifted sum
+    line = np.empty(top + 1)
+    line[:top] = sums[shift : top + shift]
+    line[top] = sums[top]
+    return line
+
+
+def _checked_block(
+    grid: TimeGrid, samples: Iterable[np.ndarray] | np.ndarray, side: str
+) -> np.ndarray:
+    # the sample rows as one block, checked, mirrored for the right side
+    values = [np.asarray(row, dtype=float) for row in samples]
+    if not values or any(row.shape != (grid.count + 1,) for row in values):
+        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
+    block = np.array(values)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("samples contain NaN or infinity")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    # the right derivative is the mirror image of the left
+    return block if side == "left" else block[:, ::-1]
+
+
+def rl_derivative_rows(
+    grid: TimeGrid, samples: Iterable[np.ndarray] | np.ndarray,
+    orders: Sequence[FractionalOrder], side: str = "left",
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Derivatives of several sample rows on one grid, one row at a time.
+
+    samples holds rows of grid.count + 1 finite values; they are checked
+    when this is called, and a bad row raises ValueError or
+    NonFiniteInputError then.  Returns an iterator of (i, r, row), orders
+    in turn and the rows of each: row is a fresh array of count + 1
+    values, the side's derivative of samples row r at order orders[i]
+    (see rl_derivative), handed out as soon as it is summed.  Only that
+    row's sums and the block's one spectrum are alive at a time, so a
+    caller that keeps what it reads of each row holds no block of
+    derivatives.  If any order's weights or step**-order overflow, the
+    first next() raises OverflowError before any sum.
+    """
+    block = _checked_block(grid, samples, side)
+    rows = _gl_sums(grid, block, orders, block[:, 0])
+    # starmap binds no row, so none outlives the next one's sums here
+    return rows if side == "left" else starmap(lambda i, r, row: (i, r, row[::-1]), rows)
 
 
 def rl_derivative(
@@ -257,7 +334,7 @@ def rl_derivative(
     array of shape (len(orders), rows, count + 1) whose [i, r] row is
     the side's derivative of row r at order orders[i]: the
     Grunwald-Letnikov sum plus the endpoint term of rows where f(a) != 0,
-    summed one row at a time for every order.  If any order's weights or
+    the rows of rl_derivative_rows stacked.  If any order's weights or
     step**-order overflow, it raises OverflowError before any sum.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
@@ -272,18 +349,10 @@ def rl_derivative(
     agree exactly under reflection.  Integer orders, rows with f(a) = 0
     and rows whose f - f(a) overflows keep the plain sum bit for bit.
     """
-    values = [np.asarray(row, dtype=float) for row in samples]
-    if not values or any(row.shape != (grid.count + 1,) for row in values):
-        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
-    block = np.array(values)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteInputError("samples contain NaN or infinity")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "right":
-        # the mirror image of the left derivative
-        block = block[:, ::-1]
-    out = _gl_sums(grid, block, orders, block[:, 0])
+    block = _checked_block(grid, samples, side)
+    out = np.empty((len(orders), *block.shape))
+    for i, r, row in _gl_sums(grid, block, orders, block[:, 0]):
+        out[i, r] = row
     return out if side == "left" else out[..., ::-1]
 
 

@@ -27,16 +27,19 @@ and hands its measurements to every check: a member the scalar path
 rejects stops verify with that path's error, the first such member in
 that row order.  The eigen targets come from the one hand expansion of
 the slopes.  The kernel oracle differentiates every power at every
-order in one block call per grid, and the integer reduction its four
-polynomials in one more.
+order in one rl_derivative_rows call per grid, and the integer
+reduction its four polynomials in one more; each takes a row's oracle
+and interior error as the kernel hands the row out and keeps only the
+error, so no check holds a derivative or oracle block.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from itertools import product, starmap
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .fracops import (
     FractionalOrder,
     TimeGrid,
     interior,
-    rl_derivative,
+    rl_derivative_rows,
     rl_power_rule,
     roundoff_floor,
 )
@@ -140,29 +143,31 @@ def power_kernel_check(
     exponents: Sequence[int],
     orders: Sequence[FractionalOrder],
     side: str = "left",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel derivatives of power functions against the power rule.
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.float64]]:
+    """Kernel derivatives of power functions against the power rule, row by row.
 
     Samples offset**k on the grid for each exponent k, the offset being
     measured from the endpoint the chosen side's derivative starts at,
-    and differentiates them at every order in one block call.  Returns
-    the numeric derivatives and the closed-form oracles at every node,
-    of shape (orders, exponents, count + 1), and the max interior error
-    between them, of shape (orders, exponents).  Each (order, exponent)
-    row's error is taken as soon as its oracle row is filled, so one
-    row's difference is alive at a time, not the whole block's.
+    and differentiates them at every order in one rl_derivative_rows
+    call.  Returns an iterator of (i, j, numeric, oracle, error) for
+    orders[i] and exponents[j], every order in turn and the exponents
+    within it, each as soon as the kernel hands out that row: the numeric
+    derivative and the closed-form oracle at every node, count + 1 values
+    each, and the max interior error between them.  A caller keeps what
+    it reads, so no derivative or oracle block of every row is ever held.
     """
     offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
-    # an overflowing sample is inf, which rl_derivative rejects
+    # an overflowing sample is inf, which rl_derivative_rows rejects; the
+    # samples are checked, and dropped, before the first row is summed
     with np.errstate(over="ignore"):
-        samples = [offsets**k for k in exponents]
-    numeric = rl_derivative(grid, samples, orders, side)
-    oracle = np.empty_like(numeric)
-    error = np.empty(numeric.shape[:2])
-    for (i, order), (j, k) in product(enumerate(orders), enumerate(exponents)):
-        oracle[i, j] = rl_power_rule(k, order, offsets)
-        error[i, j] = _max_interior_error(numeric[i, j], oracle[i, j], grid)
-    return numeric, oracle, error
+        rows = rl_derivative_rows(grid, (offsets**k for k in exponents), orders, side)
+
+    def check(i: int, j: int, numeric: np.ndarray) -> tuple:
+        oracle = rl_power_rule(exponents[j], orders[i], offsets)
+        return i, j, numeric, oracle, _max_interior_error(numeric, oracle, grid)
+
+    # starmap binds no row, so none outlives the next one's sums here
+    return starmap(check, rows)
 
 
 def observed_order_record(
@@ -196,12 +201,22 @@ def observed_order_record(
     return ReportRecord(quantity, 1.0, observed, tolerance)
 
 
+def _error_table(
+    grid: TimeGrid, exponents: Sequence[int], orders: Sequence[FractionalOrder]
+) -> np.ndarray:
+    # power_kernel_check's max interior errors, of shape (orders,
+    # exponents): it yields orders in turn, exponents within each.  map
+    # binds no row, so only the errors outlive each row
+    errors = map(itemgetter(-1), power_kernel_check(grid, exponents, orders))
+    return np.fromiter(errors, float).reshape(len(orders), len(exponents))
+
+
 def _kernel_errors() -> dict[int, np.ndarray]:
     # per grid count, the max interior errors of shape (orders, exponents)
     a, b = _DOMAIN
     orders = [FractionalOrder(alpha) for alpha in _ORDERS]
     return {
-        count: power_kernel_check(TimeGrid(a, b, count), _EXPONENTS, orders)[2]
+        count: _error_table(TimeGrid(a, b, count), _EXPONENTS, orders)
         for count in sorted({_KERNEL_COUNT, *_ORDER_COUNTS})
     }
 
@@ -235,19 +250,24 @@ def check_kernel_oracle(tolerances: Mapping[str, float], models: dict) -> list[R
     return records
 
 
-def _integer_reduction_errors() -> dict[str, float]:
+def _integer_reduction_errors() -> dict[str, np.float64]:
     a, b = _DOMAIN
     grid = TimeGrid(a, b, _KERNEL_COUNT)
     nodes = grid.nodes()
+    # each polynomial and its ordinary derivative, as functions of the nodes
     cases = {
-        "x": (nodes, np.ones_like(nodes)),
-        "x^2": (nodes**2, 2.0 * nodes),
-        "x^3": (nodes**3, 3.0 * nodes**2),
-        "x^3-2x^2+x": (nodes**3 - 2.0 * nodes**2 + nodes, 3.0 * nodes**2 - 4.0 * nodes + 1.0),
+        "x": (lambda x: x, lambda x: np.ones_like(x)),
+        "x^2": (lambda x: x**2, lambda x: 2.0 * x),
+        "x^3": (lambda x: x**3, lambda x: 3.0 * x**2),
+        "x^3-2x^2+x": (lambda x: x**3 - 2.0 * x**2 + x, lambda x: 3.0 * x**2 - 4.0 * x + 1.0),
     }
-    samples, oracles = zip(*cases.values())
-    numeric = rl_derivative(grid, samples, [FractionalOrder(1.0)])[0]
-    return dict(zip(cases, _max_interior_error(numeric, np.array(oracles), grid)))
+    samples = (polynomial(nodes) for polynomial, _ in cases.values())
+    rows = rl_derivative_rows(grid, samples, [FractionalOrder(1.0)])
+    # the rows come in case order; each oracle is taken beside its row alone
+    return {
+        name: _max_interior_error(numeric, derivative(nodes), grid)
+        for (name, (_, derivative)), (_, _, numeric) in zip(cases.items(), rows)
+    }
 
 
 def check_integer_reduction(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:

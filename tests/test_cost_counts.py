@@ -22,8 +22,8 @@ _SRC = Path(fracwkb.__file__).parent
 # calls of the functions defined under src/fracwkb, summed per module
 _COUNTS = {
     ("verify", "--format", "csv"): {
-        "cli": 52, "fracops": 227, "hamilton_jacobi": 394, "mechanics": 83,
-        "reporting": 27, "verification": 121, "wkb": 217,
+        "cli": 52, "fracops": 317, "hamilton_jacobi": 394, "mechanics": 83,
+        "reporting": 27, "verification": 186, "wkb": 217,
     },
     (
         "sweep", "--model", "custom", "--param", "e2",

@@ -23,6 +23,7 @@ from fracwkb.fracops import (
     left_rl_derivative,
     right_rl_derivative,
     rl_derivative,
+    rl_derivative_rows,
     rl_power_rule,
     roundoff_floor,
 )
@@ -388,12 +389,19 @@ def test_right_derivative_of_constant_half_order():
 
 def _plain_sums(grid, samples, orders, side):
     # the plain Grunwald-Letnikov sum without the endpoint term: the
-    # kernel's left-side core, on the mirror image for the right side
+    # kernel's left-side rows stacked, on the mirror image for the right side
     block = np.array(samples, dtype=float)
-    zeros = np.zeros(len(block))
-    if side == "left":
-        return _gl_sums(grid, block, orders, zeros)
-    return _gl_sums(grid, block[:, ::-1], orders, zeros)[..., ::-1]
+    out = np.empty((len(orders), *block.shape))
+    rows = block if side == "left" else block[:, ::-1]
+    for i, r, row in _gl_sums(grid, rows, orders, np.zeros(len(block))):
+        out[i, r] = row
+    return out if side == "left" else out[..., ::-1]
+
+
+def _power_check(grid, exponent, order, side):
+    # power_kernel_check's one row: numeric, oracle and interior error
+    ((*_, numeric, oracle, error),) = power_kernel_check(grid, [exponent], [order], side)
+    return numeric, oracle, error
 
 
 def _direct_gl_sum(values, order, step):
@@ -423,7 +431,7 @@ def test_fft_sum_matches_direct_sum(order, side, count, exponent):
     # the floor over 7,600 draws; there the bound is 16x the floor.
     grid = TimeGrid(0.0, 1.0, count)
     order = FractionalOrder(order)
-    fast, oracle, _ = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
+    fast, oracle, _ = _power_check(grid, exponent, order, side)
     if side == "left":
         direct = _direct_gl_sum((grid.nodes() - grid.a) ** exponent, order.value, grid.step)
     else:
@@ -529,7 +537,7 @@ def test_shifted_stencil_is_meerschaert_tadjeran(order, side, count, exponent):
     # unshifted one.  Held to the bound of test_fft_sum_matches_direct_sum.
     grid = TimeGrid(0.0, 1.0, count)
     order = FractionalOrder(order)
-    fast, oracle, _ = (a[0, 0] for a in power_kernel_check(grid, [exponent], [order], side))
+    fast, oracle, _ = _power_check(grid, exponent, order, side)
     f = ((grid.nodes() - grid.a) if side == "left" else (grid.b - grid.nodes())) ** exponent
     g = [1.0]
     for k in range(1, count + 2):
@@ -811,14 +819,12 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
             assert np.array_equal(corrected[i, r].view(np.int64), single.view(np.int64))
 
 
-@pytest.mark.parametrize("order", [1.0, 2.0])
-def test_integer_block_sums_one_row_at_a_time(order):
-    # 8 rows of powers of x, so f(a) = 0 and no row is shifted.  Beside the
-    # block rl_derivative stacks and the result, an integer order holds one
-    # row's convolution at a time.  Stacking every row's sums before the
-    # shift holds 16 row-sized buffers and crosses the bound
+def _integer_block_peak(order, start):
+    # the traced peak of rl_derivative on 8 rows start + x**k, k = 1 ... 8,
+    # on 65,536 intervals, and the bound on it: the block rl_derivative
+    # stacks, the result, and 4 row-sized buffers
     grid = TimeGrid(0.0, 1.0, 65536)
-    rows = [grid.nodes() ** k for k in range(1, 9)]
+    rows = [start + grid.nodes() ** k for k in range(1, 9)]
     row_bytes = 8 * (grid.count + 1)
     tracemalloc.start()
     try:
@@ -827,7 +833,28 @@ def test_integer_block_sums_one_row_at_a_time(order):
     finally:
         tracemalloc.stop()
     assert result.shape == (1, len(rows), grid.count + 1)
-    assert peak <= 2 * len(rows) * row_bytes + 4 * row_bytes
+    return peak, 2 * len(rows) * row_bytes + 4 * row_bytes
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_integer_block_sums_one_row_at_a_time(order):
+    # 8 rows of powers of x, so f(a) = 0 and no row is shifted.  Beside the
+    # block rl_derivative stacks and the result, an integer order holds one
+    # row's convolution at a time.  Stacking every row's sums before the
+    # shift holds 16 row-sized buffers and crosses the bound
+    peak, bound = _integer_block_peak(order, 0.0)
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_integer_block_shifts_no_row(order):
+    # 8 rows of 1 + x**k, so f(a) = 1 on every row: only a non-integer
+    # order sums f - f(a), so an integer-only block builds neither the
+    # differences nor the shifted copy of the block, and holds what the
+    # f(a) = 0 block holds.  Building both crosses the bound by 21 row
+    # buffers
+    peak, bound = _integer_block_peak(order, 1.0)
+    assert peak <= bound
 
 
 def test_block_rejects_bad_rows_and_sides():
@@ -852,6 +879,48 @@ def test_no_orders_give_an_empty_block(side):
     assert rl_derivative(grid, rows, [], side).shape == (0, 2, 9)
 
 
+# a row's value at the side's starting node: 0, -0.0, away from 0, or
+# away from 0 with an f - f(a) that overflows
+_STARTS = ("zero", "minus zero", "nonzero", "overflowing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    orders=st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.05, 2.95), min_size=1, max_size=4
+    ),
+    starts=st.lists(st.sampled_from(_STARTS), min_size=1, max_size=4),
+    side=st.sampled_from(["left", "right"]),
+    count=st.sampled_from([2, 64, 1000]) | st.integers(2, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(orders=[0.5, 1.0, 1.5, 2.0], starts=list(_STARTS), side="left", count=64, seed=1)
+@example(orders=[3.0, 2.5, 1.0, 0.25], starts=list(_STARTS), side="right", count=64, seed=2)
+def test_streamed_rows_equal_the_block(orders, starts, side, count, seed):
+    # every (order, row) rl_derivative_rows hands out is, bit for bit, that
+    # row of rl_derivative's block, in order-major order; each is its own
+    # array of count + 1 values, not a view into a longer transform, and
+    # keeps its values after the rows that follow it are summed
+    grid = TimeGrid(0.0, 1.0, count)
+    rng = np.random.default_rng(seed)
+    first = 0 if side == "left" else -1
+    rows = []
+    for start in starts:
+        row = rng.standard_normal(count + 1)
+        if start == "overflowing":
+            row = np.where(np.arange(count + 1) % 2, 1e308, -1e308)
+        row[first] = {"zero": 0.0, "minus zero": -0.0}.get(start, row[first])
+        rows.append(row)
+    orders = [FractionalOrder(order) for order in orders]
+    block = rl_derivative(grid, rows, orders, side)
+    streamed = list(rl_derivative_rows(grid, rows, orders, side))
+    assert [(i, r) for i, r, _ in streamed] == list(product(range(len(orders)), range(len(rows))))
+    for i, r, row in streamed:
+        owner = row if row.base is None else row.base
+        assert row.shape == (count + 1,) and owner.base is None and owner.nbytes == row.nbytes
+        assert np.array_equal(row.view(np.int64), block[i, r].view(np.int64))
+
+
 # -------------------------------------------------------- rl_derivative
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -860,7 +929,7 @@ def test_constants_are_exact_at_non_integer_orders(side):
     # derivative: the interior error is rounding of the offsets at most
     for count, order in product([1024, 4096], [0.5, 1.3, 1.5, 1.9]):
         grid, order = TimeGrid(0.0, 1.0, count), FractionalOrder(order)
-        error = power_kernel_check(grid, [0], [order], side)[2][0, 0]
+        error = _power_check(grid, 0, order, side)[2]
         assert error <= roundoff_floor(order, grid, 1.0)
 
 
@@ -964,9 +1033,7 @@ def test_exact_stencils_never_fail_observed_order_on_shifted_grids(stencil, side
     grid = TimeGrid(a, a + width, count)
     fine = TimeGrid(grid.a, grid.b, 4 * count)
     order = FractionalOrder(float(order))
-    error, fine_error = (
-        power_kernel_check(g, [exponent], [order], side)[2][0, 0] for g in (grid, fine)
-    )
+    error, fine_error = (_power_check(g, exponent, order, side)[2] for g in (grid, fine))
     record = observed_order_record("order", exponent, order, (grid, error), (fine, fine_error), 0.2)
     assert _passes(record), (error, fine_error, record.numeric)
 

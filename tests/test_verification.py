@@ -217,17 +217,17 @@ def test_verify_fails_a_stencil_defect_below_the_truncation(
     }
 
 
-def test_every_kernel_call_goes_through_rl_derivative(monkeypatch, capsys):
+def test_every_kernel_call_goes_through_rl_derivative_rows(monkeypatch, capsys):
     # verify's kernel oracle makes one block call per grid and the integer
     # reduction one more; deriv one on its grid and one on the 4x refinement
     counts = []
-    derivative = verification.rl_derivative
+    derivative = verification.rl_derivative_rows
 
     def counted(grid, *args):
         counts.append(grid.count)
         return derivative(grid, *args)
 
-    monkeypatch.setattr(verification, "rl_derivative", counted)
+    monkeypatch.setattr(verification, "rl_derivative_rows", counted)
     assert main(["verify"]) == 0
     assert counts == [1024, 4096, 8192, verification._KERNEL_COUNT]
     counts.clear()
@@ -292,8 +292,8 @@ def test_interior_error_is_finite_on_a_few_ulps_wide_grid():
     # endpoints; the interior is the middle node alone, so the error
     # never reads the endpoint where the order-1.5 derivative diverges
     grid = TimeGrid(1.0, 1.0000000000000004, 2)
-    error = verification.power_kernel_check(grid, [1], [FractionalOrder(1.5)])[2]
-    assert np.isfinite(error).all()
+    ((*_, error),) = verification.power_kernel_check(grid, [1], [FractionalOrder(1.5)])
+    assert np.isfinite(error)
 
 
 @pytest.mark.parametrize(
@@ -309,24 +309,32 @@ def test_interior_error_is_finite_on_a_few_ulps_wide_grid():
 def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, powers):
     grid = TimeGrid(0.0, 1.0, count)
     orders = [FractionalOrder(alpha) for alpha in alphas]
-    # a warm-up call, so numpy's FFT plans are built before measuring
-    verification.power_kernel_check(grid, powers, orders)
+
+    # verify's error table keeps each row's error and nothing else.  A
+    # warm-up call, so numpy's FFT plans are built before measuring
+    verification._error_table(grid, powers, orders)
     tracemalloc.start()
     try:
-        numeric, oracle, error = verification.power_kernel_check(grid, powers, orders)
+        error = verification._error_table(grid, powers, orders)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rows, nodes, size = len(powers), grid.count + 1, fracops._fft_length(2 * grid.count + 1)
     row_spectrum = (size // 2 + 1) * 16
-    # the derivative and oracle blocks, the block's spectrum, and one
-    # row's product and inverse transform
-    held = 2 * len(orders) * rows * nodes * 8 + (rows + 1) * row_spectrum + size * 8
-    # slack: the samples, the block rl_derivative stacks from them, the
-    # offsets and one order's weights.  A whole block's product and
-    # transform, a whole block's interior difference, or a lone row's
-    # product beside its weights' spectrum crosses this bound
-    assert peak <= held + (2 * rows + 2) * nodes * 8
+    # the block's spectrum, the weights' spectrum and one row's product (a
+    # lone row's product overwrites the weights' spectrum), and one row's
+    # inverse transform
+    held = (rows + (2 if rows > 1 else 1)) * row_spectrum + size * 8
+    # slack: the block of samples, every order's weights, the offsets, and
+    # one row's derivative, oracle and interior difference.  A derivative
+    # or oracle block of every row, a whole block's product and transform,
+    # or a lone row's product beside its weights' spectrum crosses this
+    # bound
+    assert peak <= held + (rows + len(orders) + 4) * nodes * 8
+    # the error table of the stacked derivative and oracle blocks
+    offsets = grid.nodes() - grid.a
+    numeric = fracops.rl_derivative(grid, [offsets**k for k in powers], orders)
+    oracle = np.array([[rl_power_rule(k, order, offsets) for k in powers] for order in orders])
     whole = verification._max_interior_error(numeric, oracle, grid)
     assert error.shape == whole.shape == (len(orders), rows)
     assert np.array_equal(error.view(np.int64), whole.view(np.int64))

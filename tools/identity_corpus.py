@@ -10,8 +10,10 @@ block under "Library quickstart" in README.md in-process, as
 tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
 through the CLI.  Three last records hash the result of
-fracwkb.fracops.rl_derivative on a block of several rows, with the
-error of each order whose weights or step**-order overflow; every
+fracwkb.fracops.rl_derivative on a block of several rows, and the
+per-row errors of fracwkb.verification.power_kernel_check on a block
+of powers on both sides, with the error of each order whose weights or
+step**-order overflow; every
 column of fracwkb.wkb.evaluate_models on a block of rows at points no
 argv reaches (SAMPLE_POINT is fixed), with the error of each row it
 rejects, one call each; and what fracwkb.separate,
@@ -351,25 +353,49 @@ def _run_block(code) -> int:
     return 0
 
 
+def _power_kernel_errors(grid, orders, side):
+    # the power-kernel check's max interior error of each (order, power)
+    # row, powers 1, 2 and 3, as an (orders, powers) table.  A tree whose
+    # check returns the derivative, oracle and error blocks gives the
+    # table as its third block; one whose check hands out rows gives
+    # (i, j, numeric, oracle, error) per row
+    import numpy as np
+    from fracwkb.verification import power_kernel_check
+
+    checked = power_kernel_check(grid, (1, 2, 3), orders, side)
+    if isinstance(checked, tuple):
+        return checked[2]
+    table = np.full((len(orders), 3), np.nan)
+    for i, j, *_, error in checked:
+        table[i, j] = error
+    return table
+
+
 def _run_kernel_block() -> int:
     # rows that start (on either side) at 0, at -0.0 and away from 0, and
     # one whose f - f(a) overflows, at integer and other orders mixed and
-    # at integer orders 1, 2 and 3 alone; then the error of each order
-    # whose weights or step**-order overflow
+    # at integer orders 1, 2 and 3 alone; the power-kernel check's errors
+    # for powers 1, 2 and 3 at verify's four orders, on the same grid and
+    # side; then the error of each order whose weights or step**-order
+    # overflow
     from fracwkb.fracops import FractionalOrder, TimeGrid, rl_derivative
 
     rng = random.Random(SEED)
     orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
     integers = [FractionalOrder(order) for order in (1.0, 2.0, 3.0)]
+    verify_orders = [FractionalOrder(order) for order in (0.25, 0.5, 0.75, 1.5)]
     for count, side in itertools.product((64, 4096), ("left", "right")):
+        grid = TimeGrid(0.0, 1.0, count)
         rows = [[rng.uniform(-1.0, 1.0) for _ in range(count + 1)] for _ in range(3)]
         rows[0][0] = rows[0][-1] = 0.0
         rows[1][0] = rows[1][-1] = -0.0
         rows.append([1e308 if j % 3 else -1e308 for j in range(count + 1)])
-        result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, orders, side)
+        result = rl_derivative(grid, rows, orders, side)
         print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
-        result = rl_derivative(TimeGrid(0.0, 1.0, count), rows, integers, side)
+        result = rl_derivative(grid, rows, integers, side)
         print(count, side, "integer orders", hashlib.sha256(result.tobytes()).hexdigest())
+        errors = _power_kernel_errors(grid, verify_orders, side)
+        print(count, side, "power kernel errors", hashlib.sha256(errors.tobytes()).hexdigest())
     for order in (2000.0, 1e9, 300.5):
         try:
             rl_derivative(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
@@ -469,7 +495,10 @@ def library_records(root: Path) -> list[dict]:
     the accepted rows of a block whose points run from signed zeros to
     +-1e308, then the error of each rejected row, one call each.  The
     kernel record also prints the error of each order whose weights or
-    step**-order overflow.  The names record prints the sha256 of what
+    step**-order overflow, and the sha256 of the power-kernel check's
+    per-row errors for powers 1, 2 and 3 at verify's four orders, on
+    both sides at 64 and 4,096 intervals: no argv reaches a multi-row
+    right-side check.  The names record prints the sha256 of what
     fracwkb.separate, fracwkb.build_wavefunction and the three
     fracwkb.format_* functions return, names the demos and the quickstart
     do not call.
