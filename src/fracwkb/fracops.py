@@ -34,15 +34,20 @@ count + 1 values, as soon as that row is summed, so only one row's sums
 are alive at once: an integer order convolves the row with its binomial
 row, and any other order multiplies its weights' spectrum by the row's,
 from the block's spectrum taken once by the first such order, and takes
-the inverse transform.  Then it adds Lubich's endpoint term for rows
-where f(a) != 0, whose singular part the plain sum resolves badly; only
-then is the block's f - f(a) built, so an integer-only block copies no
-row.  A caller that keeps what it reads of each row, as the kernel
-checks do, holds no block of derivatives.  rl_derivative stacks those
-rows into one (orders, rows, count + 1) array.  left_rl_derivative and
-right_rl_derivative are its one-row, one-order case: they take a grid
-and its count + 1 samples and return count + 1 values, non-finite where
-the derivative diverges.
+the inverse transform.  A caller that keeps what it reads of each row,
+as the kernel checks do, holds no block of derivatives.
+left_rl_derivative and right_rl_derivative read its one row for one
+order: they take a grid and its count + 1 samples and return count + 1
+values, non-finite where the derivative diverges.
+
+The left derivative of f holds the term f(a) (x - a)**-order /
+gamma(1 - order), whose singular part the plain sum resolves badly far
+into the interior (Lubich).  So at a non-integer order a row with
+f(a) != 0 is summed as f - f(a), and f(a) times that closed form is
+added back; at the starting node, where the closed form is infinite,
+f(a) times the sum's own value for 1 is added instead.  The right side
+does the same with f(b).  f - f(a) is built only when the first
+non-integer order reads it, so an integer-only block copies no row.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ __all__ = [
     "gl_weights",
     "left_rl_derivative",
     "right_rl_derivative",
-    "rl_derivative",
     "rl_derivative_rows",
     "rl_power_rule",
     "roundoff_floor",
@@ -218,9 +222,9 @@ def _gl_sums(
     # index, row index, row) for every order in turn and every row of it,
     # each row a fresh array of count + 1 values: an integer order sums
     # the block row, any other order sums its row of block - start and
-    # adds start's endpoint term (see rl_derivative).  Shift the stencil
-    # one node inward for orders above one; the last node, past which the
-    # shift would index, keeps the unshifted sum.
+    # adds start's endpoint term (see rl_derivative_rows).  Shift the
+    # stencil one node inward for orders above one; the last node, past
+    # which the shift would index, keeps the unshifted sum.
     top = grid.count
     # every order's weights and scale, checked before any sum; an integer
     # order leaves out the exact zeros past its binomial row: O(N), not O(N**2)
@@ -285,22 +289,6 @@ def _clamped(sums: np.ndarray, shift: int, top: int) -> np.ndarray:
     return line
 
 
-def _checked_block(
-    grid: TimeGrid, samples: Iterable[np.ndarray] | np.ndarray, side: str
-) -> np.ndarray:
-    # the sample rows as one block, checked, mirrored for the right side
-    values = [np.asarray(row, dtype=float) for row in samples]
-    if not values or any(row.shape != (grid.count + 1,) for row in values):
-        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
-    block = np.array(values)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteInputError("samples contain NaN or infinity")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    # the right derivative is the mirror image of the left
-    return block if side == "left" else block[:, ::-1]
-
-
 def rl_derivative_rows(
     grid: TimeGrid, samples: Iterable[np.ndarray] | np.ndarray,
     orders: Sequence[FractionalOrder], side: str = "left",
@@ -311,31 +299,12 @@ def rl_derivative_rows(
     when this is called, and a bad row raises ValueError or
     NonFiniteInputError then.  Returns an iterator of (i, r, row), orders
     in turn and the rows of each: row is a fresh array of count + 1
-    values, the side's derivative of samples row r at order orders[i]
-    (see rl_derivative), handed out as soon as it is summed.  Only that
-    row's sums and the block's one spectrum are alive at a time, so a
-    caller that keeps what it reads of each row holds no block of
-    derivatives.  If any order's weights or step**-order overflow, the
-    first next() raises OverflowError before any sum.
-    """
-    block = _checked_block(grid, samples, side)
-    rows = _gl_sums(grid, block, orders, block[:, 0])
-    # starmap binds no row, so none outlives the next one's sums here
-    return rows if side == "left" else starmap(lambda i, r, row: (i, r, row[::-1]), rows)
-
-
-def rl_derivative(
-    grid: TimeGrid, samples: Sequence[np.ndarray] | np.ndarray,
-    orders: Sequence[FractionalOrder], side: str = "left",
-) -> np.ndarray:
-    """Derivatives of several sample rows on one grid, for several orders.
-
-    samples holds rows of grid.count + 1 finite values.  Returns an
-    array of shape (len(orders), rows, count + 1) whose [i, r] row is
-    the side's derivative of row r at order orders[i]: the
-    Grunwald-Letnikov sum plus the endpoint term of rows where f(a) != 0,
-    the rows of rl_derivative_rows stacked.  If any order's weights or
-    step**-order overflow, it raises OverflowError before any sum.
+    values, the side's derivative of samples row r at order orders[i],
+    handed out as soon as it is summed.  Only that row's sums and the
+    block's one spectrum are alive at a time, so a caller that keeps what
+    it reads of each row holds no block of derivatives.  If any order's
+    weights or step**-order overflow, the first next() raises
+    OverflowError before any sum.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
     which the Grunwald-Letnikov sum resolves badly far into the interior
@@ -349,11 +318,19 @@ def rl_derivative(
     agree exactly under reflection.  Integer orders, rows with f(a) = 0
     and rows whose f - f(a) overflows keep the plain sum bit for bit.
     """
-    block = _checked_block(grid, samples, side)
-    out = np.empty((len(orders), *block.shape))
-    for i, r, row in _gl_sums(grid, block, orders, block[:, 0]):
-        out[i, r] = row
-    return out if side == "left" else out[..., ::-1]
+    values = [np.asarray(row, dtype=float) for row in samples]
+    if not values or any(row.shape != (grid.count + 1,) for row in values):
+        raise ValueError(f"need one or more rows of {grid.count + 1} samples each")
+    block = np.array(values)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteInputError("samples contain NaN or infinity")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    # the right derivative is the mirror image of the left
+    block = block if side == "left" else block[:, ::-1]
+    rows = _gl_sums(grid, block, orders, block[:, 0])
+    # starmap binds no row, so none outlives the next one's sums here
+    return rows if side == "left" else starmap(lambda i, r, row: (i, r, row[::-1]), rows)
 
 
 def left_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrder) -> np.ndarray:
@@ -363,7 +340,8 @@ def left_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrde
     from the left endpoint; near it the true derivative of a generic
     function diverges, so interior(grid) leaves it out when measuring error.
     """
-    return rl_derivative(grid, [values], [order], "left")[0, 0]
+    ((_, _, row),) = rl_derivative_rows(grid, [values], [order], "left")
+    return row
 
 
 def right_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrder) -> np.ndarray:
@@ -372,7 +350,8 @@ def right_rl_derivative(grid: TimeGrid, values: np.ndarray, order: FractionalOrd
     The mirror image of the left operator, so the two sides agree
     exactly under reflection of the samples.
     """
-    return rl_derivative(grid, [values], [order], "right")[0, 0]
+    ((_, _, row),) = rl_derivative_rows(grid, [values], [order], "right")
+    return row
 
 
 def rl_power_rule(

@@ -4,7 +4,9 @@ family member.
 test_acceptance appends one line per criterion; they are echoed in the
 terminal summary so a plain `pytest -v` run shows the pass/fail status
 of every criterion even when all tests pass.  test_mechanics and
-test_hamilton_jacobi draw their family members with random_spec.
+test_hamilton_jacobi draw their family members with random_spec, and
+test_fracops and test_verification stack the kernel's rows into one
+block with stacked_derivative.
 """
 
 acceptance_lines: list[str] = []
@@ -26,6 +28,22 @@ def random_spec(rng):
         alpha=FractionalOrder(rng.uniform(1.0, 2.0)),
         beta=FractionalOrder(rng.uniform(1.0, 2.0)),
     )
+
+
+def stacked_derivative(grid, samples, orders, side="left"):
+    """The rows of rl_derivative_rows as one (orders, rows, count + 1) block.
+
+    The samples are checked, and any overflow raised, as the stream does;
+    each row is written into the block as it is handed out.
+    """
+    import numpy as np
+    from fracwkb.fracops import rl_derivative_rows
+
+    rows = rl_derivative_rows(grid, samples, orders, side)
+    block = np.empty((len(orders), len(samples), grid.count + 1))
+    for i, r, row in rows:
+        block[i, r] = row
+    return block
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -22,7 +22,7 @@ _SRC = Path(fracwkb.__file__).parent
 # calls of the functions defined under src/fracwkb, summed per module
 _COUNTS = {
     ("verify", "--format", "csv"): {
-        "cli": 52, "fracops": 317, "hamilton_jacobi": 394, "mechanics": 83,
+        "cli": 52, "fracops": 313, "hamilton_jacobi": 394, "mechanics": 83,
         "reporting": 27, "verification": 186, "wkb": 217,
     },
     (

@@ -22,13 +22,14 @@ from fracwkb.fracops import (
     interior,
     left_rl_derivative,
     right_rl_derivative,
-    rl_derivative,
     rl_derivative_rows,
     rl_power_rule,
     roundoff_floor,
 )
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import observed_order_record, power_kernel_check
+
+from conftest import stacked_derivative
 
 
 # ----------------------------------------------------------- gl_weights
@@ -385,6 +386,23 @@ def test_right_derivative_of_constant_half_order():
     assert numeric[-1] > 10.0
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("order", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_one_row_operators_hold_exactly_their_row(order, side):
+    # the array each operator returns owns, or views, exactly count + 1
+    # values; the right side's reversed view counts.  A row that views
+    # its inverse transform or convolution keeps that buffer, about twice
+    # as long, alive for as long as the caller holds the row
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    for count in (2, 64, 1000):
+        grid = TimeGrid(0.0, 1.0, count)
+        for values in (grid.nodes() ** 2, 1.0 + grid.nodes()):
+            row = derivative(grid, values, FractionalOrder(order))
+            owner = row if row.base is None else row.base
+            assert row.shape == (count + 1,) and owner.base is None
+            assert owner.nbytes == row.nbytes
+
+
 # ------------------------------------------------- FFT against direct sum
 
 def _plain_sums(grid, samples, orders, side):
@@ -504,7 +522,7 @@ def test_huge_orders_raise_before_any_sum(order, side, count, kind, seed):
             patch.setattr(module, name, lambda *a, f=original, **k: sums.append(a) or f(*a, **k))
         message = f"^order {re.escape(repr(order))} at step 0\\.0625 overflows a float$"
         with pytest.raises(OverflowError, match=message):
-            rl_derivative(grid, [samples], orders, side)
+            stacked_derivative(grid, [samples], orders, side)
     assert not sums
 
 
@@ -514,11 +532,11 @@ def test_kernel_rejects_overflowing_weights_or_scale():
     # 6.4e301, which start at 0, turn non-finite without an error
     grid, ones = TimeGrid(0.0, 64.0, 64), np.ones(65)
     with pytest.raises(OverflowError, match="^order 1000000000.0 at step 1.0 overflows a float$"):
-        rl_derivative(grid, [ones], [FractionalOrder(1e9)])
-    values = rl_derivative(grid, [grid.nodes() * 1e300], [FractionalOrder(300.5)])[0, 0]
+        stacked_derivative(grid, [ones], [FractionalOrder(1e9)])
+    values = stacked_derivative(grid, [grid.nodes() * 1e300], [FractionalOrder(300.5)])[0, 0]
     assert not np.any(np.isfinite(values))
     with pytest.raises(OverflowError, match="^order 300.5 at step 0.015625 overflows a float$"):
-        rl_derivative(TimeGrid(0.0, 1.0, 64), [ones], [FractionalOrder(300.5)])
+        stacked_derivative(TimeGrid(0.0, 1.0, 64), [ones], [FractionalOrder(300.5)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -785,8 +803,8 @@ _POWERS_OF_TWO = [2**n for n in range(1, 14)]
 def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
     # every (order, row) slice of the plain sums of a block is, bit for
     # bit, the one-row sum the operators ran before they were batched; and
-    # every slice of one rl_derivative call, which adds the endpoint term
-    # to the plain sums, is the one-function, one-order operator
+    # every row of one rl_derivative_rows call, which adds the endpoint
+    # term to the plain sums, is the one-function, one-order operator
     grid = TimeGrid(0.0, 1.0, count)
     rng = np.random.default_rng(seed)
     functions = [
@@ -798,14 +816,14 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
         message = re.escape(f"order 2000.0 at step {grid.step!r} overflows a float")
         for call in (
             lambda: _plain_sums(grid, functions, orders, side),
-            lambda: rl_derivative(grid, functions, orders, side),
+            lambda: stacked_derivative(grid, functions, orders, side),
             *(lambda f=f: derivative(grid, f, FractionalOrder(2000.0)) for f in functions),
         ):
             with pytest.raises(OverflowError, match=f"^{message}$"):
                 call()
         return
     block = _plain_sums(grid, functions, orders, side)
-    corrected = rl_derivative(grid, functions, orders, side)
+    corrected = stacked_derivative(grid, functions, orders, side)
     assert block.shape == corrected.shape == (len(orders), rows, count + 1)
     for i, order in enumerate(orders):
         for r, f in enumerate(functions):
@@ -820,15 +838,15 @@ def test_block_rows_equal_one_row_derivatives(rows, orders, count, side, seed):
 
 
 def _integer_block_peak(order, start):
-    # the traced peak of rl_derivative on 8 rows start + x**k, k = 1 ... 8,
-    # on 65,536 intervals, and the bound on it: the block rl_derivative
-    # stacks, the result, and 4 row-sized buffers
+    # the traced peak of stacking rl_derivative_rows on 8 rows start +
+    # x**k, k = 1 ... 8, on 65,536 intervals, and the bound on it: the
+    # kernel's block of samples, the stacked result, and 4 row-sized buffers
     grid = TimeGrid(0.0, 1.0, 65536)
     rows = [start + grid.nodes() ** k for k in range(1, 9)]
     row_bytes = 8 * (grid.count + 1)
     tracemalloc.start()
     try:
-        result = rl_derivative(grid, rows, [FractionalOrder(order)])
+        result = stacked_derivative(grid, rows, [FractionalOrder(order)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -839,7 +857,7 @@ def _integer_block_peak(order, start):
 @pytest.mark.parametrize("order", [1.0, 2.0])
 def test_integer_block_sums_one_row_at_a_time(order):
     # 8 rows of powers of x, so f(a) = 0 and no row is shifted.  Beside the
-    # block rl_derivative stacks and the result, an integer order holds one
+    # kernel's block of samples and the result, an integer order holds one
     # row's convolution at a time.  Stacking every row's sums before the
     # shift holds 16 row-sized buffers and crosses the bound
     peak, bound = _integer_block_peak(order, 0.0)
@@ -860,15 +878,15 @@ def test_integer_block_shifts_no_row(order):
 def test_block_rejects_bad_rows_and_sides():
     grid, order = TimeGrid(0.0, 1.0, 8), FractionalOrder(0.5)
     with pytest.raises(ValueError, match="rows of 9 samples"):
-        rl_derivative(grid, [np.ones(9), np.ones(8)], [order])
+        rl_derivative_rows(grid, [np.ones(9), np.ones(8)], [order])
     with pytest.raises(ValueError, match="rows of 9 samples"):
-        rl_derivative(grid, np.ones(9), [order])
+        rl_derivative_rows(grid, np.ones(9), [order])
     with pytest.raises(ValueError, match="rows of 9 samples"):
-        rl_derivative(grid, [], [order])
+        rl_derivative_rows(grid, [], [order])
     with pytest.raises(NonFiniteInputError, match="^samples contain NaN or infinity$"):
-        rl_derivative(grid, [np.ones(9), np.append(np.ones(8), math.inf)], [order])
+        rl_derivative_rows(grid, [np.ones(9), np.append(np.ones(8), math.inf)], [order])
     with pytest.raises(ValueError, match="side"):
-        rl_derivative(grid, [np.ones(9)], [order], "up")
+        rl_derivative_rows(grid, [np.ones(9)], [order], "up")
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -876,7 +894,7 @@ def test_no_orders_give_an_empty_block(side):
     # rows that start at 0 and away from it: neither order class is summed
     grid = TimeGrid(0.0, 1.0, 8)
     rows = [np.zeros(9), np.ones(9)]
-    assert rl_derivative(grid, rows, [], side).shape == (0, 2, 9)
+    assert stacked_derivative(grid, rows, [], side).shape == (0, 2, 9)
 
 
 # a row's value at the side's starting node: 0, -0.0, away from 0, or
@@ -897,10 +915,11 @@ _STARTS = ("zero", "minus zero", "nonzero", "overflowing")
 @example(orders=[0.5, 1.0, 1.5, 2.0], starts=list(_STARTS), side="left", count=64, seed=1)
 @example(orders=[3.0, 2.5, 1.0, 0.25], starts=list(_STARTS), side="right", count=64, seed=2)
 def test_streamed_rows_equal_the_block(orders, starts, side, count, seed):
-    # every (order, row) rl_derivative_rows hands out is, bit for bit, that
-    # row of rl_derivative's block, in order-major order; each is its own
-    # array of count + 1 values, not a view into a longer transform, and
-    # keeps its values after the rows that follow it are summed
+    # every (order, row) rl_derivative_rows hands out is, bit for bit, the
+    # one-row operator's derivative of that row at that order, in
+    # order-major order; each is its own array of count + 1 values, not a
+    # view into a longer transform, and keeps its values after the rows
+    # that follow it are summed
     grid = TimeGrid(0.0, 1.0, count)
     rng = np.random.default_rng(seed)
     first = 0 if side == "left" else -1
@@ -912,16 +931,17 @@ def test_streamed_rows_equal_the_block(orders, starts, side, count, seed):
         row[first] = {"zero": 0.0, "minus zero": -0.0}.get(start, row[first])
         rows.append(row)
     orders = [FractionalOrder(order) for order in orders]
-    block = rl_derivative(grid, rows, orders, side)
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
     streamed = list(rl_derivative_rows(grid, rows, orders, side))
     assert [(i, r) for i, r, _ in streamed] == list(product(range(len(orders)), range(len(rows))))
     for i, r, row in streamed:
         owner = row if row.base is None else row.base
         assert row.shape == (count + 1,) and owner.base is None and owner.nbytes == row.nbytes
-        assert np.array_equal(row.view(np.int64), block[i, r].view(np.int64))
+        single = derivative(grid, rows[r], orders[i])
+        assert np.array_equal(row.view(np.int64), single.view(np.int64))
 
 
-# -------------------------------------------------------- rl_derivative
+# --------------------------------------------------------- endpoint term
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_constants_are_exact_at_non_integer_orders(side):
@@ -971,7 +991,7 @@ def test_endpoint_term_leaves_the_plain_sum(side):
     rows[3] = np.where(np.arange(65) % 3, 1e308, -1e308)
     orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
     plain = _plain_sums(grid, rows, orders, side)
-    corrected = rl_derivative(grid, rows, orders, side)
+    corrected = stacked_derivative(grid, rows, orders, side)
     bits, plain_bits = corrected.view(np.int64), plain.view(np.int64)
     npt.assert_array_equal(bits[:, [0, 1, 3]], plain_bits[:, [0, 1, 3]])
     npt.assert_array_equal(bits[[1, 3]], plain_bits[[1, 3]])

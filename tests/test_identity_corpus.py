@@ -122,7 +122,7 @@ def test_library_records_cover_each_demo_and_the_quickstart(capsys):
     records = tool.library_records(root)
     demos = [f"demos/{path.name}" for path in sorted((root / "demos").glob("*.py"))]
     assert [r["library"] for r in records] == [
-        *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative",
+        *demos, "README.md quickstart", "fracwkb.fracops.rl_derivative_rows",
         "fracwkb.wkb.evaluate_models", "fracwkb package names",
     ]
     for entry in records:

@@ -28,6 +28,8 @@ from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
 from fracwkb.mechanics import LagrangianSpec
 from fracwkb.wkb import evaluate_model
 
+from conftest import stacked_derivative
+
 
 def _hj_reference(seed, n):
     # verify's scalar HJ draw: one rng.uniform per field, and a member
@@ -333,7 +335,7 @@ def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, power
     assert peak <= held + (rows + len(orders) + 4) * nodes * 8
     # the error table of the stacked derivative and oracle blocks
     offsets = grid.nodes() - grid.a
-    numeric = fracops.rl_derivative(grid, [offsets**k for k in powers], orders)
+    numeric = stacked_derivative(grid, [offsets**k for k in powers], orders)
     oracle = np.array([[rl_power_rule(k, order, offsets) for k in powers] for order in orders])
     whole = verification._max_interior_error(numeric, oracle, grid)
     assert error.shape == whole.shape == (len(orders), rows)

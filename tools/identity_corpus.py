@@ -9,11 +9,14 @@ file it wrote.  It then runs each demos/*.py script and the python
 block under "Library quickstart" in README.md in-process, as
 tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
-through the CLI.  Three last records hash the result of
-fracwkb.fracops.rl_derivative on a block of several rows, and the
-per-row errors of fracwkb.verification.power_kernel_check on a block
-of powers on both sides, with the error of each order whose weights or
-step**-order overflow; every
+through the CLI.  Three last records hash the rows of
+fracwkb.fracops.rl_derivative_rows on a block of several rows, stacked
+into one array (a tree older than that function stacks them in its
+fracwkb.fracops.rl_derivative, so --against it compares the same
+bytes), and the per-row errors of
+fracwkb.verification.power_kernel_check on a block of powers on both
+sides, with the error of each order whose weights or step**-order
+overflow; every
 column of fracwkb.wkb.evaluate_models on a block of rows at points no
 argv reaches (SAMPLE_POINT is fixed), with the error of each row it
 rejects, one call each; and what fracwkb.separate,
@@ -378,7 +381,20 @@ def _run_kernel_block() -> int:
     # for powers 1, 2 and 3 at verify's four orders, on the same grid and
     # side; then the error of each order whose weights or step**-order
     # overflow
-    from fracwkb.fracops import FractionalOrder, TimeGrid, rl_derivative
+    import numpy as np
+    from fracwkb import fracops
+    from fracwkb.fracops import FractionalOrder, TimeGrid
+
+    def stacked(grid, rows, orders, side="left"):
+        # the kernel's rows as one (orders, rows, count + 1) block; a tree
+        # older than the row stream stacks them in its own rl_derivative
+        if not hasattr(fracops, "rl_derivative_rows"):
+            return fracops.rl_derivative(grid, rows, orders, side)
+        stream = fracops.rl_derivative_rows(grid, rows, orders, side)
+        block = np.empty((len(orders), len(rows), grid.count + 1))
+        for i, r, row in stream:
+            block[i, r] = row
+        return block
 
     rng = random.Random(SEED)
     orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
@@ -390,15 +406,15 @@ def _run_kernel_block() -> int:
         rows[0][0] = rows[0][-1] = 0.0
         rows[1][0] = rows[1][-1] = -0.0
         rows.append([1e308 if j % 3 else -1e308 for j in range(count + 1)])
-        result = rl_derivative(grid, rows, orders, side)
+        result = stacked(grid, rows, orders, side)
         print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
-        result = rl_derivative(grid, rows, integers, side)
+        result = stacked(grid, rows, integers, side)
         print(count, side, "integer orders", hashlib.sha256(result.tobytes()).hexdigest())
         errors = _power_kernel_errors(grid, verify_orders, side)
         print(count, side, "power kernel errors", hashlib.sha256(errors.tobytes()).hexdigest())
     for order in (2000.0, 1e9, 300.5):
         try:
-            rl_derivative(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
+            stacked(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
         except (ValueError, ArithmeticError) as exc:
             print(f"{order!r}: {type(exc).__name__}: {exc}")
         else:
@@ -487,8 +503,8 @@ def library_records(root: Path) -> list[dict]:
 
     A demo runs as `python demos/NAME.py` would run it; the quickstart is
     the python block under "Library quickstart" in root's README.md.  The
-    kernel record prints the sha256 of fracwkb.fracops.rl_derivative's
-    result on several rows, some with f(a) = 0 and some not, on both
+    kernel record prints the sha256 of fracwkb.fracops.rl_derivative_rows'
+    rows, stacked, on several rows, some with f(a) = 0 and some not, on both
     sides, at several orders mixed and at integer orders alone: the path a
     block of rows takes that no argv reaches.  The model record prints the
     sha256 of each fracwkb.wkb.evaluate_models column, wave included, on
@@ -512,7 +528,7 @@ def library_records(root: Path) -> list[dict]:
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     code = compile(block, "README.md quickstart", "exec")
     runs.append(("README.md quickstart", functools.partial(_run_block, code)))
-    runs.append(("fracwkb.fracops.rl_derivative", _run_kernel_block))
+    runs.append(("fracwkb.fracops.rl_derivative_rows", _run_kernel_block))
     runs.append(("fracwkb.wkb.evaluate_models", _run_model_block))
     runs.append(("fracwkb package names", _run_names_block))
     return [{"library": label, **_capture(run), "out_sha256": None} for label, run in runs]
