@@ -16,7 +16,10 @@ the model, or for which an array cannot be allocated, included); a
 reader that closes stdout or stderr changes none of them.  Output is
 byte-deterministic for a fixed configuration.  Each subcommand takes
 only the flags it reads, and a --config file holds those same flags as
-KEY = VALUE lines.
+KEY = VALUE lines.  main builds the parser of the subcommand its first
+argument names and no other's; when that argument names none (there is
+none, or it is a flag or an unknown word) it builds all five, so usage,
+help and error texts read the same either way.
 
 argparse checks the choices; RunConfig checks nothing.  A model
 setting, from a flag, a config line or a sweep value, is checked where
@@ -362,76 +365,75 @@ def _help(text: str, name: str) -> str:
     return f"{text} (default {shown})"
 
 
-def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers; each dest names a RunConfig field."""
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument(
-        "--format", dest="output_format", choices=("table", "csv", "json"),
-        help=_help("output format", "output_format"),
-    )
-    output.add_argument(
-        "--out", dest="output_path", metavar="PATH",
-        help="write output to this path instead of stdout",
-    )
-    output.add_argument(
-        "--config", metavar="PATH", help="flat key=value file of this subcommand's flags"
-    )
-    output.add_argument(
-        "--tol",
-        dest="tolerances",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
-    )
+_COMMANDS = {
+    "deriv": "one-sided derivative of a test function",
+    "example1": "run the example1 model records",
+    "example2": "run the example2 model records",
+    "verify": "run the verification suite",
+    "sweep": "repeat model records over a parameter range",
+}
+_FLOAT_FLAGS = {
+    "alpha": "left derivative order",
+    "beta": "right derivative order",
+    "e1": "first energy share",
+    "e2": "second energy share",
+    "q": "frozen coordinate",
+    "hbar": "action scale",
+    "fd_step": "stencil step",
+}
 
-    orders = argparse.ArgumentParser(add_help=False)
-    orders.add_argument("--alpha", type=float, help=_help("left derivative order", "alpha"))
-    orders.add_argument("--beta", type=float, help=_help("right derivative order", "beta"))
 
-    model = argparse.ArgumentParser(add_help=False, parents=[orders])
-    model.add_argument("--e1", type=float, help=_help("first energy share", "e1"))
-    model.add_argument("--e2", type=float, help=_help("second energy share", "e2"))
-    model.add_argument("--q", type=float, help=_help("frozen coordinate", "q"))
-    model.add_argument("--hbar", type=float, help=_help("action scale", "hbar"))
-    model.add_argument("--fd-step", type=float, help=_help("stencil step", "fd_step"))
-
+def _make_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser with command's subparser, or all five; dests name RunConfig fields."""
     parser = argparse.ArgumentParser(
         prog="fracwkb",
         description="Fractional-derivative mechanics and wave-construction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_deriv = sub.add_parser(
-        "deriv", parents=[orders, output], help="one-sided derivative of a test function"
-    )
-    p_deriv.add_argument("--grid", help=_help("grid as a,b,count", "grid"))
-    p_deriv.add_argument(
-        "--function",
-        choices=sorted(_TEST_FUNCTIONS),
-        default="x",
-        help="built-in test function (powers of the offset from the endpoint)",
-    )
-    p_deriv.add_argument("--side", choices=("left", "right"), default="left")
-
-    for name in ("example1", "example2"):
-        sub.add_parser(name, parents=[model, output], help=f"run the {name} model records")
-
-    sub.add_parser("verify", parents=[output], help="run the verification suite")
-
-    p_sweep = sub.add_parser(
-        "sweep", parents=[model, output], help="repeat model records over a parameter range"
-    )
-    p_sweep.add_argument("--param", choices=_SWEEP_PARAMS, help="model setting to sweep")
-    p_sweep.add_argument("--values", help="comma-separated explicit sweep values")
-    p_sweep.add_argument("--from", dest="sweep_from", type=float, help="linear range start")
-    p_sweep.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
-    p_sweep.add_argument("--steps", type=int, help="number of linear range steps")
-    p_sweep.add_argument(
-        "--model", choices=("example1", "example2", "custom"), help=_help("model", "model")
-    )
-    for name in ("c_alpha", "c_beta", "l_alpha", "l_beta", "v"):
-        flag = "--" + name.replace("_", "-")
-        p_sweep.add_argument(flag, type=float, help=_help(f"custom model's {name}", name))
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        if name != "verify":  # deriv takes the first two float flags, the models all
+            for field in list(_FLOAT_FLAGS)[: 2 if name == "deriv" else None]:
+                flag = "--" + field.replace("_", "-")
+                p.add_argument(flag, type=float, help=_help(_FLOAT_FLAGS[field], field))
+        p.add_argument(
+            "--format", dest="output_format", choices=("table", "csv", "json"),
+            help=_help("output format", "output_format"),
+        )
+        p.add_argument(
+            "--out", dest="output_path", metavar="PATH",
+            help="write output to this path instead of stdout",
+        )
+        p.add_argument(
+            "--config", metavar="PATH", help="flat key=value file of this subcommand's flags"
+        )
+        p.add_argument(
+            "--tol", dest="tolerances", action="append", metavar="NAME=VALUE",
+            help="override a named tolerance (repeatable)",
+        )
+        if name == "deriv":
+            p.add_argument("--grid", help=_help("grid as a,b,count", "grid"))
+            p.add_argument(
+                "--function",
+                choices=sorted(_TEST_FUNCTIONS),
+                default="x",
+                help="built-in test function (powers of the offset from the endpoint)",
+            )
+            p.add_argument("--side", choices=("left", "right"), default="left")
+        elif name == "sweep":
+            p.add_argument("--param", choices=_SWEEP_PARAMS, help="model setting to sweep")
+            p.add_argument("--values", help="comma-separated explicit sweep values")
+            p.add_argument("--from", dest="sweep_from", type=float, help="linear range start")
+            p.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
+            p.add_argument("--steps", type=int, help="number of linear range steps")
+            p.add_argument(
+                "--model", choices=("example1", "example2", "custom"), help=_help("model", "model")
+            )
+            for field in ("c_alpha", "c_beta", "l_alpha", "l_beta", "v"):
+                flag, text = "--" + field.replace("_", "-"), f"custom model's {field}"
+                p.add_argument(flag, type=float, help=_help(text, field))
     return parser, sub.choices
 
 
@@ -461,8 +463,8 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _make_parser(argv[0] if argv else None)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         flag = argv[0].split("=", 1)[0]
         parser.error(

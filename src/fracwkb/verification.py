@@ -288,18 +288,25 @@ def _draw_columns(
 
     Bit for bit the scalar loop that draws uniform(low, high) for each
     range in turn, row after row, and draws the row again when accept
-    rejects it: uniform is low + (high - low) * random(), and a block
-    takes the same random() doubles in the same order.  Each block draws
-    the rows still missing.  accept maps a block to a mask of the rows
-    to keep.  The stream is MT19937, whose random() sequence for a seed
-    Python keeps across versions.
+    rejects it: uniform is low + (high - low) * random().  Each block
+    draws the rows still missing.  accept maps a block to a mask of the
+    rows to keep.  The stream is MT19937, whose random() sequence for a
+    seed Python keeps across versions.  random() takes two 32-bit words
+    a, b and returns ((a >> 5) * 2**26 + (b >> 6)) * 2**-53; a block
+    reads its words from one getrandbits(64 * count) call, which hands
+    them out as the integer's little-endian 32-bit words in draw order,
+    so it takes the same doubles and leaves the generator in the same
+    state; the tests hold it to the random() loop on the running
+    interpreter.
     """
     rng = random.Random(seed)
     low, high = np.array(ranges).T
     rows = np.empty((0, len(ranges)))
     while len(rows) < n:
         missing = n - len(rows)
-        doubles = np.array([rng.random() for _ in range(missing * len(ranges))])
+        count = missing * len(ranges)
+        words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+        doubles = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
         block = low + (high - low) * doubles.reshape(missing, len(ranges))
         rows = np.concatenate([rows, block if accept is None else block[accept(block)]])
     return rows

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -425,6 +426,59 @@ def test_flag_before_subcommand_is_usage_error(argv, capsys):
     assert f"fracwkb: error: {flag} comes before the subcommand; flags go after it" in (
         capsys.readouterr().err
     )
+
+
+_SUBCOMMANDS = ["deriv", "example1", "example2", "verify", "sweep"]
+
+
+def _described(parser):
+    return [
+        (a.option_strings, a.dest, a.type, a.choices, a.default, a.metavar, a.help)
+        for a in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("name", _SUBCOMMANDS)
+def test_one_subcommand_parser_equals_its_part_of_the_full_parser(name):
+    _, alone = _make_parser(name)
+    _, full = _make_parser()
+    assert list(alone) == [name] and list(full) == _SUBCOMMANDS
+    assert alone[name].prog == full[name].prog == f"fracwkb {name}"
+    assert alone[name].format_help() == full[name].format_help()
+    assert alone[name].format_usage() == full[name].format_usage()
+    assert _described(alone[name]) == _described(full[name])
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["example1", "--format", "csv"], ["example1"]),
+        (["deriv", "--grid", "0,1,8", "--function", "x2"], ["deriv"]),
+        (["sweep", "--param", "e1", "--values", "1,2"], ["sweep"]),
+        (["verify", "--help"], ["verify"]),
+        (["example2", "--bogus"], ["example2"]),
+        ([], _SUBCOMMANDS),
+        (["derive"], _SUBCOMMANDS),
+        (["-h", "verify"], _SUBCOMMANDS),
+        (["--alpha", "3", "verify"], _SUBCOMMANDS),
+    ],
+)
+def test_main_builds_only_the_invoked_subparser(argv, built, monkeypatch, capsys):
+    # a first argument that names a subcommand registers only its parser;
+    # anything else registers all five, whose usage and help name them all
+    made = []
+
+    def recording(command=None):
+        parser, commands = make_parser(command)
+        made.append(list(commands))
+        return parser, commands
+
+    make_parser = cli._make_parser
+    monkeypatch.setattr(cli, "_make_parser", recording)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert made == [built]
+    capsys.readouterr()
 
 
 def test_deriv_huge_integer_order_output_is_pinned(capsys):

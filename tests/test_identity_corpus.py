@@ -37,6 +37,11 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
         ["sweep", "--param", "e1", "--values", ","],
         ["sweep", "--param", "alpha", "--values", "1.5", "--steps", "0"],
         ["--alpha", "3", "verify"],
+        [],
+        ["derive"],
+        ["-h", "verify"],
+        ["verify", "deriv"],
+        ["sweep", "--help", "verify"],
         ["verify", "--out", tool.OUT],
     ):
         assert argv in argvs
@@ -64,12 +69,12 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
-    # --help of the top level and of every subcommand: 1,478 argvs in
-    # all, and 1,487 runs with the 9 library records.  argparse wraps help
+    # --help of the top level and of every subcommand: 1,484 argvs in
+    # all, and 1,493 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
-    assert len(runs) == 1478
+    assert len(runs) == 1484
     argvs = [argv for argv, _ in runs]
     _, subcommands = cli._make_parser()
     for command in ([], *([name] for name in subcommands)):

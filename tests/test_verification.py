@@ -9,6 +9,7 @@ one row of transforms in flight.
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ def test_block_draw_equals_scalar_draw(seed, n, suite):
     members, _ = reference(seed, n)
     drawn = verification._draw_columns(seed, ranges, n, accept)
     np.testing.assert_array_equal(drawn.view(np.int64), _bits(members))
+
+
+def _loop_draw(rng, ranges, n, accept_row):
+    # the random() loop _draw_columns replaces: uniform(low, high) for
+    # each range in turn, row after row, a rejected row drawn again
+    rows = []
+    while len(rows) < n:
+        row = [low + (high - low) * rng.random() for low, high in ranges]
+        if accept_row(row):
+            rows.append(row)
+    return np.array(rows).reshape(n, len(ranges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ranges=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda r: (r[0], r[0] + r[1])),
+        min_size=1,
+        max_size=13,
+    ),
+    n=st.integers(1, 2000),
+)
+@example(seed=verification._HJ_SEED, ranges=list(verification._HJ_RANGES), n=2000)
+def test_getrandbits_blocks_equal_the_random_loop(seed, ranges, n):
+    # the block draw takes random()'s doubles from getrandbits words: the
+    # rows equal the loop's bit for bit, and both leave the generator in
+    # one state, whatever this interpreter's getrandbits does
+    low, high = ranges[0]
+    middle = low + (high - low) / 2
+    made = []
+
+    def recorded(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "random", SimpleNamespace(Random=recorded))
+        # the accept rejects the rows whose first field lies above its
+        # range's middle, about half
+        drawn = verification._draw_columns(seed, ranges, n, lambda block: block[:, 0] < middle)
+    rng = random.Random(seed)
+    expected = _loop_draw(rng, ranges, n, lambda row: row[0] < middle)
+    np.testing.assert_array_equal(drawn.view(np.int64), expected.view(np.int64))
+    (used,) = made
+    assert used.getstate() == rng.getstate()
+    assert used.random() == rng.random()
 
 
 def test_hj_draw_skips_the_members_the_scalar_loop_drew_again():

@@ -53,7 +53,9 @@ tolerances set in and out of range, and one verify no longer knows;
 malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
 values their flag would not parse; a grid with a node at a tenth of its
 width; every sweep-range error, --values with a range flag included;
-flags before the subcommand or of another one; deriv grids and sweeps
+flags before the subcommand or of another one; no arguments, an
+unknown subcommand, a help flag before a subcommand and a subcommand
+name or help flag after one; deriv grids and sweeps
 whose row counts land at the edges of a piece of rendered output, in
 every format; a deriv whose float columns hold more than 65,536 distinct
 values, past the 16-bit row codes of rendering; --help of the top level
@@ -272,6 +274,12 @@ def corpus() -> list[tuple[list[str], str | None]]:
     # flags before the subcommand or of another subcommand
     for argv in (("--alpha", "3", "verify"), ("--format=csv", "verify"),
                  ("verify", "--alpha", "3"), ("deriv", "--e1", "2"), ("example1", "--bogus")):
+        add(*argv)
+    # main builds its parser from the first argument: none at all, an
+    # unknown subcommand, a help flag before a subcommand, and a
+    # subcommand name or a help flag after one
+    for argv in ((), ("derive",), ("-h", "verify"), ("--help", "deriv"), ("verify", "deriv"),
+                 ("sweep", "--help", "verify")):
         add(*argv)
 
     # row counts at the edges of a piece of rendered output
