@@ -266,8 +266,9 @@ def _write(stream: TextIO, pieces: Iterable[str]) -> None:
 
 
 def _emit(batch: RecordBatch, config: RunConfig) -> int:
-    # the columns are rendered before --out is opened, so a failure there
-    # leaves an existing file as it was
+    # render checks the format and formats the first piece before --out is
+    # opened, so a failure there leaves an existing file as it was; only a
+    # later piece's MemoryError, like a row join's, can come mid-write
     pieces = render(batch, config.output_format)
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8") as out:

@@ -6,30 +6,33 @@ take one RecordBatch: rows held as columns (names in a list; analytic,
 numeric and tolerance values in float arrays; an optional leading sweep
 column); RecordBatch.from_records wraps a list of ReportRecords.  The
 batch is the only thing that judges a row: it checks that the names are
-CSV-safe, and computes each residual and pass.  render formats each
-distinct value of a column (by bit pattern) once, keeps per column only
-those distinct texts and, per row, one code of the narrowest unsigned
-type that indexes them (one or two bytes unless a column holds more than
-65,536 distinct texts), and yields the text in pieces of at most
-CHUNK_ROWS rows, so a caller that writes each piece as it comes never
-holds the whole output.  format_table, format_csv and format_json join
-the same pieces into one text.
+CSV-safe, and computes each residual and pass.  render works in pieces
+of at most CHUNK_ROWS rows: in each piece it formats each distinct value
+of a column (by bit pattern) once, and keeps per row one code of the
+narrowest unsigned type that indexes those texts (one or two bytes).  A
+csv or json piece is formatted when it is asked for and its texts are
+dropped once it is joined, so a caller that writes each piece as it
+comes holds neither the whole output nor a whole column's texts.  A
+table's widths need every text, so a table formats all of its pieces
+first and pads a piece's texts as it joins them.  format_table,
+format_csv and format_json join the same pieces into one text.
 
 All floats are rendered with 17 significant digits so a fixed
 configuration always produces byte-identical output, and a value's text
-is the same in every format.  JSON's rule sits in one place, where a
-column is added: each text gets its column's quoted name as key, every
-quantity name is quoted, and so are the texts of non-finite floats, since
-JSON has no infinities: they appear as the strings "inf", "-inf" or
-"nan".  CSV and tables print every text as it is.
+is the same in every format.  JSON's rule sits in one place, where
+render dresses a piece's texts: each text gets its column's quoted name
+as key, every quantity name is quoted, and so are the texts of
+non-finite floats, since JSON has no infinities: they appear as the
+strings "inf", "-inf" or "nan".  CSV prints every text as it is, and a
+table pads it to its column's width.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import count, repeat
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, count, islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,21 +129,27 @@ class RecordBatch:
 # 17 significant digits, enough to round-trip any double
 FLOAT_SPEC = ".17g"
 
-# Rows per piece of rendered text; a row holds one narrow code per
-# column until its piece is joined.  On a 2-core Xeon (Python 3.11,
-# numpy 2.4), a fresh interpreter running one 2,000-step JSON sweep
-# (22,011 rows) to --out /dev/null peaked (ru_maxrss, median of 5) at
-# 36.2 MB RSS with 256 rows a piece, 36.5 MB with 1024, 38.9 MB with
-# 4096 and 49.7 MB with the whole text in one piece.
+# Rows per piece of rendered text, and per step of a csv or json render's
+# formatting.  On a 2-core Xeon (Python 3.11, numpy 2.4), one 2,000-step
+# example2 JSON sweep (22,000 rows) with stdout captured in a StringIO
+# peaked in a fresh interpreter (ru_maxrss, median of 21) at 36.4 MB with
+# 512 rows a piece, 37.2 MB with 1024, 38.5 MB with 2048 and 40.4 MB with
+# 4096; its render took (min of 40) 37.3, 34.5, 33.1 and 32.9 ms, since
+# a piece costs about 0.1 ms whatever its rows (an 11-row piece 0.11 ms).
 CHUNK_ROWS = 1024
 
 # what FLOAT_SPEC gives a non-finite float (every nan prints "nan",
 # whatever its sign or payload); JSON has no such numbers
 _NON_FINITE = frozenset({"inf", "-inf", "nan"})
 
-# a column's distinct texts (an object array) and each row's code, an
-# index into them
-_Columns = list[tuple[np.ndarray, np.ndarray]]
+# the fields of every row, after the sweep column when there is one
+_FIELDS = ("quantity", "analytic", "numeric", "residual", "tolerance", "pass")
+
+# one piece's columns: each column's distinct texts and each row's code,
+# an index into them
+_Columns = list[tuple[list[str], np.ndarray]]
+# what a format makes of column i's texts before its rows are joined
+_Dress = Callable[[int, list[str]], list[str]]
 
 
 def _distinct_floats(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -161,59 +170,49 @@ def _distinct_names(names: list[str]) -> tuple[list[str], np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
-def _columns(batch: RecordBatch, output_format: str) -> tuple[list[str], _Columns]:
-    """Header and one column per field; "json" gives JSON "key": value
-    pairs, each name and non-finite text quoted, and "table" pads each
-    heading and text to its column's width, the texts of the first column
-    to the left and the others to the right."""
-    header: list[str] = []
-    columns: _Columns = []
-
-    def add(heading: str, texts: list[str], rows: np.ndarray, quote_all: bool = False) -> None:
-        if output_format == "table":
-            width = max([len(heading), *map(len, texts)])
-            heading = heading.ljust(width)
-            texts = list(map(str.rjust if columns else str.ljust, texts, repeat(width)))
-        elif output_format == "json":
-            key = f"{json.dumps(heading)}: "
-            texts = [key + (json.dumps(t) if quote_all or t in _NON_FINITE else t) for t in texts]
-        header.append(heading)
-        codes = rows.astype(np.min_scalar_type(len(texts)))
-        columns.append((np.array(texts, dtype=object), codes))
-
-    if batch.sweep is not None:
-        add(batch.sweep[0], *_distinct_floats(batch.sweep[1]))
-    add("quantity", *_distinct_names(batch.quantities), quote_all=True)
+def _piece(batch: RecordBatch, start: int) -> _Columns:
+    """One column per field of rows start to start + CHUNK_ROWS: its
+    distinct texts and each row's code into them, of the narrowest
+    unsigned type that holds the count of texts."""
+    rows = slice(start, start + CHUNK_ROWS)
+    fields = [] if batch.sweep is None else [_distinct_floats(batch.sweep[1][rows])]
+    fields.append(_distinct_names(batch.quantities[rows]))
     for field in ("analytic", "numeric", "residual", "tolerance"):
-        add(field, *_distinct_floats(getattr(batch, field)))
-    flags, passed = np.unique(batch.passed, return_inverse=True)
-    add("pass", [("false", "true")[f] for f in flags.tolist()], passed)
-    return header, columns
+        fields.append(_distinct_floats(getattr(batch, field)[rows]))
+    flags, passed = np.unique(batch.passed[rows], return_inverse=True)
+    fields.append(([("false", "true")[f] for f in flags.tolist()], passed))
+    return [(texts, codes.astype(np.min_scalar_type(len(texts)))) for texts, codes in fields]
 
 
-def _lines(columns: _Columns, sep: str) -> Iterator[list[str]]:
-    """Each row's texts joined by sep, CHUNK_ROWS rows at a time."""
-    for start in range(0, len(columns[0][1]), CHUNK_ROWS):
-        cells = [texts[rows[start : start + CHUNK_ROWS]].tolist() for texts, rows in columns]
-        yield list(map(sep.join, zip(*cells)))
+def _lines(columns: _Columns, dress: _Dress, sep: str) -> list[str]:
+    """Each row of one piece, its dressed texts joined by sep."""
+    cells = [
+        np.array(dress(i, texts), dtype=object)[codes].tolist()
+        for i, (texts, codes) in enumerate(columns)
+    ]
+    return list(map(sep.join, zip(*cells)))
 
 
 # Each piece below is built by one join, so its text is not copied again
 # to add its ends.
 
 
-def _text_pieces(top: list[str], columns: _Columns, sep: str) -> Iterator[str]:
+def _text_pieces(
+    top: list[str], pieces: Iterable[_Columns], dress: _Dress, sep: str
+) -> Iterator[str]:
     yield "\n".join([*top, ""])
-    for lines in _lines(columns, sep):
+    for columns in pieces:
+        lines = _lines(columns, dress, sep)
         lines.append("")
         yield "\n".join(lines)
 
 
-def _json_pieces(columns: _Columns) -> Iterator[str]:
+def _json_pieces(pieces: Iterable[_Columns], dress: _Dress) -> Iterator[str]:
     # each row is one object whose first pair is the schema version
     opening = f'  {{"schema_version": {json.dumps(SCHEMA_VERSION)}, '
     before = "[\n"
-    for lines in _lines(columns, ", "):
+    for columns in pieces:
+        lines = _lines(columns, dress, ", ")
         lines[0] = before + opening + lines[0]
         lines[-1] += "}"
         yield ("},\n" + opening).join(lines)
@@ -225,19 +224,43 @@ def render(batch: RecordBatch, output_format: str) -> Iterator[str]:
     """The text of batch as a "table", "csv" or "json", in pieces of at most
     CHUNK_ROWS rows.
 
-    Each column's distinct texts are formatted before this returns; a
-    piece's rows are joined only when the piece is asked for.
+    The format is checked, and the first piece's texts formatted, before
+    this returns.  A csv or json piece's texts are formatted when the
+    piece is asked for and dropped once it is joined.  A table formats
+    every piece first, since each text sets its column's width, and pads
+    a piece's texts as it joins them.
     """
     if output_format not in ("table", "csv", "json"):
         raise ValueError(f"output format must be table, csv or json, got {output_format!r}")
-    header, columns = _columns(batch, output_format)
-    if output_format == "json":
-        return _json_pieces(columns)
+    header = list(_FIELDS) if batch.sweep is None else [batch.sweep[0], *_FIELDS]
+    pieces = map(_piece, repeat(batch), range(0, len(batch), CHUNK_ROWS))
     if output_format == "table":
-        top = ["  ".join(header).rstrip(), "  ".join("-" * len(h) for h in header)]
-        return _text_pieces(top, columns, "  ")
-    top = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-    return _text_pieces(top, columns, ",")
+        pieces = list(pieces)
+        widths = list(map(len, header))
+        for columns in pieces:
+            widths = [max([w, *map(len, texts)]) for w, (texts, _) in zip(widths, columns)]
+
+        def pad(i: int, texts: list[str]) -> list[str]:
+            # the first column to the left, the others to the right
+            return list(map(str.rjust if i else str.ljust, texts, repeat(widths[i])))
+
+        top = ["  ".join(map(str.ljust, header, widths)).rstrip()]
+        top.append("  ".join("-" * w for w in widths))
+        return _text_pieces(top, pieces, pad, "  ")
+    # the first piece now, so that a failure in formatting it comes before
+    # the caller opens where the text goes
+    pieces = chain(list(islice(pieces, 1)), pieces)
+    if output_format == "csv":
+        top = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
+        return _text_pieces(top, pieces, lambda i, texts: texts, ",")
+    keys = [f"{json.dumps(heading)}: " for heading in header]
+    names = len(header) - len(_FIELDS)  # the quantity column
+
+    def pairs(i: int, texts: list[str]) -> list[str]:
+        # every name is quoted, and so is every non-finite float
+        return [keys[i] + (json.dumps(t) if i == names or t in _NON_FINITE else t) for t in texts]
+
+    return _json_pieces(pieces, pairs)
 
 
 def format_table(batch: RecordBatch) -> str:

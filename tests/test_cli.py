@@ -1244,14 +1244,16 @@ def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch,
     target.write_bytes(b"kept\n")
     assert main(["sweep", "--param", "e1", "--values", ",", "--out", str(target)]) == 2
 
-    # a failure while rendering comes before the file is opened
+    # render formats the first piece before it returns, so a failure
+    # there comes before the file is opened, in every format
     def fail(values):
         raise ValueError("cannot render")
 
     monkeypatch.setattr(reporting, "_distinct_floats", fail)
-    assert main(["example1", "--out", str(target)]) == 2
-    assert capsys.readouterr().err.endswith("error: cannot render\n")
-    assert target.read_bytes() == b"kept\n"
+    for output_format in ("table", "csv", "json"):
+        assert main(["example1", "--format", output_format, "--out", str(target)]) == 2
+        assert capsys.readouterr().err.endswith("error: cannot render\n")
+        assert target.read_bytes() == b"kept\n"
 
 
 def test_json_output_parses(capsys):

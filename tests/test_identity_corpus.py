@@ -69,12 +69,12 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
-    # --help of the top level and of every subcommand: 1,484 argvs in
-    # all, and 1,493 runs with the 9 library records.  argparse wraps help
+    # --help of the top level and of every subcommand: 1,493 argvs in
+    # all, and 1,502 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
-    assert len(runs) == 1484
+    assert len(runs) == 1493
     argvs = [argv for argv, _ in runs]
     _, subcommands = cli._make_parser()
     for command in ([], *([name] for name in subcommands)):
@@ -119,6 +119,24 @@ def test_chunk_edge_runs_land_on_the_edges(capsys):
             main(argv)
             counts.append(len(capsys.readouterr().out.splitlines()) - 2)
     assert counts == [rows for rows in tool.EDGE_ROWS for _ in range(2)]
+
+
+def test_late_widest_runs_widen_a_column_after_the_first_piece(capsys):
+    # in each of these sweeps some column's widest text first appears
+    # after the first piece of rendered output
+    tool = _load_tool()
+    argvs = [argv for argv, _ in tool.corpus()]
+    for model, param, last in tool.LATE_WIDEST_SWEEPS:
+        values = ",".join([*map(str, range(1, 96)), last])
+        for fmt in tool.FORMATS:
+            assert ["sweep", "--model", model, "--param", param, f"--values={values}",
+                    "--format", fmt] in argvs
+        main(["sweep", "--model", model, "--param", param, f"--values={values}",
+              "--format", "csv"])
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) > tool.CHUNK
+        widths = [list(map(len, column)) for column in zip(*rows)]
+        assert any(column.index(max(column)) >= tool.CHUNK for column in widths)
 
 
 def test_library_records_cover_each_demo_and_the_quickstart(capsys):

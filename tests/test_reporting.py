@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,32 @@ def _rows(count):
     ),
     3,
 )
+# the widest text of each column but the tolerance's only in the last
+# piece, which sets the table's widths
+@example(
+    (
+        [ReportRecord("a", 1.0, 1.0, 0.5)] * 4
+        + [ReportRecord("widest", 1 / 3, -1e-300, INFORMATIONAL)],
+        ("e1", [1.0, 1.0, 2.0, 2.0, -1 / 3]),
+    ),
+    2,
+)
+# 0.0 and -0.0, and nans of three bit patterns, on the two sides of each
+# piece boundary: each piece prints its own rows' bit patterns
+@example(
+    (
+        [
+            ReportRecord("a", 1.0, 0.0, 0.0),
+            ReportRecord("b", 0.0, _PAYLOAD_NAN, 1.0),
+            ReportRecord("c", -0.0, math.nan, -0.0),
+            ReportRecord("d", _PAYLOAD_NAN, -0.0, 0.0),
+            ReportRecord("e", math.nan, 0.0, -0.0),
+            ReportRecord("f", -math.nan, -math.nan, 0.0),
+        ],
+        ("q", [1.0, 0.0, -0.0, _PAYLOAD_NAN, math.nan, -0.0]),
+    ),
+    2,
+)
 # 0, 1, k * chunk and k * chunk + 1 rows
 @example(([], None), 2)
 @example((_rows(1), ("e1", [0.5])), 2)
@@ -397,20 +424,49 @@ def test_repeated_columns_match_per_cell_format(records_and_sweep, chunk):
 
 # ------------------------------------------------- code widths
 
-# each count of distinct values on both sides of the uint8, uint16 and
-# uint32 code widths; the three past 257 are checked as csv only, whose
-# reference is the cheapest to build at 65,536 rows
+# each count of distinct values on both sides of the uint8 and uint16
+# code widths within one piece, and columns of more distinct values than
+# 16-bit codes could index, whose codes are per piece and so never wider;
+# the three past 257 are checked as csv only, whose reference is the
+# cheapest to build at 65,536 rows
 @pytest.mark.parametrize("distinct", [255, 256, 257, 65_535, 65_536, 65_537])
 def test_every_code_width_renders_each_row(distinct):
     records = [ReportRecord(f"q{i % 3}", i / 7, 0.5, 0.25 + i % 2) for i in range(distinct)]
     sweep = ("e1", [i * 0.125 for i in range(distinct)])
     batch = _batch(*records, sweep=sweep)
-    header, columns = reporting._columns(batch, "csv")
-    for heading, (texts, codes) in zip(header, columns):
-        assert codes.dtype == np.min_scalar_type(len(texts)), heading
-    for heading in ("e1", "analytic"):
-        assert len(columns[header.index(heading)][0]) == distinct
+    pieces = [reporting._piece(batch, start) for start in range(0, distinct, reporting.CHUNK_ROWS)]
+    for columns in pieces:
+        for texts, codes in columns:
+            assert codes.dtype == np.min_scalar_type(len(texts)) and codes.itemsize <= 2
+    # each value of the e1 and analytic columns is its own
+    for i in (0, 2):
+        assert sum(len(columns[i][0]) for columns in pieces) == distinct
     assert format_csv(batch) == _reference_csv(records, sweep)
     if distinct <= 257:
+        assert len(pieces) == 1
         assert format_table(batch) == _reference_table(records, sweep)
         assert format_json(batch) == _reference_json(records, sweep)
+
+
+# ------------------------------------------------------------ memory
+
+def test_csv_and_json_hold_one_pieces_texts_at_a_time():
+    # 65,536 rows of distinct values in every float column: the whole
+    # columns' texts take about 19 MB (19,349,593 bytes by sys.getsizeof),
+    # and a render that formats them all before its first piece peaks at
+    # 24.0 MB (csv) and 34.2 MB (json) under tracemalloc.  One piece's
+    # texts at a time peak at 1.2 MB and 1.6 MB, under the 3 MB bound.
+    rows = np.arange(65_536)
+    batch = RecordBatch(
+        [f"q{i}" for i in range(len(rows))], rows / 7, rows / 3 + 0.5, 0.25 + rows % 2,
+        ("e1", rows * 0.125 + 1 / 3),
+    )
+    for output_format in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            written = sum(map(len, reporting.render(batch, output_format)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 5_000_000
+        assert peak < 3_000_000, output_format

@@ -57,9 +57,10 @@ flags before the subcommand or of another one; no arguments, an
 unknown subcommand, a help flag before a subcommand and a subcommand
 name or help flag after one; deriv grids and sweeps
 whose row counts land at the edges of a piece of rendered output, in
-every format; a deriv whose float columns hold more than 65,536 distinct
-values, past the 16-bit row codes of rendering; --help of the top level
-and of each subcommand; and --out.
+every format; sweeps of 96 values whose widest text in a column first
+appears after the first piece of 1,024 rows, in every format; a deriv
+whose float columns hold more than 65,536 distinct values; --help of the
+top level and of each subcommand; and --out.
 """
 
 from __future__ import annotations
@@ -105,6 +106,12 @@ CHUNK_EDGE_GRIDS = tuple(f"0,1,{rows - 3}" for rows in EDGE_ROWS)
 # giving EDGE_ROWS rows: a step keeps its 11 records when e1 > 0.5, and 4
 # otherwise
 CHUNK_EDGE_SWEEPS = (("4.75", "100"), ("20", "95"), ("9", "97"), ("11", "192"))
+# (model, param, last value) of sweep --values 1,2,...,95,LAST: 1,056 rows,
+# 11 a value, in which LAST's rows, from row 1,045 on, hold the widest
+# text of the sweep column, and for e1 = 1e-300 of the analytic and
+# residual columns too
+LATE_WIDEST_SWEEPS = (("example1", "e1", "1e-300"), ("example1", "q", "1e-9"),
+                      ("example2", "alpha", "1e300"))
 # stands for the path of a file holding the run's config text
 CONFIG = "CONFIG"
 # stands for the path --out writes to
@@ -290,8 +297,13 @@ def corpus() -> list[tuple[list[str], str | None]]:
     ]
     for argv, fmt in itertools.product(chunk_edges, FORMATS):
         add(*argv, "--format", fmt)
+    # a column whose widest text first appears after the first piece,
+    # which a table's widths must still see
+    for (model, param, last), fmt in itertools.product(LATE_WIDEST_SWEEPS, FORMATS):
+        values = ",".join([*map(str, range(1, 96)), last])
+        add("sweep", "--model", model, "--param", param, f"--values={values}", "--format", fmt)
     # 65,539 rows whose float columns hold 65,538-65,539 distinct texts,
-    # so each row's code into them is 32-bit
+    # more than 16-bit codes could index in one piece
     add("deriv", "--function", "x", "--alpha", "0.5", "--grid", "0,1,65536", "--format", "csv")
 
     # help text, whose wrapping reads COLUMNS (pinned by record)
