@@ -11,8 +11,11 @@ Layers, bottom up:
 - wkb: the 1/sqrt(p) exp(iS/hbar) wave field, finite-difference
   eigen-checks of the momentum and Hamiltonian operators, and the
   batched evaluator of every model quantity
-- verification: the oracle suite behind `fracwkb verify`
-- cli: command-line front end
+- verification: the records of every CLI subcommand, with their
+  tolerance tables and computed bounds, and the oracle suite behind
+  `fracwkb verify`
+- cli: command-line front end; it parses, dispatches to verification's
+  record builders and writes
 
 The package re-exports the `__all__` of errors, fracops,
 hamilton_jacobi, mechanics, reporting and wkb, in that order, and adds

@@ -1,13 +1,21 @@
-"""Command-line front end.
+"""Command-line front end: parse, dispatch, write.
 
-Subcommands:
+cli parses argv and --config files into a RunConfig, hands the settings
+each subcommand reads, by name, to that subcommand's record builder in
+the verification module, and writes the RecordBatch it returns.  It
+builds and judges no record itself: every tolerance table and computed
+bound sits with the builders.
 
-- deriv: evaluate a one-sided derivative of a built-in power function
-  on a grid, with per-node oracle comparison and a convergence check
-- example1 / example2: run the built-in models end to end, comparing
-  every stage against the hand-expanded closed forms
-- verify: run the full verification suite (see the verification module)
-- sweep: repeat the model records across a parameter range
+Subcommands, and the builders behind them:
+
+- deriv (deriv_records): evaluate a one-sided derivative of a built-in
+  power function on a grid, with per-node oracle comparison and a
+  convergence check
+- example1 / example2 (model_records): run the built-in models end to
+  end, comparing every stage against the hand-expanded closed forms
+- verify (verify_records): run the full verification suite
+- sweep (model_records): repeat the model records across a parameter
+  range
 
 Exit code 0 means every emitted record passed its tolerance; 1 means at
 least one failed (the failures are echoed on stderr); 2 means the
@@ -16,61 +24,42 @@ the model, or for which an array cannot be allocated, included); a
 reader that closes stdout or stderr changes none of them.  Output is
 byte-deterministic for a fixed configuration.  Each subcommand takes
 only the flags it reads, and a --config file holds those same flags as
-KEY = VALUE lines.  main builds the parser of the subcommand its first
-argument names and no other's; when that argument names none (there is
-none, or it is a flag or an unknown word) it builds all five, so usage,
-help and error texts read the same either way.
+KEY = VALUE lines.  A flag's value may start with - and a digit or a
+'.' (--q -1e-3, --values -1,2).  main builds the parser of the
+subcommand its first argument names and no other's; when that argument
+names none (there is none, or it is a flag or an unknown word) it
+builds all five, so usage, help and error texts read the same either
+way.
 
-argparse checks the choices; RunConfig checks nothing.  A model
-setting, from a flag, a config line or a sweep value, is checked where
-its row is evaluated: wkb.evaluate_models reruns a row it flags down
-the scalar model path, so a bad value gives one message wherever it
-came from.
+argparse checks the choices; RunConfig checks nothing.  A builder
+resolves its tolerances first and then checks the order or the rows.  A
+model setting, from a flag, a config line or a sweep value, is checked
+where its row is evaluated, down the scalar model path, so a bad value
+gives one message wherever it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .fracops import FractionalOrder, TimeGrid
-from .mechanics import FamilyColumns, example1, example2
-from .reporting import FLOAT_SPEC, INFORMATIONAL, RecordBatch, ReportRecord, render
+from .fracops import TimeGrid
+from .mechanics import example1, example2
+from .reporting import RecordBatch, render
 from .verification import (
-    DEFAULT_TOLERANCES,
-    observed_order_record,
-    power_kernel_check,
-    resolve_tolerances,
-    run_checks,
+    SWEEP_PARAMS, TEST_FUNCTIONS, deriv_records, model_records, verify_records,
 )
-from .wkb import FD_STEP, SAMPLE_POINT, _closed_form_slopes, evaluate_models
+from .wkb import FD_STEP
 
 __all__ = ["RunConfig", "main"]
-
-_TEST_FUNCTIONS = {"const": 0, "x": 1, "x2": 2, "x3": 3}
-
-_DERIV_TOLERANCES = {
-    name: DEFAULT_TOLERANCES[name] for name in ("kernel_max_error", "kernel_order")
-}
-
-# the model records' own tolerances, then those they share with verify
-_EXAMPLE_TOLERANCES = {
-    "closed_form": 1e-12,
-    "hj_residual": 1e-10,
-    **{
-        name: DEFAULT_TOLERANCES[name]
-        for name in ("momentum_eigenvalue", "energy_eigenvalue", "probability", "imag_part")
-    },
-}
-
-_SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")
 
 
 class RunConfig(NamedTuple):
@@ -95,162 +84,12 @@ class RunConfig(NamedTuple):
     v: float = 0.0
 
 
-def cmd_deriv(config: RunConfig, function: str, side: str) -> RecordBatch:
-    """Per-node derivative values plus oracle summary records.
-
-    Per-node rows are informational (infinite tolerance): they expose
-    the data, including divergent endpoints, without gating the exit
-    code.  The pass/fail content lives in the max_interior_error and
-    observed_order records; observed_order is informational too when
-    the fine grid's error is within twice its roundoff floor.  An order
-    that overflows on the grid, or else on its 4x refinement, exits 2.
-    """
-    exponent = _TEST_FUNCTIONS[function]
-    tolerances = resolve_tolerances(config.tolerances, _DERIV_TOLERANCES)
-    order = FractionalOrder(config.alpha if side == "left" else config.beta)
-    grid = config.grid
-    refined = f"4x refinement grid {grid.a!r},{grid.b!r},{4 * grid.count}"
-    try:
-        fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
-    except ValueError as exc:
-        raise ValueError(f"{refined}: {exc}") from None
-    kept = []
-    for on, label in ((grid, f"grid {grid.a!r},{grid.b!r},{grid.count}"), (fine_grid, refined)):
-        try:
-            ((*_, numeric, oracle, error),) = power_kernel_check(on, [exponent], [order], side)
-            for name, values in (("derivative", numeric), ("max interior error", error)):
-                if not np.all(np.isfinite(values)):
-                    raise OverflowError(
-                        f"order {order.value!r} overflows a float: its {name} is not finite"
-                    )
-        except OverflowError as exc:
-            raise ValueError(f"{label}: {exc}") from None
-        # the grid's row is printed; of the refinement only its error is read
-        kept.append((numeric, oracle, error) if on is grid else error)
-    (numeric, oracle, error), fine_error = kept
-
-    summary = [
-        ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"]),
-        observed_order_record(
-            "observed_order", exponent, order, (grid, error), (fine_grid, fine_error),
-            tolerances["kernel_order"],
-        ),
-    ]
-    return RecordBatch(
-        [f"D[x={x:{FLOAT_SPEC}}]" for x in grid.nodes().tolist()] + [r.quantity for r in summary],
-        np.append(oracle, [r.analytic for r in summary]),
-        np.append(numeric, [r.numeric for r in summary]),
-        np.append(np.full(oracle.size, INFORMATIONAL), [r.tolerance for r in summary]),
-    )
-
-
 def _coefficients(config: RunConfig, model: str) -> tuple[float, ...]:
     """(c_alpha, c_beta, l_alpha, l_beta, v) of the model."""
     if model == "custom":
         return config.c_alpha, config.c_beta, config.l_alpha, config.l_beta, config.v
     spec = example1() if model == "example1" else example2()
     return spec.c_alpha, spec.c_beta, spec.l_alpha, spec.l_beta, spec.v
-
-
-# Model record names, which are also ModelColumns fields, and their
-# tolerances; a row whose momenta are not both positive keeps only the
-# first four.
-_MODEL_RECORDS = {
-    "w1_slope": "closed_form",
-    "w2_slope": "closed_form",
-    "S": "closed_form",
-    "hj_residual": "hj_residual",
-    "p_alpha": "momentum_eigenvalue",
-    "p_alpha_imag": "imag_part",
-    "p_beta": "momentum_eigenvalue",
-    "p_beta_imag": "imag_part",
-    "energy": "energy_eigenvalue",
-    "energy_imag": "imag_part",
-    "probability": "probability",
-}
-
-
-def _hj_rounding_floor(coefficients, w1, w2, e1, e2, q) -> np.ndarray:
-    """4 u M, u = 2**-53: what rounding alone can leave in hj_residual.
-
-    The residual sums k**2 / (2c) over both branches, k = W - l, then
-    subtracts v q**2 / 2 and e1 + e2.  W carries its own rounding, about
-    u |W| from its last addition, into W - l, and the square doubles it:
-    a branch's term is off by about u |k| (|k| + 2 |W|) / (2c).  Every
-    other rounding, the radicand's included, is u of a term or of a
-    partial sum, each at most M = the branches' |k| (|k| + 2 |W|) / (2c)
-    + |v| q**2 / 2 + e1 + e2, and 4 covers those few: over 2,000,000
-    drawn members (c up to 1e3, |l| up to 1e7, e1 and e2 up to 1e9)
-    |residual| stayed under 2.6 u M.  w1 and w2 are the family's own
-    slopes.  Each term takes its 4u before a product that M itself could
-    overflow in, and each |k| (|k| + 2 |W|) is two products, so k = 0
-    gives 0 even where 2 |W| would overflow.
-    """
-    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
-    u4 = 4.0 * 2.0**-53
-    k1, k2 = np.abs(w1 - l_alpha), np.abs(w2 - l_beta)
-    s1, s2 = u4 * k1, u4 * k2
-    return (
-        (s1 * k1 + 2.0 * s1 * np.abs(w1)) / (2.0 * c_alpha)
-        + (s2 * k2 + 2.0 * s2 * np.abs(w2)) / (2.0 * c_beta)
-        + u4 * (0.5 * np.abs(v) * (q * q))
-        + u4 * e1
-        + u4 * e2
-    )
-
-
-def cmd_example(
-    config: RunConfig, model: str, param: str | None = None, values: Sequence[float] = ()
-) -> RecordBatch:
-    """Model records: slopes, S, HJ residual, eigenvalues, probability.
-
-    One row for config, or one per value with param set to it, all
-    evaluated in one batch.  Wave-field records are emitted only where
-    both slope momenta are positive; zero-energy rows still report
-    slopes, S and the HJ residual.  An HJ residual row's tolerance is at
-    least its rounding floor, _hj_rounding_floor, whether the tolerance
-    came from the table or from --tol.  The rows are validated where they
-    are evaluated, by evaluate_models: a bad setting raises the scalar
-    path's error, whether it came from a flag or a sweep value.
-    """
-    tolerances = resolve_tolerances(config.tolerances, _EXAMPLE_TOLERANCES)
-    settings = {name: getattr(config, name) for name in _SWEEP_PARAMS}
-    if param is not None:
-        settings[param] = values
-    rows = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in settings.values()))
-    alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
-    coefficients = _coefficients(config, model)
-    u1, u2, t = SAMPLE_POINT
-    columns = evaluate_models(
-        FamilyColumns(*coefficients, alpha, beta), e1, e2, u1, u2, t, q, fd_step, config.hbar
-    )
-
-    with np.errstate(all="ignore"):
-        w1, w2 = _closed_form_slopes(coefficients, e1, e2, q)
-        S = w1 * u1 + w2 * u2 - (e1 + e2) * t
-        floor = _hj_rounding_floor(coefficients, columns.w1_slope, columns.w2_slope, e1, e2, q)
-    zero, one = np.zeros_like(w1), np.ones_like(w1)
-    analytic = [w1, w2, S, zero, w1, zero, w2, zero, e1 + e2, zero, one]
-    tolerance = np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], (len(w1), 1))
-    tolerance[:, 3] = np.maximum(tolerance[:, 3], floor)  # the hj_residual column
-    kept = np.ones((len(w1), len(_MODEL_RECORDS)), dtype=bool)
-    kept[:, 4:] = columns.wave[:, None]
-    sweep = None if param is None else (param, np.repeat(values, kept.sum(axis=1)))
-    kept = kept.ravel()
-    return RecordBatch(
-        list(compress(list(_MODEL_RECORDS) * len(w1), kept.tolist())),
-        np.column_stack(analytic).ravel()[kept],
-        np.column_stack([getattr(columns, name) for name in _MODEL_RECORDS]).ravel()[kept],
-        tolerance.ravel()[kept],
-        sweep,
-    )
-
-
-def cmd_verify(config: RunConfig) -> RecordBatch:
-    """Full verification suite with the acceptance tolerances."""
-    return RecordBatch.from_records(
-        [record for _, records in run_checks(config.tolerances) for record in records]
-    )
 
 
 def _write(stream: TextIO, pieces: Iterable[str]) -> None:
@@ -373,6 +212,12 @@ _COMMANDS = {
     "verify": "run the verification suite",
     "sweep": "repeat model records over a parameter range",
 }
+
+# argparse reads only -N and -N.N as negative numbers, and any other token
+# that starts with - as a flag; no fracwkb flag starts with a digit or a
+# '.', so such a token (-1e-3, -1,2 or -1,1,64 too) is a flag's value
+_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+
 _FLOAT_FLAGS = {
     "alpha": "left derivative order",
     "beta": "right derivative order",
@@ -395,6 +240,7 @@ def _make_parser(
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         p = sub.add_parser(name, help=_COMMANDS[name])
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if name != "verify":  # deriv takes the first two float flags, the models all
             for field in list(_FLOAT_FLAGS)[: 2 if name == "deriv" else None]:
                 flag = "--" + field.replace("_", "-")
@@ -418,13 +264,13 @@ def _make_parser(
             p.add_argument("--grid", help=_help("grid as a,b,count", "grid"))
             p.add_argument(
                 "--function",
-                choices=sorted(_TEST_FUNCTIONS),
+                choices=sorted(TEST_FUNCTIONS),
                 default="x",
                 help="built-in test function (powers of the offset from the endpoint)",
             )
             p.add_argument("--side", choices=("left", "right"), default="left")
         elif name == "sweep":
-            p.add_argument("--param", choices=_SWEEP_PARAMS, help="model setting to sweep")
+            p.add_argument("--param", choices=SWEEP_PARAMS, help="model setting to sweep")
             p.add_argument("--values", help="comma-separated explicit sweep values")
             p.add_argument("--from", dest="sweep_from", type=float, help="linear range start")
             p.add_argument("--to", dest="sweep_to", type=float, help="linear range end")
@@ -456,8 +302,8 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
             values = [args.sweep_from + i * width for i in range(args.steps)]
     else:
         raise ValueError("sweep needs --values or --from/--to/--steps")
-    if args.param not in _SWEEP_PARAMS:
-        raise ValueError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
+    if args.param not in SWEEP_PARAMS:
+        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     if not values:
         raise ValueError("sweep needs at least one value")
     return values
@@ -487,12 +333,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             other = "beta" if args.side == "left" else "alpha"
             if getattr(args, other) is not None:
                 raise ValueError(f"--{other} does not apply to --side {args.side}")
-            return _emit(cmd_deriv(config, args.function, args.side), config)
-        if args.command in ("example1", "example2"):
-            return _emit(cmd_example(config, args.command), config)
-        if args.command == "verify":
-            return _emit(cmd_verify(config), config)
-        return _emit(cmd_example(config, config.model, args.param, _sweep_values(args)), config)
+            order = config.alpha if args.side == "left" else config.beta
+            batch = deriv_records(config.tolerances, args.function, args.side, order, config.grid)
+        elif args.command == "verify":
+            batch = verify_records(config.tolerances)
+        else:
+            model, sweep = args.command, getattr(args, "param", None)
+            settings = {name: getattr(config, name) for name in SWEEP_PARAMS}
+            if model == "sweep":
+                # _sweep_values checks --param before it is used as a key
+                model, settings[sweep] = config.model, _sweep_values(args)
+            coefficients = _coefficients(config, model)
+            batch = model_records(config.tolerances, coefficients, config.hbar, sweep, **settings)
+        return _emit(batch, config)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         _write(sys.stderr, [f"error: {exc}\n"])
         return 2

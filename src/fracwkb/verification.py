@@ -1,4 +1,15 @@
-"""Verification suite: kernel oracles, eigen-checks, randomized sweeps.
+"""Verification suite and the records of every CLI subcommand.
+
+This module builds every record the CLI prints, and so holds every
+tolerance table and computed bound behind them: deriv_records for
+`fracwkb deriv` (with observed_order_record's 2-floor rule),
+model_records for example1, example2 and sweep (with the HJ residual's
+rounding floor, _hj_rounding_floor), and verify_records for verify (with
+the stencil's discrete-eigenvalue budget).  Each builder takes its
+inputs by name and resolves its tolerances before it checks an order or
+a row.  The cli module only parses, dispatches and writes; of the
+records it prints, only classical_limit_check's come from another
+module (wkb).
 
 Each check_* function returns ReportRecords for one family of claims;
 run_checks executes all of them with a named-tolerance table and the
@@ -37,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product, starmap
+from itertools import compress, product, starmap
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -53,14 +64,19 @@ from .fracops import (
 )
 from .hamilton_jacobi import EnergyColumns, EnergyPartition, PrincipalFunction
 from .mechanics import FamilyColumns, example1, example2
-from .reporting import INFORMATIONAL, ReportRecord
+from .reporting import FLOAT_SPEC, INFORMATIONAL, RecordBatch, ReportRecord
 from .wkb import FD_STEP, SAMPLE_POINT, _closed_form_slopes, classical_limit_check, evaluate_models
 
 __all__ = [
     "DEFAULT_TOLERANCES",
+    "TEST_FUNCTIONS",
+    "SWEEP_PARAMS",
     "resolve_tolerances",
     "power_kernel_check",
     "observed_order_record",
+    "deriv_records",
+    "model_records",
+    "verify_records",
     "run_checks",
     "check_kernel_oracle",
     "check_integer_reduction",
@@ -81,6 +97,22 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "probability": 1e-14,
     "imag_part": 1e-8,
 }
+
+_DERIV_TOLERANCES = {
+    name: DEFAULT_TOLERANCES[name] for name in ("kernel_max_error", "kernel_order")
+}
+
+# the model records' own tolerances, then those they share with verify
+_EXAMPLE_TOLERANCES = {"closed_form": 1e-12, "hj_residual": 1e-10} | {
+    name: DEFAULT_TOLERANCES[name]
+    for name in ("momentum_eigenvalue", "energy_eigenvalue", "probability", "imag_part")
+}
+
+# deriv's built-in functions, powers of the offset from the endpoint
+TEST_FUNCTIONS = {"const": 0, "x": 1, "x2": 2, "x3": 3}
+
+# the model settings a sweep may vary, each a keyword of model_records
+SWEEP_PARAMS = ("alpha", "beta", "e1", "e2", "q", "fd_step")
 
 _DOMAIN = (0.0, 1.0)
 _EXPONENTS = (1, 2, 3)
@@ -199,6 +231,60 @@ def observed_order_record(
     log_ratio = -math.inf if ratio == 0.0 else math.log(ratio)
     observed = log_ratio / math.log(fine_grid.count / coarse_grid.count)
     return ReportRecord(quantity, 1.0, observed, tolerance)
+
+
+def deriv_records(
+    overrides: Mapping[str, float], function: str, side: str, order: float, grid: TimeGrid
+) -> RecordBatch:
+    """The records of `fracwkb deriv`: per-node derivative values plus
+    oracle summary records.
+
+    function names a TEST_FUNCTIONS power, differentiated on grid at
+    order from the side's endpoint.  Per-node rows are informational
+    (infinite tolerance): they expose the data, including divergent
+    endpoints, without gating the exit code.  The pass/fail content lives
+    in the max_interior_error and observed_order records; observed_order
+    is informational too when the fine grid's error is within twice its
+    roundoff floor.  The tolerances are resolved before the order is
+    checked.  An order that overflows on the grid, or else on its 4x
+    refinement, raises ValueError.
+    """
+    exponent = TEST_FUNCTIONS[function]
+    tolerances = resolve_tolerances(overrides, _DERIV_TOLERANCES)
+    order = FractionalOrder(order)
+    refined = f"4x refinement grid {grid.a!r},{grid.b!r},{4 * grid.count}"
+    try:
+        fine_grid = TimeGrid(grid.a, grid.b, 4 * grid.count)
+    except ValueError as exc:
+        raise ValueError(f"{refined}: {exc}") from None
+    kept = []
+    for on, label in ((grid, f"grid {grid.a!r},{grid.b!r},{grid.count}"), (fine_grid, refined)):
+        try:
+            ((*_, numeric, oracle, error),) = power_kernel_check(on, [exponent], [order], side)
+            for name, values in (("derivative", numeric), ("max interior error", error)):
+                if not np.all(np.isfinite(values)):
+                    raise OverflowError(
+                        f"order {order.value!r} overflows a float: its {name} is not finite"
+                    )
+        except OverflowError as exc:
+            raise ValueError(f"{label}: {exc}") from None
+        # the grid's row is printed; of the refinement only its error is read
+        kept.append((numeric, oracle, error) if on is grid else error)
+    (numeric, oracle, error), fine_error = kept
+
+    summary = [
+        ReportRecord("max_interior_error", 0.0, error, tolerances["kernel_max_error"]),
+        observed_order_record(
+            "observed_order", exponent, order, (grid, error), (fine_grid, fine_error),
+            tolerances["kernel_order"],
+        ),
+    ]
+    names, analytic, values, tolerance = zip(*summary)
+    return RecordBatch(
+        [f"D[x={x:{FLOAT_SPEC}}]" for x in grid.nodes().tolist()] + list(names),
+        np.append(oracle, analytic), np.append(numeric, values),
+        np.append(np.full(oracle.size, INFORMATIONAL), tolerance),
+    )
 
 
 def _error_table(
@@ -408,6 +494,101 @@ def _eigen_records(models: dict, name: str, tolerance: float) -> list[ReportReco
     return records + [ReportRecord(f"{name}_discrete[n={len(records)}]", 0.0, gap, budget)]
 
 
+# Model record names, which are also ModelColumns fields, and their
+# tolerances; a row whose momenta are not both positive keeps only the
+# first four.
+_MODEL_RECORDS = {
+    "w1_slope": "closed_form",
+    "w2_slope": "closed_form",
+    "S": "closed_form",
+    "hj_residual": "hj_residual",
+    "p_alpha": "momentum_eigenvalue",
+    "p_alpha_imag": "imag_part",
+    "p_beta": "momentum_eigenvalue",
+    "p_beta_imag": "imag_part",
+    "energy": "energy_eigenvalue",
+    "energy_imag": "imag_part",
+    "probability": "probability",
+}
+
+
+def _hj_rounding_floor(coefficients, w1, w2, e1, e2, q) -> np.ndarray:
+    """4 u M, u = 2**-53: what rounding alone can leave in hj_residual.
+
+    The residual sums k**2 / (2c) over both branches, k = W - l, then
+    subtracts v q**2 / 2 and e1 + e2.  W carries its own rounding, about
+    u |W| from its last addition, into W - l, and the square doubles it:
+    a branch's term is off by about u |k| (|k| + 2 |W|) / (2c).  Every
+    other rounding, the radicand's included, is u of a term or of a
+    partial sum, each at most M = the branches' |k| (|k| + 2 |W|) / (2c)
+    + |v| q**2 / 2 + e1 + e2, and 4 covers those few: over 2,000,000
+    drawn members (c up to 1e3, |l| up to 1e7, e1 and e2 up to 1e9)
+    |residual| stayed under 2.6 u M.  w1 and w2 are the family's own
+    slopes.  Each term takes its 4u before a product that M itself could
+    overflow in, and each |k| (|k| + 2 |W|) is two products, so k = 0
+    gives 0 even where 2 |W| would overflow.
+    """
+    c_alpha, c_beta, l_alpha, l_beta, v = coefficients
+    u4 = 4.0 * 2.0**-53
+    k1, k2 = np.abs(w1 - l_alpha), np.abs(w2 - l_beta)
+    s1, s2 = u4 * k1, u4 * k2
+    return (
+        (s1 * k1 + 2.0 * s1 * np.abs(w1)) / (2.0 * c_alpha)
+        + (s2 * k2 + 2.0 * s2 * np.abs(w2)) / (2.0 * c_beta)
+        + u4 * (0.5 * np.abs(v) * (q * q))
+        + u4 * e1
+        + u4 * e2
+    )
+
+
+def model_records(
+    overrides: Mapping[str, float], coefficients: Sequence[float], hbar: float,
+    sweep: str | None = None, **settings: float | Sequence[float],
+) -> RecordBatch:
+    """The records of `fracwkb example1`, `example2` and `sweep`: slopes,
+    S, HJ residual, eigenvalues, probability.
+
+    coefficients are the model's (c_alpha, c_beta, l_alpha, l_beta, v),
+    and settings holds each of SWEEP_PARAMS by name: a float, or, for the
+    one setting that sweep names, a sequence of values, one row each.  The
+    rows are evaluated in one batch.  Wave-field records are emitted only
+    where both slope momenta are positive; zero-energy rows still report
+    slopes, S and the HJ residual.  An HJ residual row's tolerance is at
+    least its rounding floor, _hj_rounding_floor, whether the tolerance
+    came from the table or from an override.  The tolerances are resolved
+    before any row is checked.  The rows are validated where they are
+    evaluated, by evaluate_models: a bad setting raises the scalar path's
+    error, whether it is a single value or a sweep's.
+    """
+    tolerances = resolve_tolerances(overrides, _EXAMPLE_TOLERANCES)
+    rows = np.broadcast_arrays(*(np.asarray(settings[name], dtype=float) for name in SWEEP_PARAMS))
+    alpha, beta, e1, e2, q, fd_step = map(np.ravel, rows)
+    u1, u2, t = SAMPLE_POINT
+    columns = evaluate_models(
+        FamilyColumns(*coefficients, alpha, beta), e1, e2, u1, u2, t, q, fd_step, hbar
+    )
+
+    with np.errstate(all="ignore"):
+        w1, w2 = _closed_form_slopes(coefficients, e1, e2, q)
+        S = w1 * u1 + w2 * u2 - (e1 + e2) * t
+        floor = _hj_rounding_floor(coefficients, columns.w1_slope, columns.w2_slope, e1, e2, q)
+    zero, one = np.zeros_like(w1), np.ones_like(w1)
+    analytic = [w1, w2, S, zero, w1, zero, w2, zero, e1 + e2, zero, one]
+    tolerance = np.tile([tolerances[name] for name in _MODEL_RECORDS.values()], (len(w1), 1))
+    tolerance[:, 3] = np.maximum(tolerance[:, 3], floor)  # the hj_residual column
+    kept = np.ones((len(w1), len(_MODEL_RECORDS)), dtype=bool)
+    kept[:, 4:] = columns.wave[:, None]
+    swept = None if sweep is None else (sweep, np.repeat(settings[sweep], kept.sum(axis=1)))
+    kept = kept.ravel()
+    return RecordBatch(
+        list(compress(list(_MODEL_RECORDS) * len(w1), kept.tolist())),
+        np.column_stack(analytic).ravel()[kept],
+        np.column_stack([getattr(columns, name) for name in _MODEL_RECORDS]).ravel()[kept],
+        tolerance.ravel()[kept],
+        swept,
+    )
+
+
 def check_hj_identity(tolerances: Mapping[str, float], models: dict) -> list[ReportRecord]:
     """Separation identity H(dS/du, q) + dS/dt = 0 across random members."""
     residual, tol = models["hj_residual"], tolerances["hj_residual"]
@@ -478,3 +659,8 @@ def run_checks(
     """
     table, models = resolve_tolerances(overrides), _model_measurements()
     return [(name, fn(table, models)) for name, fn in CHECKS]
+
+
+def verify_records(overrides: Mapping[str, float] | None = None) -> RecordBatch:
+    """The records of `fracwkb verify`: every check's, in run_checks' order."""
+    return RecordBatch.from_records([r for _, records in run_checks(overrides) for r in records])

@@ -19,7 +19,7 @@ from fracwkb import cli, reporting, verification, wkb
 from fracwkb.cli import RunConfig, _make_parser, main
 from fracwkb.fracops import FractionalOrder, TimeGrid, roundoff_floor
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
-from fracwkb.mechanics import LagrangianSpec
+from fracwkb.mechanics import LagrangianSpec, example1, example2
 from fracwkb.reporting import RecordBatch
 from fracwkb.verification import resolve_tolerances
 from fracwkb.wkb import SAMPLE_POINT, evaluate_model
@@ -265,12 +265,13 @@ def test_refinement_grid_is_checked_before_any_kernel_call(monkeypatch, capsys):
     # spacing underflows: deriv names the refinement grid and runs no
     # kernel.  0,1e-320,1500 is rejected on its own grid.
     calls = []
+    check = verification.power_kernel_check
 
     def counted(*args):
         calls.append(args)
-        return verification.power_kernel_check(*args)
+        return check(*args)
 
-    monkeypatch.setattr(cli, "power_kernel_check", counted)
+    monkeypatch.setattr(verification, "power_kernel_check", counted)
     assert main(["deriv", "--grid", "0,1e-320,1012"]) == 2
     assert capsys.readouterr().err == _REFINED_STEP_UNDERFLOWS
     assert main(["deriv", "--grid", "0,1e-320,1500"]) == 2
@@ -734,7 +735,7 @@ def test_bad_setting_fails_alike_from_flag_config_or_sweep(name, value, message,
         ["example1", f"--{name.replace('_', '-')}={value}", *zero],
         ["example1", "--config", str(config), *zero],
     ]
-    if name in cli._SWEEP_PARAMS:
+    if name in verification.SWEEP_PARAMS:
         runs.append(["sweep", "--param", name, f"--values={value}", *zero])
     for argv in runs:
         assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n"), argv
@@ -900,7 +901,7 @@ def test_sweep_of_one_step_is_one_row_at_from(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     rows = _csv_rows(captured.out)
-    assert [row["quantity"] for row in rows] == list(cli._MODEL_RECORDS)
+    assert [row["quantity"] for row in rows] == list(verification._MODEL_RECORDS)
     assert {row["e1"] for row in rows} == {"0.5"}
 
 
@@ -992,14 +993,14 @@ def test_custom_slope_records_check_an_independent_expansion(monkeypatch, capsys
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    evaluate = cli.evaluate_models
+    evaluate = verification.evaluate_models
     for field in _CLOSED_FORMS:
 
         def drifted(*args, field=field):
             columns = evaluate(*args)
             return columns._replace(**{field: getattr(columns, field) + 1e-9})
 
-        monkeypatch.setattr(cli, "evaluate_models", drifted)
+        monkeypatch.setattr(verification, "evaluate_models", drifted)
         assert main(argv) == 1
         rows = _csv_rows(capsys.readouterr().out)
         assert [row["quantity"] for row in rows if row["pass"] == "false"] == [field] * 2
@@ -1151,7 +1152,7 @@ def test_first_bad_row_error_is_the_scalar_error(model, param, values, v, capsys
     )
     err = capsys.readouterr().err
     config = RunConfig(model=model, v=float(v))
-    resolve_tolerances(config.tolerances, cli._EXAMPLE_TOLERANCES)
+    resolve_tolerances(config.tolerances, verification._EXAMPLE_TOLERANCES)
     coefficients = cli._coefficients(config, model)
     expected = None
     for value in values:
@@ -1451,3 +1452,68 @@ def test_fuzzed_argv_exits_0_1_or_2(argv, config_lines, tmp_path, monkeypatch):
         assert exc.code == 2
     else:
         assert ret in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["example1", "--q", "-1e-3"], "--q"),
+        (["sweep", "--param", "q", "--values", "-1,2"], "--values"),
+        (["sweep", "--param", "q", "--from", "-1e-3", "--to", "1", "--steps", "2"], "--from"),
+        (["deriv", "--grid", "-1,1,64"], "--grid"),
+    ],
+)
+def test_negative_value_after_its_flag_is_read_as_its_value(argv, flag, capsys):
+    # argparse alone reads only -N and -N.N as numbers, so each of these
+    # exited 2 with "argument FLAG: expected one argument"; they now read
+    # as their --flag=value form does
+    at = argv.index(flag)
+    joined = [*argv[:at], f"{flag}={argv[at + 1]}", *argv[at + 2 :]]
+    outcomes = []
+    for run in (argv, joined):
+        code = main(run)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 1) and outcomes[0][1]
+
+
+def test_each_builder_rendered_is_mains_stdout(capsys):
+    # cli parses, dispatches and writes; every record comes from a builder
+    # in verification, called here with the settings each argv names
+    settings = {"alpha": 1.5, "beta": 1.5, "e1": 1.0, "e2": 1.0, "q": 0.0, "fd_step": wkb.FD_STEP}
+    cases = [
+        (
+            ["deriv", "--side", "right", "--beta", "0.5", "--function", "x2", "--grid", "0,1,64"],
+            "table",
+            lambda: verification.deriv_records({}, "x2", "right", 0.5, TimeGrid(0.0, 1.0, 64)),
+        ),
+        (
+            ["example1", "--e1", "2", "--format", "csv"],
+            "csv",
+            lambda: verification.model_records(
+                {}, example1()[:5], 1.0, **{**settings, "e1": 2.0}
+            ),
+        ),
+        (
+            ["example2", "--q", "0.5", "--hbar", "2", "--tol", "probability=1e-13"],
+            "table",
+            lambda: verification.model_records(
+                {"probability": 1e-13}, example2()[:5], 2.0, **{**settings, "q": 0.5}
+            ),
+        ),
+        (
+            ["sweep", "--model", "custom", "--c-alpha", "2", "--param", "e1", "--values",
+             "0,1,2", "--format", "json"],
+            "json",
+            lambda: verification.model_records(
+                {}, (2.0, 1.0, 0.0, 0.0, 0.0), 1.0, "e1", **{**settings, "e1": [0.0, 1.0, 2.0]}
+            ),
+        ),
+        (["verify", "--format", "csv"], "csv", verification.verify_records),
+    ]
+    for argv, fmt, build in cases:
+        code = main(argv)
+        batch = build()
+        assert capsys.readouterr().out == "".join(reporting.render(batch, fmt)), argv
+        assert code == (0 if batch.passed.all() else 1), argv

@@ -36,6 +36,8 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
         ["example2", "--e2", "1e308"],
         ["sweep", "--param", "e1", "--values", ","],
         ["sweep", "--param", "alpha", "--values", "1.5", "--steps", "0"],
+        ["example1", "--q", "-1e-3"],
+        ["deriv", "--grid", "-1,1,64"],
         ["--alpha", "3", "verify"],
         [],
         ["derive"],
@@ -69,12 +71,12 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
-    # --help of the top level and of every subcommand: 1,493 argvs in
-    # all, and 1,502 runs with the 9 library records.  argparse wraps help
+    # --help of the top level and of every subcommand: 1,497 argvs in
+    # all, and 1,506 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
-    assert len(runs) == 1493
+    assert len(runs) == 1497
     argvs = [argv for argv, _ in runs]
     _, subcommands = cli._make_parser()
     for command in ([], *([name] for name in subcommands)):

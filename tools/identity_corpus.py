@@ -11,9 +11,7 @@ tests/test_demos.py runs them, and records the same for each: the demos
 and the quickstart call the library API that the argvs reach only
 through the CLI.  Three last records hash the rows of
 fracwkb.fracops.rl_derivative_rows on a block of several rows, stacked
-into one array (a tree older than that function stacks them in its
-fracwkb.fracops.rl_derivative, so --against it compares the same
-bytes), and the per-row errors of
+into one array, and the per-row errors of
 fracwkb.verification.power_kernel_check on a block of powers on both
 sides, with the error of each order whose weights or step**-order
 overflow; every
@@ -51,8 +49,10 @@ energy total that overflows under finite slopes; an energy past 1e6,
 whose HJ residual sits under its rounding floor; known
 tolerances set in and out of range, and one verify no longer knows;
 malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
-values their flag would not parse; a grid with a node at a tenth of its
-width; every sweep-range error, --values with a range flag included;
+values their flag would not parse; negative values in exponent form
+and in comma lists, which argparse alone takes for flags; a grid with
+a node at a tenth of its width; every sweep-range error, --values with
+a range flag included;
 flags before the subcommand or of another one; no arguments, an
 unknown subcommand, a help flag before a subcommand and a subcommand
 name or help flag after one; deriv grids and sweeps
@@ -251,6 +251,12 @@ def corpus() -> list[tuple[list[str], str | None]]:
         add("deriv", "--grid", grid)
     add("deriv", config="grid = 0,1,1e3\n")
     add("sweep", "--param", "e1", "--values", "1,x")
+    # negative values that argparse alone takes for flags: it reads only
+    # -N and -N.N as numbers
+    for argv in (("example1", "--q", "-1e-3"), ("sweep", "--param", "q", "--values", "-1,2"),
+                 ("sweep", "--param", "q", "--from", "-1e-3", "--to", "1", "--steps", "2"),
+                 ("deriv", "--grid", "-1,1,64")):
+        add(*argv)
     add("example1", "--tol", "probability=1e-13", "--tol", "imag_part=1e-3", "--format", "csv")
 
     # config files: comments and blank lines, tol.NAME keys, bad lines and keys
@@ -378,18 +384,12 @@ def _run_block(code) -> int:
 
 def _power_kernel_errors(grid, orders, side):
     # the power-kernel check's max interior error of each (order, power)
-    # row, powers 1, 2 and 3, as an (orders, powers) table.  A tree whose
-    # check returns the derivative, oracle and error blocks gives the
-    # table as its third block; one whose check hands out rows gives
-    # (i, j, numeric, oracle, error) per row
+    # row, powers 1, 2 and 3, as an (orders, powers) table
     import numpy as np
     from fracwkb.verification import power_kernel_check
 
-    checked = power_kernel_check(grid, (1, 2, 3), orders, side)
-    if isinstance(checked, tuple):
-        return checked[2]
     table = np.full((len(orders), 3), np.nan)
-    for i, j, *_, error in checked:
+    for i, j, *_, error in power_kernel_check(grid, (1, 2, 3), orders, side):
         table[i, j] = error
     return table
 
@@ -406,13 +406,9 @@ def _run_kernel_block() -> int:
     from fracwkb.fracops import FractionalOrder, TimeGrid
 
     def stacked(grid, rows, orders, side="left"):
-        # the kernel's rows as one (orders, rows, count + 1) block; a tree
-        # older than the row stream stacks them in its own rl_derivative
-        if not hasattr(fracops, "rl_derivative_rows"):
-            return fracops.rl_derivative(grid, rows, orders, side)
-        stream = fracops.rl_derivative_rows(grid, rows, orders, side)
+        # the kernel's rows as one (orders, rows, count + 1) block
         block = np.empty((len(orders), len(rows), grid.count + 1))
-        for i, r, row in stream:
+        for i, r, row in fracops.rl_derivative_rows(grid, rows, orders, side):
             block[i, r] = row
         return block
 
