@@ -24,12 +24,12 @@ the model, or for which an array cannot be allocated, included); a
 reader that closes stdout or stderr changes none of them.  Output is
 byte-deterministic for a fixed configuration.  Each subcommand takes
 only the flags it reads, and a --config file holds those same flags as
-KEY = VALUE lines.  A flag's value may start with - and a digit or a
-'.' (--q -1e-3, --values -1,2).  main builds the parser of the
-subcommand its first argument names and no other's; when that argument
-names none (there is none, or it is a flag or an unknown word) it
-builds all five, so usage, help and error texts read the same either
-way.
+KEY = VALUE lines.  A flag's value may start with - and a digit, a '.',
+inf or nan (--q -1e-3, --values -1,2, --q -inf).  main builds the
+parser of the subcommand its first argument names and no other's; when
+that argument names none (there is none, or it is a flag or an unknown
+word) it builds all five, so usage, help and error texts read the same
+either way.
 
 argparse checks the choices; RunConfig checks nothing.  A builder
 resolves its tolerances first and then checks the order or the rows.  A
@@ -214,9 +214,10 @@ _COMMANDS = {
 }
 
 # argparse reads only -N and -N.N as negative numbers, and any other token
-# that starts with - as a flag; no fracwkb flag starts with a digit or a
-# '.', so such a token (-1e-3, -1,2 or -1,1,64 too) is a flag's value
-_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+# that starts with - as a flag; no fracwkb flag starts with a digit, a '.',
+# inf or nan, so such a token (-1e-3, -1,2, -1,1,64, or -inf and -nan in
+# any case, as float() reads them) is a flag's value
+_NEGATIVE_NUMBER = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 _FLOAT_FLAGS = {
     "alpha": "left derivative order",

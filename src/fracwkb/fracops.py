@@ -34,8 +34,13 @@ count + 1 values, as soon as that row is summed, so only one row's sums
 are alive at once: an integer order convolves the row with its binomial
 row, and any other order multiplies its weights' spectrum by the row's,
 from the block's spectrum taken once by the first such order, and takes
-the inverse transform.  A caller that keeps what it reads of each row,
-as the kernel checks do, holds no block of derivatives.
+the inverse transform.  Each buffer is freed once no later row reads it:
+an order's weights once their spectrum is taken, the samples once the
+block's spectrum is taken and no integer order is left, the weights'
+spectrum after the order's last product, and the block's spectrum,
+which the last order to read it multiplies into, after its last inverse
+transform.  A caller that keeps what it reads of each row, as the
+kernel checks do, holds no block of derivatives.
 left_rl_derivative and right_rl_derivative read its one row for one
 order: they take a grid and its count + 1 samples and return count + 1
 values, non-finite where the derivative diverges.
@@ -202,17 +207,19 @@ def _corrected_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     # a mask of the rows whose sums take Lubich's endpoint term, those
     # with f(a) != 0 whose f - f(a) is finite, and the spectrum of the
-    # block with f(a) taken off those rows.  The shifted copy is freed
-    # once its spectrum is taken
+    # block with f(a) taken off those rows.  One copy of the block is
+    # shifted in place, a row whose f - f(a) overflows restored from the
+    # block, and freed once its spectrum is taken
     rows, corrected = np.flatnonzero(start), np.zeros(len(block), dtype=bool)
-    if rows.size:
+    shifted = block.copy() if rows.size else block
+    for r in rows.tolist():
         with np.errstate(over="ignore"):
-            difference = block[rows] - start[rows, None]
-        finite = np.all(np.isfinite(difference), axis=1)
-        corrected[rows[finite]] = True
-        block = block.copy()
-        block[corrected] = difference[finite]
-    return corrected, np.fft.rfft(block, size)
+            shifted[r] -= start[r]
+        if np.isfinite(shifted[r]).all():
+            corrected[r] = True
+        else:
+            shifted[r] = block[r]
+    return corrected, np.fft.rfft(shifted, size)
 
 
 def _gl_sums(
@@ -225,11 +232,13 @@ def _gl_sums(
     # adds start's endpoint term (see rl_derivative_rows).  Shift the
     # stencil one node inward for orders above one; the last node, past
     # which the shift would index, keeps the unshifted sum.
-    top = grid.count
+    top, height = grid.count, len(start)
     # every order's weights and scale, checked before any sum; an integer
-    # order leaves out the exact zeros past its binomial row: O(N), not O(N**2)
-    stencils = []
-    for order in orders:
+    # order leaves out the exact zeros past its binomial row: O(N), not O(N**2).
+    # The last integer order is the last to read the block, and the last
+    # other order the last to read its spectrum
+    stencils, last_integer, last_spectral = [], -1, -1
+    for i, order in enumerate(orders):
         shift, integer = (1 if order.value > 1.0 else 0), float(order.value).is_integer()
         count = min(int(order.value), top + shift) if integer else top + shift
         with np.errstate(over="ignore", invalid="ignore"):
@@ -237,40 +246,62 @@ def _gl_sums(
         if not (np.all(np.isfinite(weights)) and np.isfinite(scale)):
             raise OverflowError(f"order {order.value!r} at step {grid.step!r} overflows a float")
         stencils.append((order, integer, shift, weights, scale))
+        if integer:
+            last_integer = i
+        else:
+            last_spectral = i
     # a 5-smooth length >= 2 * top + 1: the circular product equals the
     # linear convolution on every index read.  The shifted stencil's last
     # index, 2 * top + 1, wraps onto index 0, which it never reads.
     size = _fft_length(2 * top + 1)
     spectrum = None
-    for i, (order, integer, shift, weights, scale) in enumerate(stencils):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not integer:
+    for i in range(len(stencils)):
+        # each buffer goes once no later row reads it.  The list lets go of
+        # this order's stencil, so its weights go with the name; enumerate
+        # would hold the stencil it last handed out
+        (order, integer, shift, weights, scale), stencils[i] = stencils[i], None
+        if not integer:
+            with np.errstate(over="ignore", invalid="ignore"):
                 if spectrum is None:
                     # taken by the first order that reads it: an integer-only
                     # block shifts no row and takes no transform
                     corrected, spectrum = _corrected_spectrum(block, start, size)
+                if i > last_integer:
+                    block = None
                 weights_spectrum = np.fft.rfft(weights, size)
-                # one forward transform for the block; the product and the
-                # inverse transform go one row at a time, so only one row's
-                # of each is alive beside the spectrum.  A lone row's
-                # product overwrites the weights' spectrum, which nothing
-                # reads after it
-                product = weights_spectrum if len(block) == 1 else np.empty_like(weights_spectrum)
+                # at the starting node, the sum of 1 on this order's stencil;
+                # the endpoint term is built once the weights are gone
+                endpoint = weights[: shift + 1].sum() * scale
+                weights = None
                 if corrected.any():
                     term = rl_power_rule(0, order, grid.nodes() - grid.a)
-                    # at the starting node, the sum of 1 on this order's stencil
-                    term[0] = weights[: shift + 1].sum() * scale
-        for r, row in enumerate(block if integer else spectrum):
+                    term[0] = endpoint
+                # one forward transform for the block; the product and the
+                # inverse transform go one row at a time, so only one row's
+                # of each is alive beside the spectrum.  The last order to
+                # read the spectrum multiplies into its rows, which nothing
+                # reads after it
+                product = None if i == last_spectral else np.empty_like(weights_spectrum)
+        for r in range(height):
             # outside errstate, which a suspended yield would leak into the
             # caller; the sums are made inside the call, so they never
             # outlive it
             with np.errstate(over="ignore", invalid="ignore"):
-                line = _clamped(
-                    np.convolve(weights, row) if integer
-                    else np.fft.irfft(np.multiply(weights_spectrum, row, out=product), size),
-                    shift,
-                    top,
-                )
+                if integer:
+                    sums = np.convolve(weights, block[r])
+                else:
+                    row = spectrum[r]
+                    row = np.multiply(weights_spectrum, row, out=row if product is None else product)
+                    if r == height - 1:
+                        # row keeps the product, which may sit in the
+                        # block's spectrum, through the inverse transform
+                        weights_spectrum = product = None
+                        if i == last_spectral:
+                            spectrum = None
+                    sums = np.fft.irfft(row, size)
+                    row = None
+                line = _clamped(sums, shift, top)
+                sums = None
                 line *= scale
                 if not integer and corrected[r]:
                     line += start[r] * term
@@ -300,11 +331,13 @@ def rl_derivative_rows(
     NonFiniteInputError then.  Returns an iterator of (i, r, row), orders
     in turn and the rows of each: row is a fresh array of count + 1
     values, the side's derivative of samples row r at order orders[i],
-    handed out as soon as it is summed.  Only that row's sums and the
-    block's one spectrum are alive at a time, so a caller that keeps what
-    it reads of each row holds no block of derivatives.  If any order's
-    weights or step**-order overflow, the first next() raises
-    OverflowError before any sum.
+    handed out as soon as it is summed.  At a yield, beside that row, only
+    buffers a later row uses are alive: the block's one spectrum, the
+    order's weights' spectrum, product and endpoint term, the later
+    orders' weights, and the samples while an integer order is left.  So
+    a caller that keeps what it reads of each row holds no block of
+    derivatives.  If any order's weights or step**-order overflow, the
+    first next() raises OverflowError before any sum.
 
     The left derivative of f holds f(a) (x - a)**-order / gamma(1 - order),
     which the Grunwald-Letnikov sum resolves badly far into the interior
@@ -328,7 +361,7 @@ def rl_derivative_rows(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     # the right derivative is the mirror image of the left
     block = block if side == "left" else block[:, ::-1]
-    rows = _gl_sums(grid, block, orders, block[:, 0])
+    rows = _gl_sums(grid, block, orders, block[:, 0].copy())
     # starmap binds no row, so none outlives the next one's sums here
     return rows if side == "left" else starmap(lambda i, r, row: (i, r, row[::-1]), rows)
 

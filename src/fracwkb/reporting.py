@@ -14,8 +14,10 @@ csv or json piece is formatted when it is asked for and its texts are
 dropped once it is joined, so a caller that writes each piece as it
 comes holds neither the whole output nor a whole column's texts.  A
 table's widths need every text, so a table formats all of its pieces
-first and pads a piece's texts as it joins them.  format_table,
-format_csv and format_json join the same pieces into one text.
+first, keeps each piece's column texts as one "\n"-joined string (no
+text holds a "\n"), and splits and pads them as it joins that piece.
+format_table, format_csv and format_json join the same pieces into one
+text.
 
 All floats are rendered with 17 significant digits so a fixed
 configuration always produces byte-identical output, and a value's text
@@ -145,11 +147,11 @@ _NON_FINITE = frozenset({"inf", "-inf", "nan"})
 # the fields of every row, after the sweep column when there is one
 _FIELDS = ("quantity", "analytic", "numeric", "residual", "tolerance", "pass")
 
-# one piece's columns: each column's distinct texts and each row's code,
-# an index into them
-_Columns = list[tuple[list[str], np.ndarray]]
+# one piece's columns: each column's distinct texts (a table's as one
+# "\n"-joined string) and each row's code, an index into them
+_Columns = list[tuple[list[str] | str, np.ndarray]]
 # what a format makes of column i's texts before its rows are joined
-_Dress = Callable[[int, list[str]], list[str]]
+_Dress = Callable[[int, list[str] | str], list[str]]
 
 
 def _distinct_floats(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -227,26 +229,29 @@ def render(batch: RecordBatch, output_format: str) -> Iterator[str]:
     The format is checked, and the first piece's texts formatted, before
     this returns.  A csv or json piece's texts are formatted when the
     piece is asked for and dropped once it is joined.  A table formats
-    every piece first, since each text sets its column's width, and pads
-    a piece's texts as it joins them.
+    every piece first, since each text sets its column's width, keeps a
+    piece's column texts as one "\n"-joined string until then, and pads
+    them as it joins that piece.
     """
     if output_format not in ("table", "csv", "json"):
         raise ValueError(f"output format must be table, csv or json, got {output_format!r}")
     header = list(_FIELDS) if batch.sweep is None else [batch.sweep[0], *_FIELDS]
     pieces = map(_piece, repeat(batch), range(0, len(batch), CHUNK_ROWS))
     if output_format == "table":
-        pieces = list(pieces)
-        widths = list(map(len, header))
+        widths, joined = list(map(len, header)), []
         for columns in pieces:
             widths = [max([w, *map(len, texts)]) for w, (texts, _) in zip(widths, columns)]
+            # until the piece is padded, a column's texts are one string, not
+            # one object each; no text holds a "\n"
+            joined.append([("\n".join(texts), codes) for texts, codes in columns])
 
-        def pad(i: int, texts: list[str]) -> list[str]:
+        def pad(i: int, texts: str) -> list[str]:
             # the first column to the left, the others to the right
-            return list(map(str.rjust if i else str.ljust, texts, repeat(widths[i])))
+            return list(map(str.rjust if i else str.ljust, texts.split("\n"), repeat(widths[i])))
 
         top = ["  ".join(map(str.ljust, header, widths)).rstrip()]
         top.append("  ".join("-" * w for w in widths))
-        return _text_pieces(top, pieces, pad, "  ")
+        return _text_pieces(top, joined, pad, "  ")
     # the first piece now, so that a failure in formatting it comes before
     # the caller opens where the text goes
     pieces = chain(list(islice(pieces, 1)), pieces)

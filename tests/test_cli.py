@@ -1461,12 +1461,19 @@ def test_fuzzed_argv_exits_0_1_or_2(argv, config_lines, tmp_path, monkeypatch):
         (["sweep", "--param", "q", "--values", "-1,2"], "--values"),
         (["sweep", "--param", "q", "--from", "-1e-3", "--to", "1", "--steps", "2"], "--from"),
         (["deriv", "--grid", "-1,1,64"], "--grid"),
+        # non-finite values, in any case float() reads
+        (["example1", "--q", "-inf"], "--q"),
+        (["example1", "--q", "-Infinity"], "--q"),
+        (["example1", "--q", "-NaN"], "--q"),
+        (["sweep", "--param", "q", "--values", "-inf,1"], "--values"),
+        (["deriv", "--grid", "-INF,1,64"], "--grid"),
     ],
 )
 def test_negative_value_after_its_flag_is_read_as_its_value(argv, flag, capsys):
     # argparse alone reads only -N and -N.N as numbers, so each of these
     # exited 2 with "argument FLAG: expected one argument"; they now read
-    # as their --flag=value form does
+    # as their --flag=value form does: a finite value gives output, and a
+    # non-finite one the setting's own check
     at = argv.index(flag)
     joined = [*argv[:at], f"{flag}={argv[at + 1]}", *argv[at + 2 :]]
     outcomes = []
@@ -1475,7 +1482,12 @@ def test_negative_value_after_its_flag_is_read_as_its_value(argv, flag, capsys):
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] in (0, 1) and outcomes[0][1]
+    code, out, err = outcomes[0]
+    if argv[at + 1][1].isdigit():
+        assert code in (0, 1) and out
+    else:
+        assert code == 2 and not out
+        assert err in ("error: q must be finite\n", "error: grid endpoints must be finite\n")
 
 
 def test_each_builder_rendered_is_mains_stdout(capsys):

@@ -875,6 +875,31 @@ def test_integer_block_shifts_no_row(order):
     assert peak <= bound
 
 
+@pytest.mark.parametrize("start", [0.0, 1.0], ids=["zero_start", "nonzero_start"])
+@pytest.mark.parametrize("order", [0.5, 1.5])
+def test_lone_row_frees_each_buffer_once_nothing_reads_it(order, start):
+    # one non-integer row of start + x**2 on 65,536 intervals, as deriv's 4N
+    # check sums it.  The peak is at the block's forward transform (the
+    # block, the weights and the spectrum: 3.06 spectrum-length buffers)
+    # or, with f(a) != 0, while the endpoint term is built beside the two
+    # spectra (3.63).  Holding the block and the weights until the last
+    # row, and building the term beside them, peaks at 4.5 (f(a) = 0) and
+    # 5.0 buffers
+    grid = TimeGrid(0.0, 1.0, 65536)
+    values = start + grid.nodes() ** 2
+    # a warm-up call, so numpy's FFT plans are built before measuring
+    left_rl_derivative(grid, values, FractionalOrder(order))
+    tracemalloc.start()
+    try:
+        row = left_rl_derivative(grid, values, FractionalOrder(order))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (grid.count + 1,)
+    spectrum = (fracops._fft_length(2 * grid.count + 1) // 2 + 1) * 16
+    assert peak <= 4 * spectrum
+
+
 def test_block_rejects_bad_rows_and_sides():
     grid, order = TimeGrid(0.0, 1.0, 8), FractionalOrder(0.5)
     with pytest.raises(ValueError, match="rows of 9 samples"):

@@ -38,6 +38,8 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
         ["sweep", "--param", "alpha", "--values", "1.5", "--steps", "0"],
         ["example1", "--q", "-1e-3"],
         ["deriv", "--grid", "-1,1,64"],
+        ["example1", "--q", "-inf"],
+        ["sweep", "--param", "q", "--values", "-inf,1"],
         ["--alpha", "3", "verify"],
         [],
         ["derive"],
@@ -71,12 +73,12 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
-    # --help of the top level and of every subcommand: 1,497 argvs in
-    # all, and 1,506 runs with the 9 library records.  argparse wraps help
+    # --help of the top level and of every subcommand: 1,501 argvs in
+    # all, and 1,510 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
-    assert len(runs) == 1497
+    assert len(runs) == 1501
     argvs = [argv for argv, _ in runs]
     _, subcommands = cli._make_parser()
     for command in ([], *([name] for name in subcommands)):

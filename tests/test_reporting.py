@@ -8,6 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fracwkb import reporting
+from fracwkb.fracops import TimeGrid
 from fracwkb.reporting import (
     INFORMATIONAL,
     RecordBatch,
@@ -16,6 +17,7 @@ from fracwkb.reporting import (
     format_json,
     format_table,
 )
+from fracwkb.verification import deriv_records
 
 
 def _batch(*records, sweep=None):
@@ -470,3 +472,19 @@ def test_csv_and_json_hold_one_pieces_texts_at_a_time():
             tracemalloc.stop()
         assert written > 5_000_000
         assert peak < 3_000_000, output_format
+
+
+def test_table_holds_each_columns_texts_as_one_string_until_padded():
+    # deriv's batch on 16,384 intervals, 16,387 rows of distinct values.  A
+    # table's widths need every piece's texts before the first is padded;
+    # kept as one joined string per column they peak at 2.26 MB under
+    # tracemalloc, and kept as one str object per text at 4.73 MB
+    batch = deriv_records({}, "x", "left", 0.5, TimeGrid(0.0, 1.0, 16384))
+    tracemalloc.start()
+    try:
+        written = sum(map(len, reporting.render(batch, "table")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 1_900_000
+    assert peak < 3_000_000

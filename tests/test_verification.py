@@ -371,15 +371,15 @@ def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, power
         tracemalloc.stop()
     rows, nodes, size = len(powers), grid.count + 1, fracops._fft_length(2 * grid.count + 1)
     row_spectrum = (size // 2 + 1) * 16
-    # the block's spectrum, the weights' spectrum and one row's product (a
-    # lone row's product overwrites the weights' spectrum), and one row's
-    # inverse transform
+    # the block's spectrum, the weights' spectrum and one row's product (the
+    # last order multiplies into the block's spectrum, and a lone row's
+    # weights' spectrum is freed before its inverse transform), and one
+    # row's inverse transform
     held = (rows + (2 if rows > 1 else 1)) * row_spectrum + size * 8
     # slack: the block of samples, every order's weights, the offsets, and
     # one row's derivative, oracle and interior difference.  A derivative
-    # or oracle block of every row, a whole block's product and transform,
-    # or a lone row's product beside its weights' spectrum crosses this
-    # bound
+    # or oracle block of every row, or a whole block's product and
+    # transform, crosses this bound
     assert peak <= held + (rows + len(orders) + 4) * nodes * 8
     # the error table of the stacked derivative and oracle blocks
     offsets = grid.nodes() - grid.a

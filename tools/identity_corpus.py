@@ -50,9 +50,9 @@ whose HJ residual sits under its rounding floor; known
 tolerances set in and out of range, and one verify no longer knows;
 malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
 values their flag would not parse; negative values in exponent form
-and in comma lists, which argparse alone takes for flags; a grid with
-a node at a tenth of its width; every sweep-range error, --values with
-a range flag included;
+and in comma lists, and -inf and -nan, which argparse alone takes for
+flags; a grid with a node at a tenth of its width; every sweep-range
+error, --values with a range flag included;
 flags before the subcommand or of another one; no arguments, an
 unknown subcommand, a help flag before a subcommand and a subcommand
 name or help flag after one; deriv grids and sweeps
@@ -252,10 +252,12 @@ def corpus() -> list[tuple[list[str], str | None]]:
     add("deriv", config="grid = 0,1,1e3\n")
     add("sweep", "--param", "e1", "--values", "1,x")
     # negative values that argparse alone takes for flags: it reads only
-    # -N and -N.N as numbers
+    # -N and -N.N as numbers; non-finite ones too, in any case float() reads
     for argv in (("example1", "--q", "-1e-3"), ("sweep", "--param", "q", "--values", "-1,2"),
                  ("sweep", "--param", "q", "--from", "-1e-3", "--to", "1", "--steps", "2"),
-                 ("deriv", "--grid", "-1,1,64")):
+                 ("deriv", "--grid", "-1,1,64"), ("example1", "--q", "-inf"),
+                 ("example1", "--q", "-NaN"), ("sweep", "--param", "q", "--values", "-inf,1"),
+                 ("deriv", "--grid", "-Infinity,1,64")):
         add(*argv)
     add("example1", "--tol", "probability=1e-13", "--tol", "imag_part=1e-3", "--format", "csv")
 
@@ -396,11 +398,11 @@ def _power_kernel_errors(grid, orders, side):
 
 def _run_kernel_block() -> int:
     # rows that start (on either side) at 0, at -0.0 and away from 0, and
-    # one whose f - f(a) overflows, at integer and other orders mixed and
-    # at integer orders 1, 2 and 3 alone; the power-kernel check's errors
-    # for powers 1, 2 and 3 at verify's four orders, on the same grid and
-    # side; then the error of each order whose weights or step**-order
-    # overflow
+    # one whose f - f(a) overflows, at integer and other orders mixed, at
+    # integer orders 1, 2 and 3 alone, and at 1.5 then 2; the power-kernel
+    # check's errors for powers 1, 2 and 3 at verify's four orders, on the
+    # same grid and side; then the error of each order whose weights or
+    # step**-order overflow
     import numpy as np
     from fracwkb import fracops
     from fracwkb.fracops import FractionalOrder, TimeGrid
@@ -415,6 +417,9 @@ def _run_kernel_block() -> int:
     rng = random.Random(SEED)
     orders = [FractionalOrder(order) for order in (0.5, 1.0, 1.5, 2.0, 2.5)]
     integers = [FractionalOrder(order) for order in (1.0, 2.0, 3.0)]
+    # an integer order after a non-integer one, which keeps the block
+    # alive past the spectrum
+    mixed = [FractionalOrder(order) for order in (1.5, 2.0)]
     verify_orders = [FractionalOrder(order) for order in (0.25, 0.5, 0.75, 1.5)]
     for count, side in itertools.product((64, 4096), ("left", "right")):
         grid = TimeGrid(0.0, 1.0, count)
@@ -426,6 +431,8 @@ def _run_kernel_block() -> int:
         print(count, side, hashlib.sha256(result.tobytes()).hexdigest())
         result = stacked(grid, rows, integers, side)
         print(count, side, "integer orders", hashlib.sha256(result.tobytes()).hexdigest())
+        result = stacked(grid, rows, mixed, side)
+        print(count, side, "an integer order last", hashlib.sha256(result.tobytes()).hexdigest())
         errors = _power_kernel_errors(grid, verify_orders, side)
         print(count, side, "power kernel errors", hashlib.sha256(errors.tobytes()).hexdigest())
     for order in (2000.0, 1e9, 300.5):
@@ -521,11 +528,12 @@ def library_records(root: Path) -> list[dict]:
     the python block under "Library quickstart" in root's README.md.  The
     kernel record prints the sha256 of fracwkb.fracops.rl_derivative_rows'
     rows, stacked, on several rows, some with f(a) = 0 and some not, on both
-    sides, at several orders mixed and at integer orders alone: the path a
-    block of rows takes that no argv reaches.  The model record prints the
-    sha256 of each fracwkb.wkb.evaluate_models column, wave included, on
-    the accepted rows of a block whose points run from signed zeros to
-    +-1e308, then the error of each rejected row, one call each.  The
+    sides, at several orders mixed, at integer orders alone and at an
+    integer order after a non-integer one: the path a block of rows takes
+    that no argv reaches.  The model record prints the sha256 of each
+    fracwkb.wkb.evaluate_models column, wave included, on the accepted
+    rows of a block whose points run from signed zeros to +-1e308, then
+    the error of each rejected row, one call each.  The
     kernel record also prints the error of each order whose weights or
     step**-order overflow, and the sha256 of the power-kernel check's
     per-row errors for powers 1, 2 and 3 at verify's four orders, on
