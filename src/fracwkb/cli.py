@@ -165,10 +165,11 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     Each key is one of the parser's flags without its leading dashes,
     written with _ for - (fd_step = 1e-3 is --fd-step=1e-3); tol.NAME = V
     is --tol=NAME=V.  # starts a comment.  A value its flag would not
-    parse is an error that names its line.
+    parse is an error that names its line.  The file is UTF-8, with or
+    without a byte-order mark.
     """
     flags = []
-    for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -156,7 +156,8 @@ def resolve_tolerances(
             raise ValueError(f"unknown tolerance {name!r}; known: {sorted(table)}")
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
-        table[name] = value
+        # -0.0 passes the check above: kept as 0.0, it gates alike and prints as 0
+        table[name] = value + 0.0
     return table
 
 
@@ -187,14 +188,29 @@ def power_kernel_check(
     derivative and the closed-form oracle at every node, count + 1 values
     each, and the max interior error between them.  A caller keeps what
     it reads, so no derivative or oracle block of every row is ever held.
+
+    The offsets are dropped once the samples are taken from them, before
+    the first transform, and rebuilt once, when the first row comes
+    back, for its oracle and every later row's.  So during the first
+    row's transforms only the kernel's buffers are alive (see
+    rl_derivative_rows), and during a later row's the offsets too,
+    beside what the caller kept.
     """
-    offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
+
+    def distances() -> np.ndarray:
+        return grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
+
+    offsets = distances()
     # an overflowing sample is inf, which rl_derivative_rows rejects; the
     # samples are checked, and dropped, before the first row is summed
     with np.errstate(over="ignore"):
         rows = rl_derivative_rows(grid, (offsets**k for k in exponents), orders, side)
+    offsets = None
 
     def check(i: int, j: int, numeric: np.ndarray) -> tuple:
+        nonlocal offsets
+        if offsets is None:
+            offsets = distances()
         oracle = rl_power_rule(exponents[j], orders[i], offsets)
         return i, j, numeric, oracle, _max_interior_error(numeric, oracle, grid)
 

@@ -779,6 +779,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    # an editor may start a UTF-8 file with U+FEFF, which is no part of
+    # its first key
+    text = b"alpha = 1.2\ngrid = 0,1,64\nformat = csv\n"
+    outputs = []
+    for name, data in (("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)):
+        config = tmp_path / name
+        config.write_bytes(data)
+        outputs.append((main(["deriv", "--config", str(config)]), *capsys.readouterr()))
+    # the same run from flags; order 1.2 on 64 intervals misses the kernel
+    # tolerance, so it exits 1, not 2
+    flags = ["deriv", "--alpha", "1.2", "--grid", "0,1,64", "--format", "csv"]
+    outputs.append((main(flags), *capsys.readouterr()))
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 1
+
+
 def test_config_line_without_equals_names_its_line(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# the model's order\nalpha 1.5\n", encoding="utf-8")
@@ -944,6 +960,28 @@ def test_negative_or_nan_tolerance_is_usage_error(value, shown, capsys):
     message = f"tolerance kernel_max_error must be finite and >= 0, got {shown}"
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, name, table",
+    [
+        (["deriv", "--grid", "0,1,64"], "kernel_max_error", verification._DERIV_TOLERANCES),
+        (["example1"], "probability", verification._EXAMPLE_TOLERANCES),
+        (["verify"], "imag_part", verification.DEFAULT_TOLERANCES),
+    ],
+    ids=["deriv", "models", "verify"],
+)
+def test_negative_zero_tolerance_is_stored_and_printed_as_zero(argv, name, table, capsys):
+    # -0.0 is not below 0, so it is accepted; it gates as 0 does, and its
+    # records print a tolerance of 0, not -0
+    resolved = verification.resolve_tolerances({name: -0.0}, table)[name]
+    assert math.copysign(1.0, resolved) == 1.0
+    outputs = []
+    for value in ("-0.0", "0"):
+        ret = main([*argv, "--tol", f"{name}={value}", "--format", "csv"])
+        outputs.append((ret, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert ",-0," not in outputs[0][1] and ",0," in outputs[0][1]
 
 
 def test_step_whose_square_underflows_is_usage_error(capsys):

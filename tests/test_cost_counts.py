@@ -22,8 +22,8 @@ _SRC = Path(fracwkb.__file__).parent
 # calls of the functions defined under src/fracwkb, summed per module
 _COUNTS = {
     ("verify", "--format", "csv"): {
-        "cli": 8, "fracops": 313, "hamilton_jacobi": 394, "mechanics": 83,
-        "reporting": 28, "verification": 184, "wkb": 217,
+        "cli": 8, "fracops": 319, "hamilton_jacobi": 394, "mechanics": 83,
+        "reporting": 28, "verification": 190, "wkb": 217,
     },
     (
         "sweep", "--model", "custom", "--param", "e2",

@@ -40,6 +40,7 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
         ["deriv", "--grid", "-1,1,64"],
         ["example1", "--q", "-inf"],
         ["sweep", "--param", "q", "--values", "-inf,1"],
+        ["deriv", "--tol", "kernel_max_error=-0.0", "--grid", "0,1,64", "--format", "csv"],
         ["--alpha", "3", "verify"],
         [],
         ["derive"],
@@ -50,7 +51,8 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
     ):
         assert argv in argvs
     configs = [config for _, config in runs]
-    for config in ("tol.probability = 1e-13\n", "alpha 1.5\n", "bogus = 1\n"):
+    for config in ("tol.probability = 1e-13\n", "alpha 1.5\n", "bogus = 1\n",
+                   "\ufeffalpha = 1.2\n"):
         assert config in configs
     passing = tool.record(main, ["example1", "--format", "csv"])
     main(["example1", "--format", "csv"])
@@ -73,12 +75,12 @@ def test_corpus_is_fixed_and_records_each_outcome(tmp_path, capsys):
 
 
 def test_help_runs_are_in_the_corpus_at_a_pinned_width(monkeypatch):
-    # --help of the top level and of every subcommand: 1,501 argvs in
-    # all, and 1,510 runs with the 9 library records.  argparse wraps help
+    # --help of the top level and of every subcommand: 1,503 argvs in
+    # all, and 1,512 runs with the 9 library records.  argparse wraps help
     # at the terminal width, which record pins whatever COLUMNS says.
     tool = _load_tool()
     runs = tool.corpus()
-    assert len(runs) == 1501
+    assert len(runs) == 1503
     argvs = [argv for argv, _ in runs]
     _, subcommands = cli._make_parser()
     for command in ([], *([name] for name in subcommands)):

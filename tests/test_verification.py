@@ -23,6 +23,7 @@ from fracwkb.fracops import (
     TimeGrid,
     interior,
     left_rl_derivative,
+    right_rl_derivative,
     rl_power_rule,
 )
 from fracwkb.hamilton_jacobi import EnergyPartition, TransformedPoint
@@ -376,11 +377,13 @@ def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, power
     # weights' spectrum is freed before its inverse transform), and one
     # row's inverse transform
     held = (rows + (2 if rows > 1 else 1)) * row_spectrum + size * 8
-    # slack: the block of samples, every order's weights, the offsets, and
-    # one row's derivative, oracle and interior difference.  A derivative
-    # or oracle block of every row, or a whole block's product and
-    # transform, crosses this bound
-    assert peak <= held + (rows + len(orders) + 4) * nodes * 8
+    # slack: the block of samples, every order's weights, one row's
+    # derivative, oracle and interior difference, and the offsets, which
+    # come back with the first row, so only a later row's transforms see
+    # them.  A derivative or oracle block of every row, or a whole block's
+    # product and transform, crosses this bound
+    later_rows = rows * len(orders) > 1
+    assert peak <= held + (rows + len(orders) + 3 + later_rows) * nodes * 8
     # the error table of the stacked derivative and oracle blocks
     offsets = grid.nodes() - grid.a
     numeric = stacked_derivative(grid, [offsets**k for k in powers], orders)
@@ -388,3 +391,40 @@ def test_kernel_check_keeps_one_row_of_transforms_in_flight(count, alphas, power
     whole = verification._max_interior_error(numeric, oracle, grid)
     assert error.shape == whole.shape == (len(orders), rows)
     assert np.array_equal(error.view(np.int64), whole.view(np.int64))
+
+
+def _traced_peak(call):
+    # the traced peak of call() and its result, after a warm-up call, so
+    # numpy's FFT plans are built before measuring
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "exponent, side",
+    [(2, "left"), (2, "right"), (0, "left")],
+    ids=["x2_left", "x2_right", "const"],
+)
+def test_kernel_check_holds_no_offsets_beside_the_transforms(exponent, side):
+    # one row of deriv's 4N check on a 16,384-interval grid: const has
+    # f(a) != 0, so its row adds the endpoint term.  The check drops the
+    # offsets once its samples are taken and rebuilds them when the row
+    # comes back, so its peak is the kernel's own on the same samples (720
+    # bytes over it).  Offsets kept through the transforms add one row of
+    # 524,296 bytes
+    grid, order = TimeGrid(0.0, 1.0, 65536), FractionalOrder(0.5)
+    offsets = grid.nodes() - grid.a if side == "left" else grid.b - grid.nodes()
+    samples = offsets**exponent
+    derivative = left_rl_derivative if side == "left" else right_rl_derivative
+    kernel, row = _traced_peak(lambda: derivative(grid, samples, order))
+    check, ((*_, numeric, oracle, _),) = _traced_peak(
+        lambda: list(verification.power_kernel_check(grid, [exponent], [order], side))
+    )
+    assert np.array_equal(numeric.view(np.int64), row.view(np.int64))
+    assert np.array_equal(oracle, rl_power_rule(exponent, order, offsets))
+    assert check <= kernel + (grid.count + 1) * 8 // 4

@@ -13,9 +13,10 @@ through the CLI.  Three last records hash the rows of
 fracwkb.fracops.rl_derivative_rows on a block of several rows, stacked
 into one array, and the per-row errors of
 fracwkb.verification.power_kernel_check on a block of powers on both
-sides, with the error of each order whose weights or step**-order
-overflow; every
-column of fracwkb.wkb.evaluate_models on a block of rows at points no
+sides, the values of fracwkb.fracops.rl_power_rule on float, 0-d and
+array offsets, zero offsets at negative powers and pole orders included,
+and the error of each order whose weights or step**-order overflow;
+every column of fracwkb.wkb.evaluate_models on a block of rows at points no
 argv reaches (SAMPLE_POINT is fixed), with the error of each row it
 rejects, one call each; and what fracwkb.separate,
 fracwkb.build_wavefunction and the three fracwkb.format_* functions
@@ -47,9 +48,11 @@ overflow or turn imaginary, momentum products that leave the float
 range, alone or with a step check that would fail after theirs, and an
 energy total that overflows under finite slopes; an energy past 1e6,
 whose HJ residual sits under its rounding floor; known
-tolerances set in and out of range, and one verify no longer knows;
-malformed --tol entries and config lines; numbers that do not parse in --grid and --values, and config
-values their flag would not parse; negative values in exponent form
+tolerances set in and out of range, -0.0 among them, and one verify no
+longer knows; malformed --tol entries and config lines, and a config
+file that starts with a UTF-8 byte-order mark; numbers that do not
+parse in --grid and --values, and config values their flag would not
+parse; negative values in exponent form
 and in comma lists, and -inf and -nan, which argparse alone takes for
 flags; a grid with a node at a tenth of its width; every sweep-range
 error, --values with a range flag included;
@@ -244,6 +247,8 @@ def corpus() -> list[tuple[list[str], str | None]]:
             add(command, *sweep, "--tol", f"{name}={value}")
     for entry in ("probability", "=1", "probability=", "probability=x"):
         add("example1", "--tol", entry)
+    # -0.0 is not below 0: accepted, and printed as 0
+    add("deriv", "--tol", "kernel_max_error=-0.0", "--grid", "0,1,64", "--format", "csv")
     # a tolerance verify once had, whose records the discrete ones replaced
     add("verify", "--tol", "energy_ratio=1")
     # numbers that do not parse, in --grid and --values
@@ -268,6 +273,8 @@ def corpus() -> list[tuple[list[str], str | None]]:
                  "config = x\n", "grid = 0,1,64\n"):
         add("example1", config=text)
     add("deriv", config="tol.kernel_order = 0.5\ngrid = 0,1,64\n")
+    # a UTF-8 byte-order mark before the first key
+    add("deriv", config="\ufeffalpha = 1.2\n")
     add("verify", config="tol.imag_part = 1e-30\nformat = csv\n")
     # config values their flag would not parse
     for text in ("alpha = x\n", "format = xml\n"):
@@ -401,8 +408,8 @@ def _run_kernel_block() -> int:
     # one whose f - f(a) overflows, at integer and other orders mixed, at
     # integer orders 1, 2 and 3 alone, and at 1.5 then 2; the power-kernel
     # check's errors for powers 1, 2 and 3 at verify's four orders, on the
-    # same grid and side; then the error of each order whose weights or
-    # step**-order overflow
+    # same grid and side; the power rule's values; then the error of each
+    # order whose weights or step**-order overflow
     import numpy as np
     from fracwkb import fracops
     from fracwkb.fracops import FractionalOrder, TimeGrid
@@ -435,6 +442,17 @@ def _run_kernel_block() -> int:
         print(count, side, "an integer order last", hashlib.sha256(result.tobytes()).hexdigest())
         errors = _power_kernel_errors(grid, verify_orders, side)
         print(count, side, "power kernel errors", hashlib.sha256(errors.tobytes()).hexdigest())
+    # the power rule on an array of offsets and on each as a float and as
+    # a 0-d array: zero offsets at negative powers, and pole orders, where
+    # exponent + 1 - order is 0 or a negative integer
+    offsets = np.array([0.0, 5e-324, 1e-300, 0.25, 1.0, 3.0, 1e300])
+    for exponent, order in itertools.product((0, 1, 2, 0.5), (0.25, 1.0, 1.5, 2.0, 2.5, 3.0)):
+        order = FractionalOrder(order)
+        values = fracops.rl_power_rule(exponent, order, offsets)
+        floats = [fracops.rl_power_rule(exponent, order, x) for x in offsets.tolist()]
+        zero_d = [fracops.rl_power_rule(exponent, order, np.array(x)) for x in offsets.tolist()]
+        print(exponent, order.value, "power rule", hashlib.sha256(values.tobytes()).hexdigest(),
+              *map(repr, floats), {type(x).__name__ for x in floats + zero_d}, floats == zero_d)
     for order in (2000.0, 1e9, 300.5):
         try:
             stacked(TimeGrid(0.0, 1.0, 4096), rows, [FractionalOrder(order)])
